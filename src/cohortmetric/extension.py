@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataMatrix, as_values
+from .diffusion import _fix_signs
 from .metric import CohortFunctional, NeighborhoodRule, RegularizedMetric, WeightField, neighborhood_indices
 from .survival import CohortTooSmallError
 
@@ -123,7 +124,7 @@ def build_reference(x_ref, weights, sigma: float, tau: float = 0.0,
     s, vecs = s[keep], vecs[:, keep]
     if n_components is not None:
         s, vecs = s[:n_components], vecs[:, :n_components]
-    psi = _fix_column_signs(vecs)
+    psi = _fix_signs(vecs)
     u = weights.inv_diag() if isinstance(weights, WeightField) else np.asarray(weights, dtype=float)
     return ReferenceEmbedding(
         x_ref=Xr,
@@ -135,15 +136,6 @@ def build_reference(x_ref, weights, sigma: float, tau: float = 0.0,
         d2=d2,
         coords=A @ psi,
     )
-
-
-def _fix_column_signs(vecs: np.ndarray) -> np.ndarray:
-    out = vecs.copy()
-    for j in range(out.shape[1]):
-        i = int(np.argmax(np.abs(out[:, j])))
-        if out[i, j] < 0:
-            out[:, j] = -out[:, j]
-    return out
 
 
 def extend(ref: ReferenceEmbedding, z) -> np.ndarray:

@@ -10,12 +10,7 @@ import numpy as np
 from .config import RunConfig
 from .data import DataMatrix
 from .extension import ReferenceEmbedding, build_reference_from_metric, extend_batch
-from .metric import (
-    NeighborhoodRule,
-    RegularizedMetric,
-    fit_weighted_metric,
-    neighborhood_indices,
-)
+from .metric import RegularizedMetric, fit_weighted_metric, neighborhood_indices
 from .rng import substream
 from .simulate import GroundTruth, TrialDataset, score_against_truth
 from .survival import (
@@ -69,16 +64,6 @@ def fit_pipeline(data, records: SurvivalRecords, config: RunConfig) -> FittedMod
     )
 
 
-def _neighborhood_rule(model: FittedModel) -> NeighborhoodRule:
-    cfg = model.config
-    if cfg.radius is not None:
-        return NeighborhoodRule("radius", eps=cfg.radius)
-    if cfg.knn is not None:
-        return NeighborhoodRule("knn", k=cfg.knn)
-    n = model.ref.n_ref
-    return NeighborhoodRule("knn", k=max(cfg.min_cohort, int(np.ceil(0.05 * n))))
-
-
 def predict(model: FittedModel, Z) -> Predictions:
     """Local treatment-effect estimates for new points via the reference set.
 
@@ -86,7 +71,7 @@ def predict(model: FittedModel, Z) -> Predictions:
     """
     Zv = Z.values if isinstance(Z, DataMatrix) else np.atleast_2d(np.asarray(Z, dtype=float))
     coords, in_support = extend_batch(model.ref, Zv)
-    rule = _neighborhood_rule(model)
+    rule = model.metric.neighborhood
     functional = LocalAlphaFunctional(model.records, model.config.estimator, model.config.min_cohort)
     n = Zv.shape[0]
     estimates = np.full(n, np.nan)

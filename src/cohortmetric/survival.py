@@ -56,7 +56,7 @@ class SurvivalRecords:
             raise ValueError("times, events, treatments must be 1-d arrays of equal length")
         if np.any(t < 0) or not np.all(np.isfinite(t)):
             raise ValueError("times must be finite and nonnegative")
-        if not np.all(np.isin(d, (0, 1))) or not np.all(np.isin(a, (0, 1))):
+        if not (((d == 0) | (d == 1)).all() and ((a == 0) | (a == 1)).all()):
             raise ValueError("events and treatments must be 0/1")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "events", d)
@@ -188,38 +188,23 @@ def _risk_set_counts(records: SurvivalRecords):
     """Per distinct event time: treated/untreated events and at-risk counts.
 
     Risk sets use t_Y >= t_Z (the failing subject included); ties share one
-    risk set (Breslow).
+    risk set (Breslow). Returns None when there are no events.
     """
     order = np.argsort(records.times, kind="mergesort")
     t = records.times[order]
-    d = records.events[order]
-    a = records.treatments[order]
-    n = len(t)
-    # at-risk counts just before each sorted position: everyone with t >= t_i
-    total_after = n - np.arange(n)  # includes position i itself
-    treated_suffix = np.concatenate([np.cumsum(a[::-1])[::-1], [0]])
-    event_pos = np.where(d == 1)[0]
-    if event_pos.size == 0:
+    ev = records.events[order] == 1
+    if not ev.any():
         return None
-    event_times = t[event_pos]
-    uniq, first_idx = np.unique(event_times, return_index=True)
-    rows = []
-    for ut, fi in zip(uniq, first_idx):
-        pos = event_pos[fi]  # first sorted position with this event time
-        start = np.searchsorted(t, ut, side="left")
-        at_risk = total_after[start]
-        at_risk_treated = treated_suffix[start]
-        sel = event_times == ut
-        d_total = int(sel.sum())
-        d_treated = int(a[event_pos[sel]].sum())
-        rows.append((ut, d_total, d_treated, int(at_risk), int(at_risk_treated)))
-    out = np.array(rows, dtype=float)
+    a = records.treatments[order]
+    uniq, inv = np.unique(t[ev], return_inverse=True)
+    start = np.searchsorted(t, uniq, side="left")
+    treated_suffix = np.cumsum(a[::-1])[::-1]  # treated among sorted positions >= i
     return {
-        "times": out[:, 0],
-        "d": out[:, 1],
-        "d1": out[:, 2],
-        "r": out[:, 3],
-        "r1": out[:, 4],
+        "times": uniq,
+        "d": np.bincount(inv, minlength=uniq.size).astype(float),
+        "d1": np.bincount(inv, weights=a[ev], minlength=uniq.size),
+        "r": (t.size - start).astype(float),
+        "r1": treated_suffix[start].astype(float),
     }
 
 
@@ -409,20 +394,10 @@ def kaplan_meier(records: SurvivalRecords) -> SurvivalCurve:
     after their observed time."""
     if len(records) == 0:
         raise ValueError("no records")
-    order = np.argsort(records.times, kind="mergesort")
-    t = records.times[order]
-    d = records.events[order]
-    n = len(t)
-    event_times = np.unique(t[d == 1])
-    surv, at_risk = [], []
-    s = 1.0
-    for ut in event_times:
-        r = n - np.searchsorted(t, ut, side="left")
-        deaths = int(d[t == ut].sum())
-        s *= 1.0 - deaths / r
-        surv.append(s)
-        at_risk.append(r)
-    return SurvivalCurve(event_times, np.array(surv), np.array(at_risk, dtype=int))
+    c = _risk_set_counts(records)
+    if c is None:
+        return SurvivalCurve(np.array([]), np.array([]), np.array([], dtype=int))
+    return SurvivalCurve(c["times"], np.cumprod(1.0 - c["d"] / c["r"]), c["r"].astype(int))
 
 
 @dataclass(frozen=True)
@@ -440,33 +415,27 @@ def logrank_test(group_a: SurvivalRecords, group_b: SurvivalRecords) -> LogRankR
     """One-degree-of-freedom log-rank test between two groups."""
     if len(group_a) == 0 or len(group_b) == 0:
         raise ValueError("both groups must be nonempty")
-    ta, da = group_a.times, group_a.events
-    tb, db = group_b.times, group_b.events
-    events_a, events_b = int(da.sum()), int(db.sum())
-    all_event_times = np.unique(np.concatenate([ta[da == 1], tb[db == 1]]))
-    if all_event_times.size == 0:
-        return LogRankResult(np.nan, np.nan, len(ta), len(tb), 0, 0, defined=False)
-    observed = 0.0
-    expected = 0.0
-    variance = 0.0
-    for ut in all_event_times:
-        ra = int((ta >= ut).sum())
-        rb = int((tb >= ut).sum())
-        r = ra + rb
-        d = int(da[ta == ut].sum() + db[tb == ut].sum())
-        d_a = int(da[ta == ut].sum())
-        if r == 0:
-            continue
-        observed += d_a
-        expected += d * ra / r
-        if r > 1:
-            variance += d * (ra / r) * (rb / r) * (r - d) / (r - 1)
+    n_a, n_b = len(group_a), len(group_b)
+    events_a, events_b = int(group_a.events.sum()), int(group_b.events.sum())
+    # one pooled table with group b tagged as arm 1
+    c = _risk_set_counts(SurvivalRecords(
+        np.concatenate([group_a.times, group_b.times]),
+        np.concatenate([group_a.events, group_b.events]),
+        np.concatenate([np.zeros(n_a, dtype=int), np.ones(n_b, dtype=int)]),
+    ))
+    if c is None:
+        return LogRankResult(np.nan, np.nan, n_a, n_b, 0, 0, defined=False)
+    d, d1, r, r1 = c["d"], c["d1"], c["r"], c["r1"]
+    r0 = r - r1
+    # Running sums in event-time order give the textbook recursion's values
+    # bit for bit. A lone subject at risk (r = 1) has r - d = 0 and adds no
+    # variance.
+    expected = np.cumsum(d * r0 / r)[-1]
+    variance = np.cumsum(d * (r0 / r) * (r1 / r) * (r - d) / np.maximum(r - 1, 1))[-1]
     if variance <= 0:
-        return LogRankResult(np.nan, np.nan, len(ta), len(tb), events_a, events_b, defined=False)
-    stat = (observed - expected) ** 2 / variance
-    return LogRankResult(
-        float(stat), float(chi2.sf(stat, df=1)), len(ta), len(tb), events_a, events_b
-    )
+        return LogRankResult(np.nan, np.nan, n_a, n_b, events_a, events_b, defined=False)
+    stat = (np.sum(d - d1) - expected) ** 2 / variance
+    return LogRankResult(float(stat), float(chi2.sf(stat, df=1)), n_a, n_b, events_a, events_b)
 
 
 @dataclass(frozen=True)
@@ -534,15 +503,15 @@ class LocalAlphaFunctional:
         d = self.records.events[idx]
         n1 = int(t.sum())
         n0 = idx.size - n1
+        balanced = max(n0, n1) <= BALANCE_THRESHOLD * idx.size
         if n0 == 0 or n1 == 0:
-            return LocalEffectEstimate(np.nan, n0, n1, "moments", defined=False)
+            return LocalEffectEstimate(np.nan, n0, n1, "moments", balanced=balanced, defined=False)
         d1 = int(d[t == 1].sum())
         d0 = int(d.sum()) - d1
         alpha = float(
             np.log((d1 + SMOOTHING) / (n1 + SMOOTHING))
             - np.log((d0 + SMOOTHING) / (n0 + SMOOTHING))
         )
-        balanced = max(n0, n1) <= BALANCE_THRESHOLD * idx.size
         return LocalEffectEstimate(
             alpha, n0, n1, "moments", delta=d1 / n1 - d0 / n0, balanced=balanced
         )

@@ -16,6 +16,7 @@ from cohortmetric.harness import (
     split_indices,
     validate_pipeline,
 )
+from cohortmetric.metric import NeighborhoodRule
 from cohortmetric.simulate import GroundTruth, TrialSpec, gen_sphere_trial
 from cohortmetric.survival import SurvivalRecords
 
@@ -255,6 +256,21 @@ def test_model_roundtrip_predictions_match(tmp_path, small_trial, small_model):
     p2 = predict(back, small_trial.data.values[:40])
     np.testing.assert_allclose(p1.coords, p2.coords, atol=1e-12)
     np.testing.assert_allclose(p1.estimates, p2.estimates, equal_nan=True)
+
+
+def test_loaded_model_keeps_neighborhood_rule(tmp_path, small_trial):
+    # the default knn size, max(min_cohort, ceil(5% of n_train)), is 20 here
+    expected = {
+        "default": ({"knn": None}, NeighborhoodRule("knn", k=20)),
+        "knn": ({"knn": 30}, NeighborhoodRule("knn", k=30)),
+        "radius": ({"knn": None, "radius": 0.5}, NeighborhoodRule("radius", eps=0.5)),
+    }
+    for name, (knobs, rule) in expected.items():
+        cfg = RunConfig(seed=21, **{**FAST, "max_iters": 1, **knobs})
+        model = fit_pipeline(small_trial.data, small_trial.records, cfg)
+        io.save_model(tmp_path / name, model)
+        assert model.metric.neighborhood == rule, name
+        assert io.load_model(tmp_path / name).metric.neighborhood == rule, name
 
 
 # --- CLI -------------------------------------------------------------------------------

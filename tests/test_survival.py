@@ -6,6 +6,7 @@ from cohortmetric.survival import (
     ExponentialCensoring,
     HazardModel,
     LinearRisk,
+    LocalAlphaFunctional,
     SurvivalRecords,
     apply_treatment_and_censor,
     cox_fit,
@@ -25,6 +26,23 @@ def random_cohort(rng, n=60, alpha=0.7, horizon=1.0):
     T = (rng.random(n) < 0.5).astype(int)
     W = weibull_sample(2.0, 1.2, rng, n) * np.exp(-alpha * T / 1.2)
     return apply_treatment_and_censor(W, T, 0.0, horizon)
+
+
+def tied_cohorts(seed, count=300):
+    """Cohorts of 1-120 records with times rounded to 0-2 decimals, so events
+    tie with each other and with censorings; every fourth is all-censored and
+    every fourth (offset by one) has a single arm."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = int(rng.integers(1, 121))
+        times = np.round(rng.exponential(1.0, n), int(rng.integers(0, 3)))
+        events = (rng.random(n) < rng.random()).astype(int)
+        arms = (rng.random(n) < 0.5).astype(int)
+        if i % 4 == 1:
+            events[:] = 0
+        elif i % 4 == 2:
+            arms[:] = rng.integers(0, 2)
+        yield SurvivalRecords(times, events, arms)
 
 
 # --- weibull_sample -----------------------------------------------------------
@@ -167,6 +185,51 @@ def test_partial_concavity_and_monotone_newton():
     for a in np.linspace(-4, 4, 33):
         _, _, lpp = _partial_loglik_terms(a, c["d"], c["d1"], c["r"], c["r1"])
         assert lpp <= 0
+
+
+def test_risk_set_counts_match_definition():
+    from cohortmetric.survival import _risk_set_counts
+
+    kinds = {"none": 0, "single_arm": 0, "mixed": 0}
+    for rec in tied_cohorts(seed=20):
+        t, e, a = rec.times, rec.events, rec.treatments
+        c = _risk_set_counts(rec)
+        uniq = np.unique(t[e == 1])
+        if uniq.size == 0:
+            assert c is None
+            kinds["none"] += 1
+            continue
+        kinds["single_arm" if np.unique(a).size == 1 else "mixed"] += 1
+        expected = {"times": uniq, "d": [], "d1": [], "r": [], "r1": []}
+        for u in uniq:
+            expected["r"].append(float((t >= u).sum()))
+            expected["r1"].append(float(((t >= u) & (a == 1)).sum()))
+            expected["d"].append(float(((t == u) & (e == 1)).sum()))
+            expected["d1"].append(float(((t == u) & (e == 1) & (a == 1)).sum()))
+        assert sorted(c) == sorted(expected)
+        for key, want in expected.items():
+            want = np.asarray(want)
+            assert c[key].dtype == want.dtype, key
+            assert np.array_equal(c[key], want), key
+    assert min(kinds.values()) >= 50
+
+
+def test_detail_balance_flag_matches_moments_alpha():
+    rng = np.random.default_rng(21)
+    arms = np.concatenate([np.zeros(30, dtype=int), np.ones(30, dtype=int)])
+    rec = SurvivalRecords(rng.exponential(1.0, 60), (rng.random(60) < 0.5).astype(int), arms)
+    functional = LocalAlphaFunctional(rec, "moments", min_cohort=10)
+    cohorts = {
+        "untreated only": np.arange(0, 20),
+        "treated only": np.arange(30, 60),
+        "mixed balanced": np.arange(15, 45),
+        "mixed unbalanced": np.arange(2, 32),
+    }
+    for name, idx in cohorts.items():
+        want = moments_alpha(rec.subset(idx)).balanced
+        assert functional.detail(idx).balanced == want, name
+    assert not functional.detail(cohorts["treated only"]).balanced
+    assert functional.detail(cohorts["mixed balanced"]).balanced
 
 
 def test_estimators_agree_in_sign_when_strong():
@@ -323,6 +386,32 @@ def test_km_monotone_with_one_step_per_event_time():
     assert curve.survival.min() > 0 and curve.survival.max() <= 1
 
 
+def _km_loop(records):
+    """Per-event-time product-limit loop, the reference for kaplan_meier."""
+    order = np.argsort(records.times, kind="mergesort")
+    t = records.times[order]
+    d = records.events[order]
+    n = len(t)
+    event_times = np.unique(t[d == 1])
+    surv, at_risk = [], []
+    s = 1.0
+    for ut in event_times:
+        r = n - np.searchsorted(t, ut, side="left")
+        deaths = int(d[t == ut].sum())
+        s *= 1.0 - deaths / r
+        surv.append(s)
+        at_risk.append(r)
+    return event_times, np.array(surv), np.array(at_risk, dtype=int)
+
+
+def test_km_matches_loop_bitwise():
+    for rec in tied_cohorts(seed=22):
+        curve = kaplan_meier(rec)
+        for got, want in zip((curve.times, curve.survival, curve.at_risk), _km_loop(rec)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
 # --- logrank_test ----------------------------------------------------------------
 
 
@@ -368,6 +457,43 @@ def test_logrank_no_events_flagged():
     a = SurvivalRecords(np.ones(3), np.zeros(3), np.zeros(3))
     res = logrank_test(a, a)
     assert not res.defined
+
+
+def _logrank_loop(group_a, group_b):
+    """Per-event-time log-rank loop, the reference for logrank_test:
+    (statistic, defined)."""
+    ta, da = group_a.times, group_a.events
+    tb, db = group_b.times, group_b.events
+    all_event_times = np.unique(np.concatenate([ta[da == 1], tb[db == 1]]))
+    if all_event_times.size == 0:
+        return np.nan, False
+    observed = expected = variance = 0.0
+    for ut in all_event_times:
+        ra = int((ta >= ut).sum())
+        rb = int((tb >= ut).sum())
+        r = ra + rb
+        d = int(da[ta == ut].sum() + db[tb == ut].sum())
+        d_a = int(da[ta == ut].sum())
+        if r == 0:
+            continue
+        observed += d_a
+        expected += d * ra / r
+        if r > 1:
+            variance += d * (ra / r) * (rb / r) * (r - d) / (r - 1)
+    if variance <= 0:
+        return np.nan, False
+    return (observed - expected) ** 2 / variance, True
+
+
+def test_logrank_matches_loop():
+    cohorts = list(tied_cohorts(seed=23))
+    for rec_a, rec_b in zip(cohorts[::2], cohorts[1::2]):
+        res = logrank_test(rec_a, rec_b)
+        stat, defined = _logrank_loop(rec_a, rec_b)
+        assert res.defined == defined
+        assert (res.n_a, res.n_b) == (len(rec_a), len(rec_b))
+        if defined:
+            assert res.statistic == stat
 
 
 # --- recommend_groups -------------------------------------------------------------
