@@ -1,6 +1,6 @@
 """Function-regularized diffusion metrics for cohort-level functionals."""
 
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, NeighborhoodRule, RunConfig, load_config
 from .data import DataMatrix
 from .diffusion import (
     AffinityMatrix,
@@ -34,8 +34,6 @@ from .harness import (
 )
 from .metric import (
     CohortFunctional,
-    MetricConfig,
-    NeighborhoodRule,
     RegularizedMetric,
     WeightField,
     aggregate_point_weights,
@@ -78,6 +76,6 @@ from .survival import (
     simulate_cohort,
     weibull_sample,
 )
-from .tree import PartitionTree, build_bottomup, build_topdown, folder_of
+from .tree import PartitionTree, build_bottomup, build_topdown
 
 __version__ = "0.1.0"

@@ -5,8 +5,10 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, fields
 
-from .metric import MetricConfig, NeighborhoodRule
+import numpy as np
+
 from .simulate import TrialSpec
+from .survival import BALANCE_THRESHOLD
 
 
 class ConfigError(ValueError):
@@ -14,26 +16,44 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
+class NeighborhoodRule:
+    kind: str  # "knn" or "radius"
+    k: int | None = None
+    eps: float | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("knn", "radius"):
+            raise ValueError(f"unknown neighborhood kind {self.kind!r}")
+        if self.kind == "knn" and (self.k is None or self.k < 1):
+            raise ValueError("knn rule needs k >= 1")
+        if self.kind == "radius" and (self.eps is None or self.eps <= 0):
+            raise ValueError("radius rule needs eps > 0")
+
+
+@dataclass(frozen=True)
 class RunConfig:
+    """Every knob of the fit, predict, validate and recommend pipelines;
+    None means the documented rule."""
+
     seed: int = 0
     estimator: str = "partial"  # local-effect estimator for the estimates
     weight_estimator: str = "moments"  # functional driving the feature weights
     min_cohort: int = 25
-    sigma0: float | None = None
-    sigma_weighted: float | None = None
+    sigma0: float | None = None  # initial Gaussian bandwidth (median rule)
+    sigma_weighted: float | None = None  # weighted-kernel bandwidth (median rule)
     tau: float = 0.0
     dim: int = 5
     time: float = 1.0
     weight_alpha: float = 1.0
-    weight_lam: float | None = None
+    weight_lam: float | None = None  # 1e-3 * median nonzero weight, or 1e-6 if all zero
     k_bins: int = 3
     branching: int = 2
-    min_folder: int | None = None
+    min_folder: int | None = None  # max(10, ceil(n/256))
     tree_method: str = "topdown"
-    bottomup_eps: float | None = None
-    knn: int | None = None
+    bottomup_eps: float | None = None  # 5% of the embedding's span
+    knn: int | None = None  # max(c, ceil(0.05 n)); radius, when given, wins
     radius: float | None = None
-    balance_threshold: float = 0.8
+    balance_threshold: float = BALANCE_THRESHOLD
     c_threshold: float = 0.5
     tol: float = 1e-3
     max_iters: int = 10
@@ -41,6 +61,15 @@ class RunConfig:
     train_fraction: float = 0.8
 
     def __post_init__(self):
+        for name in ("seed", "min_cohort", "dim", "k_bins", "branching", "min_folder", "knn",
+                     "max_iters", "repeats"):
+            v = getattr(self, name)
+            if v is None and name in ("min_folder", "knn"):
+                continue
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {v!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.estimator not in ("moments", "partial"):
             raise ConfigError(f"estimator must be moments|partial, got {self.estimator!r}")
         if self.weight_estimator not in ("moments", "partial"):
@@ -49,14 +78,17 @@ class RunConfig:
             )
         if self.min_cohort < 2:
             raise ConfigError("min_cohort must be at least 2")
+        # float comparisons are written so that NaN fails them
         for name in ("sigma0", "sigma_weighted", "radius", "weight_lam", "bottomup_eps"):
             v = getattr(self, name)
-            if v is not None and v <= 0:
+            if v is not None and not v > 0:
                 raise ConfigError(f"{name} must be positive when given, got {v}")
-        if self.tau < 0:
+        if not self.tau >= 0:
             raise ConfigError(f"tau must be nonnegative, got {self.tau}")
-        if self.dim < 1 or self.time <= 0:
+        if self.dim < 1 or not self.time > 0:
             raise ConfigError("dim must be >= 1 and time positive")
+        if not 0 <= self.weight_alpha < np.inf:
+            raise ConfigError(f"weight_alpha must be finite and >= 0, got {self.weight_alpha}")
         if self.k_bins < 1 or self.branching < 2:
             raise ConfigError("k_bins must be >= 1 and branching >= 2")
         if self.min_folder is not None and self.min_folder < 1:
@@ -67,39 +99,27 @@ class RunConfig:
             raise ConfigError("knn must be >= 1 when given")
         if not 0.5 <= self.balance_threshold < 1.0:
             raise ConfigError("balance_threshold must be in [0.5, 1)")
-        if self.c_threshold < 0:
+        if not self.c_threshold >= 0:
             raise ConfigError("c_threshold must be nonnegative")
-        if self.tol <= 0 or self.max_iters < 1:
+        if not self.tol > 0 or self.max_iters < 1:
             raise ConfigError("tol must be positive and max_iters >= 1")
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError("train_fraction must be in (0, 1)")
 
-    def metric_config(self) -> MetricConfig:
-        neighborhood = None
+    def resolve_min_folder(self, n: int) -> int:
+        if self.min_folder is not None:
+            return self.min_folder
+        return max(10, int(np.ceil(n / 256)))
+
+    def resolve_neighborhood(self, n: int, min_cohort: int) -> NeighborhoodRule:
+        """`radius` if given, else `knn`, else knn with max(c, ceil(0.05 n))."""
         if self.radius is not None:
-            neighborhood = NeighborhoodRule("radius", eps=self.radius)
-        elif self.knn is not None:
-            neighborhood = NeighborhoodRule("knn", k=self.knn)
-        return MetricConfig(
-            sigma0=self.sigma0,
-            sigma_weighted=self.sigma_weighted,
-            tau=self.tau,
-            dim=self.dim,
-            time=self.time,
-            alpha=self.weight_alpha,
-            lam=self.weight_lam,
-            k_bins=self.k_bins,
-            branching=self.branching,
-            min_folder=self.min_folder,
-            tree_method=self.tree_method,
-            bottomup_eps=self.bottomup_eps,
-            neighborhood=neighborhood,
-            tol=self.tol,
-            max_iters=self.max_iters,
-            seed=self.seed,
-        )
+            return NeighborhoodRule("radius", eps=self.radius)
+        if self.knn is not None:
+            return NeighborhoodRule("knn", k=self.knn)
+        return NeighborhoodRule("knn", k=max(min_cohort, int(np.ceil(0.05 * n))))
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -33,12 +33,9 @@ class DataMatrix:
     feature_names: tuple[str, ...] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
+        values = as_values(self.values)
+        if values.shape[0] < 1 or values.shape[1] < 1:
             raise ValueError(f"need an n x m matrix with n,m >= 1, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            bad = np.where(~np.isfinite(values).all(axis=1))[0]
-            raise ValueError(f"non-finite entries in rows {bad[:10].tolist()}")
         object.__setattr__(self, "values", values)
         n, m = values.shape
         ids = self.point_ids

@@ -51,8 +51,9 @@ def fit_pipeline(data, records: SurvivalRecords, config: RunConfig) -> FittedMod
     dm = data if isinstance(data, DataMatrix) else DataMatrix(np.asarray(data, dtype=float))
     if dm.n_points != len(records):
         raise ValueError(f"{dm.n_points} data rows vs {len(records)} records")
-    functional = LocalAlphaFunctional(records, config.weight_estimator, config.min_cohort)
-    metric = fit_weighted_metric(dm.values, functional, config.metric_config())
+    functional = LocalAlphaFunctional(records, config.weight_estimator, config.min_cohort,
+                                      config.balance_threshold)
+    metric = fit_weighted_metric(dm.values, functional, config)
     ref = build_reference_from_metric(dm.values, metric)
     return FittedModel(
         metric=metric,
@@ -72,7 +73,9 @@ def predict(model: FittedModel, Z) -> Predictions:
     Zv = Z.values if isinstance(Z, DataMatrix) else np.atleast_2d(np.asarray(Z, dtype=float))
     coords, in_support = extend_batch(model.ref, Zv)
     rule = model.metric.neighborhood
-    functional = LocalAlphaFunctional(model.records, model.config.estimator, model.config.min_cohort)
+    cfg = model.config
+    functional = LocalAlphaFunctional(model.records, cfg.estimator, cfg.min_cohort,
+                                      cfg.balance_threshold)
     n = Zv.shape[0]
     estimates = np.full(n, np.nan)
     n_neighbors = np.zeros(n, dtype=int)
@@ -82,10 +85,10 @@ def predict(model: FittedModel, Z) -> Predictions:
             continue
         nbhd = neighborhood_indices(model.ref.coords, coords[i], rule)
         n_neighbors[i] = nbhd.size
-        if nbhd.size < model.config.min_cohort:
+        if nbhd.size < cfg.min_cohort:
             continue
         est = functional.detail(nbhd)
-        balanced[i] = max(est.n0, est.n1) <= model.config.balance_threshold * est.size
+        balanced[i] = est.balanced
         if est.defined and np.isfinite(est.alpha):
             estimates[i] = est.alpha
     return Predictions(estimates, n_neighbors, balanced, in_support, coords)

@@ -172,12 +172,6 @@ def save_model(model_dir, model) -> None:
         d / "weights.csv", model.metric.weights.point_weights, model.train_ids, model.feature_names
     )
     write_matrix_csv(
-        d / "embedding.csv",
-        model.metric.embedding.coords,
-        model.train_ids,
-        [f"coord_{j + 1}" for j in range(model.metric.embedding.d)],
-    )
-    write_matrix_csv(
         d / "ref_coords.csv", ref.coords, model.train_ids,
         [f"coord_{j + 1}" for j in range(ref.rank)],
     )
@@ -187,9 +181,6 @@ def save_model(model_dir, model) -> None:
     )
     write_matrix_csv(
         d / "d2.csv", ref.d2[:, None], np.arange(ref.n_ref), ["d2"], id_col="row"
-    )
-    write_matrix_csv(
-        d / "inv_diag.csv", ref.inv_diag, model.train_ids, model.feature_names
     )
     with open(d / "singular_values.csv", "w", newline="") as fh:
         w = csv.writer(fh)
@@ -241,7 +232,6 @@ def load_model(model_dir):
     train_ids, x_ref, feature_names = read_matrix_csv(d / "xref.csv")
     _, records = read_records_csv(d / "train_records.csv")
     _, point_weights, _ = read_matrix_csv(d / "weights.csv")
-    _, inv_diag, _ = read_matrix_csv(d / "inv_diag.csv")
     _, psi, _ = read_matrix_csv(d / "psi.csv")
     _, ref_coords, _ = read_matrix_csv(d / "ref_coords.csv")
     _, d2_col, _ = read_matrix_csv(d / "d2.csv")
@@ -249,9 +239,10 @@ def load_model(model_dir):
         reader = csv.reader(fh)
         next(reader)
         svals = np.array([float(row[1]) for row in reader])
+    weights = WeightField({}, point_weights, float(meta["weight_alpha"]), float(meta["lam"]))
     ref = ReferenceEmbedding(
         x_ref=x_ref,
-        inv_diag=inv_diag,
+        inv_diag=weights.inv_diag(),
         sigma=float(meta["sigma"]),
         tau=float(meta["tau"]),
         psi=psi,
@@ -259,20 +250,17 @@ def load_model(model_dir):
         d2=d2_col[:, 0],
         coords=ref_coords,
     )
-    weights = WeightField({}, point_weights, float(meta["weight_alpha"]), float(meta["lam"]))
     _, eigenvectors, _ = read_matrix_csv(d / "eigenvectors.csv")
     embedding = DiffusionEmbedding(
         np.array(meta["eigenvalues"]), eigenvectors, float(meta["diffusion_time"]),
         int(meta["dim"]),
     )
     tree = PartitionTree.from_lines((d / "tree.txt").read_text().splitlines())
-    n = x_ref.shape[0]
-    mc = config.metric_config()
     metric = RegularizedMetric(
         embedding=embedding,
         weights=weights,
         tree=tree,
-        neighborhood=mc.resolve_neighborhood(n, config.min_cohort),
+        neighborhood=config.resolve_neighborhood(x_ref.shape[0], config.min_cohort),
         sigma=float(meta["sigma"]),
         tau=float(meta["tau"]),
         converged=bool(meta["converged"]),

@@ -14,6 +14,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .config import NeighborhoodRule, RunConfig
 from .data import as_values
 from .diffusion import AffinityMatrix, DiffusionEmbedding, _assemble, gaussian_kernel, markov_normalize, spectral_embed
 from .survival import CohortError, CohortTooSmallError
@@ -81,21 +82,6 @@ class WeightField:
 
 
 @dataclass(frozen=True)
-class NeighborhoodRule:
-    kind: str  # "knn" or "radius"
-    k: int | None = None
-    eps: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("knn", "radius"):
-            raise ValueError(f"unknown neighborhood kind {self.kind!r}")
-        if self.kind == "knn" and (self.k is None or self.k < 1):
-            raise ValueError("knn rule needs k >= 1")
-        if self.kind == "radius" and (self.eps is None or self.eps <= 0):
-            raise ValueError("radius rule needs eps > 0")
-
-
-@dataclass(frozen=True)
 class IterationDiagnostics:
     weight_change: float
     sigma: float
@@ -119,38 +105,6 @@ class RegularizedMetric:
 
     def distances_from(self, coords_row: np.ndarray) -> np.ndarray:
         return np.linalg.norm(self.embedding.coords - coords_row[None, :], axis=1)
-
-
-@dataclass(frozen=True)
-class MetricConfig:
-    """Knobs of the alternating metric fit; None means the documented rule."""
-
-    sigma0: float | None = None  # initial Gaussian bandwidth (median rule)
-    sigma_weighted: float | None = None  # weighted-kernel bandwidth (median rule)
-    tau: float = 0.0
-    dim: int = 5
-    time: float = 1.0
-    alpha: float = 1.0
-    lam: float | None = None  # 1e-3 * median nonzero weight, or 1e-6 if all zero
-    k_bins: int = 3
-    branching: int = 2
-    min_folder: int | None = None  # max(10, ceil(n/256))
-    tree_method: str = "topdown"
-    bottomup_eps: float | None = None
-    neighborhood: NeighborhoodRule | None = None  # knn with max(c, ceil(0.05 n))
-    tol: float = 1e-3
-    max_iters: int = 10
-    seed: int = 0
-
-    def resolve_min_folder(self, n: int) -> int:
-        if self.min_folder is not None:
-            return self.min_folder
-        return max(10, int(np.ceil(n / 256)))
-
-    def resolve_neighborhood(self, n: int, min_cohort: int) -> NeighborhoodRule:
-        if self.neighborhood is not None:
-            return self.neighborhood
-        return NeighborhoodRule("knn", k=max(min_cohort, int(np.ceil(0.05 * n))))
 
 
 def bin_feature(folder_points, X, feature: int, k_bins: int) -> list[Bin]:
@@ -323,17 +277,17 @@ def weighted_kernel(X, weights, sigma: float | None = None, tau: float = 0.0) ->
 
 
 def compute_weight_field(X, F: CohortFunctional, tree: PartitionTree,
-                         config: MetricConfig) -> WeightField:
+                         config: RunConfig) -> WeightField:
     folder_w = compute_folder_weights(tree, X, F, config.k_bins)
     if not folder_w:
         # no folder reached the cohort minimum; all-zero field
         values = as_values(X)
         w = np.zeros_like(values)
-        return WeightField({}, w, config.alpha, resolve_lam(w, config.lam))
-    return aggregate_point_weights(tree, folder_w, config.alpha, config.lam)
+        return WeightField({}, w, config.weight_alpha, resolve_lam(w, config.weight_lam))
+    return aggregate_point_weights(tree, folder_w, config.weight_alpha, config.weight_lam)
 
 
-def _build_tree(emb: DiffusionEmbedding, config: MetricConfig, n: int, seed: int) -> PartitionTree:
+def _build_tree(emb: DiffusionEmbedding, config: RunConfig, n: int, seed: int) -> PartitionTree:
     if config.tree_method == "bottomup":
         eps = config.bottomup_eps
         if eps is None:
@@ -344,13 +298,15 @@ def _build_tree(emb: DiffusionEmbedding, config: MetricConfig, n: int, seed: int
     return build_topdown(emb, config.branching, config.resolve_min_folder(n), seed)
 
 
-def fit_weighted_metric(X, F: CohortFunctional, config: MetricConfig = MetricConfig()) -> RegularizedMetric:
+def fit_weighted_metric(X, F: CohortFunctional, config: RunConfig = RunConfig()) -> RegularizedMetric:
     """Alternate embedding and weight computation until the weights stabilize.
 
     Starts from the unweighted Gaussian diffusion embedding, then repeats
     weighted kernel -> embedding -> tree -> weights until the relative
     Frobenius change of the point-weight matrix drops below tol (or max_iters
     is hit, which flags the result non-converged but still returns it).
+    The default neighborhood is sized from F's own minimum cohort, not from
+    `config.min_cohort`.
     """
     values = as_values(X)
     n = values.shape[0]

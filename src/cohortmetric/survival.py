@@ -9,6 +9,7 @@ oracle, Kaplan-Meier curves, the log-rank test, and recommendation grouping.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,7 @@ from scipy.stats import chi2
 
 logger = logging.getLogger(__name__)
 
-BALANCE_THRESHOLD = 0.8
+BALANCE_THRESHOLD = 0.8  # largest arm share of a balanced cohort
 ALPHA_CAP = 50.0
 SMOOTHING = 0.5  # Haldane-Anscombe constant for the log relative risk
 
@@ -50,8 +51,8 @@ class SurvivalRecords:
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
-        d = np.asarray(self.events, dtype=int)
-        a = np.asarray(self.treatments, dtype=int)
+        d = np.asarray(self.events)
+        a = np.asarray(self.treatments)
         if not (t.shape == d.shape == a.shape) or t.ndim != 1:
             raise ValueError("times, events, treatments must be 1-d arrays of equal length")
         if np.any(t < 0) or not np.all(np.isfinite(t)):
@@ -59,8 +60,8 @@ class SurvivalRecords:
         if not (((d == 0) | (d == 1)).all() and ((a == 0) | (a == 1)).all()):
             raise ValueError("events and treatments must be 0/1")
         object.__setattr__(self, "times", t)
-        object.__setattr__(self, "events", d)
-        object.__setattr__(self, "treatments", a)
+        object.__setattr__(self, "events", d.astype(int, copy=False))
+        object.__setattr__(self, "treatments", a.astype(int, copy=False))
 
     def __len__(self) -> int:
         return self.times.shape[0]
@@ -76,7 +77,7 @@ class LocalEffectEstimate:
 
     `alpha` is the headline log-hazard-ratio-scale estimate; `delta` (moments
     only) is the raw difference of outcome proportions. `balanced` is False
-    when one arm exceeds 80% of the cohort.
+    when one arm exceeds the balance threshold's share of the cohort.
     """
 
     alpha: float
@@ -150,24 +151,22 @@ def apply_treatment_and_censor(W, treatments, beta, horizon: float) -> SurvivalR
     return SurvivalRecords(observed, events, T)
 
 
-def _arm_stats(records: SurvivalRecords):
-    is1 = records.treatments == 1
-    n1, n0 = int(is1.sum()), int((~is1).sum())
-    d1 = int(records.events[is1].sum())
-    d0 = int(records.events[~is1].sum())
-    return n0, n1, d0, d1
+def _arm_stats(events: np.ndarray, treatments: np.ndarray):
+    """Arm sizes and events per arm, (n0, n1, d0, d1), from 0/1 columns."""
+    n1 = int(treatments.sum())
+    d1 = int(events[treatments == 1].sum())
+    return treatments.size - n1, n1, int(events.sum()) - d1, d1
 
 
-def moments_alpha(records: SurvivalRecords) -> LocalEffectEstimate:
-    """Arm-contrast estimate from outcome proportions.
-
-    delta is the plain difference of outcome rates; alpha is the smoothed log
-    relative risk log((d1+1/2)/(n1+1/2)) - log((d0+1/2)/(n0+1/2)), which is
-    the log-scale analogue matching the hazard-ratio interpretation.
-    """
-    n0, n1, d0, d1 = _arm_stats(records)
+def _balanced(n0: int, n1: int, threshold: float) -> bool:
     size = n0 + n1
-    balanced = size > 0 and max(n0, n1) <= BALANCE_THRESHOLD * size
+    return size > 0 and max(n0, n1) <= threshold * size
+
+
+def _moments_estimate(n0: int, n1: int, d0: int, d1: int,
+                      balance_threshold: float) -> LocalEffectEstimate:
+    """`moments_alpha` from the arm sizes and the events in each arm."""
+    balanced = _balanced(n0, n1, balance_threshold)
     if n0 == 0 or n1 == 0:
         return LocalEffectEstimate(np.nan, n0, n1, "moments", balanced=balanced, defined=False)
     delta = d1 / n1 - d0 / n0
@@ -180,8 +179,19 @@ def moments_alpha(records: SurvivalRecords) -> LocalEffectEstimate:
         + 1.0 / (d0 + SMOOTHING)
         - 1.0 / (n0 + SMOOTHING)
     )
-    se = float(np.sqrt(max(var, 0.0)))
+    se = math.sqrt(max(var, 0.0))
     return LocalEffectEstimate(alpha, n0, n1, "moments", delta=float(delta), se=se, balanced=balanced)
+
+
+def moments_alpha(records: SurvivalRecords,
+                  balance_threshold: float = BALANCE_THRESHOLD) -> LocalEffectEstimate:
+    """Arm-contrast estimate from outcome proportions.
+
+    delta is the plain difference of outcome rates; alpha is the smoothed log
+    relative risk log((d1+1/2)/(n1+1/2)) - log((d0+1/2)/(n0+1/2)), which is
+    the log-scale analogue matching the hazard-ratio interpretation.
+    """
+    return _moments_estimate(*_arm_stats(records.events, records.treatments), balance_threshold)
 
 
 def _risk_set_counts(records: SurvivalRecords):
@@ -229,16 +239,16 @@ def _partial_loglik_terms(alpha, d, d1, r, r1):
     return l, lp, lpp
 
 
-def partial_likelihood_alpha(records: SurvivalRecords) -> LocalEffectEstimate:
+def partial_likelihood_alpha(records: SurvivalRecords,
+                             balance_threshold: float = BALANCE_THRESHOLD) -> LocalEffectEstimate:
     """One-parameter Cox partial-likelihood estimate of the arm effect.
 
     Newton iteration with analytic derivatives and step halving; Breslow ties.
     Events confined to one arm give a monotone likelihood, reported as a
     flagged infinite estimate.
     """
-    n0, n1, d0, d1_total = _arm_stats(records)
-    size = n0 + n1
-    balanced = size > 0 and max(n0, n1) <= BALANCE_THRESHOLD * size
+    n0, n1, _, _ = _arm_stats(records.events, records.treatments)
+    balanced = _balanced(n0, n1, balance_threshold)
     counts = _risk_set_counts(records)
     if counts is None or n0 == 0 or n1 == 0:
         return LocalEffectEstimate(np.nan, n0, n1, "partial", balanced=balanced, defined=False)
@@ -484,7 +494,7 @@ class LocalAlphaFunctional:
     """
 
     def __init__(self, records: SurvivalRecords, kind: str = "moments",
-                 min_cohort: int = 25):
+                 min_cohort: int = 25, balance_threshold: float = BALANCE_THRESHOLD):
         if kind not in ("moments", "partial"):
             raise ValueError(f"unknown estimator kind {kind!r}")
         if min_cohort < 2:
@@ -492,29 +502,16 @@ class LocalAlphaFunctional:
         self.records = records
         self.kind = kind
         self.min_cohort = int(min_cohort)
+        self.balance_threshold = balance_threshold
 
     def detail(self, indices) -> LocalEffectEstimate:
         idx = np.asarray(indices, dtype=int)
         if idx.size < self.min_cohort:
             raise CohortTooSmallError(idx.size, self.min_cohort)
         if self.kind == "partial":
-            return partial_likelihood_alpha(self.records.subset(idx))
-        t = self.records.treatments[idx]
-        d = self.records.events[idx]
-        n1 = int(t.sum())
-        n0 = idx.size - n1
-        balanced = max(n0, n1) <= BALANCE_THRESHOLD * idx.size
-        if n0 == 0 or n1 == 0:
-            return LocalEffectEstimate(np.nan, n0, n1, "moments", balanced=balanced, defined=False)
-        d1 = int(d[t == 1].sum())
-        d0 = int(d.sum()) - d1
-        alpha = float(
-            np.log((d1 + SMOOTHING) / (n1 + SMOOTHING))
-            - np.log((d0 + SMOOTHING) / (n0 + SMOOTHING))
-        )
-        return LocalEffectEstimate(
-            alpha, n0, n1, "moments", delta=d1 / n1 - d0 / n0, balanced=balanced
-        )
+            return partial_likelihood_alpha(self.records.subset(idx), self.balance_threshold)
+        counts = _arm_stats(self.records.events[idx], self.records.treatments[idx])
+        return _moments_estimate(*counts, self.balance_threshold)
 
     def __call__(self, indices) -> float:
         est = self.detail(indices)

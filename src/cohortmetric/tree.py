@@ -291,8 +291,3 @@ def build_bottomup(emb: DiffusionEmbedding, eps: float) -> PartitionTree:
     tree = PartitionTree._link_children(raw)
     tree.validate()
     return tree
-
-
-def folder_of(tree: PartitionTree, level: int, point: int) -> int:
-    """The unique folder at 1-based `level` containing `point`."""
-    return tree.folder_of(level, point)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cohortmetric.config import RunConfig
 from cohortmetric.extension import (
     OutOfSupportError,
     asymmetric_kernel,
@@ -12,7 +13,6 @@ from cohortmetric.extension import (
 )
 from cohortmetric.metric import (
     CohortFunctional,
-    MetricConfig,
     NeighborhoodRule,
     fit_weighted_metric,
     weighted_kernel,
@@ -172,7 +172,7 @@ def test_new_point_estimate_matches_training_estimate():
     X = rng.uniform(size=(150, 3))
     labels = X[:, 0] * 2.0
     F = CohortFunctional.from_labels(labels, 6)
-    metric = fit_weighted_metric(X, F, MetricConfig(dim=3, min_folder=12, seed=1, max_iters=2))
+    metric = fit_weighted_metric(X, F, RunConfig(dim=3, min_folder=12, seed=1, max_iters=2))
     ref = build_reference_from_metric(X, metric)
     rule = NeighborhoodRule("knn", k=10)
     z = X[42].copy()

@@ -18,7 +18,7 @@ from cohortmetric.harness import (
 )
 from cohortmetric.metric import NeighborhoodRule
 from cohortmetric.simulate import GroundTruth, TrialSpec, gen_sphere_trial
-from cohortmetric.survival import SurvivalRecords
+from cohortmetric.survival import LocalAlphaFunctional, SurvivalRecords
 
 
 FAST = dict(dim=3, max_iters=2, min_cohort=15, min_folder=20, knn=30)
@@ -52,6 +52,23 @@ def test_config_ranges():
         RunConfig(estimator="banana")
     with pytest.raises(ConfigError):
         RunConfig(train_fraction=0.0)
+
+
+@pytest.mark.parametrize("knob,value", [
+    ("branching", 1), ("k_bins", 0), ("dim", 0), ("time", 0.0), ("time", np.nan),
+    ("tau", -1.0), ("tau", np.nan), ("sigma0", 0.0), ("sigma_weighted", np.nan),
+    ("weight_lam", -1.0), ("weight_alpha", -0.5), ("weight_alpha", np.inf),
+    ("min_folder", 0), ("tree_method", "kmeans"), ("bottomup_eps", 0.0), ("knn", 0),
+    ("radius", np.nan), ("tol", 0.0), ("tol", np.nan), ("max_iters", 0), ("seed", -1),
+    ("branching", 2.5), ("max_iters", 1.5), ("knn", 7.5), ("min_folder", 5.5), ("k_bins", True),
+])
+def test_invalid_metric_knob_reaches_the_fit_only_as_config_error(knob, value):
+    from cohortmetric.metric import CohortFunctional, fit_weighted_metric
+
+    X = np.random.default_rng(0).normal(size=(40, 2))
+    F = CohortFunctional.from_labels(X[:, 0], 5)
+    with pytest.raises(ConfigError, match=knob):
+        fit_weighted_metric(X, F, RunConfig(**{"dim": 2, "max_iters": 1, knob: value}))
 
 
 def test_config_with_trial_section(tmp_path):
@@ -251,11 +268,43 @@ def test_fit_ignores_test_rows_and_is_byte_deterministic(tmp_path, small_trial):
 
 def test_model_roundtrip_predictions_match(tmp_path, small_trial, small_model):
     io.save_model(tmp_path / "model", small_model)
+    assert sorted(p.name for p in (tmp_path / "model").iterdir()) == [
+        "config.json", "d2.csv", "eigenvectors.csv", "psi.csv", "ref_coords.csv",
+        "report.txt", "singular_values.csv", "train_records.csv", "tree.txt",
+        "weights.csv", "xref.csv",
+    ]
     back = io.load_model(tmp_path / "model")
+    # inv_diag is rebuilt from weights.csv and lam, not read from a file
+    assert back.ref.inv_diag.tobytes() == small_model.ref.inv_diag.tobytes()
     p1 = predict(small_model, small_trial.data.values[:40])
     p2 = predict(back, small_trial.data.values[:40])
     np.testing.assert_allclose(p1.coords, p2.coords, atol=1e-12)
     np.testing.assert_allclose(p1.estimates, p2.estimates, equal_nan=True)
+
+
+def test_predict_balance_flag_is_the_cohort_estimate_flag(small_trial, monkeypatch):
+    cfg = RunConfig(seed=21, **{**FAST, "max_iters": 1}, balance_threshold=0.6)
+    model = fit_pipeline(small_trial.data, small_trial.records, cfg)
+    seen = []
+    detail = LocalAlphaFunctional.detail
+
+    def spy(self, indices):
+        seen.append(detail(self, indices))
+        return seen[-1]
+
+    monkeypatch.setattr(LocalAlphaFunctional, "detail", spy)
+    preds = predict(model, small_trial.data.values[:150])
+    # every point here gets a cohort estimate, in order
+    assert preds.in_support.all() and (preds.n_neighbors >= cfg.min_cohort).all()
+    assert len(seen) == 150
+    defined = np.isfinite(preds.estimates)
+    assert defined.sum() > 100
+    flags = np.array([est.balanced for est in seen])
+    assert np.array_equal(preds.balanced[defined], flags[defined])
+    shares = np.array([max(est.n0, est.n1) / est.size for est in seen])
+    assert np.array_equal(flags, shares <= 0.6)
+    # cohorts the default threshold would call balanced and 0.6 does not
+    assert ((shares > 0.6) & (shares <= 0.8) & defined).any()
 
 
 def test_loaded_model_keeps_neighborhood_rule(tmp_path, small_trial):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from cohortmetric.config import RunConfig
 from cohortmetric.metric import (
     Bin,
     CohortFunctional,
-    MetricConfig,
     NeighborhoodRule,
     aggregate_point_weights,
     bin_feature,
@@ -238,7 +238,7 @@ def test_algorithm_constant_functional_one_iteration():
     rng = np.random.default_rng(6)
     X = rng.normal(size=(80, 4))
     F = constant_functional(2.0, c=5)
-    metric = fit_weighted_metric(X, F, MetricConfig(dim=3, min_folder=10, seed=0))
+    metric = fit_weighted_metric(X, F, RunConfig(dim=3, min_folder=10, seed=0))
     assert metric.converged and metric.iterations == 1
     np.testing.assert_allclose(metric.weights.point_weights, 0.0)
     np.testing.assert_allclose(metric.weights.inv_diag(), 1e6)
@@ -248,7 +248,7 @@ def test_algorithm_upweights_driving_feature():
     rng = np.random.default_rng(7)
     X = rng.uniform(size=(500, 5))
     F = CohortFunctional(lambda idx: float(X[idx, 0].mean()), 10)
-    metric = fit_weighted_metric(X, F, MetricConfig(dim=3, min_folder=25, seed=1))
+    metric = fit_weighted_metric(X, F, RunConfig(dim=3, min_folder=25, seed=1))
     mean_w = metric.weights.point_weights.mean(axis=0)
     assert int(np.argmax(mean_w)) == 0
     assert mean_w[0] > 2 * mean_w[1:].max()
@@ -259,9 +259,11 @@ def test_algorithm_deterministic():
     X = rng.normal(size=(120, 4))
     labels = X[:, 1] ** 2
     F = CohortFunctional.from_labels(labels, 8)
-    cfg = MetricConfig(dim=3, min_folder=12, seed=3, max_iters=3)
+    cfg = RunConfig(dim=3, min_folder=12, seed=3, max_iters=3)
     m1 = fit_weighted_metric(X, F, cfg)
     m2 = fit_weighted_metric(X, F, cfg)
+    # the default neighborhood follows F's c = 8, not cfg.min_cohort = 25
+    assert m1.neighborhood == NeighborhoodRule("knn", k=8)
     assert np.array_equal(m1.weights.point_weights, m2.weights.point_weights)
     assert np.array_equal(m1.embedding.coords, m2.embedding.coords)
 
@@ -276,7 +278,7 @@ def test_metric_distance_axioms_on_samples():
     rng = np.random.default_rng(10)
     X = rng.normal(size=(100, 4))
     F = CohortFunctional.from_labels(X[:, 0], 8)
-    metric = fit_weighted_metric(X, F, MetricConfig(dim=4, min_folder=12, seed=4, max_iters=2))
+    metric = fit_weighted_metric(X, F, RunConfig(dim=4, min_folder=12, seed=4, max_iters=2))
     coords = metric.embedding.coords
     d = lambda i, j: np.linalg.norm(coords[i] - coords[j])
     for i in range(0, 100, 17):
@@ -296,7 +298,7 @@ def fitted_metric():
     X = rng.uniform(size=(200, 3))
     labels = np.sin(3 * X[:, 0])
     F = CohortFunctional.from_labels(labels, 6)
-    metric = fit_weighted_metric(X, F, MetricConfig(dim=3, min_folder=15, seed=5, max_iters=2))
+    metric = fit_weighted_metric(X, F, RunConfig(dim=3, min_folder=15, seed=5, max_iters=2))
     return metric, F, labels, X
 
 
@@ -340,7 +342,7 @@ def test_duplicate_points_share_estimates():
     X = np.vstack([base, base[:2]])  # rows 60,61 duplicate rows 0,1
     labels = X[:, 0]
     F = CohortFunctional.from_labels(labels, 5)
-    metric = fit_weighted_metric(X, F, MetricConfig(dim=3, min_folder=10, seed=6, max_iters=1))
+    metric = fit_weighted_metric(X, F, RunConfig(dim=3, min_folder=10, seed=6, max_iters=1))
     e0 = pointwise_estimate(metric, F, 0)
     e60 = pointwise_estimate(metric, F, 60)
     np.testing.assert_allclose(e0, e60, rtol=1e-9)

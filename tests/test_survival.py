@@ -77,6 +77,16 @@ def test_treatment_scaling_and_censoring():
     np.testing.assert_allclose(rec3.times, [1.5])
 
 
+def test_records_reject_fractional_events_and_arms():
+    with pytest.raises(ValueError, match="0/1"):
+        SurvivalRecords([1.0, 2.0], [0.5, 1.0], [1.9, 0.2])
+    with pytest.raises(ValueError, match="0/1"):
+        SurvivalRecords([1.0, 2.0], [0, 1], [1.0, 0.5])
+    rec = SurvivalRecords([1.0, 2.0], [0.0, 1.0], np.array([True, False]))
+    assert rec.events.tolist() == [0, 1] and rec.treatments.tolist() == [1, 0]
+    assert rec.events.dtype == rec.treatments.dtype == np.dtype(int)
+
+
 # --- moments_alpha -------------------------------------------------------------
 
 
@@ -218,18 +228,26 @@ def test_detail_balance_flag_matches_moments_alpha():
     rng = np.random.default_rng(21)
     arms = np.concatenate([np.zeros(30, dtype=int), np.ones(30, dtype=int)])
     rec = SurvivalRecords(rng.exponential(1.0, 60), (rng.random(60) < 0.5).astype(int), arms)
-    functional = LocalAlphaFunctional(rec, "moments", min_cohort=10)
     cohorts = {
         "untreated only": np.arange(0, 20),
         "treated only": np.arange(30, 60),
         "mixed balanced": np.arange(15, 45),
         "mixed unbalanced": np.arange(2, 32),
+        "mixed 70/30": np.arange(9, 39),
     }
-    for name, idx in cohorts.items():
-        want = moments_alpha(rec.subset(idx)).balanced
-        assert functional.detail(idx).balanced == want, name
-    assert not functional.detail(cohorts["treated only"]).balanced
-    assert functional.detail(cohorts["mixed balanced"]).balanced
+    for threshold in (0.8, 0.6):
+        functional = LocalAlphaFunctional(rec, "moments", min_cohort=10,
+                                          balance_threshold=threshold)
+        for name, idx in cohorts.items():
+            want = moments_alpha(rec.subset(idx), threshold)
+            got = functional.detail(idx)
+            assert got.balanced == want.balanced, (threshold, name)
+            for field in ("alpha", "delta", "se"):
+                assert np.float64(getattr(got, field)).tobytes() == \
+                    np.float64(getattr(want, field)).tobytes(), (threshold, name, field)
+        assert not functional.detail(cohorts["treated only"]).balanced
+        assert functional.detail(cohorts["mixed balanced"]).balanced
+        assert functional.detail(cohorts["mixed 70/30"]).balanced == (threshold == 0.8)
 
 
 def test_estimators_agree_in_sign_when_strong():

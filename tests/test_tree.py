@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cohortmetric.diffusion import DiffusionEmbedding, gaussian_kernel, markov_normalize, spectral_embed
-from cohortmetric.tree import PartitionTree, build_bottomup, build_topdown, folder_of
+from cohortmetric.tree import PartitionTree, build_bottomup, build_topdown
 
 
 def embed_coords(coords):
@@ -105,12 +105,12 @@ def test_folder_of_membership():
     rng = np.random.default_rng(4)
     coords = rng.normal(size=(40, 2))
     tree = build_topdown(embed_coords(coords), k=2, min_folder=3, seed=5)
-    assert folder_of(tree, 1, 17) == 0
+    assert tree.folder_of(1, 17) == 0
     top = tree.folders(tree.n_levels)
-    assert top[folder_of(tree, tree.n_levels, 17)].points.tolist() == [17]
+    assert top[tree.folder_of(tree.n_levels, 17)].points.tolist() == [17]
     for level in range(1, tree.n_levels + 1):
         for point in (0, 13, 39):
-            fid = folder_of(tree, level, point)
+            fid = tree.folder_of(level, point)
             # linear-scan oracle
             scan = [i for i, f in enumerate(tree.folders(level)) if point in f.points]
             assert scan == [fid]
