@@ -24,10 +24,12 @@ class NeighborhoodRule:
     def __post_init__(self):
         if self.kind not in ("knn", "radius"):
             raise ValueError(f"unknown neighborhood kind {self.kind!r}")
-        if self.kind == "knn" and (self.k is None or self.k < 1):
-            raise ValueError("knn rule needs k >= 1")
-        if self.kind == "radius" and (self.eps is None or self.eps <= 0):
-            raise ValueError("radius rule needs eps > 0")
+        if self.kind == "knn" and (isinstance(self.k, bool)
+                                   or not isinstance(self.k, (int, np.integer)) or self.k < 1):
+            raise ValueError(f"knn rule needs an integer k >= 1, got {self.k!r}")
+        # written so that NaN fails it
+        if self.kind == "radius" and (self.eps is None or not self.eps > 0):
+            raise ValueError(f"radius rule needs eps > 0, got {self.eps!r}")
 
 
 @dataclass(frozen=True)

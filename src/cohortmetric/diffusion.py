@@ -11,7 +11,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 from scipy.spatial.distance import cdist
@@ -19,11 +18,6 @@ from scipy.spatial.distance import cdist
 from .data import as_values
 
 logger = logging.getLogger(__name__)
-
-# Dense kernels up to this size; above it rows are truncated to the strongest
-# neighbors and stored sparse.
-DENSE_LIMIT = 4000
-SPARSE_KNN = 64
 
 
 class EigensolverError(RuntimeError):
@@ -34,23 +28,16 @@ class EigensolverError(RuntimeError):
 class AffinityMatrix:
     """Symmetric nonnegative affinity matrix with its bandwidth and truncation."""
 
-    entries: object  # dense ndarray or scipy.sparse matrix
+    entries: np.ndarray  # dense (n, n)
     sigma: float
     tau: float = 0.0
 
     def __post_init__(self):
-        K = self.entries
-        if sp.issparse(K):
-            asym = abs(K - K.T)
-            max_asym = asym.max() if asym.nnz else 0.0
-            min_entry = K.data.min() if K.nnz else 0.0
-            diag = K.diagonal()
-        else:
-            K = np.asarray(K, dtype=float)
-            object.__setattr__(self, "entries", K)
-            max_asym = np.max(np.abs(K - K.T)) if K.size else 0.0
-            min_entry = K.min()
-            diag = np.diagonal(K)
+        K = np.asarray(self.entries, dtype=float)
+        object.__setattr__(self, "entries", K)
+        max_asym = np.max(np.abs(K - K.T)) if K.size else 0.0
+        min_entry = K.min()
+        diag = np.diagonal(K)
         if max_asym > 1e-12:
             raise ValueError(f"affinity matrix asymmetric: max |K - K^T| = {max_asym:.3g}")
         if min_entry < 0:
@@ -63,18 +50,13 @@ class AffinityMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    def toarray(self) -> np.ndarray:
-        if sp.issparse(self.entries):
-            return self.entries.toarray()
-        return self.entries
-
 
 @dataclass(frozen=True)
 class MarkovOperator:
     """Row-stochastic transition matrix and its symmetric conjugate."""
 
-    P: object
-    S: object
+    P: np.ndarray
+    S: np.ndarray
     row_sums: np.ndarray
 
     @property
@@ -131,55 +113,26 @@ def median_bandwidth(X, subsample: int = 2000) -> float:
     return float(np.median(nz))
 
 
-def _assemble(n, row_block_fn, tau, symmetric_fill=False):
-    """Assemble a kernel from a row-block function, dense or kNN-sparse.
+def _assemble(n, row_block_fn, tau):
+    """Assemble a dense symmetric kernel from a row-block function.
 
     row_block_fn(i0, i1, j0) must return dense rows [i0, i1) against columns
-    [j0, n). With symmetric_fill only the upper-triangular blocks are computed
-    and mirrored. Thresholding at tau happens on the symmetric entries (never
-    per row) and the diagonal is always kept.
+    [j0, n); only these upper-triangular blocks are computed and mirrored.
+    Thresholding at tau happens on the symmetric entries (never per row) and
+    the diagonal is always kept.
     """
-    if n <= DENSE_LIMIT:
-        K = np.empty((n, n))
-        block = max(1, (1 << 21) // max(n, 1))
-        for i0 in range(0, n, block):
-            i1 = min(n, i0 + block)
-            if symmetric_fill:
-                B = row_block_fn(i0, i1, i0)
-                K[i0:i1, i0:] = B
-                K[i0:, i0:i1] = B.T
-            else:
-                K[i0:i1] = row_block_fn(i0, i1, 0)
-        if tau > 0:
-            diag = np.diagonal(K).copy()
-            K = np.where(K >= tau, K, 0.0)
-            np.fill_diagonal(K, diag)
-        return K
-    # Sparse path: keep the strongest SPARSE_KNN entries per row (plus the
-    # diagonal), then symmetrize by max so no edge is dropped one-sidedly.
-    k = min(SPARSE_KNN, n - 1)
-    rows, cols, vals = [], [], []
-    block = max(1, (1 << 22) // n)
+    K = np.empty((n, n))
+    block = max(1, (1 << 21) // max(n, 1))
     for i0 in range(0, n, block):
         i1 = min(n, i0 + block)
-        B = row_block_fn(i0, i1, 0)
-        if tau > 0:
-            B = np.where(B >= tau, B, 0.0)
-        order = np.argpartition(-B, kth=k, axis=1)[:, : k + 1]
-        for r in range(i1 - i0):
-            i = i0 + r
-            c = order[r]
-            if i not in c:
-                c = np.append(c, i)
-            v = B[r, c]
-            keep = (v > 0) | (c == i)
-            rows.append(np.full(int(keep.sum()), i))
-            cols.append(c[keep])
-            vals.append(v[keep])
-    K = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    )
-    return K.maximum(K.T).tocsr()
+        B = row_block_fn(i0, i1, i0)
+        K[i0:i1, i0:] = B
+        K[i0:, i0:i1] = B.T
+    if tau > 0:
+        diag = np.diagonal(K).copy()
+        K = np.where(K >= tau, K, 0.0)
+        np.fill_diagonal(K, diag)
+    return K
 
 
 def gaussian_kernel(X, sigma: float | None = None, tau: float = 0.0) -> AffinityMatrix:
@@ -201,9 +154,8 @@ def gaussian_kernel(X, sigma: float | None = None, tau: float = 0.0) -> Affinity
         d2 = cdist(values[i0:i1], values[j0:], "sqeuclidean")
         return np.exp(-d2 / (2.0 * sigma**2))
 
-    K = _assemble(n, block, tau, symmetric_fill=True)
-    if not sp.issparse(K):
-        np.fill_diagonal(K, 1.0)
+    K = _assemble(n, block, tau)
+    np.fill_diagonal(K, 1.0)
     return AffinityMatrix(K, float(sigma), float(tau))
 
 
@@ -225,23 +177,15 @@ def correlation_kernel(X) -> AffinityMatrix:
 def markov_normalize(K: AffinityMatrix) -> MarkovOperator:
     """Row-normalize to P = D^{-1} K and build S = D^{-1/2} K D^{-1/2}."""
     A = K.entries
-    if sp.issparse(A):
-        d = np.asarray(A.sum(axis=1)).ravel()
-    else:
-        d = A.sum(axis=1)
+    d = A.sum(axis=1)
     if np.any(d <= 0):
         bad = np.where(d <= 0)[0]
         raise ValueError(f"isolated points with zero affinity row sums: {bad[:10].tolist()}")
     inv = 1.0 / d
     inv_sqrt = 1.0 / np.sqrt(d)
-    if sp.issparse(A):
-        P = sp.diags(inv) @ A
-        S = sp.diags(inv_sqrt) @ A @ sp.diags(inv_sqrt)
-        S = 0.5 * (S + S.T)
-    else:
-        P = A * inv[:, None]
-        S = A * inv_sqrt[:, None] * inv_sqrt[None, :]
-        S = 0.5 * (S + S.T)
+    P = A * inv[:, None]
+    S = A * inv_sqrt[:, None] * inv_sqrt[None, :]
+    S = 0.5 * (S + S.T)
     return MarkovOperator(P, S, d)
 
 
@@ -267,10 +211,8 @@ def spectral_embed(op: MarkovOperator, t: float = 1.0, d: int = 5) -> DiffusionE
         raise ValueError(f"diffusion time must be positive, got {t}")
     k = d + 1
     S = op.S
-    use_dense = (not sp.issparse(S) and n <= 1500) or k >= n - 1
-    if use_dense:
-        Sd = S.toarray() if sp.issparse(S) else S
-        vals, vecs = eigh(Sd, subset_by_index=[n - k, n - 1])
+    if n <= 1500 or k >= n - 1:
+        vals, vecs = eigh(S, subset_by_index=[n - k, n - 1])
         vals, vecs = vals[::-1], vecs[:, ::-1]
     else:
         v0 = 1.0 + 1e-3 * np.cos(np.arange(n))
@@ -282,8 +224,6 @@ def spectral_embed(op: MarkovOperator, t: float = 1.0, d: int = 5) -> DiffusionE
                 f"ARPACK did not converge: {len(exc.eigenvalues)}/{k} eigenpairs "
                 f"after the iteration limit"
             ) from exc
-        order = np.argsort(-vals, kind="stable")
-        vals, vecs = vals[order], vecs[:, order]
     # Stable descending order breaks eigenvalue ties by original index.
     order = np.argsort(-vals, kind="stable")
     vals, vecs = vals[order], vecs[:, order]

@@ -22,12 +22,7 @@ SINGULAR_CUTOFF = 1e-10
 
 def _as_rows(Z) -> np.ndarray:
     """DataMatrix, 2-d array, or a single 1-d point, as validated (k, m) rows."""
-    if isinstance(Z, DataMatrix):
-        return Z.values
-    arr = np.atleast_2d(np.asarray(Z, dtype=float))
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("non-finite coordinates in new points")
-    return arr
+    return as_values(Z if isinstance(Z, DataMatrix) else np.atleast_2d(Z))
 
 
 class OutOfSupportError(ValueError):
@@ -52,7 +47,7 @@ class ReferenceEmbedding:
         if np.any(s < 0) or np.any(np.diff(s) > 1e-12):
             raise ValueError("singular values must be nonnegative and descending")
         if np.any(self.d2 <= 0):
-            raise ValueError("column normalizer must be strictly positive")
+            raise ValueError("column normalizer must be positive")
 
     @property
     def n_ref(self) -> int:
@@ -145,31 +140,24 @@ def extend(ref: ReferenceEmbedding, z) -> np.ndarray:
     frozen. A point that reaches no reference at the threshold is flagged
     out of support.
     """
-    coords = extend_batch(ref, np.atleast_2d(np.asarray(z, dtype=float)), strict=True)
+    coords, in_support = extend_batch(ref, z)
+    if not in_support.all():
+        raise OutOfSupportError(f"point has no affinity to any reference at tau={ref.tau}")
     return coords[0]
 
 
-def extend_batch(ref: ReferenceEmbedding, Z, strict: bool = False):
-    """Embed rows of Z; returns (coords, in_support) or coords when strict.
+def extend_batch(ref: ReferenceEmbedding, Z):
+    """Embed rows of Z; returns (coords, in_support).
 
-    Out-of-support rows raise when strict, otherwise carry NaN coordinates
-    with in_support False.
+    Out-of-support rows carry NaN coordinates with in_support False.
     """
     Zv = _as_rows(Z)
     rows = asymmetric_kernel(Zv, ref.x_ref, ref.inv_diag, ref.sigma, ref.tau)
     row_sums = rows.sum(axis=1)
     in_support = row_sums > 0
-    if strict and not np.all(in_support):
-        bad = np.where(~in_support)[0]
-        raise OutOfSupportError(
-            f"points {bad[:10].tolist()} have no affinity to any reference at tau={ref.tau}"
-        )
     coords = np.full((Zv.shape[0], ref.rank), np.nan)
-    ok = in_support
-    A_rows = rows[ok] / np.sqrt(row_sums[ok])[:, None] / np.sqrt(ref.d2)[None, :]
-    coords[ok] = A_rows @ ref.psi
-    if strict:
-        return coords
+    A_rows = rows[in_support] / np.sqrt(row_sums[in_support])[:, None] / np.sqrt(ref.d2)[None, :]
+    coords[in_support] = A_rows @ ref.psi
     return coords, in_support
 
 

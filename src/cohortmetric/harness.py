@@ -70,13 +70,12 @@ def predict(model: FittedModel, Z) -> Predictions:
 
     Estimates are on the log-hazard (harm) scale; undefined cohorts carry NaN.
     """
-    Zv = Z.values if isinstance(Z, DataMatrix) else np.atleast_2d(np.asarray(Z, dtype=float))
-    coords, in_support = extend_batch(model.ref, Zv)
+    coords, in_support = extend_batch(model.ref, Z)
     rule = model.metric.neighborhood
     cfg = model.config
     functional = LocalAlphaFunctional(model.records, cfg.estimator, cfg.min_cohort,
                                       cfg.balance_threshold)
-    n = Zv.shape[0]
+    n = coords.shape[0]
     estimates = np.full(n, np.nan)
     n_neighbors = np.zeros(n, dtype=int)
     balanced = np.zeros(n, dtype=bool)
@@ -180,7 +179,8 @@ def validate_pipeline(dataset: TrialDataset, config: RunConfig,
             folds.append(validate_fold(dataset, config, fold))
         except Exception as exc:  # a failed fold is recorded, the run continues
             logger.warning("fold %d failed: %s", fold, exc)
-            folds.append(FoldResult(fold, np.nan, 0.0, 0, False, error=str(exc)))
+            folds.append(FoldResult(fold, np.nan, 0.0, 0, False,
+                                    error=f"{type(exc).__name__}: {exc}"))
     corr = np.array([f.correlation for f in folds if f.defined and np.isfinite(f.correlation)])
     edges = np.linspace(-1.0, 1.0, histogram_bins + 1)
     counts, _ = np.histogram(corr, bins=edges)

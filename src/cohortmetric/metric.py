@@ -272,7 +272,7 @@ def weighted_kernel(X, weights, sigma: float | None = None, tau: float = 0.0) ->
             logdet = np.log(a).sum(axis=2)
         return np.exp(-q / sigma**2 - 0.5 * logdet)
 
-    K = _assemble(n, block, tau, symmetric_fill=True)
+    K = _assemble(n, block, tau)
     return AffinityMatrix(K, float(sigma), float(tau))
 
 
@@ -402,13 +402,13 @@ def multiscale_estimate(metric: RegularizedMetric, F: CohortFunctional, i: int,
                         scales) -> MultiscaleDecomposition:
     """Detail coefficients F(N^{eps/2}) - F(N^{eps}) per scale.
 
-    Scales must be strictly decreasing; scales whose half-radius neighborhood
+    Each scale must be below the one before; scales whose half-radius neighborhood
     drops below the cohort minimum truncate the decomposition and are
     reported.
     """
     scales = [float(s) for s in scales]
     if any(b >= a for a, b in zip(scales, scales[1:])) or not scales:
-        raise ValueError("scales must be strictly decreasing and nonempty")
+        raise ValueError("scales must be nonempty, each below the one before")
     coords = metric.embedding.coords
     center = coords[i]
     n_coarse = neighborhood_indices(coords, center, NeighborhoodRule("radius", eps=scales[0]))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.linalg import eig, eigh
+from scipy.spatial.distance import cdist
 
 from cohortmetric.data import DataMatrix
 from cohortmetric.diffusion import (
@@ -51,6 +52,18 @@ def test_gaussian_matches_bruteforce_and_is_exactly_symmetric():
     np.testing.assert_allclose(K, expected, rtol=1e-12)
     assert np.array_equal(K, K.T)
     assert K.min() >= 0.0 and K.max() <= 1.0
+
+
+def test_gaussian_kernel_is_dense_and_exact_above_4000_points():
+    # every size assembles the full n x n kernel: no neighbour truncation
+    n, sigma = 4001, 0.8
+    X = np.random.default_rng(3).normal(size=(n, 3))
+    K = gaussian_kernel(X, sigma=sigma).entries
+    assert type(K) is np.ndarray and K.shape == (n, n)
+    rows = np.array([0, 1, 1999, 3999, 4000])
+    expected = np.exp(-cdist(X[rows], X, "sqeuclidean") / (2 * sigma**2))
+    np.testing.assert_allclose(K[rows], expected, rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(K[:, rows], K[rows].T)
 
 
 def test_gaussian_truncation_keeps_symmetry_and_diagonal():

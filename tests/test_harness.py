@@ -191,6 +191,24 @@ def test_validate_records_fold_failures_and_continues():
     assert report.correlations.size == 0
 
 
+def test_validate_records_the_exception_type_of_a_failed_fold(small_trial, monkeypatch):
+    import cohortmetric.harness as hz
+
+    fit = hz.fit_pipeline
+    calls = []
+
+    def fit_or_fail(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise FloatingPointError("boom")
+        return fit(*args)
+
+    monkeypatch.setattr(hz, "fit_pipeline", fit_or_fail)
+    report = validate_pipeline(small_trial, RunConfig(seed=21, **FAST), repeats=2)
+    assert [f.error for f in report.folds] == [None, "FloatingPointError: boom"]
+    assert report.summary_lines()[-1].endswith("error=FloatingPointError: boom")
+
+
 # --- recommendation -------------------------------------------------------------------
 
 
@@ -280,6 +298,19 @@ def test_model_roundtrip_predictions_match(tmp_path, small_trial, small_model):
     p2 = predict(back, small_trial.data.values[:40])
     np.testing.assert_allclose(p1.coords, p2.coords, atol=1e-12)
     np.testing.assert_allclose(p1.estimates, p2.estimates, equal_nan=True)
+
+
+def test_new_points_must_be_rows(small_trial, small_model):
+    from cohortmetric.extension import extend_batch
+
+    cube = np.zeros((2, 3, small_trial.data.n_features))
+    with pytest.raises(ValueError, match="2-d"):
+        extend_batch(small_model.ref, cube)
+    with pytest.raises(ValueError, match="2-d"):
+        predict(small_model, cube)
+    # a single point is still one row
+    one = predict(small_model, small_trial.data.values[0])
+    assert one.coords.shape == (1, small_model.ref.rank)
 
 
 def test_predict_balance_flag_is_the_cohort_estimate_flag(small_trial, monkeypatch):

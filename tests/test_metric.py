@@ -330,6 +330,15 @@ def test_estimate_knn_matches_bruteforce(fitted_metric):
         np.testing.assert_allclose(got, labels[brute].mean(), rtol=1e-12)
 
 
+@pytest.mark.parametrize("kind,kw", [
+    ("knn", {"k": 7.5}), ("knn", {"k": True}), ("knn", {"k": 0}), ("knn", {}),
+    ("radius", {"eps": np.nan}), ("radius", {"eps": 0.0}), ("radius", {}),
+])
+def test_neighborhood_rule_rejects_invalid_size(kind, kw):
+    with pytest.raises(ValueError, match="k >= 1" if kind == "knn" else "eps > 0"):
+        NeighborhoodRule(kind, **kw)
+
+
 def test_estimate_propagates_too_small(fitted_metric):
     metric, F, _, _ = fitted_metric
     with pytest.raises(CohortTooSmallError):
