@@ -24,6 +24,7 @@ from .extension import (
     extend_batch,
 )
 from .harness import (
+    FitTooLargeError,
     FittedModel,
     Predictions,
     ValidationReport,

@@ -53,9 +53,8 @@ class AffinityMatrix:
 
 @dataclass(frozen=True)
 class MarkovOperator:
-    """Row-stochastic transition matrix and its symmetric conjugate."""
+    """Symmetric conjugate S = D^{-1/2} K D^{-1/2} of P = D^{-1} K, with D."""
 
-    P: np.ndarray
     S: np.ndarray
     row_sums: np.ndarray
 
@@ -175,18 +174,16 @@ def correlation_kernel(X) -> AffinityMatrix:
 
 
 def markov_normalize(K: AffinityMatrix) -> MarkovOperator:
-    """Row-normalize to P = D^{-1} K and build S = D^{-1/2} K D^{-1/2}."""
+    """Build S = D^{-1/2} K D^{-1/2}; P = D^{-1} K is never formed."""
     A = K.entries
     d = A.sum(axis=1)
     if np.any(d <= 0):
         bad = np.where(d <= 0)[0]
         raise ValueError(f"isolated points with zero affinity row sums: {bad[:10].tolist()}")
-    inv = 1.0 / d
     inv_sqrt = 1.0 / np.sqrt(d)
-    P = A * inv[:, None]
     S = A * inv_sqrt[:, None] * inv_sqrt[None, :]
     S = 0.5 * (S + S.T)
-    return MarkovOperator(P, S, d)
+    return MarkovOperator(S, d)
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
@@ -198,35 +195,40 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _top_eigenpairs(M: np.ndarray, k: int):
+    """Top k eigenpairs of symmetric M, descending; the package's one solver.
+
+    ARPACK runs whenever k < n - 1; the dense subset `eigh` runs for k >= n - 1
+    and when ARPACK does not converge. Ties keep the solver's order.
+    """
+    n = M.shape[0]
+    vals = None
+    if k < n - 1:
+        v0 = 1.0 + 1e-3 * np.cos(np.arange(n))
+        v0 /= np.linalg.norm(v0)
+        try:
+            vals, vecs = eigsh(M, k=k, which="LA", v0=v0)
+        except ArpackNoConvergence as exc:
+            logger.warning("ARPACK converged %d/%d eigenpairs at n=%d; using dense eigh",
+                           len(exc.eigenvalues), k, n)
+    if vals is None:
+        vals, vecs = eigh(M, subset_by_index=[n - k, n - 1])
+    order = np.argsort(-vals, kind="stable")
+    return vals[order], vecs[:, order]
+
+
 def spectral_embed(op: MarkovOperator, t: float = 1.0, d: int = 5) -> DiffusionEmbedding:
     """Top d+1 eigenpairs of the symmetric conjugate, back-transformed to P.
 
-    Eigenvectors come from S for stability, then phi = D^{-1/2} psi. Signs are
-    fixed so each eigenvector's largest-magnitude entry is positive.
+    Only the top d+1 pairs of S are computed, then phi = D^{-1/2} psi. Signs
+    are fixed so each eigenvector's largest-magnitude entry is positive.
     """
     n = op.n
     if not (0 < d < n):
         raise ValueError(f"need 0 < d < n, got d={d}, n={n}")
     if t <= 0:
         raise ValueError(f"diffusion time must be positive, got {t}")
-    k = d + 1
-    S = op.S
-    if n <= 1500 or k >= n - 1:
-        vals, vecs = eigh(S, subset_by_index=[n - k, n - 1])
-        vals, vecs = vals[::-1], vecs[:, ::-1]
-    else:
-        v0 = 1.0 + 1e-3 * np.cos(np.arange(n))
-        v0 /= np.linalg.norm(v0)
-        try:
-            vals, vecs = eigsh(S, k=k, which="LA", v0=v0)
-        except ArpackNoConvergence as exc:
-            raise EigensolverError(
-                f"ARPACK did not converge: {len(exc.eigenvalues)}/{k} eigenpairs "
-                f"after the iteration limit"
-            ) from exc
-    # Stable descending order breaks eigenvalue ties by original index.
-    order = np.argsort(-vals, kind="stable")
-    vals, vecs = vals[order], vecs[:, order]
+    vals, vecs = _top_eigenpairs(op.S, d + 1)
     gaps = np.diff(vals)
     if np.any(np.abs(gaps) < 1e-12):
         logger.warning("degenerate eigenvalue pairs in the top spectrum: %s", vals)

@@ -1,9 +1,9 @@
 """Reference-set extension of the weighted embedding to unseen points.
 
 The asymmetric kernel against the training (reference) points is normalized
-on both sides, the small Gram matrix A'A is decomposed once, and new points
-embed through their normalized kernel rows. Test points never touch the
-weights or each other.
+on both sides, only the top eigenpairs of its Gram matrix A'A are computed,
+and new points embed through their normalized kernel rows. Test points never
+touch the weights or each other.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataMatrix, as_values
-from .diffusion import _fix_signs
+from .diffusion import _fix_signs, _top_eigenpairs
 from .metric import CohortFunctional, NeighborhoodRule, RegularizedMetric, WeightField, neighborhood_indices
 from .survival import CohortTooSmallError
 
@@ -93,32 +93,32 @@ def build_reference(x_ref, weights, sigma: float, tau: float = 0.0,
                     n_components: int | None = None) -> ReferenceEmbedding:
     """Decompose the normalized asymmetric kernel of the reference set.
 
-    A = D1^{-1/2} K D2^{-1/2}; the small matrix A'A = Psi Sigma^2 Psi' gives
-    the right singular vectors, and the reference embedding is A Psi.
+    A = D1^{-1/2} K D2^{-1/2}; the top n_components (all when None) eigenpairs
+    of A'A = Psi Sigma^2 Psi' give the right singular vectors, and the
+    reference embedding is A Psi.
     Singular values below 1e-10 of the maximum are discarded.
     """
     Xr = as_values(x_ref)
     if Xr.shape[0] < 2:
         raise ValueError("need at least two reference points")
-    K = asymmetric_kernel(Xr, Xr, weights, sigma, tau)
-    d1 = K.sum(axis=1)
-    d2 = K.sum(axis=0)
+    A = asymmetric_kernel(Xr, Xr, weights, sigma, tau)  # K, normalized in place below
+    d1 = A.sum(axis=1)
+    d2 = A.sum(axis=0)
     if np.any(d1 <= 0):
         bad = np.where(d1 <= 0)[0]
         raise ValueError(f"zero kernel row sums at reference points {bad[:10].tolist()}")
     if np.any(d2 <= 0):
         bad = np.where(d2 <= 0)[0]
         raise ValueError(f"zero kernel column sums at reference points {bad[:10].tolist()}")
-    A = K / np.sqrt(d1)[:, None] / np.sqrt(d2)[None, :]
+    A /= np.sqrt(d1)[:, None]
+    A /= np.sqrt(d2)[None, :]
     gram = A.T @ A
     gram = 0.5 * (gram + gram.T)
-    vals, vecs = np.linalg.eigh(gram)
-    vals, vecs = vals[::-1], vecs[:, ::-1]
+    k = Xr.shape[0] if n_components is None else min(n_components, Xr.shape[0])
+    vals, vecs = _top_eigenpairs(gram, k)
     s = np.sqrt(np.clip(vals, 0.0, None))
-    keep = s >= SINGULAR_CUTOFF * (s[0] if s.size else 1.0)
+    keep = s >= SINGULAR_CUTOFF * s[0]
     s, vecs = s[keep], vecs[:, keep]
-    if n_components is not None:
-        s, vecs = s[:n_components], vecs[:, :n_components]
     psi = _fix_signs(vecs)
     u = weights.inv_diag() if isinstance(weights, WeightField) else np.asarray(weights, dtype=float)
     return ReferenceEmbedding(
@@ -136,10 +136,14 @@ def build_reference(x_ref, weights, sigma: float, tau: float = 0.0,
 def extend(ref: ReferenceEmbedding, z) -> np.ndarray:
     """Embed one new point through its normalized kernel row.
 
+    z is a 1-d point or a one-row 2-d array; more rows go to `extend_batch`.
     The new point's own row sum plays the D1 role; the reference D2 is
     frozen. A point that reaches no reference at the threshold is flagged
     out of support.
     """
+    z = _as_rows(z)
+    if z.shape[0] != 1:
+        raise ValueError(f"extend takes one point, got {z.shape[0]} rows; use extend_batch")
     coords, in_support = extend_batch(ref, z)
     if not in_support.all():
         raise OutOfSupportError(f"point has no affinity to any reference at tau={ref.tau}")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,12 +46,45 @@ class Predictions:
     coords: np.ndarray
 
 
+class FitTooLargeError(ValueError):
+    """The fit's estimated peak memory exceeds the machine's physical memory."""
+
+
+def estimate_fit_bytes(n: int, m: int) -> int:
+    """Estimated peak resident bytes of `fit_pipeline` on n points, m features.
+
+    During a weighted-kernel step three dense n x n float arrays are held (the
+    unweighted kernel, the previous and the new weighted kernel), plus the
+    larger of the kernel symmetry check's two n x n temporaries and the
+    temporaries of one row block of min(n^2, 2^21) pairs, about 5 + 2m floats
+    per pair; 100 MB is the interpreter with numpy and scipy loaded. Measured
+    sphere fits (m=9, 2-vCPU host, one BLAS thread) peak at 140, 579 and
+    923 MB for n=400, 2000 and 4500, against estimates of 133, 582 and 972 MB.
+    """
+    pairs = min(n * n, 2**21)
+    return int(100e6 + 8 * (3 * n * n + max(2 * n * n, pairs * (5 + 2 * m))))
+
+
+def _physical_memory_bytes() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def fit_pipeline(data, records: SurvivalRecords, config: RunConfig) -> FittedModel:
     """Fit the function-weighted metric on training data and freeze the
-    reference decomposition for out-of-sample use."""
+    reference decomposition for out-of-sample use.
+
+    Raises FitTooLargeError, before any kernel is built, when the estimated
+    peak memory exceeds physical memory."""
     dm = data if isinstance(data, DataMatrix) else DataMatrix(np.asarray(data, dtype=float))
     if dm.n_points != len(records):
         raise ValueError(f"{dm.n_points} data rows vs {len(records)} records")
+    n, m = dm.values.shape
+    need, have = estimate_fit_bytes(n, m), _physical_memory_bytes()
+    if need > have:
+        raise FitTooLargeError(
+            f"a fit of n={n} points with m={m} features needs about {need / 1e6:.0f} MB "
+            f"at peak, more than the {have / 1e6:.0f} MB of physical memory"
+        )
     functional = LocalAlphaFunctional(records, config.weight_estimator, config.min_cohort,
                                       config.balance_threshold)
     metric = fit_weighted_metric(dm.values, functional, config)

@@ -103,9 +103,6 @@ class RegularizedMetric:
     iterations: int
     history: tuple
 
-    def distances_from(self, coords_row: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(self.embedding.coords - coords_row[None, :], axis=1)
-
 
 def bin_feature(folder_points, X, feature: int, k_bins: int) -> list[Bin]:
     """Quantile-edge bins of one feature over a folder; empty bins dropped.

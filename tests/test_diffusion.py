@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 from scipy.linalg import eig, eigh
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 from scipy.spatial.distance import cdist
 
+from cohortmetric import diffusion
 from cohortmetric.data import DataMatrix
 from cohortmetric.diffusion import (
     correlation_kernel,
@@ -12,6 +14,7 @@ from cohortmetric.diffusion import (
     median_bandwidth,
     spectral_embed,
 )
+from cohortmetric.extension import build_reference
 
 
 def test_data_matrix_rejects_nonfinite():
@@ -90,13 +93,15 @@ def test_correlation_kernel_rejects_zero_rows():
 
 
 def test_markov_identity_and_uniform():
-    op = markov_normalize(gaussian_kernel(np.array([[0.0], [100.0]]), sigma=0.1))
-    np.testing.assert_allclose(op.P, np.eye(2), atol=1e-300)
+    K = gaussian_kernel(np.array([[0.0], [100.0]]), sigma=0.1)
+    op = markov_normalize(K)
+    np.testing.assert_allclose(K.entries / op.row_sums[:, None], np.eye(2), atol=1e-300)
 
     from cohortmetric.diffusion import AffinityMatrix
 
     K = AffinityMatrix(np.ones((2, 2)), sigma=1.0)
-    np.testing.assert_allclose(markov_normalize(K).P, 0.5 * np.ones((2, 2)))
+    op = markov_normalize(K)
+    np.testing.assert_allclose(K.entries / op.row_sums[:, None], 0.5 * np.ones((2, 2)))
 
 
 def test_markov_rejects_isolated_point():
@@ -111,10 +116,12 @@ def test_markov_rejects_isolated_point():
 def test_markov_rows_sum_to_one_and_spectra_match():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(20, 4))
-    op = markov_normalize(gaussian_kernel(X, sigma=1.0))
-    np.testing.assert_allclose(op.P.sum(axis=1), 1.0, atol=1e-12)
+    K = gaussian_kernel(X, sigma=1.0)
+    op = markov_normalize(K)
+    P = K.entries / op.row_sums[:, None]
+    np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-12)
     # dense eigensolver oracle on both P and S
-    vals_p = np.sort(eig(op.P)[0].real)
+    vals_p = np.sort(eig(P)[0].real)
     vals_s = np.sort(eigh(op.S)[0])
     np.testing.assert_allclose(vals_p, vals_s, atol=1e-10)
 
@@ -137,14 +144,15 @@ def test_embedding_separates_two_blocks():
     K[10:, 10:] = 1.0
     from cohortmetric.diffusion import AffinityMatrix
 
-    op = markov_normalize(AffinityMatrix(K, sigma=1.0))
+    A = AffinityMatrix(K, sigma=1.0)
+    op = markov_normalize(A)
     emb = spectral_embed(op, t=1.0, d=3)
     phi1 = emb.eigenvectors[:, 1]
     assert len(set(np.sign(phi1[:10]))) == 1
     assert len(set(np.sign(phi1[10:]))) == 1
     assert np.sign(phi1[0]) != np.sign(phi1[-1])
     # oracle: phi_1 matches the dense eigensolver's second eigenvector of P
-    vals, vecs = eig(op.P)
+    vals, vecs = eig(A.entries / op.row_sums[:, None])
     order = np.argsort(-vals.real)
     v = vecs[:, order[1]].real
     v = v / np.linalg.norm(v) * np.linalg.norm(phi1)
@@ -158,10 +166,11 @@ def test_full_spectrum_distance_matches_transition_rows():
     # between rows of P^t (the direct diffusion distance)
     rng = np.random.default_rng(5)
     X = rng.normal(size=(15, 3))
-    op = markov_normalize(gaussian_kernel(X, sigma=1.2))
+    K = gaussian_kernel(X, sigma=1.2)
+    op = markov_normalize(K)
     t = 3
     emb = spectral_embed(op, t=float(t), d=14)
-    Pt = np.linalg.matrix_power(op.P, t)
+    Pt = np.linalg.matrix_power(K.entries / op.row_sums[:, None], t)
     for i, j in [(0, 5), (3, 9), (1, 14), (7, 7)]:
         direct = np.sqrt(np.sum((Pt[i] - Pt[j]) ** 2 / op.row_sums))
         np.testing.assert_allclose(diffusion_distance(emb, i, j), direct, atol=1e-8)
@@ -200,3 +209,54 @@ def test_embedding_deterministic():
     a = spectral_embed(op, t=1.0, d=5)
     b = spectral_embed(op, t=1.0, d=5)
     assert np.array_equal(a.coords, b.coords)
+
+
+# --- the one top-k eigensolver ------------------------------------------------
+
+
+def _solver_inputs():
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(60, 4))
+    u = rng.uniform(0.5, 2.0, size=(60, 4))
+    return markov_normalize(gaussian_kernel(X, sigma=1.0)), X, u
+
+
+def _assert_equal_up_to_column_sign(a, b, tol):
+    assert a.shape == b.shape
+    for j in range(a.shape[1]):
+        assert min(np.abs(a[:, j] - b[:, j]).max(), np.abs(a[:, j] + b[:, j]).max()) < tol
+
+
+def test_top_k_problems_run_arpack(monkeypatch):
+    calls = []
+
+    def spy(M, k, **kwargs):
+        calls.append((M.shape[0], k))
+        return eigsh(M, k, **kwargs)
+
+    monkeypatch.setattr(diffusion, "eigsh", spy)
+    op, X, u = _solver_inputs()
+    spectral_embed(op, t=1.0, d=5)
+    build_reference(X, u, sigma=1.0, n_components=6)
+    assert calls == [(60, 6), (60, 6)]
+
+
+def test_arpack_failure_falls_back_to_dense_eigh(monkeypatch, caplog):
+    op, X, u = _solver_inputs()
+    emb = spectral_embed(op, t=1.0, d=5)
+    ref = build_reference(X, u, sigma=1.0, n_components=6)
+
+    def no_convergence(M, k, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.ones(2), np.ones((M.shape[0], 2)))
+
+    monkeypatch.setattr(diffusion, "eigsh", no_convergence)
+    with caplog.at_level("WARNING", logger="cohortmetric.diffusion"):
+        emb_dense = spectral_embed(op, t=1.0, d=5)
+        ref_dense = build_reference(X, u, sigma=1.0, n_components=6)
+    fallbacks = [r for r in caplog.records if "ARPACK converged 2/6" in r.getMessage()]
+    assert len(fallbacks) == 2
+    np.testing.assert_allclose(emb_dense.eigenvalues, emb.eigenvalues, atol=1e-10)
+    _assert_equal_up_to_column_sign(emb_dense.eigenvectors, emb.eigenvectors, 1e-10)
+    np.testing.assert_allclose(ref_dense.singular_values, ref.singular_values, atol=1e-10)
+    _assert_equal_up_to_column_sign(ref_dense.psi, ref.psi, 1e-10)
+    _assert_equal_up_to_column_sign(ref_dense.coords, ref.coords, 1e-10)

@@ -89,16 +89,18 @@ def test_reference_columns_match_full_svd_oracle():
     X = rng.normal(size=(20, 4))
     u = rng.uniform(0.4, 2.0, size=(20, 4))
     sigma = 1.2
-    ref = build_reference(X, u, sigma=sigma)
     K = asymmetric_kernel(X, X, u, sigma=sigma)
     A = K / np.sqrt(K.sum(axis=1))[:, None] / np.sqrt(K.sum(axis=0))[None, :]
     U, S, Vt = np.linalg.svd(A)
-    np.testing.assert_allclose(ref.singular_values, S[: ref.rank], atol=1e-8)
-    # reference coords A psi should equal U S up to column signs
-    for j in range(ref.rank):
-        a = ref.coords[:, j]
-        b = U[:, j] * S[j]
-        assert min(np.abs(a - b).max(), np.abs(a + b).max()) < 1e-8
+    # None: all 20 pairs on the dense path; 6: the top 6 through ARPACK
+    for n_components in (None, 6):
+        ref = build_reference(X, u, sigma=sigma, n_components=n_components)
+        np.testing.assert_allclose(ref.singular_values, S[: ref.rank], atol=1e-8)
+        # reference coords A psi should equal U S up to column signs
+        for j in range(ref.rank):
+            a = ref.coords[:, j]
+            b = U[:, j] * S[j]
+            assert min(np.abs(a - b).max(), np.abs(a + b).max()) < 1e-8
 
 
 def test_singular_values_invariant_to_reference_order():
@@ -129,6 +131,16 @@ def test_extend_duplicate_of_training_point():
     coords = extend(ref, z)
     rel = np.abs(coords - ref.coords[7]) / np.maximum(np.abs(ref.coords[7]), 1e-12)
     assert rel.max() < 1e-6
+
+
+def test_extend_takes_exactly_one_point():
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(30, 4))
+    ref = build_reference(X, uniform_weights(30, 4), sigma=1.1)
+    np.testing.assert_array_equal(extend(ref, X[4]), extend(ref, X[4:5]))
+    np.testing.assert_array_equal(extend(ref, X[4]), extend_batch(ref, X[4:5])[0][0])
+    with pytest.raises(ValueError, match="one point, got 3 rows"):
+        extend(ref, X[:3])
 
 
 def test_extend_is_linear_in_normalized_rows():

@@ -209,6 +209,43 @@ def test_validate_records_the_exception_type_of_a_failed_fold(small_trial, monke
     assert report.summary_lines()[-1].endswith("error=FloatingPointError: boom")
 
 
+def test_fit_too_large_for_memory_fails_before_any_kernel(small_trial, monkeypatch, tmp_path, capsys):
+    import cohortmetric.harness as hz
+    import cohortmetric.metric as metric
+
+    kernels = []
+    monkeypatch.setattr(metric, "gaussian_kernel", lambda *a, **k: kernels.append(a))
+    n, m = small_trial.data.values.shape
+    need = hz.estimate_fit_bytes(n, m)
+    monkeypatch.setattr(hz, "_physical_memory_bytes", lambda: need - 1)
+    with pytest.raises(hz.FitTooLargeError) as info:
+        fit_pipeline(small_trial.data, small_trial.records, RunConfig(seed=21, **FAST))
+    assert isinstance(info.value, ValueError)
+    msg = str(info.value)
+    assert f"n={n} " in msg and f"m={m} " in msg
+    assert f"{need / 1e6:.0f} MB" in msg and f"{(need - 1) / 1e6:.0f} MB" in msg
+    assert kernels == []
+
+    monkeypatch.setattr(hz, "_physical_memory_bytes", lambda: 1)
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["fit", "--config", str(cfg), "--data", str(out / "dataset.csv"),
+                 "--out", str(out)]) == 1
+    assert "physical memory" in capsys.readouterr().err
+    assert kernels == []
+
+
+def test_fit_memory_estimate_grows_with_size():
+    from cohortmetric.harness import estimate_fit_bytes
+
+    assert estimate_fit_bytes(2000, 9) < estimate_fit_bytes(4500, 9)
+    assert estimate_fit_bytes(2000, 9) < estimate_fit_bytes(2000, 30)
+    # the two measured peaks (579 and 923 MB) are covered within 10%
+    assert 579e6 <= estimate_fit_bytes(2000, 9) <= 1.1 * 579e6
+    assert 923e6 <= estimate_fit_bytes(4500, 9) <= 1.1 * 923e6
+
+
 # --- recommendation -------------------------------------------------------------------
 
 
