@@ -19,7 +19,6 @@ from .extension import (
     asymmetric_kernel,
     build_reference,
     build_reference_from_metric,
-    estimate_for_new_point,
     extend,
     extend_batch,
 )

@@ -117,8 +117,7 @@ def cmd_fit(args) -> int:
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     io.save_model(out / "model", model)
-    status = "converged" if model.metric.converged else "not converged (flagged)"
-    print(f"fit complete: {model.metric.iterations} iterations, {status}")
+    print(f"fit complete: {model.metric.iterations} iterations")
     return 0
 
 

@@ -57,8 +57,7 @@ class RunConfig:
     radius: float | None = None
     balance_threshold: float = BALANCE_THRESHOLD
     c_threshold: float = 0.5
-    tol: float = 1e-3
-    max_iters: int = 10
+    max_iters: int = 10  # weight steps per fit
     repeats: int = 20
     train_fraction: float = 0.8
 
@@ -103,8 +102,8 @@ class RunConfig:
             raise ConfigError("balance_threshold must be in [0.5, 1)")
         if not self.c_threshold >= 0:
             raise ConfigError("c_threshold must be nonnegative")
-        if not self.tol > 0 or self.max_iters < 1:
-            raise ConfigError("tol must be positive and max_iters >= 1")
+        if self.max_iters < 1:
+            raise ConfigError("max_iters must be >= 1")
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1")
         if not 0.0 < self.train_fraction < 1.0:
@@ -127,9 +126,19 @@ class RunConfig:
         return asdict(self)
 
     def replace(self, **kw) -> "RunConfig":
-        d = self.to_dict()
-        d.update(kw)
-        return RunConfig(**d)
+        return RunConfig.from_dict({**self.to_dict(), **kw})
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "RunConfig":
+        """The one dict-to-config routine; unknown keys and values of the
+        wrong type raise ConfigError."""
+        unknown = set(raw) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        try:
+            return cls(**raw)
+        except TypeError as exc:
+            raise ConfigError(f"invalid config: {exc}") from exc
 
 
 def load_config(path) -> tuple[RunConfig, TrialSpec | None]:
@@ -150,11 +159,4 @@ def load_config(path) -> tuple[RunConfig, TrialSpec | None]:
             trial = TrialSpec.from_dict(raw.pop("trial"))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid trial spec: {exc}") from exc
-    known = {f.name for f in fields(RunConfig)}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    try:
-        return RunConfig(**raw), trial
-    except TypeError as exc:
-        raise ConfigError(f"invalid config: {exc}") from exc
+    return RunConfig.from_dict(raw), trial

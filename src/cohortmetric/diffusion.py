@@ -112,16 +112,23 @@ def median_bandwidth(X, subsample: int = 2000) -> float:
     return float(np.median(nz))
 
 
-def _assemble(n, row_block_fn, tau):
+def _rows_per_block(n_cols: int, m: int) -> int:
+    """Rows per block so that a (rows, n_cols, m) float temporary holds at
+    most 2^21 floats (16 MB); at least one row."""
+    return max(1, (1 << 21) // max(n_cols * m, 1))
+
+
+def _assemble(n, row_block_fn, tau, m=1):
     """Assemble a dense symmetric kernel from a row-block function.
 
     row_block_fn(i0, i1, j0) must return dense rows [i0, i1) against columns
     [j0, n); only these upper-triangular blocks are computed and mirrored.
-    Thresholding at tau happens on the symmetric entries (never per row) and
-    the diagonal is always kept.
+    m is the feature depth of its (rows, n, m) temporaries, 1 when it has
+    none. Thresholding at tau happens on the symmetric entries (never per
+    row) and the diagonal is always kept.
     """
     K = np.empty((n, n))
-    block = max(1, (1 << 21) // max(n, 1))
+    block = _rows_per_block(n, m)
     for i0 in range(0, n, block):
         i1 = min(n, i0 + block)
         B = row_block_fn(i0, i1, i0)

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataMatrix, as_values
-from .diffusion import _fix_signs, _top_eigenpairs
-from .metric import CohortFunctional, NeighborhoodRule, RegularizedMetric, WeightField, neighborhood_indices
-from .survival import CohortTooSmallError
+from .diffusion import _fix_signs, _rows_per_block, _top_eigenpairs
+from .metric import RegularizedMetric, WeightField
 
 SINGULAR_CUTOFF = 1e-10
 
@@ -78,7 +77,7 @@ def asymmetric_kernel(Z, x_ref, weights, sigma: float, tau: float = 0.0) -> np.n
     w_inv = 1.0 / u  # W_x^{-1} diagonals
     half_logdet = 0.5 * np.log(u).sum(axis=1)  # log sqrt(det W_x)
     out = np.empty((Zv.shape[0], Xr.shape[0]))
-    block = max(1, (1 << 21) // max(Xr.shape[0], 1))
+    block = _rows_per_block(*Xr.shape)
     for i0 in range(0, Zv.shape[0], block):
         i1 = min(Zv.shape[0], i0 + block)
         diff2 = (Zv[i0:i1, None, :] - Xr[None, :, :]) ** 2
@@ -163,20 +162,6 @@ def extend_batch(ref: ReferenceEmbedding, Z):
     A_rows = rows[in_support] / np.sqrt(row_sums[in_support])[:, None] / np.sqrt(ref.d2)[None, :]
     coords[in_support] = A_rows @ ref.psi
     return coords, in_support
-
-
-def estimate_for_new_point(ref: ReferenceEmbedding, F: CohortFunctional, z,
-                           rule: NeighborhoodRule) -> float:
-    """F over the training neighborhood of a new point.
-
-    The neighborhood is drawn from reference (training) points only; the
-    cohort-too-small signal propagates with the achieved size.
-    """
-    z_coords = extend(ref, z)
-    nbhd = neighborhood_indices(ref.coords, z_coords, rule)
-    if nbhd.size < F.min_cohort:
-        raise CohortTooSmallError(nbhd.size, F.min_cohort)
-    return F(nbhd)
 
 
 def build_reference_from_metric(X, metric: RegularizedMetric,

@@ -51,15 +51,14 @@ class FitTooLargeError(ValueError):
 
 
 def estimate_fit_bytes(n: int, m: int) -> int:
-    """Estimated peak resident bytes of `fit_pipeline` on n points, m features.
+    """Upper estimate of the peak resident bytes of `fit_pipeline` on n points
+    and m features.
 
-    During a weighted-kernel step three dense n x n float arrays are held (the
-    unweighted kernel, the previous and the new weighted kernel), plus the
-    larger of the kernel symmetry check's two n x n temporaries and the
-    temporaries of one row block of min(n^2, 2^21) pairs, about 5 + 2m floats
-    per pair; 100 MB is the interpreter with numpy and scipy loaded. Measured
-    sphere fits (m=9, 2-vCPU host, one BLAS thread) peak at 140, 579 and
-    923 MB for n=400, 2000 and 4500, against estimates of 133, 582 and 972 MB.
+    8 bytes times 3n^2 + max(2n^2, min(n^2, 2^21) * (5 + 2m)) floats, plus
+    100 MB for the interpreter with numpy and scipy loaded. Measured sphere
+    fits (m=9, 2-vCPU host, one BLAS thread) peak at 138, 204 and 642 MB for
+    n=400, 2000 and 4500, against estimates of 133, 582 and 972 MB: above a
+    few hundred points the guard errs on the side of refusing a fit.
     """
     pairs = min(n * n, 2**21)
     return int(100e6 + 8 * (3 * n * n + max(2 * n * n, pairs * (5 + 2 * m))))

@@ -202,13 +202,11 @@ def save_model(model_dir, model) -> None:
         "eigenvalues": [float(v) for v in eigen.eigenvalues],
         "diffusion_time": eigen.t,
         "dim": eigen.d,
-        "converged": model.metric.converged,
         "iterations": model.metric.iterations,
         "feature_names": list(model.feature_names),
     }
     write_json(d / "config.json", meta)
-    report_lines = ["fit diagnostics", f"iterations: {model.metric.iterations}",
-                    f"converged: {model.metric.converged}"]
+    report_lines = ["fit diagnostics", f"iterations: {model.metric.iterations}"]
     for i, h in enumerate(model.metric.history, start=1):
         report_lines.append(
             f"iter {i}: weight_change={h.weight_change:.6g} sigma={h.sigma:.6g} "
@@ -228,7 +226,7 @@ def load_model(model_dir):
 
     d = Path(model_dir)
     meta = read_json(d / "config.json")
-    config = RunConfig(**meta["config"])
+    config = RunConfig.from_dict(meta["config"])
     train_ids, x_ref, feature_names = read_matrix_csv(d / "xref.csv")
     _, records = read_records_csv(d / "train_records.csv")
     _, point_weights, _ = read_matrix_csv(d / "weights.csv")
@@ -263,7 +261,6 @@ def load_model(model_dir):
         neighborhood=config.resolve_neighborhood(x_ref.shape[0], config.min_cohort),
         sigma=float(meta["sigma"]),
         tau=float(meta["tau"]),
-        converged=bool(meta["converged"]),
         iterations=int(meta["iterations"]),
         history=(),
     )

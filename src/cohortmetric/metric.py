@@ -3,7 +3,9 @@
 Folder-level feature weights score each feature's power to discriminate a
 cohort functional F (size-weighted variance of F over value bins), decay-sum
 to per-point diagonal metrics, and feed the locally weighted PSD kernel. The
-main loop alternates embedding and weights until the weight field stabilizes.
+fit runs a fixed number of steps of tree -> weights -> weighted kernel ->
+embedding, and returns the last step's tree, weights and the embedding of the
+kernel those weights build.
 """
 
 from __future__ import annotations
@@ -99,7 +101,6 @@ class RegularizedMetric:
     neighborhood: NeighborhoodRule
     sigma: float
     tau: float
-    converged: bool
     iterations: int
     history: tuple
 
@@ -269,7 +270,7 @@ def weighted_kernel(X, weights, sigma: float | None = None, tau: float = 0.0) ->
             logdet = np.log(a).sum(axis=2)
         return np.exp(-q / sigma**2 - 0.5 * logdet)
 
-    K = _assemble(n, block, tau)
+    K = _assemble(n, block, tau, values.shape[1])
     return AffinityMatrix(K, float(sigma), float(tau))
 
 
@@ -295,13 +296,24 @@ def _build_tree(emb: DiffusionEmbedding, config: RunConfig, n: int, seed: int) -
     return build_topdown(emb, config.branching, config.resolve_min_folder(n), seed)
 
 
-def fit_weighted_metric(X, F: CohortFunctional, config: RunConfig = RunConfig()) -> RegularizedMetric:
-    """Alternate embedding and weight computation until the weights stabilize.
+def _weight_change(prev: WeightField | None, new: WeightField) -> float:
+    """Relative Frobenius change of the point weights; NaN on the first step."""
+    if prev is None:
+        return np.nan
+    prev_norm = float(np.linalg.norm(prev.point_weights))
+    diff_norm = float(np.linalg.norm(new.point_weights - prev.point_weights))
+    return diff_norm / prev_norm if prev_norm > 0 else (0.0 if diff_norm == 0 else np.inf)
 
-    Starts from the unweighted Gaussian diffusion embedding, then repeats
-    weighted kernel -> embedding -> tree -> weights until the relative
-    Frobenius change of the point-weight matrix drops below tol (or max_iters
-    is hit, which flags the result non-converged but still returns it).
+
+def fit_weighted_metric(X, F: CohortFunctional, config: RunConfig = RunConfig()) -> RegularizedMetric:
+    """Run `config.max_iters` steps of tree -> weights -> weighted kernel -> embedding.
+
+    Starts from the unweighted Gaussian diffusion embedding; step `it`
+    (0-based) builds its tree with seed `config.seed + it`. The result holds
+    the last step's tree, the weights computed on it, and the embedding and
+    bandwidth of the weighted kernel those weights build, so the reference
+    decomposition serves the same geometry as `embedding`. Each kernel is
+    freed once embedded. `history` has one record per step.
     The default neighborhood is sized from F's own minimum cohort, not from
     `config.min_cohort`.
     """
@@ -311,51 +323,35 @@ def fit_weighted_metric(X, F: CohortFunctional, config: RunConfig = RunConfig())
         raise ValueError(
             f"need at least two valid cohorts: n={n} < 2c={2 * F.min_cohort}"
         )
-    K0 = gaussian_kernel(values, sigma=config.sigma0, tau=config.tau)
-    emb = spectral_embed(markov_normalize(K0), t=config.time, d=config.dim)
-    tree = _build_tree(emb, config, n, config.seed)
-    W = compute_weight_field(values, F, tree, config)
-
+    emb = spectral_embed(
+        markov_normalize(gaussian_kernel(values, sigma=config.sigma0, tau=config.tau)),
+        t=config.time, d=config.dim,
+    )
+    W = None
     history: list[IterationDiagnostics] = []
-    converged = False
-    iterations = 0
-    sigma_used = K0.sigma
-    for it in range(1, config.max_iters + 1):
-        K = weighted_kernel(values, W, sigma=config.sigma_weighted, tau=config.tau)
-        sigma_used = K.sigma
-        emb = spectral_embed(markov_normalize(K), t=config.time, d=config.dim)
+    for it in range(config.max_iters):
         tree = _build_tree(emb, config, n, config.seed + it)
-        W_new = compute_weight_field(values, F, tree, config)
-        prev_norm = float(np.linalg.norm(W.point_weights))
-        diff_norm = float(np.linalg.norm(W_new.point_weights - W.point_weights))
-        change = diff_norm / prev_norm if prev_norm > 0 else (0.0 if diff_norm == 0 else np.inf)
+        W_prev, W = W, compute_weight_field(values, F, tree, config)
+        K = weighted_kernel(values, W, sigma=config.sigma_weighted, tau=config.tau)
+        sigma = K.sigma
+        emb = spectral_embed(markov_normalize(K), t=config.time, d=config.dim)
+        del K  # one n x n kernel at a time
         history.append(
             IterationDiagnostics(
-                weight_change=change,
-                sigma=K.sigma,
-                lam=W_new.lam,
+                weight_change=_weight_change(W_prev, W),
+                sigma=sigma,
+                lam=W.lam,
                 top_eigenvalues=tuple(np.round(emb.eigenvalues[:4], 6)),
             )
-        )
-        W = W_new
-        iterations = it
-        if change < config.tol:
-            converged = True
-            break
-    if not converged:
-        logger.warning(
-            "weight iteration did not converge in %d iterations (last change %.3g)",
-            config.max_iters, history[-1].weight_change if history else np.nan,
         )
     return RegularizedMetric(
         embedding=emb,
         weights=W,
         tree=tree,
         neighborhood=config.resolve_neighborhood(n, F.min_cohort),
-        sigma=sigma_used,
+        sigma=sigma,
         tau=config.tau,
-        converged=converged,
-        iterations=iterations,
+        iterations=config.max_iters,
         history=tuple(history),
     )
 

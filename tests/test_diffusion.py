@@ -79,6 +79,26 @@ def test_gaussian_truncation_keeps_symmetry_and_diagonal():
     assert np.all((off == 0) | (off >= 0.2))
 
 
+def test_row_blocks_cap_temporaries_without_changing_entries(monkeypatch):
+    from cohortmetric import extension
+    from cohortmetric.metric import weighted_kernel
+
+    assert diffusion._rows_per_block(2000, 9) * 2000 * 9 <= 2**21
+    assert diffusion._rows_per_block(2000, 1) == 2**21 // 2000
+    assert diffusion._rows_per_block(10**7, 9) == 1
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(800, 9))
+    u = rng.uniform(0.1, 3.0, size=(800, 9))
+    Z = rng.normal(size=(400, 9))
+    # 800 x 9 columns take 291 rows per block: three blocks, against one below
+    K = weighted_kernel(X, u, sigma=1.2).entries
+    A = extension.asymmetric_kernel(Z, X, u, sigma=1.2)
+    monkeypatch.setattr(diffusion, "_rows_per_block", lambda n_cols, m: 10**6)
+    monkeypatch.setattr(extension, "_rows_per_block", lambda n_cols, m: 10**6)
+    assert np.array_equal(weighted_kernel(X, u, sigma=1.2).entries, K)
+    assert np.array_equal(extension.asymmetric_kernel(Z, X, u, sigma=1.2), A)
+
+
 def test_correlation_kernel_values():
     X = np.array([[1.0, 0.0], [1.0, 1.0], [-1.0, 0.0], [2.0, 0.0]])
     K = correlation_kernel(X).entries

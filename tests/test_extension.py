@@ -1,23 +1,14 @@
 import numpy as np
 import pytest
 
-from cohortmetric.config import RunConfig
 from cohortmetric.extension import (
     OutOfSupportError,
     asymmetric_kernel,
     build_reference,
-    build_reference_from_metric,
-    estimate_for_new_point,
     extend,
     extend_batch,
 )
-from cohortmetric.metric import (
-    CohortFunctional,
-    NeighborhoodRule,
-    fit_weighted_metric,
-    weighted_kernel,
-)
-from cohortmetric.survival import CohortTooSmallError, UndefinedCohortValue
+from cohortmetric.metric import weighted_kernel
 
 
 def uniform_weights(n, m, value=1.0):
@@ -174,48 +165,3 @@ def test_far_outlier_flagged_out_of_support():
     coords, ok = extend_batch(ref, np.vstack([X[0], z]))
     assert ok.tolist() == [True, False]
     assert np.isnan(coords[1]).all()
-
-
-# --- estimate_for_new_point --------------------------------------------------------------
-
-
-def test_new_point_estimate_matches_training_estimate():
-    rng = np.random.default_rng(8)
-    X = rng.uniform(size=(150, 3))
-    labels = X[:, 0] * 2.0
-    F = CohortFunctional.from_labels(labels, 6)
-    metric = fit_weighted_metric(X, F, RunConfig(dim=3, min_folder=12, seed=1, max_iters=2))
-    ref = build_reference_from_metric(X, metric)
-    rule = NeighborhoodRule("knn", k=10)
-    z = X[42].copy()
-    got = estimate_for_new_point(ref, F, z, rule)
-    nbhd_train = np.argsort(np.linalg.norm(ref.coords - ref.coords[42], axis=1), kind="stable")[:10]
-    np.testing.assert_allclose(got, labels[nbhd_train].mean(), rtol=1e-9)
-
-
-def test_new_point_knn_matches_bruteforce_oracle():
-    rng = np.random.default_rng(9)
-    X = rng.uniform(size=(80, 3))
-    labels = np.cos(X[:, 1])
-    F = CohortFunctional.from_labels(labels, 5)
-    ref = build_reference(X, uniform_weights(80, 3, 2.0), sigma=1.0)
-    z = rng.uniform(size=3)
-    zc = extend(ref, z)
-    d = np.linalg.norm(ref.coords - zc[None, :], axis=1)
-    brute = np.argsort(d, kind="stable")[:5]
-    got = estimate_for_new_point(ref, F, z, NeighborhoodRule("knn", k=5))
-    np.testing.assert_allclose(got, labels[brute].mean(), rtol=1e-12)
-
-
-def test_new_point_estimate_propagates_undefined():
-    def fn(idx):
-        raise UndefinedCohortValue("single-arm cohort")
-
-    F = CohortFunctional(fn, 3)
-    rng = np.random.default_rng(10)
-    X = rng.normal(size=(30, 2))
-    ref = build_reference(X, uniform_weights(30, 2), sigma=1.0)
-    with pytest.raises(UndefinedCohortValue):
-        estimate_for_new_point(ref, F, X[0], NeighborhoodRule("knn", k=5))
-    with pytest.raises(CohortTooSmallError):
-        estimate_for_new_point(ref, F, X[0], NeighborhoodRule("radius", eps=1e-15))

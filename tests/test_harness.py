@@ -59,7 +59,7 @@ def test_config_ranges():
     ("tau", -1.0), ("tau", np.nan), ("sigma0", 0.0), ("sigma_weighted", np.nan),
     ("weight_lam", -1.0), ("weight_alpha", -0.5), ("weight_alpha", np.inf),
     ("min_folder", 0), ("tree_method", "kmeans"), ("bottomup_eps", 0.0), ("knn", 0),
-    ("radius", np.nan), ("tol", 0.0), ("tol", np.nan), ("max_iters", 0), ("seed", -1),
+    ("radius", np.nan), ("max_iters", 0), ("seed", -1),
     ("branching", 2.5), ("max_iters", 1.5), ("knn", 7.5), ("min_folder", 5.5), ("k_bins", True),
 ])
 def test_invalid_metric_knob_reaches_the_fit_only_as_config_error(knob, value):
@@ -273,7 +273,7 @@ def test_fit_constant_outcomes_zero_weights():
     cfg = RunConfig(seed=33, dim=3, max_iters=3, min_cohort=15, min_folder=20)
     model = fit_pipeline(X, records, cfg)
     np.testing.assert_allclose(model.metric.weights.point_weights, 0.0)
-    assert model.metric.converged and model.metric.iterations == 1
+    assert model.metric.iterations == cfg.max_iters
 
 
 def test_fit_sphere_top_weights_are_effect_features():
@@ -350,6 +350,38 @@ def test_new_points_must_be_rows(small_trial, small_model):
     assert one.coords.shape == (1, small_model.ref.rank)
 
 
+def test_predict_cohorts_are_the_nearest_reference_points(small_trial, small_model, monkeypatch):
+    from dataclasses import replace
+
+    from cohortmetric.extension import extend_batch
+
+    Z = small_trial.data.values[:30] + 0.01
+    seen = []
+    detail = LocalAlphaFunctional.detail
+
+    def spy(self, indices):
+        seen.append(np.asarray(indices))
+        return detail(self, indices)
+
+    monkeypatch.setattr(LocalAlphaFunctional, "detail", spy)
+    predict(small_model, Z)
+    coords, _ = extend_batch(small_model.ref, Z)
+    k = small_model.metric.neighborhood.k
+    assert len(seen) == len(Z)
+    for z, nbhd in zip(coords, seen):
+        d = np.linalg.norm(small_model.ref.coords - z[None, :], axis=1)
+        assert np.array_equal(nbhd, np.argsort(d, kind="stable")[:k])
+
+    # a neighbourhood below min_cohort is reported, with no estimate
+    seen.clear()
+    small = replace(small_model, metric=replace(small_model.metric,
+                                                neighborhood=NeighborhoodRule("knn", k=5)))
+    preds = predict(small, Z)
+    assert seen == []
+    assert (preds.n_neighbors == 5).all() and np.isnan(preds.estimates).all()
+    assert not preds.balanced.any()
+
+
 def test_predict_balance_flag_is_the_cohort_estimate_flag(small_trial, monkeypatch):
     cfg = RunConfig(seed=21, **{**FAST, "max_iters": 1}, balance_threshold=0.6)
     model = fit_pipeline(small_trial.data, small_trial.records, cfg)
@@ -388,6 +420,20 @@ def test_loaded_model_keeps_neighborhood_rule(tmp_path, small_trial):
         io.save_model(tmp_path / name, model)
         assert model.metric.neighborhood == rule, name
         assert io.load_model(tmp_path / name).metric.neighborhood == rule, name
+
+
+def test_stale_config_key_in_a_saved_model_is_a_config_error(tmp_path, small_trial, small_model):
+    model_dir = tmp_path / "model"
+    io.save_model(model_dir, small_model)
+    meta = json.loads((model_dir / "config.json").read_text())
+    meta["config"]["tol"] = 1e-3
+    (model_dir / "config.json").write_text(json.dumps(meta))
+    with pytest.raises(ConfigError, match="tol"):
+        io.load_model(model_dir)
+    data = tmp_path / "data.csv"
+    io.write_dataset_csv(data, small_trial.data, small_trial.records)
+    assert main(["recommend", "--model", str(model_dir), "--data", str(data),
+                 "--out", str(tmp_path / "rec")]) == 2
 
 
 # --- CLI -------------------------------------------------------------------------------

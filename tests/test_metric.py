@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from cohortmetric.config import RunConfig
+from cohortmetric.diffusion import markov_normalize, spectral_embed
 from cohortmetric.metric import (
     Bin,
     CohortFunctional,
     NeighborhoodRule,
     aggregate_point_weights,
     bin_feature,
+    compute_weight_field,
     folder_weight,
     fit_weighted_metric,
     multiscale_estimate,
@@ -238,10 +240,61 @@ def test_algorithm_constant_functional_one_iteration():
     rng = np.random.default_rng(6)
     X = rng.normal(size=(80, 4))
     F = constant_functional(2.0, c=5)
-    metric = fit_weighted_metric(X, F, RunConfig(dim=3, min_folder=10, seed=0))
-    assert metric.converged and metric.iterations == 1
+    cfg = RunConfig(dim=3, min_folder=10, seed=0)
+    metric = fit_weighted_metric(X, F, cfg)
+    assert metric.iterations == cfg.max_iters
     np.testing.assert_allclose(metric.weights.point_weights, 0.0)
     np.testing.assert_allclose(metric.weights.inv_diag(), 1e6)
+
+
+@pytest.fixture(scope="module")
+def loop_fit():
+    rng = np.random.default_rng(13)
+    X = rng.uniform(size=(150, 4))
+    F = CohortFunctional.from_labels(np.sin(4 * X[:, 0]) + X[:, 1], 8)
+    cfg = RunConfig(dim=3, min_folder=12, seed=2, max_iters=3)
+    return X, F, cfg, fit_weighted_metric(X, F, cfg)
+
+
+def test_fit_embedding_is_built_from_the_returned_weights(loop_fit):
+    X, _, cfg, metric = loop_fit
+    K = weighted_kernel(X, metric.weights, sigma=metric.sigma, tau=metric.tau)
+    emb = spectral_embed(markov_normalize(K), t=cfg.time, d=cfg.dim)
+    assert np.array_equal(emb.eigenvalues, metric.embedding.eigenvalues)
+    assert np.array_equal(emb.eigenvectors, metric.embedding.eigenvectors)
+
+
+def test_fit_weights_are_computed_on_the_returned_tree(loop_fit):
+    X, F, cfg, metric = loop_fit
+    W = compute_weight_field(X, F, metric.tree, cfg)
+    assert np.array_equal(W.point_weights, metric.weights.point_weights)
+    assert W.lam == metric.weights.lam
+
+
+def test_fit_builds_one_tree_and_one_weight_field_per_step(loop_fit, monkeypatch):
+    import cohortmetric.metric as metric_mod
+
+    X, F, cfg, _ = loop_fit
+    calls = {"tree": [], "weights": 0}
+    build, weigh = metric_mod.build_topdown, metric_mod.compute_weight_field
+
+    def tree_spy(emb, branching, min_folder, seed):
+        calls["tree"].append(seed)
+        return build(emb, branching, min_folder, seed)
+
+    def weight_spy(*args):
+        calls["weights"] += 1
+        return weigh(*args)
+
+    monkeypatch.setattr(metric_mod, "build_topdown", tree_spy)
+    monkeypatch.setattr(metric_mod, "compute_weight_field", weight_spy)
+    metric = fit_weighted_metric(X, F, cfg)
+    assert calls["tree"] == [cfg.seed + it for it in range(cfg.max_iters)]
+    assert calls["weights"] == cfg.max_iters
+    assert len(metric.history) == metric.iterations == cfg.max_iters
+    # no field precedes the first step's
+    assert np.isnan(metric.history[0].weight_change)
+    assert all(np.isfinite(h.weight_change) for h in metric.history[1:])
 
 
 def test_algorithm_upweights_driving_feature():
