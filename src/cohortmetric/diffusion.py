@@ -8,6 +8,7 @@ eigenvectors of P -> embedding coordinates lambda_k^t * phi_k.
 from __future__ import annotations
 
 import logging
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,7 @@ class AffinityMatrix:
     def __post_init__(self):
         K = np.asarray(self.entries, dtype=float)
         object.__setattr__(self, "entries", K)
-        max_asym = np.max(np.abs(K - K.T)) if K.size else 0.0
+        max_asym = _max_asymmetry(K)
         min_entry = K.min()
         diag = np.diagonal(K)
         if max_asym > 1e-12:
@@ -105,17 +106,68 @@ def median_bandwidth(X, subsample: int = 2000) -> float:
     if n > subsample:
         idx = np.unique(np.linspace(0, n - 1, subsample).astype(int))
         values = values[idx]
-    d = cdist(values, values)
-    nz = d[d > 0]
-    if nz.size == 0:
+    d = cdist(values, values, out=_empty_mapped((len(values), len(values)))).ravel()
+    # the zero distances sort first: the median of the rest, as np.median
+    # takes it, from one partition in place
+    zeros = d.size - np.count_nonzero(d)
+    size = d.size - zeros
+    if size == 0:
         return 1.0
-    return float(np.median(nz))
+    mid = [zeros + (size - 1) // 2, zeros + size // 2]
+    d.partition(mid)
+    return float(np.mean(d[mid]))
 
 
 def _rows_per_block(n_cols: int, m: int) -> int:
     """Rows per block so that a (rows, n_cols, m) float temporary holds at
     most 2^21 floats (16 MB); at least one row."""
     return max(1, (1 << 21) // max(n_cols * m, 1))
+
+
+# Arrays of at least this many bytes get their own anonymous memory map.
+MAPPED_MIN_BYTES = 1 << 20
+
+
+def _empty_mapped(shape) -> np.ndarray:
+    """Uninitialised float array; from MAPPED_MIN_BYTES up in its own
+    anonymous memory map, which is unmapped when the array is freed.
+
+    The fit's n x n kernels and operators, and the pairwise buffers of the
+    two bandwidth medians, come from here. On the malloc heap (glibc serves
+    an n=2000 kernel from it once its dynamic mmap threshold has risen) the
+    space a freed kernel leaves stays resident whenever a later small
+    allocation lands above it, and whether one does changes from one process
+    to the next: the serve-sphere peak RSS took 211 or 236 MB at random. A
+    mapped array gives its pages back as soon as it is freed.
+    """
+    nbytes = 8 * int(np.prod(shape))
+    if nbytes < MAPPED_MIN_BYTES:
+        return np.empty(shape)
+    # private, as malloc's own maps are: not shared with a forked child
+    return np.frombuffer(mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE), dtype=float).reshape(shape)
+
+
+def _max_asymmetry(K: np.ndarray) -> float:
+    """max |K - K^T|, over upper row blocks of at most 2^21 entries."""
+    n = K.shape[0]
+    block = _rows_per_block(n, 1)
+    maxima = []
+    for i0 in range(0, n, block):
+        D = K[i0:i0 + block, i0:] - K[i0:, i0:i0 + block].T
+        maxima.append(np.abs(D, out=D).max())
+    return np.max(maxima) if maxima else 0.0
+
+
+def _symmetrize(S: np.ndarray) -> None:
+    """S <- 0.5 * (S + S^T) in place, one upper row block at a time."""
+    n = S.shape[0]
+    block = _rows_per_block(n, 1)
+    for i0 in range(0, n, block):
+        i1 = min(n, i0 + block)
+        B = S[i0:i1, i0:] + S[i0:, i0:i1].T
+        B *= 0.5
+        S[i0:i1, i0:] = B
+        S[i1:, i0:i1] = B[:, i1 - i0:].T
 
 
 def _assemble(n, row_block_fn, tau, m=1):
@@ -127,7 +179,7 @@ def _assemble(n, row_block_fn, tau, m=1):
     none. Thresholding at tau happens on the symmetric entries (never per
     row) and the diagonal is always kept.
     """
-    K = np.empty((n, n))
+    K = _empty_mapped((n, n))
     block = _rows_per_block(n, m)
     for i0 in range(0, n, block):
         i1 = min(n, i0 + block)
@@ -174,7 +226,7 @@ def correlation_kernel(X) -> AffinityMatrix:
         raise ValueError(f"zero-norm rows at points {bad[:10].tolist()}")
     unit = values / norms[:, None]
     G = unit @ unit.T
-    G = 0.5 * (G + G.T)
+    _symmetrize(G)
     K = np.clip(G, 0.0, 1.0)
     np.fill_diagonal(K, 1.0)
     return AffinityMatrix(K, sigma=1.0, tau=0.0)
@@ -188,8 +240,9 @@ def markov_normalize(K: AffinityMatrix) -> MarkovOperator:
         bad = np.where(d <= 0)[0]
         raise ValueError(f"isolated points with zero affinity row sums: {bad[:10].tolist()}")
     inv_sqrt = 1.0 / np.sqrt(d)
-    S = A * inv_sqrt[:, None] * inv_sqrt[None, :]
-    S = 0.5 * (S + S.T)
+    S = np.multiply(A, inv_sqrt[:, None], out=_empty_mapped(A.shape))
+    S *= inv_sqrt[None, :]
+    _symmetrize(S)
     return MarkovOperator(S, d)
 
 

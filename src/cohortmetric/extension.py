@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataMatrix, as_values
-from .diffusion import _fix_signs, _rows_per_block, _top_eigenpairs
+from .diffusion import _empty_mapped, _fix_signs, _rows_per_block, _symmetrize, _top_eigenpairs
 from .metric import RegularizedMetric, WeightField
 
 SINGULAR_CUTOFF = 1e-10
@@ -76,7 +76,7 @@ def asymmetric_kernel(Z, x_ref, weights, sigma: float, tau: float = 0.0) -> np.n
         raise ValueError(f"sigma must be positive, got {sigma}")
     w_inv = 1.0 / u  # W_x^{-1} diagonals
     half_logdet = 0.5 * np.log(u).sum(axis=1)  # log sqrt(det W_x)
-    out = np.empty((Zv.shape[0], Xr.shape[0]))
+    out = _empty_mapped((Zv.shape[0], Xr.shape[0]))
     block = _rows_per_block(*Xr.shape)
     for i0 in range(0, Zv.shape[0], block):
         i1 = min(Zv.shape[0], i0 + block)
@@ -111,8 +111,8 @@ def build_reference(x_ref, weights, sigma: float, tau: float = 0.0,
         raise ValueError(f"zero kernel column sums at reference points {bad[:10].tolist()}")
     A /= np.sqrt(d1)[:, None]
     A /= np.sqrt(d2)[None, :]
-    gram = A.T @ A
-    gram = 0.5 * (gram + gram.T)
+    gram = np.matmul(A.T, A, out=_empty_mapped((A.shape[1], A.shape[1])))
+    _symmetrize(gram)
     k = Xr.shape[0] if n_components is None else min(n_components, Xr.shape[0])
     vals, vecs = _top_eigenpairs(gram, k)
     s = np.sqrt(np.clip(vals, 0.0, None))

@@ -54,14 +54,15 @@ def estimate_fit_bytes(n: int, m: int) -> int:
     """Upper estimate of the peak resident bytes of `fit_pipeline` on n points
     and m features.
 
-    8 bytes times 3n^2 + max(2n^2, min(n^2, 2^21) * (5 + 2m)) floats, plus
-    100 MB for the interpreter with numpy and scipy loaded. Measured sphere
-    fits (m=9, 2-vCPU host, one BLAS thread) peak at 138, 204 and 642 MB for
-    n=400, 2000 and 4500, against estimates of 133, 582 and 972 MB: above a
-    few hundred points the guard errs on the side of refusing a fit.
+    8 bytes times 2.2n^2 + min(n^2 m, 2^21) + 8nm floats, plus 125 MB for the
+    interpreter with numpy and scipy loaded. The peak holds two n x n arrays
+    (K and S while a kernel is normalized and embedded, or A and A'A in the
+    reference decomposition) with allocator slack, one kernel row block of at
+    most 2^21 floats, and a few n x m arrays. Measured sphere fits (m=9,
+    2-vCPU host, one BLAS thread) peak at 131, 196 and 467 MB for n=400, 2000
+    and 4500, against estimates of 140, 213 and 501 MB.
     """
-    pairs = min(n * n, 2**21)
-    return int(100e6 + 8 * (3 * n * n + max(2 * n * n, pairs * (5 + 2 * m))))
+    return int(125e6 + 8 * (2.2 * n * n + min(n * n * m, 2**21) + 8 * n * m))
 
 
 def _physical_memory_bytes() -> int:

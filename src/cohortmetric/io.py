@@ -203,6 +203,16 @@ def save_model(model_dir, model) -> None:
         "diffusion_time": eigen.t,
         "dim": eigen.d,
         "iterations": model.metric.iterations,
+        "history": [
+            {
+                # JSON has no NaN: the first step's undefined change is null
+                "weight_change": None if np.isnan(h.weight_change) else float(h.weight_change),
+                "sigma": float(h.sigma),
+                "lam": float(h.lam),
+                "top_eigenvalues": [float(v) for v in h.top_eigenvalues],
+            }
+            for h in model.metric.history
+        ],
         "feature_names": list(model.feature_names),
     }
     write_json(d / "config.json", meta)
@@ -210,7 +220,7 @@ def save_model(model_dir, model) -> None:
     for i, h in enumerate(model.metric.history, start=1):
         report_lines.append(
             f"iter {i}: weight_change={h.weight_change:.6g} sigma={h.sigma:.6g} "
-            f"lam={h.lam:.6g} top_eigenvalues={list(h.top_eigenvalues)}"
+            f"lam={h.lam:.6g} top_eigenvalues={[float(v) for v in h.top_eigenvalues]}"
         )
     (d / "report.txt").write_text("\n".join(report_lines) + "\n")
 
@@ -221,7 +231,7 @@ def load_model(model_dir):
     from .diffusion import DiffusionEmbedding
     from .extension import ReferenceEmbedding
     from .harness import FittedModel
-    from .metric import RegularizedMetric, WeightField
+    from .metric import IterationDiagnostics, RegularizedMetric, WeightField
     from .tree import PartitionTree
 
     d = Path(model_dir)
@@ -254,6 +264,15 @@ def load_model(model_dir):
         int(meta["dim"]),
     )
     tree = PartitionTree.from_lines((d / "tree.txt").read_text().splitlines())
+    history = tuple(
+        IterationDiagnostics(
+            weight_change=float("nan") if h["weight_change"] is None else h["weight_change"],
+            sigma=h["sigma"],
+            lam=h["lam"],
+            top_eigenvalues=tuple(h["top_eigenvalues"]),
+        )
+        for h in meta.get("history", [])  # models saved without it load with none
+    )
     metric = RegularizedMetric(
         embedding=embedding,
         weights=weights,
@@ -262,7 +281,7 @@ def load_model(model_dir):
         sigma=float(meta["sigma"]),
         tau=float(meta["tau"]),
         iterations=int(meta["iterations"]),
-        history=(),
+        history=history,
     )
     return FittedModel(
         metric=metric,

@@ -18,7 +18,15 @@ import numpy as np
 
 from .config import NeighborhoodRule, RunConfig
 from .data import as_values
-from .diffusion import AffinityMatrix, DiffusionEmbedding, _assemble, gaussian_kernel, markov_normalize, spectral_embed
+from .diffusion import (
+    AffinityMatrix,
+    DiffusionEmbedding,
+    _assemble,
+    _empty_mapped,
+    gaussian_kernel,
+    markov_normalize,
+    spectral_embed,
+)
 from .survival import CohortError, CohortTooSmallError
 from .tree import PartitionTree, build_bottomup, build_topdown
 
@@ -230,9 +238,11 @@ def _median_quadratic_scale(values: np.ndarray, u: np.ndarray, subsample: int = 
     n = values.shape[0]
     idx = np.unique(np.linspace(0, n - 1, min(n, subsample)).astype(int))
     V, U = values[idx], u[idx]
-    diff2 = (V[:, None, :] - V[None, :, :]) ** 2
-    a = U[:, None, :] + U[None, :, :]
-    q = (diff2 / a).sum(axis=2)
+    shape = (len(idx), len(idx), V.shape[1])
+    diff2 = np.subtract(V[:, None, :], V[None, :, :], out=_empty_mapped(shape))
+    np.square(diff2, out=diff2)
+    diff2 /= np.add(U[:, None, :], U[None, :, :], out=_empty_mapped(shape))
+    q = diff2.sum(axis=2)
     nz = q[q > 0]
     return float(np.median(nz)) if nz.size else 1.0
 

@@ -4,6 +4,11 @@ A tree is a list of levels; level 1 is the whole point set, the last level is
 all singletons, and every level partitions the points exactly. Folders that
 reach the stopping size are carried through unchanged until the singleton
 level is appended.
+
+The top-down tree is level-synchronous: one `kmeans_split` call splits every
+splittable folder of a level, its Lloyd iterations running over all of the
+level's points with a segment id per (restart, folder). The result is that
+of running k-means on each folder alone, in folder order, bit for bit.
 """
 
 from __future__ import annotations
@@ -152,45 +157,115 @@ def _kmeans_plus_plus_init_batch(coords, k, restarts, rng):
     return centers
 
 
-def kmeans_split(coords: np.ndarray, k: int, rng: np.random.Generator,
+def _pairwise_sum(term, lo: int, n: int) -> np.ndarray:
+    """Sum ``term(lo) .. term(lo + n - 1)`` in the order numpy's pairwise
+    reduction adds n contiguous values (eight running sums up to 128 terms,
+    halves beyond), so a batched sum over d equals ``.sum(axis=-1)`` over a
+    (..., d) array bit for bit. Each ``term(i)`` must return a new array."""
+    if n < 8:
+        acc = term(lo)
+        for i in range(lo + 1, lo + n):
+            acc += term(i)
+        return acc
+    if n <= 128:
+        r = [term(lo + j) for j in range(8)]
+        stop = lo + n - n % 8
+        for i in range(lo + 8, stop, 8):
+            for j in range(8):
+                r[j] += term(i + j)
+        acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for i in range(stop, lo + n):
+            acc += term(i)
+        return acc
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(term, lo, half) + _pairwise_sum(term, lo + half, n - half)
+
+
+def kmeans_split(coords: np.ndarray, sizes: list[int], k: int, rng: np.random.Generator,
                  restarts: int = KMEANS_RESTARTS) -> np.ndarray:
-    """Seeded k-means labels; best inertia over `restarts`, ties to the
-    earliest restart. All restarts run batched through Lloyd iterations;
-    empty clusters are repaired by reassigning the farthest point."""
+    """Seeded k-means labels for every folder of one tree level at once.
+
+    `coords` holds the folders' points folder after folder, `sizes` the
+    number of points in each. Each folder is seeded by k-means++ in folder
+    order. Then each Lloyd iteration is one pass over the (restart, point)
+    pairs still in play, with the (restart, folder) segment of each pair:
+    distances are (k, pairs), summed over d in numpy's reduction order, and
+    counts and center sums are bincounts keyed by restart, folder and
+    cluster. An empty cluster takes the farthest point of its restart and
+    folder. A restart whose labels repeat has reached a fixed point (the
+    same labels give the same centers), so it leaves play, and a folder
+    leaves once none of its restarts change. Per folder, the restart of
+    least inertia wins, ties to the earliest. The labels are those of
+    running k-means on each folder alone, bit for bit.
+    """
     n, d = coords.shape
-    centers = _kmeans_plus_plus_init_batch(coords, k, restarts, rng)
-    labels = np.zeros((restarts, n), dtype=int)
-    point_ids = np.arange(n)
+    sizes = np.asarray(sizes, dtype=int)
+    n_folders = len(sizes)
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    seg = np.repeat(np.arange(n_folders), sizes)
+    x_all = np.tile(coords.T, restarts)  # (d, restarts * n): one column per (restart, point)
+    n_segs = restarts * n_folders  # segment id: restart * n_folders + folder
+    centers = np.empty((d, k, n_segs))
+    for f in range(n_folders):
+        seeds = _kmeans_plus_plus_init_batch(coords[starts[f]:starts[f + 1]], k, restarts, rng)
+        centers[:, :, f::n_folders] = seeds.transpose(2, 1, 0)
+    seg_of = (np.arange(restarts)[:, None] * n_folders + seg).ravel()  # per (restart, point)
+    labels = np.zeros(restarts * n, dtype=int)
+    live = np.ones(n_segs, dtype=bool)
     for it in range(KMEANS_MAX_ITER):
-        d2 = ((coords[None, :, None, :] - centers[:, None, :, :]) ** 2).sum(axis=3)  # (R,n,k)
-        new_labels = np.argmin(d2, axis=2)
-        dist_to_own = np.take_along_axis(d2, new_labels[:, :, None], axis=2)[:, :, 0]
-        counts = np.stack([np.bincount(row, minlength=k) for row in new_labels])
-        empties = np.nonzero(counts == 0)
-        for r, j in zip(*empties):
-            far = int(np.argmax(dist_to_own[r]))
-            new_labels[r, far] = j
-            dist_to_own[r, far] = 0.0
-        if it > 0 and np.array_equal(new_labels, labels):
+        pairs = np.flatnonzero(live[seg_of])
+        if not len(pairs):
             break
-        labels = new_labels
-        onehot = np.zeros((restarts, n, k))
-        np.put_along_axis(onehot, labels[:, :, None], 1.0, axis=2)
-        sums = np.einsum("rnk,nd->rkd", onehot, coords)
-        cnts = onehot.sum(axis=1)
-        centers = sums / cnts[:, :, None]
-    d2 = ((coords[None, :, None, :] - centers[:, None, :, :]) ** 2).sum(axis=3)
-    inertia = np.take_along_axis(d2, labels[:, :, None], axis=2)[:, :, 0].sum(axis=1)
-    best = int(np.argmin(inertia))  # argmin keeps the earliest on ties
-    return labels[best]
+        s = seg_of[pairs]  # nondecreasing: each segment is one contiguous run
+        x = np.take(x_all, pairs, axis=1)
+        d2 = _own_center_d2(x, centers, s)
+        new = np.argmin(d2, axis=0)
+        own = d2.min(axis=0)  # the distance argmin picks, NaN included
+        key = s * k + new
+        counts = np.bincount(key, minlength=n_segs * k).reshape(n_segs, k)
+        for g, j in zip(*np.nonzero((counts == 0) & live[:, None])):
+            lo, hi = np.searchsorted(s, [g, g + 1])
+            far = lo + int(np.argmax(own[lo:hi]))
+            new[far] = j
+            own[far] = 0.0
+            key[far] = g * k + j
+        if it > 0:
+            live &= np.bincount(s[new != labels[pairs]], minlength=n_segs) > 0
+        labels[pairs] = new
+        upd = np.flatnonzero(live)
+        cnts = np.bincount(key, minlength=n_segs * k).reshape(n_segs, k)[upd].T
+        for j in range(d):
+            sums = np.bincount(key, weights=x[j], minlength=n_segs * k).reshape(n_segs, k)
+            centers[j][:, upd] = sums[upd].T / cnts
+    d2 = _own_center_d2(x_all, centers, seg_of)
+    own = np.take_along_axis(d2, labels[None], axis=0).reshape(restarts, n)
+    labels = labels.reshape(restarts, n)
+    out = np.empty(n, dtype=int)
+    for f in range(n_folders):
+        lo, hi = starts[f], starts[f + 1]
+        best = int(np.argmin(own[:, lo:hi].sum(axis=1)))  # argmin keeps the earliest on ties
+        out[lo:hi] = labels[best, lo:hi]
+    return out
+
+
+def _own_center_d2(x: np.ndarray, centers: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Squared distances (k, P) from each of P points, x (d, P), to the k
+    centers of its segment s; centers are (d, k, segments)."""
+    def term(j):
+        t = np.take(centers[j], s, axis=1)
+        np.subtract(x[j], t, out=t)
+        return np.square(t, out=t)
+    return _pairwise_sum(term, 0, x.shape[0])
 
 
 def build_topdown(emb: DiffusionEmbedding, k: int = 2, min_folder: int = 1,
                   seed: int = 0) -> PartitionTree:
-    """Recursive k-means on the embedded coordinates.
+    """Top-down k-means on the embedded coordinates, one level at a time.
 
-    Folders of size <= min_folder (or smaller than k) pass through unsplit;
-    once nothing splits, a singleton level is appended.
+    Every folder of a level larger than min_folder (and at least k) is split
+    by one `kmeans_split` call for the whole level; smaller folders pass
+    through unsplit. Once nothing splits, a singleton level is appended.
     """
     if k < 2:
         raise ValueError(f"branching factor must be >= 2, got {k}")
@@ -203,23 +278,26 @@ def build_topdown(emb: DiffusionEmbedding, k: int = 2, min_folder: int = 1,
     parents: list[list[int]] = [[-1]]
     while True:
         current = levels[-1]
+        split = [len(pts) > min_folder and len(pts) >= k for pts in current]
+        if not any(split):
+            break
+        members = [pts for pts, s in zip(current, split) if s]
+        sizes = [len(pts) for pts in members]
+        labels = kmeans_split(coords[np.concatenate(members)], sizes, k, rng)
+        per_folder = iter(np.split(labels, np.cumsum(sizes)[:-1]))
         nxt: list[np.ndarray] = []
         nxt_parents: list[int] = []
-        any_split = False
         for fid, pts in enumerate(current):
-            if len(pts) > min_folder and len(pts) >= k:
-                labels = kmeans_split(coords[pts], k, rng)
-                for j in range(k):
-                    part = pts[labels == j]
-                    if len(part):
-                        nxt.append(np.sort(part))
-                        nxt_parents.append(fid)
-                any_split = True
+            if split[fid]:
+                lab = next(per_folder)
+                # points are sorted within a folder, and a mask keeps that order
+                parts = [pts[lab == j] for j in range(k)]
             else:
-                nxt.append(pts)
-                nxt_parents.append(fid)
-        if not any_split:
-            break
+                parts = [pts]
+            for part in parts:
+                if len(part):
+                    nxt.append(part)
+                    nxt_parents.append(fid)
         levels.append(nxt)
         parents.append(nxt_parents)
     if len(levels) == 1 or any(len(pts) > 1 for pts in levels[-1]):

@@ -1,3 +1,5 @@
+import mmap
+
 import numpy as np
 import pytest
 from scipy.linalg import eig, eigh
@@ -97,6 +99,64 @@ def test_row_blocks_cap_temporaries_without_changing_entries(monkeypatch):
     monkeypatch.setattr(extension, "_rows_per_block", lambda n_cols, m: 10**6)
     assert np.array_equal(weighted_kernel(X, u, sigma=1.2).entries, K)
     assert np.array_equal(extension.asymmetric_kernel(Z, X, u, sigma=1.2), A)
+
+
+@pytest.mark.parametrize("rows", [None, 37])
+def test_markov_normalize_matches_the_unblocked_formula_bit_for_bit(rows, monkeypatch):
+    from cohortmetric.metric import weighted_kernel
+
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(600, 9))
+    u = rng.uniform(0.1, 3.0, size=(600, 9))
+    K = weighted_kernel(X, u, sigma=2.0)
+    if rows is not None:  # many row blocks instead of one
+        monkeypatch.setattr(diffusion, "_rows_per_block", lambda n_cols, m: rows)
+    op = markov_normalize(K)
+    inv_sqrt = 1.0 / np.sqrt(K.entries.sum(axis=1))
+    S = K.entries * inv_sqrt[:, None] * inv_sqrt[None, :]
+    S = 0.5 * (S + S.T)
+    assert op.S.tobytes() == S.tobytes()
+    emb = spectral_embed(op, t=1.0, d=6)
+    ref = spectral_embed(diffusion.MarkovOperator(S, op.row_sums), t=1.0, d=6)
+    assert emb.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+    assert emb.eigenvectors.tobytes() == ref.eigenvectors.tobytes()
+
+
+@pytest.mark.parametrize("rows", [None, 37])
+def test_asymmetry_check_reports_the_full_maximum(rows, monkeypatch):
+    if rows is not None:
+        monkeypatch.setattr(diffusion, "_rows_per_block", lambda n_cols, m: rows)
+    rng = np.random.default_rng(13)
+    G = rng.uniform(0.1, 1.0, size=(300, 300))
+    K = 0.5 * (G + G.T)
+    K[250, 3] += 3e-9
+    K[40, 41] += 1e-13
+    full = np.max(np.abs(K - K.T))
+    assert diffusion._max_asymmetry(K) == full
+    with pytest.raises(ValueError, match=f"max \\|K - K\\^T\\| = {full:.3g}$"):
+        diffusion.AffinityMatrix(K, sigma=1.0)
+    K[250, 3] -= 3e-9
+    diffusion.AffinityMatrix(K, sigma=1.0)  # 1e-13 is within the tolerance
+
+
+def _is_mapped(a) -> bool:
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return isinstance(a, memoryview) and isinstance(a.obj, mmap.mmap)
+
+
+def test_large_kernels_and_operators_get_their_own_mapping():
+    rng = np.random.default_rng(14)
+    X = rng.normal(size=(600, 4))  # 600^2 floats: 2.9 MB, above MAPPED_MIN_BYTES
+    K = gaussian_kernel(X)
+    op = markov_normalize(K)
+    ref = build_reference(X, np.ones_like(X), sigma=2.0, n_components=5)
+    assert _is_mapped(K.entries) and _is_mapped(op.S)
+    assert K.entries.flags.writeable and op.S.flags.c_contiguous
+    assert ref.psi.shape == (600, 5)
+    small = diffusion._empty_mapped((10, 10))
+    assert not _is_mapped(small) and small.shape == (10, 10)
+    assert not _is_mapped(gaussian_kernel(X[:50]).entries)
 
 
 def test_correlation_kernel_values():
@@ -220,6 +280,20 @@ def test_median_bandwidth_simple():
     X = np.array([[0.0], [1.0], [2.0]])
     # pairwise nonzero distances: 1,1,2 -> median 1
     assert median_bandwidth(X) == 1.0
+
+
+def test_median_bandwidth_is_the_median_of_the_nonzero_distances_bit_for_bit():
+    rng = np.random.default_rng(15)
+    for n in (1, 2, 3, 8, 41):
+        # integer points repeat, so some distances are zero
+        for X in (rng.normal(size=(n, 3)), rng.integers(0, 2, size=(n, 2)).astype(float)):
+            d = cdist(X, X)
+            nz = d[d > 0]
+            assert median_bandwidth(X) == (float(np.median(nz)) if nz.size else 1.0)
+    X = rng.normal(size=(2300, 4))  # subsampled to 2000 points: a mapped 32 MB buffer
+    sub = X[np.unique(np.linspace(0, 2299, 2000).astype(int))]
+    d = cdist(sub, sub)
+    assert median_bandwidth(X) == float(np.median(d[d > 0]))
 
 
 def test_embedding_deterministic():

@@ -241,9 +241,9 @@ def test_fit_memory_estimate_grows_with_size():
 
     assert estimate_fit_bytes(2000, 9) < estimate_fit_bytes(4500, 9)
     assert estimate_fit_bytes(2000, 9) < estimate_fit_bytes(2000, 30)
-    # the two measured peaks (579 and 923 MB) are covered within 10%
-    assert 579e6 <= estimate_fit_bytes(2000, 9) <= 1.1 * 579e6
-    assert 923e6 <= estimate_fit_bytes(4500, 9) <= 1.1 * 923e6
+    # the two measured peaks (196 and 467 MB) are covered within 10%
+    assert 196e6 <= estimate_fit_bytes(2000, 9) <= 1.1 * 196e6
+    assert 467e6 <= estimate_fit_bytes(4500, 9) <= 1.1 * 467e6
 
 
 # --- recommendation -------------------------------------------------------------------
@@ -335,6 +335,32 @@ def test_model_roundtrip_predictions_match(tmp_path, small_trial, small_model):
     p2 = predict(back, small_trial.data.values[:40])
     np.testing.assert_allclose(p1.coords, p2.coords, atol=1e-12)
     np.testing.assert_allclose(p1.estimates, p2.estimates, equal_nan=True)
+    # each step's diagnostics survive the round trip
+    assert len(back.metric.history) == back.metric.iterations == small_model.metric.iterations
+    for got, fitted in zip(back.metric.history, small_model.metric.history):
+        np.testing.assert_equal(got.weight_change, fitted.weight_change)  # NaN first
+        assert (got.sigma, got.lam) == (fitted.sigma, fitted.lam)
+        assert got.top_eigenvalues == fitted.top_eigenvalues
+
+
+def test_model_report_holds_plain_numbers(tmp_path, small_model):
+    import ast
+
+    io.save_model(tmp_path / "model", small_model)
+    lines = (tmp_path / "model" / "report.txt").read_text().splitlines()
+    assert lines[:2] == ["fit diagnostics", f"iterations: {small_model.metric.iterations}"]
+    assert len(lines) == 2 + small_model.metric.iterations
+    for i, line in enumerate(lines[2:], start=1):
+        assert "np." not in line
+        head, rest = line.split(": ", 1)
+        assert head == f"iter {i}"
+        body, eigen = rest.split(" top_eigenvalues=")
+        fields = dict(pair.split("=") for pair in body.split())
+        assert sorted(fields) == ["lam", "sigma", "weight_change"]
+        for value in fields.values():
+            float(value)  # raises on anything but a plain number
+        values = ast.literal_eval(eigen)
+        assert values and all(type(v) is float for v in values)
 
 
 def test_new_points_must_be_rows(small_trial, small_model):

@@ -225,6 +225,19 @@ def test_weighted_kernel_psd_with_extreme_spreads():
     assert vals[0] >= -1e-8 * vals[-1]
 
 
+def test_median_quadratic_scale_matches_the_plain_formula_bit_for_bit():
+    from cohortmetric.metric import _median_quadratic_scale
+
+    rng = np.random.default_rng(16)
+    for n, m in [(40, 2), (600, 9), (300, 12)]:
+        X = rng.normal(size=(n, m))
+        u = rng.uniform(0.1, 3.0, size=(n, m))
+        idx = np.unique(np.linspace(0, n - 1, min(n, 512)).astype(int))
+        V, U = X[idx], u[idx]
+        q = ((V[:, None, :] - V[None, :, :]) ** 2 / (U[:, None, :] + U[None, :, :])).sum(axis=2)
+        assert _median_quadratic_scale(X, u) == float(np.median(q[q > 0]))
+
+
 def test_weighted_kernel_exact_symmetry():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(30, 5))

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import cohortmetric.tree as tree_mod
 from cohortmetric.diffusion import DiffusionEmbedding, gaussian_kernel, markov_normalize, spectral_embed
+from cohortmetric.rng import substream
 from cohortmetric.tree import PartitionTree, build_bottomup, build_topdown
 
 
@@ -149,3 +151,145 @@ def test_invalid_parameters():
         build_topdown(embed_coords([[0.0], [1.0]]), k=1, min_folder=1)
     with pytest.raises(ValueError, match="eps"):
         build_bottomup(embed_coords([[0.0], [1.0]]), eps=0.0)
+
+
+@pytest.mark.parametrize("d", [1, 7, 8, 9, 17, 130, 300])
+def test_batched_distances_sum_over_d_as_numpy_does(d):
+    rng = np.random.default_rng(d)
+    x = rng.normal(size=(d, 50))
+    centers = rng.normal(size=(d, 3, 4))
+    s = rng.integers(4, size=50)
+    got = tree_mod._own_center_d2(x, centers, s)
+    diff = x[:, None, :] - centers[:, :, s]  # (d, k, points)
+    want = np.ascontiguousarray(diff.transpose(1, 2, 0) ** 2).sum(axis=-1)
+    assert got.tobytes() == want.tobytes()
+
+
+# --- per-folder oracle: k-means run folder by folder, one call each ---------
+
+
+def _oracle_seeds(coords, k, restarts, rng):
+    n, d = coords.shape
+    centers = np.empty((restarts, k, d))
+    first = rng.integers(n, size=restarts)
+    centers[:, 0] = coords[first]
+    d2 = ((coords[None, :, :] - centers[:, 0][:, None, :]) ** 2).sum(axis=2)
+    for j in range(1, k):
+        total = d2.sum(axis=1)
+        u = rng.random(restarts)
+        cum = np.cumsum(d2, axis=1)
+        pick = (cum < (u * total)[:, None]).sum(axis=1)
+        pick = np.minimum(pick, n - 1)
+        fallback = total <= 0
+        if np.any(fallback):
+            pick[fallback] = rng.integers(n, size=int(fallback.sum()))
+        centers[:, j] = coords[pick]
+        d2 = np.minimum(d2, ((coords[None, :, :] - centers[:, j][:, None, :]) ** 2).sum(axis=2))
+    return centers
+
+
+def _oracle_kmeans(coords, k, rng, restarts=25):
+    n, d = coords.shape
+    centers = _oracle_seeds(coords, k, restarts, rng)
+    labels = np.zeros((restarts, n), dtype=int)
+    for it in range(tree_mod.KMEANS_MAX_ITER):
+        d2 = ((coords[None, :, None, :] - centers[:, None, :, :]) ** 2).sum(axis=3)
+        new_labels = np.argmin(d2, axis=2)
+        dist_to_own = np.take_along_axis(d2, new_labels[:, :, None], axis=2)[:, :, 0]
+        counts = np.stack([np.bincount(row, minlength=k) for row in new_labels])
+        for r, j in zip(*np.nonzero(counts == 0)):
+            far = int(np.argmax(dist_to_own[r]))
+            new_labels[r, far] = j
+            dist_to_own[r, far] = 0.0
+        if it > 0 and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        onehot = np.zeros((restarts, n, k))
+        np.put_along_axis(onehot, labels[:, :, None], 1.0, axis=2)
+        centers = np.einsum("rnk,nd->rkd", onehot, coords) / onehot.sum(axis=1)[:, :, None]
+    d2 = ((coords[None, :, None, :] - centers[:, None, :, :]) ** 2).sum(axis=3)
+    inertia = np.take_along_axis(d2, labels[:, :, None], axis=2)[:, :, 0].sum(axis=1)
+    return labels[int(np.argmin(inertia))]
+
+
+def _oracle_topdown(coords, k, min_folder, seed):
+    """Tree lines of the per-folder build, and the splittable folder sizes of
+    each level that splits."""
+    n = coords.shape[0]
+    rng = substream(seed, "kmeans")
+    levels, parents, split_sizes = [[np.arange(n)]], [[-1]], []
+    while True:
+        nxt, nxt_parents, sizes = [], [], []
+        for fid, pts in enumerate(levels[-1]):
+            if len(pts) > min_folder and len(pts) >= k:
+                labels = _oracle_kmeans(coords[pts], k, rng)
+                sizes.append(len(pts))
+                for j in range(k):
+                    part = pts[labels == j]
+                    if len(part):
+                        nxt.append(np.sort(part))
+                        nxt_parents.append(fid)
+            else:
+                nxt.append(pts)
+                nxt_parents.append(fid)
+        if not sizes:
+            break
+        levels.append(nxt)
+        parents.append(nxt_parents)
+        split_sizes.append(sizes)
+    if len(levels) == 1 or any(len(pts) > 1 for pts in levels[-1]):
+        parents.append([fid for fid, pts in enumerate(levels[-1]) for _ in pts])
+        levels.append([np.array([p]) for pts in levels[-1] for p in pts])
+    lines = [",".join([str(li + 1), str(fid), str(parents[li][fid])] + [str(p) for p in pts])
+             for li, folders in enumerate(levels) for fid, pts in enumerate(folders)]
+    return lines, split_sizes
+
+
+def _diffusion_coords(seed, d, n=140):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 6))
+    if seed % 2:  # points on a sphere instead of a Gaussian cloud
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+    return spectral_embed(markov_normalize(gaussian_kernel(X, sigma=1.2)), t=1.0, d=d)
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+@pytest.mark.parametrize("d", [1, 5, 9, 12])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("min_folder", [1, 10])
+def test_level_batched_tree_matches_per_folder_oracle(seed, d, k, min_folder, monkeypatch):
+    emb = _diffusion_coords(seed, d)
+    calls = []
+    batched = tree_mod.kmeans_split
+
+    def counted(coords, sizes, *args, **kwargs):
+        calls.append([int(s) for s in sizes])
+        return batched(coords, sizes, *args, **kwargs)
+
+    monkeypatch.setattr(tree_mod, "kmeans_split", counted)
+    got = build_topdown(emb, k=k, min_folder=min_folder, seed=seed)
+    lines, split_sizes = _oracle_topdown(emb.coords, k, min_folder, seed)
+    assert got.to_lines() == lines
+    assert calls == split_sizes  # one call per level that splits, its folders in order
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_level_batched_tree_matches_oracle_on_repeated_points(k):
+    # few distinct points: coinciding seeds leave clusters empty, and the
+    # farthest-point repair and the uniform seeding fallback both run
+    rng = np.random.default_rng(k)
+    coords = rng.integers(0, 3, size=(90, 2)).astype(float)
+    coords[:30] = 0.0
+    got = build_topdown(embed_coords(coords), k=k, min_folder=1, seed=k)
+    assert got.to_lines() == _oracle_topdown(coords, k, 1, k)[0]
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 3])
+def test_level_batched_tree_matches_oracle_when_lloyd_is_cut_short(max_iter, monkeypatch):
+    # restarts stopped before convergence keep labels that are not the
+    # nearest centers of their final centers
+    monkeypatch.setattr(tree_mod, "KMEANS_MAX_ITER", max_iter)
+    emb = _diffusion_coords(5, 5)
+    for k in (2, 3):
+        got = build_topdown(emb, k=k, min_folder=10, seed=max_iter)
+        assert got.to_lines() == _oracle_topdown(emb.coords, k, 10, max_iter)[0]
