@@ -3,6 +3,11 @@
 Pipeline: kernel -> row-stochastic operator P (with its symmetric conjugate
 S = D^{-1/2} K D^{-1/2}) -> top eigenpairs of S, back-transformed to the right
 eigenvectors of P -> embedding coordinates lambda_k^t * phi_k.
+
+Also the package's shared kernel plumbing: row blocks (`_rows_per_block`),
+memory-mapped n x n buffers, and `_pairwise_sum`, the one reduction over
+features, which adds per-feature planes in numpy's pairwise order so that a
+feature-major kernel equals its (rows, cols, m) formula bit for bit.
 """
 
 from __future__ import annotations
@@ -119,9 +124,44 @@ def median_bandwidth(X, subsample: int = 2000) -> float:
 
 
 def _rows_per_block(n_cols: int, m: int) -> int:
-    """Rows per block so that a (rows, n_cols, m) float temporary holds at
-    most 2^21 floats (16 MB); at least one row."""
+    """Rows per block so that m (rows, n_cols) float planes hold at most
+    2^21 floats (16 MB) together; at least one row."""
     return max(1, (1 << 21) // max(n_cols * m, 1))
+
+
+# Kernel blocks take their rows as if 32 planes deep, so that a (rows, cols)
+# plane holds about 2^16 floats (512 KB): at n=2000, m=9, one BLAS thread,
+# the weighted kernel took 45 ms with planes of 2^16 floats, 48 ms with 2^18
+# and 55 ms with 2^14, and the Gaussian kernel 21 ms with 2^16 and 27 ms
+# with 2^21.
+PLANE_DEPTH = 32
+
+
+def _pairwise_sum(term, lo: int, n: int) -> np.ndarray:
+    """Sum ``term(lo) .. term(lo + n - 1)`` in the order numpy's pairwise
+    reduction adds n contiguous values (eight running sums up to 128 terms,
+    halves beyond), so a sum over per-feature planes equals ``.sum(axis=-1)``
+    over the feature-last array bit for bit. The package's one reduction
+    over features: each ``term(i)`` must return a new array, and the terms
+    are asked for once each, in increasing order."""
+    if n < 8:
+        acc = term(lo)
+        for i in range(lo + 1, lo + n):
+            acc += term(i)
+        return acc
+    if n <= 128:
+        r = [term(lo + j) for j in range(8)]
+        stop = lo + n - n % 8
+        for i in range(lo + 8, stop, 8):
+            for j in range(8):
+                r[j] += term(i + j)
+        acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for i in range(stop, lo + n):
+            acc += term(i)
+        return acc
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(term, lo, half) + _pairwise_sum(term, lo + half, n - half)
 
 
 # Arrays of at least this many bytes get their own anonymous memory map.
@@ -170,17 +210,18 @@ def _symmetrize(S: np.ndarray) -> None:
         S[i1:, i0:i1] = B[:, i1 - i0:].T
 
 
-def _assemble(n, row_block_fn, tau, m=1):
+def _assemble(n, row_block_fn, tau):
     """Assemble a dense symmetric kernel from a row-block function.
 
     row_block_fn(i0, i1, j0) must return dense rows [i0, i1) against columns
     [j0, n); only these upper-triangular blocks are computed and mirrored.
-    m is the feature depth of its (rows, n, m) temporaries, 1 when it has
-    none. Thresholding at tau happens on the symmetric entries (never per
-    row) and the diagonal is always kept.
+    Blocks take `_rows_per_block(n, PLANE_DEPTH)` rows, so that each
+    (rows, cols) plane holds about 2^16 floats. Thresholding at tau happens
+    on the symmetric entries (never per row) and the diagonal is always
+    kept.
     """
     K = _empty_mapped((n, n))
-    block = _rows_per_block(n, m)
+    block = _rows_per_block(n, PLANE_DEPTH)
     for i0 in range(0, n, block):
         i1 = min(n, i0 + block)
         B = row_block_fn(i0, i1, i0)

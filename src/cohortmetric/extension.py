@@ -3,7 +3,8 @@
 The asymmetric kernel against the training (reference) points is normalized
 on both sides, only the top eigenpairs of its Gram matrix A'A are computed,
 and new points embed through their normalized kernel rows. Test points never
-touch the weights or each other.
+touch the weights or each other. The kernel is built feature-major, one
+(rows, n_ref) plane per feature, and a batch's rows are normalized in place.
 """
 
 from __future__ import annotations
@@ -13,7 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataMatrix, as_values
-from .diffusion import _empty_mapped, _fix_signs, _rows_per_block, _symmetrize, _top_eigenpairs
+from .diffusion import (
+    PLANE_DEPTH,
+    _empty_mapped,
+    _fix_signs,
+    _pairwise_sum,
+    _rows_per_block,
+    _symmetrize,
+    _top_eigenpairs,
+)
 from .metric import RegularizedMetric, WeightField
 
 SINGULAR_CUTOFF = 1e-10
@@ -64,6 +73,8 @@ def asymmetric_kernel(Z, x_ref, weights, sigma: float, tau: float = 0.0) -> np.n
 
     rows indexed by the stacked points Z, columns by the reference points.
     Only the reference point's weights enter; determinants go through logs.
+    The quadratic form is a pairwise sum of per-feature (rows, n_ref)
+    planes, equal bit for bit to the sum over a (rows, n_ref, m) array.
     """
     Zv = _as_rows(Z)
     Xr = as_values(x_ref)
@@ -74,15 +85,26 @@ def asymmetric_kernel(Z, x_ref, weights, sigma: float, tau: float = 0.0) -> np.n
         raise ValueError("W_x diagonals must be positive")
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    w_inv = 1.0 / u  # W_x^{-1} diagonals
     half_logdet = 0.5 * np.log(u).sum(axis=1)  # log sqrt(det W_x)
+    # feature-major (m, points) copies: one (rows, n_ref) plane per feature
+    zt, xt, w_inv = Zv.T.copy(), Xr.T.copy(), (1.0 / u).T.copy()
     out = _empty_mapped((Zv.shape[0], Xr.shape[0]))
-    block = _rows_per_block(*Xr.shape)
+    block = _rows_per_block(Xr.shape[0], PLANE_DEPTH)
     for i0 in range(0, Zv.shape[0], block):
         i1 = min(Zv.shape[0], i0 + block)
-        diff2 = (Zv[i0:i1, None, :] - Xr[None, :, :]) ** 2
-        q = (diff2 * w_inv[None, :, :]).sum(axis=2)
-        out[i0:i1] = np.exp(-q / sigma**2 - half_logdet[None, :])
+
+        def term(y):
+            t = np.subtract.outer(zt[y, i0:i1], xt[y])
+            np.square(t, out=t)
+            t *= w_inv[y]
+            return t
+
+        # exp(-q / sigma**2 - half_logdet), in place
+        q = _pairwise_sum(term, 0, Xr.shape[1])
+        np.negative(q, out=q)
+        q /= sigma**2
+        q -= half_logdet
+        np.exp(q, out=out[i0:i1])
     if tau > 0:
         out = np.where(out >= tau, out, 0.0)
     return out
@@ -158,9 +180,13 @@ def extend_batch(ref: ReferenceEmbedding, Z):
     rows = asymmetric_kernel(Zv, ref.x_ref, ref.inv_diag, ref.sigma, ref.tau)
     row_sums = rows.sum(axis=1)
     in_support = row_sums > 0
+    if not in_support.all():
+        rows, row_sums = rows[in_support], row_sums[in_support]
+    # normalized in place: no copy of the kernel rows when all are in support
+    rows /= np.sqrt(row_sums)[:, None]
+    rows /= np.sqrt(ref.d2)[None, :]
     coords = np.full((Zv.shape[0], ref.rank), np.nan)
-    A_rows = rows[in_support] / np.sqrt(row_sums[in_support])[:, None] / np.sqrt(ref.d2)[None, :]
-    coords[in_support] = A_rows @ ref.psi
+    coords[in_support] = rows @ ref.psi
     return coords, in_support
 
 

@@ -54,15 +54,16 @@ def estimate_fit_bytes(n: int, m: int) -> int:
     """Upper estimate of the peak resident bytes of `fit_pipeline` on n points
     and m features.
 
-    8 bytes times 2.2n^2 + min(n^2 m, 2^21) + 8nm floats, plus 125 MB for the
-    interpreter with numpy and scipy loaded. The peak holds two n x n arrays
-    (K and S while a kernel is normalized and embedded, or A and A'A in the
-    reference decomposition) with allocator slack, one kernel row block of at
-    most 2^21 floats, and a few n x m arrays. Measured sphere fits (m=9,
-    2-vCPU host, one BLAS thread) peak at 131, 196 and 467 MB for n=400, 2000
-    and 4500, against estimates of 140, 213 and 501 MB.
+    8 bytes times 2.2n^2 + 2^20 + 8nm floats, plus 125 MB for the interpreter
+    with numpy and scipy loaded. The peak holds two n x n arrays (K and S
+    while a kernel is normalized and embedded, or A and A'A in the reference
+    decomposition) with allocator slack, one block of the feature-major
+    kernels' (rows, cols) planes of about 2^16 floats each, and a few n x m
+    arrays. Measured sphere fits (m=9, 2-vCPU host, one BLAS thread) peak at
+    110, 196-200 and 462-467 MB for n=400, 2000 and 4500, against estimates
+    of 136, 205 and 492 MB.
     """
-    return int(125e6 + 8 * (2.2 * n * n + min(n * n * m, 2**21) + 8 * n * m))
+    return int(125e6 + 8 * (2.2 * n * n + 2**20 + 8 * n * m))
 
 
 def _physical_memory_bytes() -> int:
@@ -113,10 +114,9 @@ def predict(model: FittedModel, Z) -> Predictions:
     estimates = np.full(n, np.nan)
     n_neighbors = np.zeros(n, dtype=int)
     balanced = np.zeros(n, dtype=bool)
-    for i in range(n):
-        if not in_support[i]:
-            continue
-        nbhd = neighborhood_indices(model.ref.coords, coords[i], rule)
+    rows = np.flatnonzero(in_support)
+    # one neighbourhood pass for the whole batch
+    for i, nbhd in zip(rows, neighborhood_indices(model.ref.coords, coords[rows], rule)):
         n_neighbors[i] = nbhd.size
         if nbhd.size < cfg.min_cohort:
             continue
@@ -157,6 +157,11 @@ class ValidationReport:
     histogram_counts: np.ndarray
 
     @property
+    def n_failed(self) -> int:
+        """Folds that raised instead of giving a score."""
+        return sum(f.error is not None for f in self.folds)
+
+    @property
     def median_correlation(self) -> float:
         return float(np.median(self.correlations)) if self.correlations.size else np.nan
 
@@ -167,6 +172,7 @@ class ValidationReport:
     def summary_lines(self) -> list[str]:
         lines = [
             f"folds: {len(self.folds)} (defined: {self.correlations.size})",
+            f"failed folds: {self.n_failed}",
             f"correlation mean: {self.mean_correlation:.4f}",
             f"correlation median: {self.median_correlation:.4f}",
         ]

@@ -5,7 +5,9 @@ cohort functional F (size-weighted variance of F over value bins), decay-sum
 to per-point diagonal metrics, and feed the locally weighted PSD kernel. The
 fit runs a fixed number of steps of tree -> weights -> weighted kernel ->
 embedding, and returns the last step's tree, weights and the embedding of the
-kernel those weights build.
+kernel those weights build. The weighted kernel is summed from per-feature
+planes, and `neighborhood_indices` answers a whole batch of centers in one
+pass.
 """
 
 from __future__ import annotations
@@ -19,10 +21,12 @@ import numpy as np
 from .config import NeighborhoodRule, RunConfig
 from .data import as_values
 from .diffusion import (
+    PLANE_DEPTH,
     AffinityMatrix,
     DiffusionEmbedding,
     _assemble,
-    _empty_mapped,
+    _pairwise_sum,
+    _rows_per_block,
     gaussian_kernel,
     markov_normalize,
     spectral_embed,
@@ -237,12 +241,18 @@ def _median_quadratic_scale(values: np.ndarray, u: np.ndarray, subsample: int = 
     """Median nonzero weighted quadratic form on a subsample; bandwidth^2."""
     n = values.shape[0]
     idx = np.unique(np.linspace(0, n - 1, min(n, subsample)).astype(int))
-    V, U = values[idx], u[idx]
-    shape = (len(idx), len(idx), V.shape[1])
-    diff2 = np.subtract(V[:, None, :], V[None, :, :], out=_empty_mapped(shape))
-    np.square(diff2, out=diff2)
-    diff2 /= np.add(U[:, None, :], U[None, :, :], out=_empty_mapped(shape))
-    q = diff2.sum(axis=2)
+    vt, ut = values[idx].T.copy(), u[idx].T.copy()  # (m, s): feature-major
+
+    def block(i0, i1, j0):
+        def term(y):
+            t = np.subtract.outer(vt[y, i0:i1], vt[y, j0:])
+            np.square(t, out=t)
+            t /= np.add.outer(ut[y, i0:i1], ut[y, j0:])
+            return t
+        return _pairwise_sum(term, 0, vt.shape[0])
+
+    # the form is symmetric bit for bit: the upper blocks, mirrored
+    q = _assemble(len(idx), block, 0.0)
     nz = q[q > 0]
     return float(np.median(nz)) if nz.size else 1.0
 
@@ -254,6 +264,11 @@ def weighted_kernel(X, weights, sigma: float | None = None, tau: float = 0.0) ->
 
     with diagonal W. Determinants go through log space. `weights` is a
     WeightField or a raw (n, m) array of W diagonals.
+
+    Row blocks are built from per-feature (rows, cols) planes: q is their
+    pairwise sum in numpy's order, the determinant a running product of the
+    a = W_i + W_j planes in feature order (np.prod's), so the entries equal
+    those of the (rows, cols, m) formula bit for bit.
     """
     values = as_values(X)
     u = weights.inv_diag() if isinstance(weights, WeightField) else np.asarray(weights, dtype=float)
@@ -265,22 +280,38 @@ def weighted_kernel(X, weights, sigma: float | None = None, tau: float = 0.0) ->
         sigma = float(np.sqrt(_median_quadratic_scale(values, u)))
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    n = values.shape[0]
+    n, m = values.shape
+    xt, ut = values.T.copy(), u.T.copy()  # (m, n): one contiguous row per feature
 
     def block(i0, i1, j0):
-        diff2 = (values[i0:i1, None, :] - values[None, j0:, :]) ** 2
-        a = u[i0:i1, None, :] + u[None, j0:, :]
-        np.divide(diff2, a, out=diff2)
-        q = diff2.sum(axis=2)
-        # determinant via products when safe, per-element logs otherwise
-        det = np.prod(a, axis=2)
-        if np.all(np.isfinite(det)) and det.min() > 0:
-            logdet = np.log(det)
-        else:
-            logdet = np.log(a).sum(axis=2)
-        return np.exp(-q / sigma**2 - 0.5 * logdet)
+        det = None
 
-    K = _assemble(n, block, tau, values.shape[1])
+        def term(y):
+            nonlocal det
+            a = np.add.outer(ut[y, i0:i1], ut[y, j0:])
+            t = np.subtract.outer(xt[y, i0:i1], xt[y, j0:])
+            np.square(t, out=t)
+            t /= a
+            det = a if det is None else np.multiply(det, a, out=det)
+            return t
+
+        # determinant via products when safe, per-element logs when it
+        # overflows (as huge W_i + W_j may, too)
+        with np.errstate(over="ignore"):
+            q = _pairwise_sum(term, 0, m)
+            if np.all(np.isfinite(det)) and det.min() > 0:
+                logdet = np.log(det, out=det)
+            else:
+                logdet = _pairwise_sum(
+                    lambda y: np.log(np.add.outer(ut[y, i0:i1], ut[y, j0:])), 0, m)
+        # exp(-q / sigma**2 - 0.5 * logdet), in place
+        np.negative(q, out=q)
+        q /= sigma**2
+        logdet *= 0.5
+        q -= logdet
+        return np.exp(q, out=q)
+
+    K = _assemble(n, block, tau)
     return AffinityMatrix(K, float(sigma), float(tau))
 
 
@@ -366,16 +397,42 @@ def fit_weighted_metric(X, F: CohortFunctional, config: RunConfig = RunConfig())
     )
 
 
-def neighborhood_indices(coords: np.ndarray, center: np.ndarray,
-                         rule: NeighborhoodRule) -> np.ndarray:
-    """Point indices inside the neighborhood of `center` (center's own row
-    included when it is one of the coords)."""
-    d = np.linalg.norm(coords - center[None, :], axis=1)
-    if rule.kind == "radius":
-        return np.where(d < rule.eps)[0]
-    k = min(rule.k, coords.shape[0])
-    idx = np.argpartition(d, k - 1)[:k]
-    return idx[np.argsort(d[idx], kind="stable")]
+def neighborhood_indices(coords: np.ndarray, centers: np.ndarray,
+                         rule: NeighborhoodRule) -> list[np.ndarray]:
+    """Point indices inside the neighborhood of each row of the (q, d)
+    `centers`: q index arrays, a center's own row included when it is one
+    of the coords.
+
+    One pass over row blocks of centers: distances are pairwise sums of
+    feature-major (rows, n) planes, equal bit for bit to
+    np.linalg.norm(coords - center, axis=1) for each center. knn keeps the k
+    nearest by argpartition, then orders them by a stable argsort; radius
+    keeps every point closer than eps, in index order.
+    """
+    centers = np.asarray(centers, dtype=float)
+    n, d = coords.shape
+    if centers.ndim != 2 or centers.shape[1] != d:
+        raise ValueError(f"centers must be (q, {d}) rows, got shape {centers.shape}")
+    xt, ct = coords.T.copy(), centers.T.copy()  # (d, points): one row per coordinate
+    k = min(rule.k, n) if rule.kind == "knn" else 0
+    out: list[np.ndarray] = []
+    block = _rows_per_block(n, PLANE_DEPTH)
+    for i0 in range(0, centers.shape[0], block):
+        i1 = min(centers.shape[0], i0 + block)
+
+        def term(y):
+            t = np.subtract(xt[y][None, :], ct[y, i0:i1][:, None])
+            return np.square(t, out=t)
+
+        dist = np.sqrt(_pairwise_sum(term, 0, d))
+        if rule.kind == "radius":
+            inside = dist < rule.eps
+            out.extend(np.split(np.nonzero(inside)[1], np.cumsum(inside.sum(axis=1))[:-1]))
+            continue
+        part = np.argpartition(dist, k - 1, axis=1)[:, :k]
+        order = np.argsort(np.take_along_axis(dist, part, axis=1), axis=1, kind="stable")
+        out.extend(np.take_along_axis(part, order, axis=1))
+    return out
 
 
 def pointwise_estimate(metric: RegularizedMetric, F: CohortFunctional, i: int,
@@ -387,7 +444,7 @@ def pointwise_estimate(metric: RegularizedMetric, F: CohortFunctional, i: int,
     """
     coords = metric.embedding.coords
     rule = NeighborhoodRule("radius", eps=eps) if eps is not None else metric.neighborhood
-    nbhd = neighborhood_indices(coords, coords[i], rule)
+    nbhd = neighborhood_indices(coords, coords[i:i + 1], rule)[0]
     if nbhd.size < F.min_cohort:
         raise CohortTooSmallError(nbhd.size, F.min_cohort)
     return F(nbhd)
@@ -413,19 +470,23 @@ def multiscale_estimate(metric: RegularizedMetric, F: CohortFunctional, i: int,
     if any(b >= a for a, b in zip(scales, scales[1:])) or not scales:
         raise ValueError("scales must be nonempty, each below the one before")
     coords = metric.embedding.coords
-    center = coords[i]
-    n_coarse = neighborhood_indices(coords, center, NeighborhoodRule("radius", eps=scales[0]))
+    center = coords[i:i + 1]
+
+    def ball(eps):
+        return neighborhood_indices(coords, center, NeighborhoodRule("radius", eps=eps))[0]
+
+    n_coarse = ball(scales[0])
     if n_coarse.size < F.min_cohort:
         raise CohortTooSmallError(n_coarse.size, F.min_cohort)
     coarse_value = F(n_coarse)
     used, coeffs = [], []
     truncated_at = None
     for eps in scales:
-        half = neighborhood_indices(coords, center, NeighborhoodRule("radius", eps=eps / 2))
+        half = ball(eps / 2)
         if half.size < F.min_cohort:
             truncated_at = eps
             break
-        full = neighborhood_indices(coords, center, NeighborhoodRule("radius", eps=eps))
+        full = ball(eps)
         coeffs.append(F(half) - F(full))
         used.append(eps)
     return MultiscaleDecomposition(tuple(used), tuple(coeffs), coarse_value, truncated_at)

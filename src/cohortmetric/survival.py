@@ -4,6 +4,10 @@ Covers Weibull outcome sampling, administrative censoring, the two local
 treatment-effect estimators (outcome-proportion moments and one-parameter
 partial likelihood), multivariate Cox regression, the misspecified-model bias
 oracle, Kaplan-Meier curves, the log-rank test, and recommendation grouping.
+The partial likelihood, Kaplan-Meier and the log-rank test read one Breslow
+table, built by `_breslow_table` from columns in time order;
+`LocalAlphaFunctional` sorts its records once, so a cohort's columns come
+presorted.
 """
 
 from __future__ import annotations
@@ -194,69 +198,78 @@ def moments_alpha(records: SurvivalRecords,
     return _moments_estimate(*_arm_stats(records.events, records.treatments), balance_threshold)
 
 
-def _risk_set_counts(records: SurvivalRecords):
-    """Per distinct event time: treated/untreated events and at-risk counts.
+def _breslow_table(t: np.ndarray, events: np.ndarray, treatments: np.ndarray):
+    """Per distinct event time of columns already in time order: treated and
+    untreated events and at-risk counts.
 
     Risk sets use t_Y >= t_Z (the failing subject included); ties share one
-    risk set (Breslow). Returns None when there are no events.
+    risk set (Breslow). Every count depends on the sorted times only, not on
+    the order of tied records. Returns None when there are no events.
     """
-    order = np.argsort(records.times, kind="mergesort")
-    t = records.times[order]
-    ev = records.events[order] == 1
-    if not ev.any():
+    ev = events == 1
+    te = t[ev]
+    if not te.size:
         return None
-    a = records.treatments[order]
-    uniq, inv = np.unique(t[ev], return_inverse=True)
+    first = np.empty(te.size, dtype=bool)  # first event of each distinct time
+    first[0] = True
+    np.not_equal(te[1:], te[:-1], out=first[1:])
+    group = np.flatnonzero(first)
+    bounds = np.append(group, te.size)
+    uniq = te[group]
     start = np.searchsorted(t, uniq, side="left")
-    treated_suffix = np.cumsum(a[::-1])[::-1]  # treated among sorted positions >= i
+    treated_suffix = np.cumsum(treatments[::-1])[::-1]  # treated among positions >= i
     return {
         "times": uniq,
-        "d": np.bincount(inv, minlength=uniq.size).astype(float),
-        "d1": np.bincount(inv, weights=a[ev], minlength=uniq.size),
+        "d": (bounds[1:] - bounds[:-1]).astype(float),
+        "d1": np.add.reduceat(treatments[ev], group).astype(float),
         "r": (t.size - start).astype(float),
         "r1": treated_suffix[start].astype(float),
     }
+
+
+def _risk_set_counts(records: SurvivalRecords):
+    """`_breslow_table` of the records, sorted by time first."""
+    order = np.argsort(records.times, kind="mergesort")
+    return _breslow_table(records.times[order], records.events[order],
+                          records.treatments[order])
 
 
 def _partial_loglik_terms(alpha, d, d1, r, r1):
     """l, l', l'' of the Breslow one-parameter partial likelihood.
 
     Written so the exponential is always of -|alpha|, keeping the terms
-    finite far beyond the divergence cap.
+    finite far beyond the divergence cap. The denominator is positive for
+    |alpha| <= ALPHA_CAP + 5, so a time with no treated at risk (r1 = 0)
+    gets frac = 0 exactly.
     """
     r0 = r - r1
     if alpha >= 0:
         e = np.exp(-alpha)
-        log_denom = alpha + np.log(r1 + r0 * e)
-        frac = np.where(r1 > 0, r1 / (r1 + r0 * e), 0.0)
+        den = r1 + r0 * e
+        log_denom = alpha + np.log(den)
+        frac = r1 / den
     else:
         e = np.exp(alpha)
-        log_denom = np.log(r0 + r1 * e)
-        frac = np.where(r1 > 0, r1 * e / (r0 + r1 * e), 0.0)
-    l = float(np.sum(alpha * d1 - d * log_denom))
-    lp = float(np.sum(d1 - d * frac))
-    lpp = float(-np.sum(d * frac * (1.0 - frac)))
+        den = r0 + r1 * e
+        log_denom = np.log(den)
+        frac = r1 * e / den
+    # add.reduce is what ndarray.sum and np.sum run, without their wrappers
+    l = float(np.add.reduce(alpha * d1 - d * log_denom))
+    lp = float(np.add.reduce(d1 - d * frac))
+    lpp = float(-np.add.reduce(d * frac * (1.0 - frac)))
     return l, lp, lpp
 
 
-def partial_likelihood_alpha(records: SurvivalRecords,
-                             balance_threshold: float = BALANCE_THRESHOLD) -> LocalEffectEstimate:
-    """One-parameter Cox partial-likelihood estimate of the arm effect.
-
-    Newton iteration with analytic derivatives and step halving; Breslow ties.
-    Events confined to one arm give a monotone likelihood, reported as a
-    flagged infinite estimate.
-    """
-    n0, n1, _, _ = _arm_stats(records.events, records.treatments)
+def _partial_estimate(n0: int, n1: int, counts, balance_threshold: float) -> LocalEffectEstimate:
+    """`partial_likelihood_alpha` from the arm sizes and the Breslow table."""
     balanced = _balanced(n0, n1, balance_threshold)
-    counts = _risk_set_counts(records)
     if counts is None or n0 == 0 or n1 == 0:
         return LocalEffectEstimate(np.nan, n0, n1, "partial", balanced=balanced, defined=False)
     d, d1, r, r1 = counts["d"], counts["d1"], counts["r"], counts["r1"]
     # score limits at alpha -> +/- inf; a finite maximizer needs
     # l'(-inf) > 0 > l'(+inf), otherwise the likelihood is monotone
-    score_plus = float(np.sum(d1 - d * (r1 > 0)))
-    score_minus = float(np.sum(d1 - d * (r1 == r)))
+    score_plus = float((d1 - d * (r1 > 0)).sum())
+    score_minus = float((d1 - d * (r1 == r)).sum())
     if score_plus >= 0:
         return LocalEffectEstimate(
             np.inf, n0, n1, "partial", balanced=balanced, defined=False, diverged=True
@@ -267,13 +280,14 @@ def partial_likelihood_alpha(records: SurvivalRecords,
         )
     alpha = 0.0
     l, lp, lpp = _partial_loglik_terms(alpha, d, d1, r, r1)
+    lo, hi = -ALPHA_CAP - 5, ALPHA_CAP + 5
     for _ in range(100):
-        if not np.isfinite(lp) or abs(lp) < 1e-12:
+        if not math.isfinite(lp) or abs(lp) < 1e-12:
             break
-        if not np.isfinite(lpp) or lpp >= 0:  # flat likelihood; no curvature left
+        if not math.isfinite(lpp) or lpp >= 0:  # flat likelihood; no curvature left
             break
         step = -lp / lpp
-        new_alpha = float(np.clip(alpha + step, -ALPHA_CAP - 5, ALPHA_CAP + 5))
+        new_alpha = min(max(alpha + step, lo), hi)
         new_l, new_lp, new_lpp = _partial_loglik_terms(new_alpha, d, d1, r, r1)
         halvings = 0
         # `not >=` so a non-finite candidate keeps halving toward the iterate
@@ -289,8 +303,20 @@ def partial_likelihood_alpha(records: SurvivalRecords,
             return LocalEffectEstimate(
                 sign * np.inf, n0, n1, "partial", balanced=balanced, defined=False, diverged=True
             )
-    se = float(np.sqrt(-1.0 / lpp)) if lpp < 0 else np.nan
+    se = math.sqrt(-1.0 / lpp) if lpp < 0 else np.nan
     return LocalEffectEstimate(float(alpha), n0, n1, "partial", se=se, balanced=balanced)
+
+
+def partial_likelihood_alpha(records: SurvivalRecords,
+                             balance_threshold: float = BALANCE_THRESHOLD) -> LocalEffectEstimate:
+    """One-parameter Cox partial-likelihood estimate of the arm effect.
+
+    Newton iteration with analytic derivatives and step halving; Breslow ties.
+    Events confined to one arm give a monotone likelihood, reported as a
+    flagged infinite estimate.
+    """
+    n0, n1, _, _ = _arm_stats(records.events, records.treatments)
+    return _partial_estimate(n0, n1, _risk_set_counts(records), balance_threshold)
 
 
 def partial_loglik(records: SurvivalRecords, alphas) -> np.ndarray:
@@ -503,13 +529,25 @@ class LocalAlphaFunctional:
         self.kind = kind
         self.min_cohort = int(min_cohort)
         self.balance_threshold = balance_threshold
+        if kind == "partial":
+            # the records' stable time order, once: a cohort's records in
+            # time order are those at its sorted ranks
+            order = np.argsort(records.times, kind="mergesort")
+            self._rank = np.empty(order.size, dtype=int)
+            self._rank[order] = np.arange(order.size)
+            self._by_time = (records.times[order], records.events[order],
+                             records.treatments[order])
 
     def detail(self, indices) -> LocalEffectEstimate:
         idx = np.asarray(indices, dtype=int)
         if idx.size < self.min_cohort:
             raise CohortTooSmallError(idx.size, self.min_cohort)
         if self.kind == "partial":
-            return partial_likelihood_alpha(self.records.subset(idx), self.balance_threshold)
+            pos = np.sort(self._rank[idx])
+            t, events, treatments = (col[pos] for col in self._by_time)
+            n0, n1, _, _ = _arm_stats(events, treatments)
+            return _partial_estimate(n0, n1, _breslow_table(t, events, treatments),
+                                     self.balance_threshold)
         counts = _arm_stats(self.records.events[idx], self.records.treatments[idx])
         return _moments_estimate(*counts, self.balance_threshold)
 

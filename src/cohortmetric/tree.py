@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffusion import DiffusionEmbedding
+from .diffusion import DiffusionEmbedding, _pairwise_sum
 from .rng import substream
 
 KMEANS_RESTARTS = 25
@@ -138,10 +138,18 @@ class PartitionTree:
 def _kmeans_plus_plus_init_batch(coords, k, restarts, rng):
     """k-means++ seeding for all restarts at once; centers (R, k, d)."""
     n, d = coords.shape
+    xt = coords.T.copy()  # (d, n): one contiguous row per coordinate
     centers = np.empty((restarts, k, d))
+
+    def d2_to(c):  # (R, n) squared distances to the centers c (R, d)
+        def term(i):
+            t = np.subtract(xt[i][None, :], c[:, i][:, None])
+            return np.square(t, out=t)
+        return _pairwise_sum(term, 0, d)
+
     first = rng.integers(n, size=restarts)
     centers[:, 0] = coords[first]
-    d2 = ((coords[None, :, :] - centers[:, 0][:, None, :]) ** 2).sum(axis=2)  # (R, n)
+    d2 = d2_to(centers[:, 0])
     for j in range(1, k):
         total = d2.sum(axis=1)
         u = rng.random(restarts)
@@ -153,33 +161,8 @@ def _kmeans_plus_plus_init_batch(coords, k, restarts, rng):
         if np.any(fallback):
             pick[fallback] = rng.integers(n, size=int(fallback.sum()))
         centers[:, j] = coords[pick]
-        d2 = np.minimum(d2, ((coords[None, :, :] - centers[:, j][:, None, :]) ** 2).sum(axis=2))
+        d2 = np.minimum(d2, d2_to(centers[:, j]))
     return centers
-
-
-def _pairwise_sum(term, lo: int, n: int) -> np.ndarray:
-    """Sum ``term(lo) .. term(lo + n - 1)`` in the order numpy's pairwise
-    reduction adds n contiguous values (eight running sums up to 128 terms,
-    halves beyond), so a batched sum over d equals ``.sum(axis=-1)`` over a
-    (..., d) array bit for bit. Each ``term(i)`` must return a new array."""
-    if n < 8:
-        acc = term(lo)
-        for i in range(lo + 1, lo + n):
-            acc += term(i)
-        return acc
-    if n <= 128:
-        r = [term(lo + j) for j in range(8)]
-        stop = lo + n - n % 8
-        for i in range(lo + 8, stop, 8):
-            for j in range(8):
-                r[j] += term(i + j)
-        acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for i in range(stop, lo + n):
-            acc += term(i)
-        return acc
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(term, lo, half) + _pairwise_sum(term, lo + half, n - half)
 
 
 def kmeans_split(coords: np.ndarray, sizes: list[int], k: int, rng: np.random.Generator,
@@ -193,11 +176,13 @@ def kmeans_split(coords: np.ndarray, sizes: list[int], k: int, rng: np.random.Ge
     distances are (k, pairs), summed over d in numpy's reduction order, and
     counts and center sums are bincounts keyed by restart, folder and
     cluster. An empty cluster takes the farthest point of its restart and
-    folder. A restart whose labels repeat has reached a fixed point (the
-    same labels give the same centers), so it leaves play, and a folder
-    leaves once none of its restarts change. Per folder, the restart of
-    least inertia wins, ties to the earliest. The labels are those of
-    running k-means on each folder alone, bit for bit.
+    folder among the clusters with at least two members, so that no
+    cluster is left empty (and no center is 0/0). A restart whose labels
+    repeat has reached a fixed point (the same labels give the same
+    centers), so it leaves play, and a folder leaves once none of its
+    restarts change. Per folder, the restart of least inertia wins, ties to
+    the earliest. The labels are those of running k-means on each folder
+    alone, bit for bit.
     """
     n, d = coords.shape
     sizes = np.asarray(sizes, dtype=int)
@@ -226,9 +211,12 @@ def kmeans_split(coords: np.ndarray, sizes: list[int], k: int, rng: np.random.Ge
         counts = np.bincount(key, minlength=n_segs * k).reshape(n_segs, k)
         for g, j in zip(*np.nonzero((counts == 0) & live[:, None])):
             lo, hi = np.searchsorted(s, [g, g + 1])
-            far = lo + int(np.argmax(own[lo:hi]))
+            # the farthest point whose cluster keeps another member
+            movable = counts[g, new[lo:hi]] > 1
+            far = lo + int(np.argmax(np.where(movable, own[lo:hi], -np.inf)))
+            counts[g, new[far]] -= 1
+            counts[g, j] += 1
             new[far] = j
-            own[far] = 0.0
             key[far] = g * k + j
         if it > 0:
             live &= np.bincount(s[new != labels[pairs]], minlength=n_segs) > 0

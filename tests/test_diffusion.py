@@ -92,13 +92,29 @@ def test_row_blocks_cap_temporaries_without_changing_entries(monkeypatch):
     X = rng.normal(size=(800, 9))
     u = rng.uniform(0.1, 3.0, size=(800, 9))
     Z = rng.normal(size=(400, 9))
-    # 800 x 9 columns take 291 rows per block: three blocks, against one below
+    # 800 columns take 81 rows per block: ten blocks, against one below
     K = weighted_kernel(X, u, sigma=1.2).entries
     A = extension.asymmetric_kernel(Z, X, u, sigma=1.2)
     monkeypatch.setattr(diffusion, "_rows_per_block", lambda n_cols, m: 10**6)
     monkeypatch.setattr(extension, "_rows_per_block", lambda n_cols, m: 10**6)
     assert np.array_equal(weighted_kernel(X, u, sigma=1.2).entries, K)
     assert np.array_equal(extension.asymmetric_kernel(Z, X, u, sigma=1.2), A)
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 8, 9, 17, 130, 300])
+def test_pairwise_sum_of_planes_equals_the_sum_over_the_last_axis(m):
+    rng = np.random.default_rng(m)
+    # magnitudes spread over 16 decades, so that the order of the adds shows
+    A = rng.normal(size=(5, 33, m)) * 10.0 ** rng.integers(-8, 8, size=m)
+    asked = []
+
+    def plane(j):
+        asked.append(j)
+        return A[:, :, j].copy()
+
+    got = diffusion._pairwise_sum(plane, 0, m)
+    assert got.tobytes() == A.sum(axis=-1).tobytes()
+    assert asked == list(range(m))  # once each, in feature order
 
 
 @pytest.mark.parametrize("rows", [None, 37])

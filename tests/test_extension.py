@@ -52,6 +52,47 @@ def test_one_sided_rows_differ_from_symmetric_kernel():
     assert abs(K_sym[i, j] - K_asym[i, j]) > 1e-12
 
 
+def _asymmetric_oracle(Z, X, u, sigma):
+    """The (rows, n_ref, m) formula in one block."""
+    diff2 = (Z[:, None, :] - X[None, :, :]) ** 2
+    q = (diff2 * (1.0 / u)[None, :, :]).sum(axis=2)
+    return np.exp(-q / sigma**2 - (0.5 * np.log(u).sum(axis=1))[None, :])
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 8, 9, 17, 130])
+@pytest.mark.parametrize("rows", [None, 3])
+def test_feature_major_asymmetric_kernel_matches_the_3d_formula_bit_for_bit(m, rows, monkeypatch):
+    from cohortmetric import extension
+
+    if rows is not None:  # many row blocks instead of one
+        monkeypatch.setattr(extension, "_rows_per_block", lambda n_cols, m: rows)
+    rng = np.random.default_rng(m)
+    X = rng.normal(size=(80, m))
+    u = rng.uniform(0.05, 4.0, size=(80, m))
+    Z = np.vstack([rng.normal(size=(20, m)), X[:5]])
+    got = asymmetric_kernel(Z, X, u, sigma=1.3)
+    assert got.tobytes() == _asymmetric_oracle(Z, X, u, 1.3).tobytes()
+
+
+def test_extend_batch_matches_the_copying_normalization_bit_for_bit():
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(60, 4))
+    u = rng.uniform(0.3, 2.0, size=(60, 4))
+    ref = build_reference(X, u, sigma=0.8, tau=1e-3, n_components=5)
+    inside = rng.normal(size=(9, 4))
+    for Z in (inside, np.vstack([inside[:4], np.full((2, 4), 60.0), inside[4:]])):
+        rows = asymmetric_kernel(Z, X, u, 0.8, 1e-3)
+        sums = rows.sum(axis=1)
+        keep = sums > 0
+        want = np.full((Z.shape[0], ref.rank), np.nan)
+        A = rows[keep] / np.sqrt(sums[keep])[:, None] / np.sqrt(ref.d2)[None, :]
+        want[keep] = A @ ref.psi
+        coords, in_support = extend_batch(ref, Z)
+        assert np.array_equal(in_support, keep)
+        assert coords.tobytes() == want.tobytes()
+    assert not in_support.all()
+
+
 # --- build_reference ---------------------------------------------------------------
 
 

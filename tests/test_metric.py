@@ -238,6 +238,73 @@ def test_median_quadratic_scale_matches_the_plain_formula_bit_for_bit():
         assert _median_quadratic_scale(X, u) == float(np.median(q[q > 0]))
 
 
+def _weighted_kernel_oracle(X, u, sigma):
+    """The (rows, cols, m) formula over all pairs in one block."""
+    diff2 = (X[:, None, :] - X[None, :, :]) ** 2
+    with np.errstate(over="ignore"):  # huge W: the log fallback below
+        a = u[:, None, :] + u[None, :, :]
+        det = np.prod(a, axis=2)
+    np.divide(diff2, a, out=diff2)
+    q = diff2.sum(axis=2)
+    if np.all(np.isfinite(det)) and det.min() > 0:
+        logdet = np.log(det)
+    else:
+        logdet = np.log(a).sum(axis=2)
+    return np.exp(-q / sigma**2 - 0.5 * logdet)
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 8, 9, 17, 130])
+@pytest.mark.parametrize("rows", [None, 16])
+def test_feature_major_weighted_kernel_matches_the_3d_formula_bit_for_bit(m, rows, monkeypatch):
+    from cohortmetric import diffusion
+
+    if rows is not None:  # many row blocks instead of one
+        monkeypatch.setattr(diffusion, "_rows_per_block", lambda n_cols, m: rows)
+    rng = np.random.default_rng(m)
+    X = rng.normal(size=(70, m))
+    u = rng.uniform(0.05, 4.0, size=(70, m))
+    assert weighted_kernel(X, u, sigma=1.1).entries.tobytes() == \
+        _weighted_kernel_oracle(X, u, 1.1).tobytes()
+    if m == 1:  # the determinant is W_i + W_j itself: no fallback to take
+        return
+    # W_i + W_j so large that every determinant overflows: the per-element
+    # log fallback runs
+    huge = u * 10.0 ** (400 / m)
+    with np.errstate(over="ignore"):
+        assert not np.any(np.isfinite(np.prod(huge[:, None] + huge[None, :], axis=2)))
+    got = weighted_kernel(X, huge, sigma=1.1).entries
+    assert np.all(got > 0)
+    assert got.tobytes() == _weighted_kernel_oracle(X, huge, 1.1).tobytes()
+
+
+def test_weighted_kernel_log_fallback_is_taken_per_block(monkeypatch):
+    from cohortmetric import diffusion
+
+    # one huge row puts its whole block, and only that block, on the logs
+    rng = np.random.default_rng(40)
+    X = rng.normal(size=(60, 9))
+    u = rng.uniform(0.05, 4.0, size=(60, 9))
+    u[5] = 1e40
+    monkeypatch.setattr(diffusion, "_rows_per_block", lambda n_cols, m: 10**6)
+    assert weighted_kernel(X, u, sigma=0.8).entries.tobytes() == \
+        _weighted_kernel_oracle(X, u, 0.8).tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 8, 9, 17, 130])
+def test_feature_major_median_quadratic_scale_matches_the_3d_formula(m):
+    from cohortmetric.metric import _median_quadratic_scale
+
+    rng = np.random.default_rng(100 + m)
+    X = rng.normal(size=(700, m))
+    X[100:140] = X[:40]  # repeated points: zero forms the median skips
+    u = rng.uniform(0.1, 3.0, size=(700, m))
+    idx = np.unique(np.linspace(0, 699, 512).astype(int))
+    V, U = X[idx], u[idx]
+    q = ((V[:, None, :] - V[None, :, :]) ** 2 / (U[:, None, :] + U[None, :, :])).sum(axis=2)
+    want = float(np.median(q[q > 0]))
+    assert np.float64(_median_quadratic_scale(X, u)).tobytes() == np.float64(want).tobytes()
+
+
 def test_weighted_kernel_exact_symmetry():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(30, 5))
@@ -388,12 +455,58 @@ def test_estimate_knn_matches_bruteforce(fitted_metric):
     from cohortmetric.metric import NeighborhoodRule, neighborhood_indices
 
     for i in (3, 77, 150):
-        nbhd = neighborhood_indices(coords, coords[i], NeighborhoodRule("knn", k=k))
+        nbhd = neighborhood_indices(coords, coords[i:i + 1], NeighborhoodRule("knn", k=k))[0]
         d = np.linalg.norm(coords - coords[i], axis=1)
         brute = np.argsort(d, kind="stable")[:k]
         assert set(nbhd.tolist()) == set(brute.tolist())
         got = F(nbhd)
         np.testing.assert_allclose(got, labels[brute].mean(), rtol=1e-12)
+
+
+def _neighborhood_oracle(coords, center, rule):
+    """The per-point rule: one norm, then argpartition and a stable argsort."""
+    d = np.linalg.norm(coords - center[None, :], axis=1)
+    if rule.kind == "radius":
+        return np.where(d < rule.eps)[0]
+    k = min(rule.k, coords.shape[0])
+    idx = np.argpartition(d, k - 1)[:k]
+    return idx[np.argsort(d[idx], kind="stable")]
+
+
+@pytest.mark.parametrize("d", [1, 5, 8, 9, 17])
+@pytest.mark.parametrize("rows", [None, 4])
+def test_batched_neighborhoods_match_the_per_point_formula(d, rows, monkeypatch):
+    import cohortmetric.metric as metric_mod
+    from cohortmetric.metric import neighborhood_indices
+
+    if rows is not None:  # several row blocks of centers
+        monkeypatch.setattr(metric_mod, "_rows_per_block", lambda n_cols, m: rows)
+    rng = np.random.default_rng(d)
+    coords = rng.integers(-2, 3, size=(150, d)).astype(float)  # a grid: many tied distances
+    coords[100:130] = coords[:30]  # duplicate coordinates
+    centers = np.vstack([coords[::9], coords[100:103], rng.normal(size=(7, d))])
+    span = np.linalg.norm(coords - coords[0], axis=1)
+    rules = [NeighborhoodRule("knn", k=1), NeighborhoodRule("knn", k=17),
+             NeighborhoodRule("knn", k=150), NeighborhoodRule("knn", k=400),
+             NeighborhoodRule("radius", eps=float(np.median(span))),
+             NeighborhoodRule("radius", eps=1e-9)]
+    for rule in rules:
+        got = neighborhood_indices(coords, centers, rule)
+        assert len(got) == len(centers)
+        for g, c in zip(got, centers):
+            want = _neighborhood_oracle(coords, c, rule)
+            assert g.dtype == want.dtype and np.array_equal(g, want)
+    assert neighborhood_indices(coords, centers[:0], rules[0]) == []
+
+
+def test_neighborhoods_take_rows_of_centers():
+    from cohortmetric.metric import neighborhood_indices
+
+    coords = np.arange(12.0).reshape(6, 2)
+    with pytest.raises(ValueError, match="centers must be"):
+        neighborhood_indices(coords, coords[0], NeighborhoodRule("knn", k=2))
+    with pytest.raises(ValueError, match="centers must be"):
+        neighborhood_indices(coords, coords[:2, :1], NeighborhoodRule("knn", k=2))
 
 
 @pytest.mark.parametrize("kind,kw", [
@@ -438,8 +551,8 @@ def test_multiscale_single_scale_definition(fitted_metric):
     dec = multiscale_estimate(metric, F, 5, scales=[eps])
     from cohortmetric.metric import NeighborhoodRule, neighborhood_indices
 
-    half = neighborhood_indices(coords, coords[5], NeighborhoodRule("radius", eps=eps / 2))
-    full = neighborhood_indices(coords, coords[5], NeighborhoodRule("radius", eps=eps))
+    half = neighborhood_indices(coords, coords[5:6], NeighborhoodRule("radius", eps=eps / 2))[0]
+    full = neighborhood_indices(coords, coords[5:6], NeighborhoodRule("radius", eps=eps))[0]
     np.testing.assert_allclose(dec.coefficients[0], F(half) - F(full), rtol=1e-12)
 
 
@@ -455,9 +568,11 @@ def test_multiscale_telescoping(fitted_metric):
         from cohortmetric.metric import NeighborhoodRule, neighborhood_indices
 
         finest = neighborhood_indices(
-            coords, coords[i], NeighborhoodRule("radius", eps=scales[-1] / 2)
-        )
-        coarsest = neighborhood_indices(coords, coords[i], NeighborhoodRule("radius", eps=scales[0]))
+            coords, coords[i:i + 1], NeighborhoodRule("radius", eps=scales[-1] / 2)
+        )[0]
+        coarsest = neighborhood_indices(
+            coords, coords[i:i + 1], NeighborhoodRule("radius", eps=scales[0])
+        )[0]
         np.testing.assert_allclose(
             sum(dec.coefficients), F(finest) - F(coarsest), rtol=1e-9, atol=1e-12
         )

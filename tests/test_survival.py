@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -248,6 +250,41 @@ def test_detail_balance_flag_matches_moments_alpha():
         assert not functional.detail(cohorts["treated only"]).balanced
         assert functional.detail(cohorts["mixed balanced"]).balanced
         assert functional.detail(cohorts["mixed 70/30"]).balanced == (threshold == 0.8)
+
+
+def _estimate_bits(est):
+    return tuple(np.float64(v).tobytes() if isinstance(v, float) else v
+                 for v in dataclasses.astuple(est))
+
+
+def test_presorted_detail_matches_partial_likelihood_on_the_subset_bit_for_bit():
+    rng = np.random.default_rng(35)
+    n = 700
+    times = np.round(rng.exponential(1.0, n), 1)  # ties among events and censorings
+    events = (rng.random(n) < 0.35).astype(int)
+    arms = (rng.random(n) < 0.5).astype(int)
+    records = SurvivalRecords(times, events, arms)
+    F = LocalAlphaFunctional(records, "partial", min_cohort=2)
+    treated, event = arms == 1, events == 1
+    cohorts = [rng.choice(n, size, replace=False) for size in rng.integers(2, 250, 300)]
+    cohorts += [
+        rng.choice(np.flatnonzero(treated), 40, replace=False),  # one arm only
+        rng.choice(np.flatnonzero(~event), 60, replace=False),  # no events
+        # events in one arm only: the likelihood is monotone, +inf and -inf
+        np.concatenate([rng.choice(np.flatnonzero(treated & event), 15, replace=False),
+                        rng.choice(np.flatnonzero(~treated & ~event), 25, replace=False)]),
+        np.concatenate([rng.choice(np.flatnonzero(~treated & event), 15, replace=False),
+                        rng.choice(np.flatnonzero(treated & ~event), 25, replace=False)]),
+        np.arange(n)[::-1],
+    ]
+    seen = set()
+    for idx in cohorts:
+        got = F.detail(idx)
+        want = partial_likelihood_alpha(records.subset(idx))
+        assert _estimate_bits(got) == _estimate_bits(want)
+        seen.add("finite" if np.isfinite(got.alpha) else
+                 "undefined" if np.isnan(got.alpha) else f"{got.alpha:+}")
+    assert seen == {"finite", "undefined", "+inf", "-inf"}
 
 
 def test_estimators_agree_in_sign_when_strong():

@@ -198,9 +198,12 @@ def _oracle_kmeans(coords, k, rng, restarts=25):
         dist_to_own = np.take_along_axis(d2, new_labels[:, :, None], axis=2)[:, :, 0]
         counts = np.stack([np.bincount(row, minlength=k) for row in new_labels])
         for r, j in zip(*np.nonzero(counts == 0)):
-            far = int(np.argmax(dist_to_own[r]))
+            # only a cluster with another member gives up its farthest point
+            movable = counts[r, new_labels[r]] > 1
+            far = int(np.argmax(np.where(movable, dist_to_own[r], -np.inf)))
+            counts[r, new_labels[r, far]] -= 1
+            counts[r, j] += 1
             new_labels[r, far] = j
-            dist_to_own[r, far] = 0.0
         if it > 0 and np.array_equal(new_labels, labels):
             break
         labels = new_labels
