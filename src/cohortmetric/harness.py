@@ -50,7 +50,7 @@ class FitTooLargeError(ValueError):
     """The fit's estimated peak memory exceeds the machine's physical memory."""
 
 
-def estimate_fit_bytes(n: int, m: int) -> int:
+def estimate_fit_bytes(n: int, m: int, tree_method: str = "topdown") -> int:
     """Upper estimate of the peak resident bytes of `fit_pipeline` on n points
     and m features.
 
@@ -62,8 +62,15 @@ def estimate_fit_bytes(n: int, m: int) -> int:
     arrays. Measured sphere fits (m=9, 2-vCPU host, one BLAS thread) peak at
     110, 196-200 and 462-467 MB for n=400, 2000 and 4500, against estimates
     of 136, 205 and 492 MB.
+
+    A bottom-up tree adds 170n^2 bytes. It has one level per merge, so with
+    every point in its own ball it holds about n^2/2 folders, each a Python
+    object, and a fit holds two trees while it builds the next. Such 2-step
+    sphere fits peak at 146, 285 and 832 MB for n=500, 1000 and 2000,
+    against estimates of 181, 322 and 885 MB.
     """
-    return int(125e6 + 8 * (2.2 * n * n + 2**20 + 8 * n * m))
+    tree_bytes = 170 * n * n if tree_method == "bottomup" else 0
+    return int(125e6 + 8 * (2.2 * n * n + 2**20 + 8 * n * m) + tree_bytes)
 
 
 def _physical_memory_bytes() -> int:
@@ -80,7 +87,7 @@ def fit_pipeline(data, records: SurvivalRecords, config: RunConfig) -> FittedMod
     if dm.n_points != len(records):
         raise ValueError(f"{dm.n_points} data rows vs {len(records)} records")
     n, m = dm.values.shape
-    need, have = estimate_fit_bytes(n, m), _physical_memory_bytes()
+    need, have = estimate_fit_bytes(n, m, config.tree_method), _physical_memory_bytes()
     if need > have:
         raise FitTooLargeError(
             f"a fit of n={n} points with m={m} features needs about {need / 1e6:.0f} MB "

@@ -247,7 +247,7 @@ def load_model(model_dir):
         reader = csv.reader(fh)
         next(reader)
         svals = np.array([float(row[1]) for row in reader])
-    weights = WeightField({}, point_weights, float(meta["weight_alpha"]), float(meta["lam"]))
+    weights = WeightField(point_weights, float(meta["weight_alpha"]), float(meta["lam"]))
     ref = ReferenceEmbedding(
         x_ref=x_ref,
         inv_diag=weights.inv_diag(),

@@ -71,13 +71,12 @@ class Bin(NamedTuple):
 
 @dataclass(frozen=True)
 class WeightField:
-    """Folder-level and aggregated per-point feature weights.
+    """Aggregated per-point feature weights.
 
     point_weights[i, y] = sum_l 2^{-alpha l} w^l_{folder(i,l)}(y); the induced
     diagonal metric entries are (point_weights + lam)^{-1}.
     """
 
-    folder_weights: dict
     point_weights: np.ndarray
     alpha: float
     lam: float
@@ -234,7 +233,7 @@ def aggregate_point_weights(tree: PartitionTree, folder_weights: dict, alpha: fl
     for (level, fid), farr in folder_weights.items():
         pts = tree.folders(level)[fid].points
         w[pts] += 2.0 ** (-alpha * level) * farr[None, :]
-    return WeightField(dict(folder_weights), w, alpha, resolve_lam(w, lam))
+    return WeightField(w, alpha, resolve_lam(w, lam))
 
 
 def _median_quadratic_scale(values: np.ndarray, u: np.ndarray, subsample: int = 512) -> float:
@@ -322,7 +321,7 @@ def compute_weight_field(X, F: CohortFunctional, tree: PartitionTree,
         # no folder reached the cohort minimum; all-zero field
         values = as_values(X)
         w = np.zeros_like(values)
-        return WeightField({}, w, config.weight_alpha, resolve_lam(w, config.weight_lam))
+        return WeightField(w, config.weight_alpha, resolve_lam(w, config.weight_lam))
     return aggregate_point_weights(tree, folder_w, config.weight_alpha, config.weight_lam)
 
 

@@ -4,8 +4,8 @@ Covers Weibull outcome sampling, administrative censoring, the two local
 treatment-effect estimators (outcome-proportion moments and one-parameter
 partial likelihood), multivariate Cox regression, the misspecified-model bias
 oracle, Kaplan-Meier curves, the log-rank test, and recommendation grouping.
-The partial likelihood, Kaplan-Meier and the log-rank test read one Breslow
-table, built by `_breslow_table` from columns in time order;
+The partial likelihood, Cox regression, Kaplan-Meier and the log-rank test
+read one Breslow table, built by `_breslow_table` from columns in time order;
 `LocalAlphaFunctional` sorts its records once, so a cohort's columns come
 presorted.
 """
@@ -349,17 +349,16 @@ def cox_fit(X, records: SurvivalRecords, names=None, max_iter: int = 60) -> CoxF
     Xc = Xv - center[None, :]
 
     order = np.argsort(records.times, kind="mergesort")
-    t = records.times[order]
-    d = records.events[order]
-    Z = Xc[order]
-    event_pos = np.where(d == 1)[0]
-    if event_pos.size == 0:
+    events = records.events[order]
+    counts = _breslow_table(records.times[order], events, records.treatments[order])
+    if counts is None:
         raise CoxFitError("no events: partial likelihood is constant")
-    # one precomputed group per distinct event time: risk sets start at the
-    # first sorted position with that time
-    uniq_times, group_first = np.unique(t[event_pos], return_index=True)
-    group_m = np.diff(np.append(group_first, event_pos.size)).astype(float)
-    group_start = np.searchsorted(t, uniq_times, side="left")
+    Z = Xc[order]
+    event_pos = np.flatnonzero(events == 1)
+    # one group per distinct event time, from the Breslow table: its risk
+    # set starts at the first sorted position with that time
+    group_m = counts["d"]
+    group_start = n - counts["r"].astype(int)
     z_events_sum = Z[event_pos].sum(axis=0)
 
     def loglik_at(eta):

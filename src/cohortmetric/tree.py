@@ -3,19 +3,27 @@
 A tree is a list of levels; level 1 is the whole point set, the last level is
 all singletons, and every level partitions the points exactly. Folders that
 reach the stopping size are carried through unchanged until the singleton
-level is appended.
+level is appended. Both builders produce coarse-to-fine lists of point sets
+and hand them to one assembly, which links each folder to the folder of the
+previous level that contains it and validates the result.
 
 The top-down tree is level-synchronous: one `kmeans_split` call splits every
 splittable folder of a level, its Lloyd iterations running over all of the
 level's points with a segment id per (restart, folder). The result is that
 of running k-means on each folder alone, in folder order, bit for bit.
+
+The bottom-up tree is a greedy eps-cover followed by size-weighted centroid
+agglomeration, taken from one `scipy.cluster.hierarchy.linkage` call
+(Müllner 2011). Where two candidate merges tie exactly, scipy's order
+decides which is taken first.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.cluster.hierarchy import linkage
 
 from .diffusion import DiffusionEmbedding, _pairwise_sum
 from .rng import substream
@@ -24,7 +32,7 @@ KMEANS_RESTARTS = 25
 KMEANS_MAX_ITER = 100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Folder:
     points: np.ndarray  # sorted point indices
     parent: int  # folder index in the previous (coarser) level, -1 at the root
@@ -34,7 +42,6 @@ class Folder:
 @dataclass
 class PartitionTree:
     levels: list[list[Folder]]
-    _lookup: list[np.ndarray] = field(default_factory=list, repr=False)
 
     @property
     def n_levels(self) -> int:
@@ -47,23 +54,6 @@ class PartitionTree:
     def folders(self, level: int) -> list[Folder]:
         """Folders at 1-based level (level 1 = root partition)."""
         return self.levels[level - 1]
-
-    def folder_of(self, level: int, point: int) -> int:
-        """Index of the unique folder containing `point` at 1-based `level`."""
-        if not self._lookup:
-            self._build_lookup()
-        fid = int(self._lookup[level - 1][point])
-        if fid < 0:
-            raise KeyError(f"point {point} missing from level {level}")
-        return fid
-
-    def _build_lookup(self):
-        n = self.n_points
-        for folders in self.levels:
-            arr = np.full(n, -1, dtype=int)
-            for fid, f in enumerate(folders):
-                arr[f.points] = fid
-            self._lookup.append(arr)
 
     def validate(self):
         """Check the partition invariants at every level; raise on violation."""
@@ -101,38 +91,17 @@ class PartitionTree:
 
     @classmethod
     def from_lines(cls, lines) -> "PartitionTree":
-        by_level: dict[int, list[tuple[int, int, np.ndarray]]] = {}
+        """The tree of `to_lines` output; parents are found by containment."""
+        by_level: dict[int, list[tuple[int, np.ndarray]]] = {}
         for line in lines:
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
-            level, fid, parent = int(parts[0]), int(parts[1]), int(parts[2])
-            pts = np.array([int(p) for p in parts[3:]], dtype=int)
-            by_level.setdefault(level, []).append((fid, parent, pts))
-        levels: list[list[Folder]] = []
-        for level in sorted(by_level):
-            folders = sorted(by_level[level])
-            levels.append([Folder(np.sort(pts), parent) for _, parent, pts in folders])
-        return cls._link_children(levels)
-
-    @staticmethod
-    def _link_children(levels: list[list[Folder]]) -> "PartitionTree":
-        linked: list[list[Folder]] = []
-        for li, folders in enumerate(levels):
-            if li == len(levels) - 1:
-                linked.append(list(folders))
-                continue
-            kids: dict[int, list[int]] = {fid: [] for fid in range(len(folders))}
-            for cid, child in enumerate(levels[li + 1]):
-                kids[child.parent].append(cid)
-            linked.append(
-                [
-                    Folder(f.points, f.parent, tuple(kids[fid]))
-                    for fid, f in enumerate(folders)
-                ]
-            )
-        return PartitionTree(linked)
+            pts = np.sort(np.array([int(p) for p in parts[3:]], dtype=int))
+            by_level.setdefault(int(parts[0]), []).append((int(parts[1]), pts))
+        return _assemble([[pts for _, pts in sorted(by_level[level], key=lambda f: f[0])]
+                          for level in sorted(by_level)])
 
 
 def _kmeans_plus_plus_init_batch(coords, k, restarts, rng):
@@ -253,7 +222,8 @@ def build_topdown(emb: DiffusionEmbedding, k: int = 2, min_folder: int = 1,
 
     Every folder of a level larger than min_folder (and at least k) is split
     by one `kmeans_split` call for the whole level; smaller folders pass
-    through unsplit. Once nothing splits, a singleton level is appended.
+    through unsplit. Once nothing splits, a singleton level is appended,
+    folder by folder.
     """
     if k < 2:
         raise ValueError(f"branching factor must be >= 2, got {k}")
@@ -263,7 +233,6 @@ def build_topdown(emb: DiffusionEmbedding, k: int = 2, min_folder: int = 1,
     n = coords.shape[0]
     rng = substream(seed, "kmeans")
     levels: list[list[np.ndarray]] = [[np.arange(n)]]
-    parents: list[list[int]] = [[-1]]
     while True:
         current = levels[-1]
         split = [len(pts) > min_folder and len(pts) >= k for pts in current]
@@ -274,40 +243,36 @@ def build_topdown(emb: DiffusionEmbedding, k: int = 2, min_folder: int = 1,
         labels = kmeans_split(coords[np.concatenate(members)], sizes, k, rng)
         per_folder = iter(np.split(labels, np.cumsum(sizes)[:-1]))
         nxt: list[np.ndarray] = []
-        nxt_parents: list[int] = []
-        for fid, pts in enumerate(current):
-            if split[fid]:
+        for pts, s in zip(current, split):
+            if s:
                 lab = next(per_folder)
                 # points are sorted within a folder, and a mask keeps that order
                 parts = [pts[lab == j] for j in range(k)]
+                nxt.extend(part for part in parts if len(part))
             else:
-                parts = [pts]
-            for part in parts:
-                if len(part):
-                    nxt.append(part)
-                    nxt_parents.append(fid)
+                nxt.append(pts)
         levels.append(nxt)
-        parents.append(nxt_parents)
     if len(levels) == 1 or any(len(pts) > 1 for pts in levels[-1]):
-        single, single_parents = [], []
-        for fid, pts in enumerate(levels[-1]):
-            for p in pts:
-                single.append(np.array([p]))
-                single_parents.append(fid)
-        levels.append(single)
-        parents.append(single_parents)
-    raw = [
-        [Folder(pts, parents[li][fid]) for fid, pts in enumerate(folders)]
-        for li, folders in enumerate(levels)
-    ]
-    tree = PartitionTree._link_children(raw)
-    tree.validate()
-    return tree
+        levels.append([np.array([p]) for pts in levels[-1] for p in pts])
+    return _assemble(levels)
 
 
 def build_bottomup(emb: DiffusionEmbedding, eps: float) -> PartitionTree:
-    """Greedy eps-cover of the embedded points, then agglomerative merging of
-    the two closest folders (size-weighted centroid distance) up to the root."""
+    """Greedy eps-cover of the embedded points, then size-weighted centroid
+    agglomeration of the cover folders up to the root.
+
+    Each step merges the two folders whose centroids (the means of their
+    points) are closest; the merged folder takes the list position of the
+    earlier of its two parts. The merges come from one
+    `linkage(..., method="centroid")` call on one observation per point,
+    placed at its cover folder's centroid, so that linkage's cluster sizes
+    are point counts. A row whose two parts already lie in one folder adds
+    no level: these are the n - L rows that join copies of one cover folder
+    at distance 0, and, where two folders' centroids coincide, rows that
+    join copies of the folder that merged them. Where two candidate merges
+    tie exactly, scipy's order decides which is taken first. The singleton
+    level, if the cover is not already singletons, is in point order.
+    """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     coords = emb.coords
@@ -321,39 +286,57 @@ def build_bottomup(emb: DiffusionEmbedding, eps: float) -> PartitionTree:
         cover.append(members)
         uncovered[members] = False
 
-    # fine-to-coarse: each step merges the closest pair of folders
+    # fine-to-coarse: replay linkage's merges over the folder list
     fine_levels: list[list[np.ndarray]] = [cover]
-    current = [(pts, coords[pts].mean(axis=0), len(pts)) for pts in cover]
-    while len(current) > 1:
-        best = None
-        for i in range(len(current)):
-            for j in range(i + 1, len(current)):
-                d = float(np.linalg.norm(current[i][1] - current[j][1]))
-                if best is None or d < best[0] - 1e-15:
-                    best = (d, i, j)
-        _, i, j = best
-        merged_pts = np.sort(np.concatenate([current[i][0], current[j][0]]))
-        wi, wj = current[i][2], current[j][2]
-        centroid = (current[i][1] * wi + current[j][1] * wj) / (wi + wj)
-        nxt = [current[t] for t in range(len(current)) if t not in (i, j)]
-        nxt.insert(i, (merged_pts, centroid, wi + wj))
-        current = nxt
-        fine_levels.append([c[0] for c in current])
+    if len(cover) > 1:
+        sizes = [len(pts) for pts in cover]
+        centroids = np.array([coords[pts].mean(axis=0) for pts in cover])
+        merges = linkage(np.repeat(centroids, sizes, axis=0), method="centroid")
+        points = list(cover)  # by folder id; each merge adds a folder
+        into = list(range(len(cover)))  # the folder each folder was merged into, or itself
+        folder = np.repeat(np.arange(len(cover)), sizes).tolist()  # one per linkage cluster
+        order = list(range(len(cover)))  # folder ids in list order
 
-    levels = [lv for lv in reversed(fine_levels)]
-    if len(levels[0]) != 1:  # eps covered everything in one folder
-        levels.insert(0, [np.arange(n)])
+        def now(f):  # the folder that f is part of
+            while into[f] != f:
+                f = into[f]
+            return f
+
+        for a, b in merges[:, :2].astype(int):
+            fa, fb = now(folder[a]), now(folder[b])
+            if fa != fb:
+                i, j = sorted((order.index(fa), order.index(fb)))
+                new = len(points)
+                points.append(np.sort(np.concatenate([points[fa], points[fb]])))
+                into.append(new)
+                into[fa] = into[fb] = new
+                order[i] = new
+                del order[j]
+                fine_levels.append([points[f] for f in order])
+            folder.append(now(fa))
+
+    levels = fine_levels[::-1]
     if any(len(pts) > 1 for pts in levels[-1]):
         levels.append([np.array([p]) for p in range(n)])
+    return _assemble(levels)
 
-    # parent links by containment
-    raw: list[list[Folder]] = [[Folder(np.sort(pts), -1) for pts in levels[0]]]
-    for li in range(1, len(levels)):
-        prev = levels[li - 1]
-        owner = np.full(n, -1, dtype=int)
+
+def _assemble(levels: list[list[np.ndarray]]) -> PartitionTree:
+    """The validated tree over coarse-to-fine levels of sorted point arrays:
+    each folder's parent is the folder of the previous level that contains
+    it."""
+    owner = np.empty(sum(len(pts) for pts in levels[0]), dtype=int)
+    parents = [[-1] * len(levels[0])]
+    for prev, folders in zip(levels, levels[1:]):
         for fid, pts in enumerate(prev):
             owner[pts] = fid
-        raw.append([Folder(np.sort(pts), int(owner[pts[0]])) for pts in levels[li]])
-    tree = PartitionTree._link_children(raw)
+        parents.append([int(owner[pts[0]]) for pts in folders])
+    linked = []
+    for folders, ups, below in zip(levels, parents, parents[1:] + [[]]):
+        kids: list[list[int]] = [[] for _ in folders]
+        for cid, parent in enumerate(below):
+            kids[parent].append(cid)
+        linked.append([Folder(pts, up, tuple(k)) for pts, up, k in zip(folders, ups, kids)])
+    tree = PartitionTree(linked)
     tree.validate()
     return tree

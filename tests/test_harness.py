@@ -259,6 +259,16 @@ def test_fit_too_large_for_memory_fails_before_any_kernel(small_trial, monkeypat
     assert kernels == []
 
 
+def test_bottomup_fit_is_sized_with_its_tree(small_trial, monkeypatch):
+    import cohortmetric.harness as hz
+
+    n, m = small_trial.data.values.shape
+    monkeypatch.setattr(hz, "_physical_memory_bytes", lambda: hz.estimate_fit_bytes(n, m))
+    with pytest.raises(hz.FitTooLargeError):
+        fit_pipeline(small_trial.data, small_trial.records,
+                     RunConfig(seed=21, tree_method="bottomup", **FAST))
+
+
 def test_fit_memory_estimate_grows_with_size():
     from cohortmetric.harness import estimate_fit_bytes
 
@@ -267,6 +277,8 @@ def test_fit_memory_estimate_grows_with_size():
     # the two measured peaks (200 and 467 MB) are covered within 10%
     assert 200e6 <= estimate_fit_bytes(2000, 9) <= 1.1 * 200e6
     assert 467e6 <= estimate_fit_bytes(4500, 9) <= 1.1 * 467e6
+    # a bottom-up fit with every point in its own ball measured 832 MB
+    assert 832e6 <= estimate_fit_bytes(2000, 9, "bottomup") <= 1.1 * 832e6
 
 
 # --- recommendation -------------------------------------------------------------------
@@ -364,6 +376,22 @@ def test_model_roundtrip_predictions_match(tmp_path, small_trial, small_model):
         np.testing.assert_equal(got.weight_change, fitted.weight_change)  # NaN first
         assert (got.sigma, got.lam) == (fitted.sigma, fitted.lam)
         assert got.top_eigenvalues == fitted.top_eigenvalues
+
+
+def test_bottomup_fit_roundtrips_through_a_saved_model(tmp_path, small_trial):
+    # bottomup_eps unset: the fit covers with 5% of the embedding's span
+    cfg = RunConfig(seed=21, tree_method="bottomup", **FAST)
+    model = fit_pipeline(small_trial.data, small_trial.records, cfg)
+    assert model.metric.tree.n_levels > 2
+    io.save_model(tmp_path / "model", model)
+    back = io.load_model(tmp_path / "model")
+    io.save_model(tmp_path / "again", back)
+    assert back.metric.tree.to_lines() == model.metric.tree.to_lines()
+    assert (tmp_path / "again" / "tree.txt").read_bytes() == (tmp_path / "model" / "tree.txt").read_bytes()
+    p1 = predict(model, small_trial.data.values[:40])
+    p2 = predict(back, small_trial.data.values[:40])
+    for name in ("estimates", "n_neighbors", "balanced", "in_support", "coords"):
+        assert getattr(p1, name).tobytes() == getattr(p2, name).tobytes(), name
 
 
 def test_model_report_holds_plain_numbers(tmp_path, small_model):

@@ -17,29 +17,12 @@ from cohortmetric.metric import (
     weighted_kernel,
 )
 from cohortmetric.survival import CohortTooSmallError, UndefinedCohortValue
-from cohortmetric.tree import Folder, PartitionTree
+from cohortmetric.tree import _assemble
 
 
 def make_tree(levels_points):
     """Build a PartitionTree from nested lists of point-index lists."""
-    levels = []
-    for li, level in enumerate(levels_points):
-        folders = []
-        for pts in level:
-            pts = np.array(sorted(pts))
-            if li == 0:
-                parent = -1
-            else:
-                parent = next(
-                    fid
-                    for fid, prev in enumerate(levels_points[li - 1])
-                    if set(pts) <= set(prev)
-                )
-            folders.append(Folder(pts, parent))
-        levels.append(folders)
-    tree = PartitionTree._link_children(levels)
-    tree.validate()
-    return tree
+    return _assemble([[np.array(sorted(pts)) for pts in level] for level in levels_points])
 
 
 # --- CohortFunctional ---------------------------------------------------------

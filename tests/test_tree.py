@@ -103,21 +103,6 @@ def test_bottomup_merge_order_matches_bruteforce():
     assert got == expected
 
 
-def test_folder_of_membership():
-    rng = np.random.default_rng(4)
-    coords = rng.normal(size=(40, 2))
-    tree = build_topdown(embed_coords(coords), k=2, min_folder=3, seed=5)
-    assert tree.folder_of(1, 17) == 0
-    top = tree.folders(tree.n_levels)
-    assert top[tree.folder_of(tree.n_levels, 17)].points.tolist() == [17]
-    for level in range(1, tree.n_levels + 1):
-        for point in (0, 13, 39):
-            fid = tree.folder_of(level, point)
-            # linear-scan oracle
-            scan = [i for i, f in enumerate(tree.folders(level)) if point in f.points]
-            assert scan == [fid]
-
-
 def test_parent_child_links():
     rng = np.random.default_rng(5)
     coords = rng.normal(size=(30, 2))
@@ -296,3 +281,95 @@ def test_level_batched_tree_matches_oracle_when_lloyd_is_cut_short(max_iter, mon
     for k in (2, 3):
         got = build_topdown(emb, k=k, min_folder=10, seed=max_iter)
         assert got.to_lines() == _oracle_topdown(emb.coords, k, 10, max_iter)[0]
+
+
+# --- bottom-up oracle: the closest-pair merge loop over weighted centroids ---
+
+
+def _oracle_bottomup(coords, eps):
+    """Tree lines of the greedy eps-cover and the pairwise merge loop: each
+    step merges the closest pair of folder centroids (the first pair in list
+    order within 1e-15), the merged folder at the earlier position."""
+    n = coords.shape[0]
+    uncovered = np.ones(n, dtype=bool)
+    cover = []
+    while uncovered.any():
+        center = int(np.argmax(uncovered))
+        d = np.linalg.norm(coords - coords[center], axis=1)
+        members = np.where(uncovered & (d <= eps))[0]
+        cover.append(members)
+        uncovered[members] = False
+    fine_levels = [cover]
+    current = [(pts, coords[pts].mean(axis=0), len(pts)) for pts in cover]
+    while len(current) > 1:
+        best = None
+        for i in range(len(current)):
+            for j in range(i + 1, len(current)):
+                d = float(np.linalg.norm(current[i][1] - current[j][1]))
+                if best is None or d < best[0] - 1e-15:
+                    best = (d, i, j)
+        _, i, j = best
+        merged_pts = np.sort(np.concatenate([current[i][0], current[j][0]]))
+        wi, wj = current[i][2], current[j][2]
+        centroid = (current[i][1] * wi + current[j][1] * wj) / (wi + wj)
+        nxt = [current[t] for t in range(len(current)) if t not in (i, j)]
+        nxt.insert(i, (merged_pts, centroid, wi + wj))
+        current = nxt
+        fine_levels.append([c[0] for c in current])
+    levels = fine_levels[::-1]
+    if any(len(pts) > 1 for pts in levels[-1]):
+        levels.append([np.array([p]) for p in range(n)])
+    lines = []
+    for li, folders in enumerate(levels):
+        for fid, pts in enumerate(folders):
+            parent = -1 if li == 0 else next(
+                pid for pid, up in enumerate(levels[li - 1]) if pts[0] in up)
+            lines.append(",".join([str(li + 1), str(fid), str(parent)]
+                                  + [str(p) for p in np.sort(pts)]))
+    return lines
+
+
+def _span(coords):
+    return float(np.linalg.norm(coords.max(axis=0) - coords.min(axis=0)))
+
+
+def _bottomup_inputs(kind, d, seed, n=64):
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian":
+        return rng.normal(size=(n, d))
+    if kind == "repeated":  # every distinct row two to four times
+        rows = rng.normal(size=(n // 3, d))
+        return rows[rng.permutation(np.repeat(np.arange(n // 3), rng.integers(2, 5, n // 3)))]
+    return _diffusion_coords(seed, d, n=n).coords
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "diffusion", "repeated"])
+@pytest.mark.parametrize("d", [1, 2, 5])
+@pytest.mark.parametrize("frac", [0.0, 0.02, 0.05, 0.10])
+def test_bottomup_tree_matches_merge_loop_oracle(kind, d, frac, monkeypatch):
+    coords = _bottomup_inputs(kind, d, seed=100 * d + int(1000 * frac))
+    # frac 0: a radius below every nonzero gap, so each distinct row is its own ball
+    eps = frac * _span(coords) if frac else 1e-9
+    calls = []
+    scipy_linkage = tree_mod.linkage
+
+    def counted(y, *args, **kwargs):
+        calls.append((y.shape, kwargs.get("method")))
+        return scipy_linkage(y, *args, **kwargs)
+
+    monkeypatch.setattr(tree_mod, "linkage", counted)
+    got = build_bottomup(embed_coords(coords), eps)
+    assert got.to_lines() == _oracle_bottomup(coords, eps)
+    assert calls == [((coords.shape[0], d), "centroid")]  # one call, one row per point
+
+
+def test_bottomup_coinciding_centroids_match_oracle():
+    # the first two balls (eps = 1) have bitwise-equal centroids, so linkage
+    # merges copies of both at distance 0 in an order of its own
+    a = [(0.0, 0.0)] + [(0.9375, 0.125)] * 10 + [(1.0, 0.0)] * 5
+    b = [(1.5, 0.0)] + [(0.8125, 0.625)] * 4 + [(0.8125, -0.625)] * 3
+    c = [(6.0, 0.0), (9.0, 0.5), (-5.0, 1.0)]
+    coords = np.array(a + b + c)
+    got = build_bottomup(embed_coords(coords), eps=1.0)
+    assert [len(f.points) for f in got.folders(got.n_levels - 1)] == [16, 8, 1, 1, 1]
+    assert got.to_lines() == _oracle_bottomup(coords, 1.0)
