@@ -243,7 +243,7 @@ def gaussian_kernel(X, sigma: float | None = None, tau: float = 0.0) -> Affinity
     values = as_values(X)
     if sigma is None:
         sigma = median_bandwidth(values)
-    if sigma <= 0:
+    if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     if tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")

@@ -54,7 +54,9 @@ class ReferenceEmbedding:
         s = np.asarray(self.singular_values, dtype=float)
         if np.any(s < 0) or np.any(np.diff(s) > 1e-12):
             raise ValueError("singular values must be nonnegative and descending")
-        if np.any(self.d2 <= 0):
+        if not self.sigma > 0:
+            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not np.all(self.d2 > 0):
             raise ValueError("column normalizer must be positive")
 
     @property
@@ -83,7 +85,7 @@ def asymmetric_kernel(Z, x_ref, weights, sigma: float, tau: float = 0.0) -> np.n
         raise ValueError(f"weights {u.shape} do not match reference {Xr.shape}")
     if np.any(u <= 0):
         raise ValueError("W_x diagonals must be positive")
-    if sigma <= 0:
+    if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     half_logdet = 0.5 * np.log(u).sum(axis=1)  # log sqrt(det W_x)
     # feature-major (m, points) copies: one (rows, n_ref) plane per feature

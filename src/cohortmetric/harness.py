@@ -63,13 +63,13 @@ def estimate_fit_bytes(n: int, m: int, tree_method: str = "topdown") -> int:
     110, 196-200 and 462-467 MB for n=400, 2000 and 4500, against estimates
     of 136, 205 and 492 MB.
 
-    A bottom-up tree adds 170n^2 bytes. It has one level per merge, so with
-    every point in its own ball it holds about n^2/2 folders, each a Python
-    object, and a fit holds two trees while it builds the next. Such 2-step
-    sphere fits peak at 146, 285 and 832 MB for n=500, 1000 and 2000,
-    against estimates of 181, 322 and 885 MB.
+    A bottom-up tree adds 8n^2 bytes: with every point in its own ball it
+    has n levels holding about n^2/2 folder references, and linkage holds
+    n(n-1)/2 distances. Such 2-step sphere fits peak at 113, 135 and 221 MB
+    for n=500, 1000 and 2000 (211 MB at n=2000 with the default eps),
+    against estimates of 140, 160 and 237 MB.
     """
-    tree_bytes = 170 * n * n if tree_method == "bottomup" else 0
+    tree_bytes = 8 * n * n if tree_method == "bottomup" else 0
     return int(125e6 + 8 * (2.2 * n * n + 2**20 + 8 * n * m) + tree_bytes)
 
 

@@ -85,8 +85,8 @@ class WeightField:
         w = np.asarray(self.point_weights, dtype=float)
         if np.any(w < 0) or not np.all(np.isfinite(w)):
             raise ValueError("point weights must be finite and nonnegative")
-        if self.lam <= 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
+        if not 0 < self.lam < np.inf:
+            raise ValueError(f"lam must be finite and positive, got {self.lam}")
         object.__setattr__(self, "point_weights", w)
 
     def inv_diag(self) -> np.ndarray:
@@ -201,14 +201,14 @@ def compute_folder_weights(tree: PartitionTree, X, F: CohortFunctional,
     out: dict = {}
     for level in range(1, tree.n_levels + 1):
         folders = tree.folders(level)
-        if not any(len(f.points) >= F.min_cohort for f in folders):
+        if not any(len(pts) >= F.min_cohort for pts in folders):
             continue
-        for fid, f in enumerate(folders):
-            if len(f.points) < F.min_cohort:
+        for fid, pts in enumerate(folders):
+            if len(pts) < F.min_cohort:
                 continue
             w = np.empty(m)
             for y in range(m):
-                w[y] = folder_weight(bin_feature(f.points, values, y, k_bins), F)
+                w[y] = folder_weight(bin_feature(pts, values, y, k_bins), F)
             out[(level, fid)] = w
     return out
 
@@ -231,8 +231,7 @@ def aggregate_point_weights(tree: PartitionTree, folder_weights: dict, alpha: fl
         raise ValueError("no folder weights to aggregate")
     w = np.zeros((n, m))
     for (level, fid), farr in folder_weights.items():
-        pts = tree.folders(level)[fid].points
-        w[pts] += 2.0 ** (-alpha * level) * farr[None, :]
+        w[tree.folders(level)[fid]] += 2.0 ** (-alpha * level) * farr[None, :]
     return WeightField(w, alpha, resolve_lam(w, lam))
 
 
@@ -277,7 +276,7 @@ def weighted_kernel(X, weights, sigma: float | None = None, tau: float = 0.0) ->
         raise ValueError("W_x diagonals must be positive")
     if sigma is None:
         sigma = float(np.sqrt(_median_quadratic_scale(values, u)))
-    if sigma <= 0:
+    if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     n, m = values.shape
     xt, ut = values.T.copy(), u.T.copy()  # (m, n): one contiguous row per feature
@@ -367,9 +366,10 @@ def fit_weighted_metric(X, F: CohortFunctional, config: RunConfig = RunConfig())
         markov_normalize(gaussian_kernel(values, sigma=config.sigma0, tau=config.tau)),
         t=config.time, d=config.dim,
     )
-    W = None
+    W = tree = None
     history: list[IterationDiagnostics] = []
     for it in range(config.max_iters):
+        del tree  # one tree at a time
         tree = _build_tree(emb, config, n, config.seed + it)
         W_prev, W = W, compute_weight_field(values, F, tree, config)
         K = weighted_kernel(values, W, sigma=config.sigma_weighted, tau=config.tau)

@@ -3,9 +3,9 @@
 A tree is a list of levels; level 1 is the whole point set, the last level is
 all singletons, and every level partitions the points exactly. Folders that
 reach the stopping size are carried through unchanged until the singleton
-level is appended. Both builders produce coarse-to-fine lists of point sets
-and hand them to one assembly, which links each folder to the folder of the
-previous level that contains it and validates the result.
+level is appended. A tree is exactly what both builders make: coarse-to-fine
+lists with one sorted point array per folder. A folder's parent is the
+folder of the previous level that contains it, found when it is needed.
 
 The top-down tree is level-synchronous: one `kmeans_split` call splits every
 splittable folder of a level, its Lloyd iterations running over all of the
@@ -32,16 +32,15 @@ KMEANS_RESTARTS = 25
 KMEANS_MAX_ITER = 100
 
 
-@dataclass(frozen=True, slots=True)
-class Folder:
-    points: np.ndarray  # sorted point indices
-    parent: int  # folder index in the previous (coarser) level, -1 at the root
-    children: tuple[int, ...] = ()  # folder indices in the next (finer) level
-
-
 @dataclass
 class PartitionTree:
-    levels: list[list[Folder]]
+    """Coarse-to-fine levels, each a list of folders, each folder a sorted
+    array of point indices. The constructor validates the levels."""
+
+    levels: list[list[np.ndarray]]
+
+    def __post_init__(self):
+        self.validate()
 
     @property
     def n_levels(self) -> int:
@@ -49,44 +48,45 @@ class PartitionTree:
 
     @property
     def n_points(self) -> int:
-        return sum(len(f.points) for f in self.levels[0])
+        return len(self.levels[0][0])
 
-    def folders(self, level: int) -> list[Folder]:
+    def folders(self, level: int) -> list[np.ndarray]:
         """Folders at 1-based level (level 1 = root partition)."""
         return self.levels[level - 1]
 
+    def parents(self, level: int) -> np.ndarray:
+        """Index in the level above of the folder that contains each folder
+        of 1-based `level`; -1 at the root."""
+        if level == 1:
+            return np.array([-1])
+        owner, _ = _owner(self.folders(level - 1), self.n_points, level - 1)
+        return owner[[pts[0] for pts in self.folders(level)]]
+
     def validate(self):
-        """Check the partition invariants at every level; raise on violation."""
+        """Raise ValueError unless the levels form a partition tree: a single
+        root folder, every level a partition of the points into nonempty
+        folders, each folder inside one folder of the level above, and a
+        last level of singletons. O(n) per level."""
+        if not self.levels or len(self.levels[0]) != 1:
+            raise ValueError("level 1 must be the single root folder")
         n = self.n_points
-        universe = np.arange(n)
-        if len(self.levels[0]) != 1:
-            raise AssertionError("level 1 must be the single root folder")
-        for li, folders in enumerate(self.levels):
-            seen = np.concatenate([f.points for f in folders])
-            if len(np.unique(seen)) != len(seen):
-                raise AssertionError(f"level {li + 1}: folders overlap")
-            if not np.array_equal(np.sort(seen), universe):
-                raise AssertionError(f"level {li + 1}: folders do not cover all points")
-        for f in self.levels[-1]:
-            if len(f.points) != 1:
-                raise AssertionError("last level must be singletons")
-        for li in range(len(self.levels) - 1):
-            nxt = self.levels[li + 1]
-            for fid, f in enumerate(self.levels[li]):
-                child_pts = np.sort(np.concatenate([nxt[c].points for c in f.children]))
-                if not np.array_equal(child_pts, f.points):
-                    raise AssertionError(f"level {li + 1} folder {fid}: children do not tile it")
-                for c in f.children:
-                    if nxt[c].parent != fid:
-                        raise AssertionError("parent/child links inconsistent")
+        prev = None
+        for level, folders in enumerate(self.levels, start=1):
+            owner, first = _owner(folders, n, level)
+            # a point's folder above must be that of its folder's first point
+            if prev is not None and np.any(prev[first[owner]] != prev):
+                raise ValueError(f"level {level}: a folder straddles two folders "
+                                 f"of level {level - 1}")
+            prev = owner
+        if len(self.levels[-1]) != n:
+            raise ValueError("last level must be singletons")
 
     def to_lines(self) -> list[str]:
         """One line per folder: level,folder_id,parent_id,point_ids..."""
         lines = []
-        for li, folders in enumerate(self.levels):
-            for fid, f in enumerate(folders):
-                head = [str(li + 1), str(fid), str(f.parent)]
-                lines.append(",".join(head + [str(p) for p in f.points]))
+        for level, folders in enumerate(self.levels, start=1):
+            for fid, (pts, up) in enumerate(zip(folders, self.parents(level))):
+                lines.append(",".join([str(level), str(fid), str(up)] + [str(p) for p in pts]))
         return lines
 
     @classmethod
@@ -100,8 +100,23 @@ class PartitionTree:
             parts = line.split(",")
             pts = np.sort(np.array([int(p) for p in parts[3:]], dtype=int))
             by_level.setdefault(int(parts[0]), []).append((int(parts[1]), pts))
-        return _assemble([[pts for _, pts in sorted(by_level[level], key=lambda f: f[0])]
-                          for level in sorted(by_level)])
+        return cls([[pts for _, pts in sorted(by_level[level], key=lambda f: f[0])]
+                    for level in sorted(by_level)])
+
+
+def _owner(folders: list[np.ndarray], n: int, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """The folder index of each of the n points, and each folder's first
+    point; ValueError unless the folders partition 0..n-1 into nonempty sets."""
+    sizes = np.array([len(pts) for pts in folders])
+    if not sizes.all():
+        raise ValueError(f"level {level}: a folder is empty")
+    points = np.concatenate(folders)
+    counts = np.bincount(points, minlength=n)  # ValueError on a negative id
+    if len(counts) != n or np.any(counts != 1):
+        raise ValueError(f"level {level}: folders overlap or miss a point of 0..{n - 1}")
+    owner = np.empty(n, dtype=int)
+    owner[points] = np.repeat(np.arange(len(folders)), sizes)
+    return owner, points[np.cumsum(sizes) - sizes]
 
 
 def _kmeans_plus_plus_init_batch(coords, k, restarts, rng):
@@ -254,7 +269,7 @@ def build_topdown(emb: DiffusionEmbedding, k: int = 2, min_folder: int = 1,
         levels.append(nxt)
     if len(levels) == 1 or any(len(pts) > 1 for pts in levels[-1]):
         levels.append([np.array([p]) for pts in levels[-1] for p in pts])
-    return _assemble(levels)
+    return PartitionTree(levels)
 
 
 def build_bottomup(emb: DiffusionEmbedding, eps: float) -> PartitionTree:
@@ -318,25 +333,5 @@ def build_bottomup(emb: DiffusionEmbedding, eps: float) -> PartitionTree:
     levels = fine_levels[::-1]
     if any(len(pts) > 1 for pts in levels[-1]):
         levels.append([np.array([p]) for p in range(n)])
-    return _assemble(levels)
+    return PartitionTree(levels)
 
-
-def _assemble(levels: list[list[np.ndarray]]) -> PartitionTree:
-    """The validated tree over coarse-to-fine levels of sorted point arrays:
-    each folder's parent is the folder of the previous level that contains
-    it."""
-    owner = np.empty(sum(len(pts) for pts in levels[0]), dtype=int)
-    parents = [[-1] * len(levels[0])]
-    for prev, folders in zip(levels, levels[1:]):
-        for fid, pts in enumerate(prev):
-            owner[pts] = fid
-        parents.append([int(owner[pts[0]]) for pts in folders])
-    linked = []
-    for folders, ups, below in zip(levels, parents, parents[1:] + [[]]):
-        kids: list[list[int]] = [[] for _ in folders]
-        for cid, parent in enumerate(below):
-            kids[parent].append(cid)
-        linked.append([Folder(pts, up, tuple(k)) for pts, up, k in zip(folders, ups, kids)])
-    tree = PartitionTree(linked)
-    tree.validate()
-    return tree

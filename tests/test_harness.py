@@ -277,8 +277,8 @@ def test_fit_memory_estimate_grows_with_size():
     # the two measured peaks (200 and 467 MB) are covered within 10%
     assert 200e6 <= estimate_fit_bytes(2000, 9) <= 1.1 * 200e6
     assert 467e6 <= estimate_fit_bytes(4500, 9) <= 1.1 * 467e6
-    # a bottom-up fit with every point in its own ball measured 832 MB
-    assert 832e6 <= estimate_fit_bytes(2000, 9, "bottomup") <= 1.1 * 832e6
+    # a bottom-up fit with every point in its own ball measured 221 MB
+    assert 221e6 <= estimate_fit_bytes(2000, 9, "bottomup") <= 1.1 * 221e6
 
 
 # --- recommendation -------------------------------------------------------------------
@@ -511,6 +511,31 @@ def test_stale_config_key_in_a_saved_model_is_a_config_error(tmp_path, small_tri
     io.write_dataset_csv(data, small_trial.data, small_trial.records)
     assert main(["recommend", "--model", str(model_dir), "--data", str(data),
                  "--out", str(tmp_path / "rec")]) == 2
+
+
+@pytest.mark.parametrize("key", ["lam", "sigma"])
+def test_nan_in_a_saved_config_is_a_value_error(tmp_path, small_model, key):
+    model_dir = tmp_path / "model"
+    io.save_model(model_dir, small_model)
+    meta = json.loads((model_dir / "config.json").read_text())
+    meta[key] = float("nan")
+    (model_dir / "config.json").write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=key):
+        io.load_model(model_dir)
+
+
+def test_cli_extend_on_a_corrupt_tree_exits_1(tmp_path, small_trial, small_model, capsys):
+    model_dir = tmp_path / "model"
+    io.save_model(model_dir, small_model)
+    lines = (model_dir / "tree.txt").read_text().splitlines()
+    first, second = [i for i, line in enumerate(lines) if line.startswith("2,")][:2]
+    lines[first] += "," + lines[second].split(",")[3]  # a point in both level-2 folders
+    (model_dir / "tree.txt").write_text("\n".join(lines) + "\n")
+    data = tmp_path / "data.csv"
+    io.write_dataset_csv(data, small_trial.data, small_trial.records)
+    assert main(["extend", "--model", str(model_dir), "--data", str(data),
+                 "--out", str(tmp_path / "ext")]) == 1
+    assert "error: level 2: folders overlap or miss a point" in capsys.readouterr().err
 
 
 # --- CLI -------------------------------------------------------------------------------

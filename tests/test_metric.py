@@ -17,12 +17,12 @@ from cohortmetric.metric import (
     weighted_kernel,
 )
 from cohortmetric.survival import CohortTooSmallError, UndefinedCohortValue
-from cohortmetric.tree import _assemble
+from cohortmetric.tree import PartitionTree
 
 
 def make_tree(levels_points):
     """Build a PartitionTree from nested lists of point-index lists."""
-    return _assemble([[np.array(sorted(pts)) for pts in level] for level in levels_points])
+    return PartitionTree([[np.array(sorted(pts)) for pts in level] for level in levels_points])
 
 
 # --- CohortFunctional ---------------------------------------------------------

@@ -20,7 +20,7 @@ def test_topdown_single_point():
     assert tree.n_levels == 2
     assert len(tree.folders(1)) == 1
     assert len(tree.folders(2)) == 1
-    assert tree.folders(2)[0].points.tolist() == [0]
+    assert tree.folders(2)[0].tolist() == [0]
 
 
 def test_topdown_recovers_separated_blobs():
@@ -29,7 +29,7 @@ def test_topdown_recovers_separated_blobs():
     b = rng.normal(size=(20, 2)) * 0.1 + np.array([50.0, 0.0])
     coords = np.vstack([a, b])
     tree = build_topdown(embed_coords(coords), k=2, min_folder=5, seed=1)
-    level2 = {frozenset(f.points.tolist()) for f in tree.folders(2)}
+    level2 = {frozenset(f.tolist()) for f in tree.folders(2)}
     assert level2 == {frozenset(range(20)), frozenset(range(20, 40))}
 
 
@@ -38,7 +38,7 @@ def test_topdown_partition_invariants_hold():
     coords = rng.normal(size=(67, 3))
     tree = build_topdown(embed_coords(coords), k=3, min_folder=4, seed=2)
     tree.validate()
-    assert all(len(f.points) == 1 for f in tree.folders(tree.n_levels))
+    assert all(len(f) == 1 for f in tree.folders(tree.n_levels))
 
 
 def test_topdown_deterministic_under_seed():
@@ -62,12 +62,12 @@ def test_bottomup_wide_radius_gives_two_levels():
     tree = build_bottomup(embed_coords(coords), eps=1e3)
     assert tree.n_levels == 2
     assert len(tree.folders(1)) == 1
-    assert all(len(f.points) == 1 for f in tree.folders(2))
+    assert all(len(f) == 1 for f in tree.folders(2))
 
 
 def test_bottomup_collinear_cover():
     tree = build_bottomup(embed_coords([[0.0], [1.0], [10.0]]), eps=2.0)
-    finest_nonsingleton = {frozenset(f.points.tolist()) for f in tree.folders(tree.n_levels - 1)}
+    finest_nonsingleton = {frozenset(f.tolist()) for f in tree.folders(tree.n_levels - 1)}
     assert finest_nonsingleton == {frozenset({0, 1}), frozenset({2})}
 
 
@@ -98,7 +98,7 @@ def test_bottomup_merge_order_matches_bruteforce():
         expected_levels.append(tuple(tuple(store[f]) for f in fs))
     got = []
     for level in range(tree.n_levels, 0, -1):  # fine to coarse; cover is singletons here
-        got.append({frozenset(f.points.tolist()) for f in tree.folders(level)})
+        got.append({frozenset(f.tolist()) for f in tree.folders(level)})
     expected = [{frozenset(g) for g in lv} for lv in expected_levels]
     assert got == expected
 
@@ -108,9 +108,10 @@ def test_parent_child_links():
     coords = rng.normal(size=(30, 2))
     tree = build_topdown(embed_coords(coords), k=2, min_folder=2, seed=6)
     for level in range(2, tree.n_levels + 1):
+        parents = tree.parents(level)
+        assert len(parents) == len(tree.folders(level))
         for fid, f in enumerate(tree.folders(level)):
-            parent = tree.folders(level - 1)[f.parent]
-            assert fid in parent.children
+            assert np.isin(f, tree.folders(level - 1)[parents[fid]]).all()
 
 
 def test_serialization_roundtrip():
@@ -121,6 +122,33 @@ def test_serialization_roundtrip():
     back = PartitionTree.from_lines(lines)
     back.validate()
     assert back.to_lines() == lines
+
+
+def _small_tree_lines():
+    levels = [[range(6)], [[0, 1, 2], [3, 4, 5]], [[0, 1], [2], [3, 4], [5]], [[p] for p in range(6)]]
+    return PartitionTree([[np.array(pts) for pts in level] for level in levels]).to_lines()
+
+
+def _replace(edits):
+    return lambda lines: [new for line in lines for new in edits.get(line, [line])]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_replace({"2,1,0,3,4,5": ["2,1,0,2,3,4,5"]}), "level 2: folders overlap or miss"),
+    (_replace({"2,1,0,3,4,5": ["2,1,0,3,4"]}), "level 2: folders overlap or miss"),
+    (_replace({"2,1,0,3,4,5": ["2,1,0,3,4,6"]}), "level 2: folders overlap or miss"),
+    (_replace({"2,1,0,3,4,5": ["2,1,0,-3,4,5"]}), "negative"),
+    (_replace({"3,1,0,2": ["3,1,0,2,3"], "3,2,1,3,4": ["3,2,1,4"]}),
+     "level 3: a folder straddles two folders of level 2"),
+    (_replace({"1,0,-1,0,1,2,3,4,5": ["1,0,-1,0,1,2", "1,1,-1,3,4,5"]}), "single root"),
+    (lambda lines: [line for line in lines if not line.startswith("4,")], "singletons"),
+    (_replace({"2,1,0,3,4,5": ["2,1,0,3,4,5", "2,2,0"]}), "level 2: a folder is empty"),
+])
+def test_malformed_tree_lines_raise_value_error(edit, message):
+    lines = _small_tree_lines()
+    assert PartitionTree.from_lines(lines).to_lines() == lines
+    with pytest.raises(ValueError, match=message):
+        PartitionTree.from_lines(edit(lines))
 
 
 def test_tree_on_real_embedding():
@@ -371,5 +399,5 @@ def test_bottomup_coinciding_centroids_match_oracle():
     c = [(6.0, 0.0), (9.0, 0.5), (-5.0, 1.0)]
     coords = np.array(a + b + c)
     got = build_bottomup(embed_coords(coords), eps=1.0)
-    assert [len(f.points) for f in got.folders(got.n_levels - 1)] == [16, 8, 1, 1, 1]
+    assert [len(f) for f in got.folders(got.n_levels - 1)] == [16, 8, 1, 1, 1]
     assert got.to_lines() == _oracle_bottomup(coords, 1.0)
