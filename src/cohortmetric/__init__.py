@@ -76,6 +76,6 @@ from .survival import (
     simulate_cohort,
     weibull_sample,
 )
-from .tree import PartitionTree, build_bottomup, build_topdown
+from .tree import PartitionTree, build_topdown
 
 __version__ = "0.1.0"

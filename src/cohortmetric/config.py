@@ -43,7 +43,6 @@ class RunConfig:
     min_cohort: int = 25
     sigma0: float | None = None  # initial Gaussian bandwidth (median rule)
     sigma_weighted: float | None = None  # weighted-kernel bandwidth (median rule)
-    tau: float = 0.0
     dim: int = 5
     time: float = 1.0
     weight_alpha: float = 1.0
@@ -51,8 +50,6 @@ class RunConfig:
     k_bins: int = 3
     branching: int = 2
     min_folder: int | None = None  # max(10, ceil(n/256))
-    tree_method: str = "topdown"
-    bottomup_eps: float | None = None  # 5% of the embedding's span
     knn: int | None = None  # max(c, ceil(0.05 n)); radius, when given, wins
     radius: float | None = None
     balance_threshold: float = BALANCE_THRESHOLD
@@ -80,12 +77,10 @@ class RunConfig:
         if self.min_cohort < 2:
             raise ConfigError("min_cohort must be at least 2")
         # float comparisons are written so that NaN fails them
-        for name in ("sigma0", "sigma_weighted", "radius", "weight_lam", "bottomup_eps"):
+        for name in ("sigma0", "sigma_weighted", "radius", "weight_lam"):
             v = getattr(self, name)
             if v is not None and not v > 0:
                 raise ConfigError(f"{name} must be positive when given, got {v}")
-        if not self.tau >= 0:
-            raise ConfigError(f"tau must be nonnegative, got {self.tau}")
         if self.dim < 1 or not self.time > 0:
             raise ConfigError("dim must be >= 1 and time positive")
         if not 0 <= self.weight_alpha < np.inf:
@@ -94,8 +89,6 @@ class RunConfig:
             raise ConfigError("k_bins must be >= 1 and branching >= 2")
         if self.min_folder is not None and self.min_folder < 1:
             raise ConfigError("min_folder must be >= 1 when given")
-        if self.tree_method not in ("topdown", "bottomup"):
-            raise ConfigError(f"tree_method must be topdown|bottomup, got {self.tree_method!r}")
         if self.knn is not None and self.knn < 1:
             raise ConfigError("knn must be >= 1 when given")
         if not 0.5 <= self.balance_threshold < 1.0:

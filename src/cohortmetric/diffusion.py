@@ -32,11 +32,10 @@ class EigensolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class AffinityMatrix:
-    """Symmetric nonnegative affinity matrix with its bandwidth and truncation."""
+    """Symmetric nonnegative affinity matrix with its bandwidth."""
 
     entries: np.ndarray  # dense (n, n)
     sigma: float
-    tau: float = 0.0
 
     def __post_init__(self):
         K = np.asarray(self.entries, dtype=float)
@@ -210,15 +209,13 @@ def _symmetrize(S: np.ndarray) -> None:
         S[i1:, i0:i1] = B[:, i1 - i0:].T
 
 
-def _assemble(n, row_block_fn, tau):
+def _assemble(n, row_block_fn):
     """Assemble a dense symmetric kernel from a row-block function.
 
     row_block_fn(i0, i1, j0) must return dense rows [i0, i1) against columns
     [j0, n); only these upper-triangular blocks are computed and mirrored.
     Blocks take `_rows_per_block(n, PLANE_DEPTH)` rows, so that each
-    (rows, cols) plane holds about 2^16 floats. Thresholding at tau happens
-    on the symmetric entries (never per row) and the diagonal is always
-    kept.
+    (rows, cols) plane holds about 2^16 floats.
     """
     K = _empty_mapped((n, n))
     block = _rows_per_block(n, PLANE_DEPTH)
@@ -227,35 +224,28 @@ def _assemble(n, row_block_fn, tau):
         B = row_block_fn(i0, i1, i0)
         K[i0:i1, i0:] = B
         K[i0:, i0:i1] = B.T
-    if tau > 0:
-        diag = np.diagonal(K).copy()
-        K = np.where(K >= tau, K, 0.0)
-        np.fill_diagonal(K, diag)
     return K
 
 
-def gaussian_kernel(X, sigma: float | None = None, tau: float = 0.0) -> AffinityMatrix:
+def gaussian_kernel(X, sigma: float | None = None) -> AffinityMatrix:
     """Gaussian affinities exp(-||x_i - x_j||^2 / (2 sigma^2)).
 
-    sigma defaults to the median nonzero pairwise distance. Entries below tau
-    are zeroed (diagonal kept).
+    sigma defaults to the median nonzero pairwise distance.
     """
     values = as_values(X)
     if sigma is None:
         sigma = median_bandwidth(values)
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    if tau < 0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
     n = values.shape[0]
 
     def block(i0, i1, j0):
         d2 = cdist(values[i0:i1], values[j0:], "sqeuclidean")
         return np.exp(-d2 / (2.0 * sigma**2))
 
-    K = _assemble(n, block, tau)
+    K = _assemble(n, block)
     np.fill_diagonal(K, 1.0)
-    return AffinityMatrix(K, float(sigma), float(tau))
+    return AffinityMatrix(K, float(sigma))
 
 
 def correlation_kernel(X) -> AffinityMatrix:
@@ -270,7 +260,7 @@ def correlation_kernel(X) -> AffinityMatrix:
     _symmetrize(G)
     K = np.clip(G, 0.0, 1.0)
     np.fill_diagonal(K, 1.0)
-    return AffinityMatrix(K, sigma=1.0, tau=0.0)
+    return AffinityMatrix(K, sigma=1.0)
 
 
 def markov_normalize(K: AffinityMatrix) -> MarkovOperator:

@@ -34,7 +34,7 @@ def _as_rows(Z) -> np.ndarray:
 
 
 class OutOfSupportError(ValueError):
-    """The point has no affinity to any reference point at the threshold."""
+    """The point's kernel row underflows to zero at every reference point."""
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,6 @@ class ReferenceEmbedding:
     x_ref: np.ndarray  # reference points (n_ref, m)
     inv_diag: np.ndarray  # W_x diagonals of the references (n_ref, m)
     sigma: float
-    tau: float
     psi: np.ndarray  # right singular vectors of A (n_ref, r)
     singular_values: np.ndarray  # descending, cutoff applied (r,)
     d2: np.ndarray  # frozen column normalizer (n_ref,)
@@ -68,7 +67,7 @@ class ReferenceEmbedding:
         return self.singular_values.shape[0]
 
 
-def asymmetric_kernel(Z, x_ref, weights, sigma: float, tau: float = 0.0) -> np.ndarray:
+def asymmetric_kernel(Z, x_ref, weights, sigma: float) -> np.ndarray:
     """One-sided weighted kernel rows:
 
         k(z, x) = exp(-(z-x)' W_x^{-1} (z-x) / sigma^2) / sqrt(det(W_x)),
@@ -107,12 +106,10 @@ def asymmetric_kernel(Z, x_ref, weights, sigma: float, tau: float = 0.0) -> np.n
         q /= sigma**2
         q -= half_logdet
         np.exp(q, out=out[i0:i1])
-    if tau > 0:
-        out = np.where(out >= tau, out, 0.0)
     return out
 
 
-def build_reference(x_ref, weights, sigma: float, tau: float = 0.0,
+def build_reference(x_ref, weights, sigma: float,
                     n_components: int | None = None) -> ReferenceEmbedding:
     """Decompose the normalized asymmetric kernel of the reference set.
 
@@ -124,7 +121,7 @@ def build_reference(x_ref, weights, sigma: float, tau: float = 0.0,
     Xr = as_values(x_ref)
     if Xr.shape[0] < 2:
         raise ValueError("need at least two reference points")
-    A = asymmetric_kernel(Xr, Xr, weights, sigma, tau)  # K, normalized in place below
+    A = asymmetric_kernel(Xr, Xr, weights, sigma)  # K, normalized in place below
     d1 = A.sum(axis=1)
     d2 = A.sum(axis=0)
     if np.any(d1 <= 0):
@@ -148,7 +145,6 @@ def build_reference(x_ref, weights, sigma: float, tau: float = 0.0,
         x_ref=Xr,
         inv_diag=u,
         sigma=float(sigma),
-        tau=float(tau),
         psi=psi,
         singular_values=s,
         d2=d2,
@@ -161,15 +157,15 @@ def extend(ref: ReferenceEmbedding, z) -> np.ndarray:
 
     z is a 1-d point or a one-row 2-d array; more rows go to `extend_batch`.
     The new point's own row sum plays the D1 role; the reference D2 is
-    frozen. A point that reaches no reference at the threshold is flagged
-    out of support.
+    frozen. A point whose kernel row underflows to zero is flagged out of
+    support.
     """
     z = _as_rows(z)
     if z.shape[0] != 1:
         raise ValueError(f"extend takes one point, got {z.shape[0]} rows; use extend_batch")
     coords, in_support = extend_batch(ref, z)
     if not in_support.all():
-        raise OutOfSupportError(f"point has no affinity to any reference at tau={ref.tau}")
+        raise OutOfSupportError("point's kernel row underflows to zero at every reference")
     return coords[0]
 
 
@@ -179,7 +175,7 @@ def extend_batch(ref: ReferenceEmbedding, Z):
     Out-of-support rows carry NaN coordinates with in_support False.
     """
     Zv = _as_rows(Z)
-    rows = asymmetric_kernel(Zv, ref.x_ref, ref.inv_diag, ref.sigma, ref.tau)
+    rows = asymmetric_kernel(Zv, ref.x_ref, ref.inv_diag, ref.sigma)
     row_sums = rows.sum(axis=1)
     in_support = row_sums > 0
     if not in_support.all():
@@ -192,8 +188,7 @@ def extend_batch(ref: ReferenceEmbedding, Z):
     return coords, in_support
 
 
-def build_reference_from_metric(X, metric: RegularizedMetric,
-                                n_components: int | None = None) -> ReferenceEmbedding:
-    """Reference decomposition using the trained metric's weights and scales."""
-    comps = n_components if n_components is not None else metric.embedding.d + 1
-    return build_reference(X, metric.weights, metric.sigma, metric.tau, comps)
+def build_reference_from_metric(X, metric: RegularizedMetric) -> ReferenceEmbedding:
+    """Reference decomposition using the trained metric's weights and
+    bandwidth, with the embedding's d + 1 components."""
+    return build_reference(X, metric.weights, metric.sigma, metric.embedding.d + 1)

@@ -50,7 +50,7 @@ class FitTooLargeError(ValueError):
     """The fit's estimated peak memory exceeds the machine's physical memory."""
 
 
-def estimate_fit_bytes(n: int, m: int, tree_method: str = "topdown") -> int:
+def estimate_fit_bytes(n: int, m: int) -> int:
     """Upper estimate of the peak resident bytes of `fit_pipeline` on n points
     and m features.
 
@@ -61,16 +61,10 @@ def estimate_fit_bytes(n: int, m: int, tree_method: str = "topdown") -> int:
     kernels' (rows, cols) planes of about 2^16 floats each, and a few n x m
     arrays. Measured sphere fits (m=9, 2-vCPU host, one BLAS thread) peak at
     110, 196-200 and 462-467 MB for n=400, 2000 and 4500, against estimates
-    of 136, 205 and 492 MB.
-
-    A bottom-up tree adds 8n^2 bytes: with every point in its own ball it
-    has n levels holding about n^2/2 folder references, and linkage holds
-    n(n-1)/2 distances. Such 2-step sphere fits peak at 113, 135 and 221 MB
-    for n=500, 1000 and 2000 (211 MB at n=2000 with the default eps),
-    against estimates of 140, 160 and 237 MB.
+    of 136, 205 and 492 MB. The partition tree is left out: each of its
+    levels holds n point indices.
     """
-    tree_bytes = 8 * n * n if tree_method == "bottomup" else 0
-    return int(125e6 + 8 * (2.2 * n * n + 2**20 + 8 * n * m) + tree_bytes)
+    return int(125e6 + 8 * (2.2 * n * n + 2**20 + 8 * n * m))
 
 
 def _physical_memory_bytes() -> int:
@@ -87,7 +81,7 @@ def fit_pipeline(data, records: SurvivalRecords, config: RunConfig) -> FittedMod
     if dm.n_points != len(records):
         raise ValueError(f"{dm.n_points} data rows vs {len(records)} records")
     n, m = dm.values.shape
-    need, have = estimate_fit_bytes(n, m, config.tree_method), _physical_memory_bytes()
+    need, have = estimate_fit_bytes(n, m), _physical_memory_bytes()
     if need > have:
         raise FitTooLargeError(
             f"a fit of n={n} points with m={m} features needs about {need / 1e6:.0f} MB "

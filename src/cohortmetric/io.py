@@ -196,7 +196,6 @@ def save_model(model_dir, model) -> None:
     meta = {
         "config": model.config.to_dict(),
         "sigma": ref.sigma,
-        "tau": ref.tau,
         "lam": model.metric.weights.lam,
         "weight_alpha": model.metric.weights.alpha,
         "eigenvalues": [float(v) for v in eigen.eigenvalues],
@@ -252,7 +251,6 @@ def load_model(model_dir):
         x_ref=x_ref,
         inv_diag=weights.inv_diag(),
         sigma=float(meta["sigma"]),
-        tau=float(meta["tau"]),
         psi=psi,
         singular_values=svals,
         d2=d2_col[:, 0],
@@ -279,7 +277,6 @@ def load_model(model_dir):
         tree=tree,
         neighborhood=config.resolve_neighborhood(x_ref.shape[0], config.min_cohort),
         sigma=float(meta["sigma"]),
-        tau=float(meta["tau"]),
         iterations=int(meta["iterations"]),
         history=history,
     )

@@ -32,7 +32,7 @@ from .diffusion import (
     spectral_embed,
 )
 from .survival import CohortError, CohortTooSmallError
-from .tree import PartitionTree, build_bottomup, build_topdown
+from .tree import PartitionTree, build_topdown
 
 logger = logging.getLogger(__name__)
 
@@ -111,7 +111,6 @@ class RegularizedMetric:
     tree: PartitionTree
     neighborhood: NeighborhoodRule
     sigma: float
-    tau: float
     iterations: int
     history: tuple
 
@@ -250,12 +249,12 @@ def _median_quadratic_scale(values: np.ndarray, u: np.ndarray, subsample: int = 
         return _pairwise_sum(term, 0, vt.shape[0])
 
     # the form is symmetric bit for bit: the upper blocks, mirrored
-    q = _assemble(len(idx), block, 0.0)
+    q = _assemble(len(idx), block)
     nz = q[q > 0]
     return float(np.median(nz)) if nz.size else 1.0
 
 
-def weighted_kernel(X, weights, sigma: float | None = None, tau: float = 0.0) -> AffinityMatrix:
+def weighted_kernel(X, weights, sigma: float | None = None) -> AffinityMatrix:
     """Locally weighted PSD kernel
 
         exp(-(x_i-x_j)' (W_i + W_j)^{-1} (x_i-x_j) / sigma^2) / sqrt(det(W_i + W_j)),
@@ -309,8 +308,7 @@ def weighted_kernel(X, weights, sigma: float | None = None, tau: float = 0.0) ->
         q -= logdet
         return np.exp(q, out=q)
 
-    K = _assemble(n, block, tau)
-    return AffinityMatrix(K, float(sigma), float(tau))
+    return AffinityMatrix(_assemble(n, block), float(sigma))
 
 
 def compute_weight_field(X, F: CohortFunctional, tree: PartitionTree,
@@ -322,17 +320,6 @@ def compute_weight_field(X, F: CohortFunctional, tree: PartitionTree,
         w = np.zeros_like(values)
         return WeightField(w, config.weight_alpha, resolve_lam(w, config.weight_lam))
     return aggregate_point_weights(tree, folder_w, config.weight_alpha, config.weight_lam)
-
-
-def _build_tree(emb: DiffusionEmbedding, config: RunConfig, n: int, seed: int) -> PartitionTree:
-    if config.tree_method == "bottomup":
-        eps = config.bottomup_eps
-        if eps is None:
-            coords = emb.coords
-            span = float(np.linalg.norm(coords.max(axis=0) - coords.min(axis=0)))
-            eps = 0.05 * span if span > 0 else 1.0
-        return build_bottomup(emb, eps)
-    return build_topdown(emb, config.branching, config.resolve_min_folder(n), seed)
 
 
 def _weight_change(prev: WeightField | None, new: WeightField) -> float:
@@ -363,16 +350,16 @@ def fit_weighted_metric(X, F: CohortFunctional, config: RunConfig = RunConfig())
             f"need at least two valid cohorts: n={n} < 2c={2 * F.min_cohort}"
         )
     emb = spectral_embed(
-        markov_normalize(gaussian_kernel(values, sigma=config.sigma0, tau=config.tau)),
+        markov_normalize(gaussian_kernel(values, sigma=config.sigma0)),
         t=config.time, d=config.dim,
     )
     W = tree = None
     history: list[IterationDiagnostics] = []
     for it in range(config.max_iters):
         del tree  # one tree at a time
-        tree = _build_tree(emb, config, n, config.seed + it)
+        tree = build_topdown(emb, config.branching, config.resolve_min_folder(n), config.seed + it)
         W_prev, W = W, compute_weight_field(values, F, tree, config)
-        K = weighted_kernel(values, W, sigma=config.sigma_weighted, tau=config.tau)
+        K = weighted_kernel(values, W, sigma=config.sigma_weighted)
         sigma = K.sigma
         emb = spectral_embed(markov_normalize(K), t=config.time, d=config.dim)
         del K  # one n x n kernel at a time
@@ -390,7 +377,6 @@ def fit_weighted_metric(X, F: CohortFunctional, config: RunConfig = RunConfig())
         tree=tree,
         neighborhood=config.resolve_neighborhood(n, F.min_cohort),
         sigma=sigma,
-        tau=config.tau,
         iterations=config.max_iters,
         history=tuple(history),
     )

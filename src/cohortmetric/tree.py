@@ -15,7 +15,8 @@ of running k-means on each folder alone, in folder order, bit for bit.
 The bottom-up tree is a greedy eps-cover followed by size-weighted centroid
 agglomeration, taken from one `scipy.cluster.hierarchy.linkage` call
 (Müllner 2011). Where two candidate merges tie exactly, scipy's order
-decides which is taken first.
+decides which is taken first. The fit builds only top-down trees;
+`build_bottomup` is not reachable from `RunConfig`.
 """
 
 from __future__ import annotations

@@ -71,16 +71,6 @@ def test_gaussian_kernel_is_dense_and_exact_above_4000_points():
     np.testing.assert_array_equal(K[:, rows], K[rows].T)
 
 
-def test_gaussian_truncation_keeps_symmetry_and_diagonal():
-    rng = np.random.default_rng(2)
-    X = rng.normal(size=(40, 3))
-    K = gaussian_kernel(X, sigma=0.4, tau=0.2).entries
-    assert np.array_equal(K, K.T)
-    np.testing.assert_allclose(np.diagonal(K), 1.0)
-    off = K[~np.eye(40, dtype=bool)]
-    assert np.all((off == 0) | (off >= 0.2))
-
-
 def test_row_blocks_cap_temporaries_without_changing_entries(monkeypatch):
     from cohortmetric import extension
     from cohortmetric.metric import weighted_kernel

@@ -56,9 +56,8 @@ def test_config_ranges():
 
 @pytest.mark.parametrize("knob,value", [
     ("branching", 1), ("k_bins", 0), ("dim", 0), ("time", 0.0), ("time", np.nan),
-    ("tau", -1.0), ("tau", np.nan), ("sigma0", 0.0), ("sigma_weighted", np.nan),
-    ("weight_lam", -1.0), ("weight_alpha", -0.5), ("weight_alpha", np.inf),
-    ("min_folder", 0), ("tree_method", "kmeans"), ("bottomup_eps", 0.0), ("knn", 0),
+    ("sigma0", 0.0), ("sigma_weighted", np.nan), ("weight_lam", -1.0),
+    ("weight_alpha", -0.5), ("weight_alpha", np.inf), ("min_folder", 0), ("knn", 0),
     ("radius", np.nan), ("max_iters", 0), ("seed", -1),
     ("branching", 2.5), ("max_iters", 1.5), ("knn", 7.5), ("min_folder", 5.5), ("k_bins", True),
 ])
@@ -259,16 +258,6 @@ def test_fit_too_large_for_memory_fails_before_any_kernel(small_trial, monkeypat
     assert kernels == []
 
 
-def test_bottomup_fit_is_sized_with_its_tree(small_trial, monkeypatch):
-    import cohortmetric.harness as hz
-
-    n, m = small_trial.data.values.shape
-    monkeypatch.setattr(hz, "_physical_memory_bytes", lambda: hz.estimate_fit_bytes(n, m))
-    with pytest.raises(hz.FitTooLargeError):
-        fit_pipeline(small_trial.data, small_trial.records,
-                     RunConfig(seed=21, tree_method="bottomup", **FAST))
-
-
 def test_fit_memory_estimate_grows_with_size():
     from cohortmetric.harness import estimate_fit_bytes
 
@@ -277,8 +266,6 @@ def test_fit_memory_estimate_grows_with_size():
     # the two measured peaks (200 and 467 MB) are covered within 10%
     assert 200e6 <= estimate_fit_bytes(2000, 9) <= 1.1 * 200e6
     assert 467e6 <= estimate_fit_bytes(4500, 9) <= 1.1 * 467e6
-    # a bottom-up fit with every point in its own ball measured 221 MB
-    assert 221e6 <= estimate_fit_bytes(2000, 9, "bottomup") <= 1.1 * 221e6
 
 
 # --- recommendation -------------------------------------------------------------------
@@ -366,32 +353,20 @@ def test_model_roundtrip_predictions_match(tmp_path, small_trial, small_model):
     back = io.load_model(tmp_path / "model")
     # inv_diag is rebuilt from weights.csv and lam, not read from a file
     assert back.ref.inv_diag.tobytes() == small_model.ref.inv_diag.tobytes()
+    io.save_model(tmp_path / "again", back)
+    assert back.metric.tree.to_lines() == small_model.metric.tree.to_lines()
+    assert ((tmp_path / "again" / "tree.txt").read_bytes()
+            == (tmp_path / "model" / "tree.txt").read_bytes())
     p1 = predict(small_model, small_trial.data.values[:40])
     p2 = predict(back, small_trial.data.values[:40])
-    np.testing.assert_allclose(p1.coords, p2.coords, atol=1e-12)
-    np.testing.assert_allclose(p1.estimates, p2.estimates, equal_nan=True)
+    for name in ("estimates", "n_neighbors", "balanced", "in_support", "coords"):
+        assert getattr(p1, name).tobytes() == getattr(p2, name).tobytes(), name
     # each step's diagnostics survive the round trip
     assert len(back.metric.history) == back.metric.iterations == small_model.metric.iterations
     for got, fitted in zip(back.metric.history, small_model.metric.history):
         np.testing.assert_equal(got.weight_change, fitted.weight_change)  # NaN first
         assert (got.sigma, got.lam) == (fitted.sigma, fitted.lam)
         assert got.top_eigenvalues == fitted.top_eigenvalues
-
-
-def test_bottomup_fit_roundtrips_through_a_saved_model(tmp_path, small_trial):
-    # bottomup_eps unset: the fit covers with 5% of the embedding's span
-    cfg = RunConfig(seed=21, tree_method="bottomup", **FAST)
-    model = fit_pipeline(small_trial.data, small_trial.records, cfg)
-    assert model.metric.tree.n_levels > 2
-    io.save_model(tmp_path / "model", model)
-    back = io.load_model(tmp_path / "model")
-    io.save_model(tmp_path / "again", back)
-    assert back.metric.tree.to_lines() == model.metric.tree.to_lines()
-    assert (tmp_path / "again" / "tree.txt").read_bytes() == (tmp_path / "model" / "tree.txt").read_bytes()
-    p1 = predict(model, small_trial.data.values[:40])
-    p2 = predict(back, small_trial.data.values[:40])
-    for name in ("estimates", "n_neighbors", "balanced", "in_support", "coords"):
-        assert getattr(p1, name).tobytes() == getattr(p2, name).tobytes(), name
 
 
 def test_model_report_holds_plain_numbers(tmp_path, small_model):
@@ -499,13 +474,19 @@ def test_loaded_model_keeps_neighborhood_rule(tmp_path, small_trial):
         assert io.load_model(tmp_path / name).metric.neighborhood == rule, name
 
 
-def test_stale_config_key_in_a_saved_model_is_a_config_error(tmp_path, small_trial, small_model):
+# knobs of earlier versions, at their old defaults: a model saved with one must be refit
+STALE_KEYS = {"tol": 1e-3, "tree_method": "topdown", "bottomup_eps": None, "tau": 0.0}
+
+
+@pytest.mark.parametrize("key", list(STALE_KEYS))
+def test_stale_config_key_in_a_saved_model_is_a_config_error(tmp_path, small_trial, small_model,
+                                                             key):
     model_dir = tmp_path / "model"
     io.save_model(model_dir, small_model)
     meta = json.loads((model_dir / "config.json").read_text())
-    meta["config"]["tol"] = 1e-3
+    meta["config"][key] = STALE_KEYS[key]
     (model_dir / "config.json").write_text(json.dumps(meta))
-    with pytest.raises(ConfigError, match="tol"):
+    with pytest.raises(ConfigError, match=key):
         io.load_model(model_dir)
     data = tmp_path / "data.csv"
     io.write_dataset_csv(data, small_trial.data, small_trial.records)

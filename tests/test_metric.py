@@ -321,7 +321,7 @@ def loop_fit():
 
 def test_fit_embedding_is_built_from_the_returned_weights(loop_fit):
     X, _, cfg, metric = loop_fit
-    K = weighted_kernel(X, metric.weights, sigma=metric.sigma, tau=metric.tau)
+    K = weighted_kernel(X, metric.weights, sigma=metric.sigma)
     emb = spectral_embed(markov_normalize(K), t=cfg.time, d=cfg.dim)
     assert np.array_equal(emb.eigenvalues, metric.embedding.eigenvalues)
     assert np.array_equal(emb.eigenvectors, metric.embedding.eigenvectors)
