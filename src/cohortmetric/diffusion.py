@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
 from .data import as_values
 
@@ -84,6 +84,12 @@ class DiffusionEmbedding:
     def __post_init__(self):
         vals = np.asarray(self.eigenvalues, dtype=float)
         vecs = np.asarray(self.eigenvectors, dtype=float)
+        # the tree's k-means labels are argmin's only on finite distances,
+        # so the coordinates must be finite
+        if not (np.isfinite(vals).all() and np.isfinite(vecs).all()):
+            raise ValueError("eigenvalues and eigenvectors must be finite")
+        if not 0 < self.t < np.inf:
+            raise ValueError(f"diffusion time must be finite and positive, got {self.t}")
         if abs(vals[0] - 1.0) > 1e-8:
             raise ValueError(f"top eigenvalue {vals[0]} is not 1")
         if np.any(np.abs(vals) > 1 + 1e-8):
@@ -104,13 +110,17 @@ class DiffusionEmbedding:
 
 
 def median_bandwidth(X, subsample: int = 2000) -> float:
-    """Median of the nonzero pairwise distances, on a subsample for large n."""
+    """Median of the nonzero pairwise distances, on a subsample for large n.
+
+    Each pair is counted once: the full distance matrix holds every nonzero
+    distance twice, which leaves the median the same float."""
     values = as_values(X)
     n = values.shape[0]
     if n > subsample:
         idx = np.unique(np.linspace(0, n - 1, subsample).astype(int))
         values = values[idx]
-    d = cdist(values, values, out=_empty_mapped((len(values), len(values)))).ravel()
+    n = len(values)
+    d = pdist(values, out=_empty_mapped((n * (n - 1) // 2,)))
     # the zero distances sort first: the median of the rest, as np.median
     # takes it, from one partition in place
     zeros = d.size - np.count_nonzero(d)

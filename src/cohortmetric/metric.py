@@ -121,19 +121,34 @@ def bin_feature(folder_points, X, feature: int, k_bins: int) -> list[Bin]:
     Every folder point lands in exactly one bin; a constant feature gives a
     single bin.
     """
-    pts = np.asarray(folder_points, dtype=int)
+    pts = np.sort(np.asarray(folder_points, dtype=int))
     if pts.size == 0:
         raise ValueError("folder is empty")
     if k_bins < 1:
         raise ValueError(f"k_bins must be >= 1, got {k_bins}")
     values = as_values(X)[pts, feature]
-    edges = np.unique(np.quantile(values, np.arange(1, k_bins) / k_bins))
-    assignment = np.searchsorted(edges, values, side="right")
-    bins = []
-    for b in np.unique(assignment):
-        sel = pts[assignment == b]
-        vals = values[assignment == b]
-        bins.append(Bin(np.sort(sel), float(vals.min()), float(vals.max())))
+    return _bins(pts, values, np.quantile(values, _bin_probs(k_bins)))
+
+
+def _bin_probs(k_bins: int) -> np.ndarray:
+    """The quantile levels of the inner bin edges."""
+    return np.arange(1, k_bins) / k_bins
+
+
+def _bins(pts: np.ndarray, values: np.ndarray, quantiles: np.ndarray) -> list[Bin]:
+    """The bins of the sorted folder points `pts`, whose feature values are
+    `values`, at the distinct `quantiles`: a point goes to the number of
+    edges at or below its value, and empty bins are dropped. Each bin's
+    indices stay sorted."""
+    assignment = np.searchsorted(np.unique(quantiles), values, side="right")
+    order = np.argsort(assignment, kind="stable")
+    bins, lo = [], 0
+    for hi in np.cumsum(np.bincount(assignment)).tolist():
+        if hi > lo:
+            run = order[lo:hi]
+            vals = values[run]
+            bins.append(Bin(pts[run], float(vals.min()), float(vals.max())))
+        lo = hi
     return bins
 
 
@@ -194,21 +209,25 @@ def folder_weight(bins: list[Bin], F: CohortFunctional) -> float:
 
 def compute_folder_weights(tree: PartitionTree, X, F: CohortFunctional,
                            k_bins: int) -> dict:
-    """Weights for every (level, folder, feature) with folder size >= c."""
+    """Weights for every (level, folder, feature) with folder size >= c.
+
+    Each such folder takes one `np.quantile` pass over all of its features,
+    and each feature's bins are those `bin_feature` makes. F sees the bins
+    folder by folder and feature by feature.
+    """
+    if k_bins < 1:
+        raise ValueError(f"k_bins must be >= 1, got {k_bins}")
     values = as_values(X)
-    m = values.shape[1]
+    probs = _bin_probs(k_bins)
     out: dict = {}
     for level in range(1, tree.n_levels + 1):
-        folders = tree.folders(level)
-        if not any(len(pts) >= F.min_cohort for pts in folders):
-            continue
-        for fid, pts in enumerate(folders):
+        for fid, pts in enumerate(tree.folders(level)):
             if len(pts) < F.min_cohort:
                 continue
-            w = np.empty(m)
-            for y in range(m):
-                w[y] = folder_weight(bin_feature(pts, values, y, k_bins), F)
-            out[(level, fid)] = w
+            vals = values[pts].T  # (m, folder): a feature per row
+            edges = np.quantile(vals, probs, axis=1).T
+            out[(level, fid)] = np.array(
+                [folder_weight(_bins(pts, v, e), F) for v, e in zip(vals, edges)])
     return out
 
 

@@ -146,7 +146,8 @@ def _kmeans_plus_plus_init_batch(coords, k, restarts, rng):
         if np.any(fallback):
             pick[fallback] = rng.integers(n, size=int(fallback.sum()))
         centers[:, j] = coords[pick]
-        d2 = np.minimum(d2, d2_to(centers[:, j]))
+        if j < k - 1:  # nothing reads the distances after the last center
+            d2 = np.minimum(d2, d2_to(centers[:, j]))
     return centers
 
 
@@ -158,16 +159,21 @@ def kmeans_split(coords: np.ndarray, sizes: list[int], k: int, rng: np.random.Ge
     number of points in each. Each folder is seeded by k-means++ in folder
     order. Then each Lloyd iteration is one pass over the (restart, point)
     pairs still in play, with the (restart, folder) segment of each pair:
-    distances are (k, pairs), summed over d in numpy's reduction order, and
-    counts and center sums are bincounts keyed by restart, folder and
-    cluster. An empty cluster takes the farthest point of its restart and
-    folder among the clusters with at least two members, so that no
-    cluster is left empty (and no center is 0/0). A restart whose labels
-    repeat has reached a fixed point (the same labels give the same
-    centers), so it leaves play, and a folder leaves once none of its
-    restarts change. Per folder, the restart of least inertia wins, ties to
-    the earliest. The labels are those of running k-means on each folder
-    alone, bit for bit.
+    distances are (k, pairs), summed over d in numpy's reduction order. A
+    pair's label is the first of its nearest centers, found by a running
+    strict `<` over the k rows of distances, so ties go to the earliest
+    cluster; distances are finite (`DiffusionEmbedding` refuses non-finite
+    coordinates), and on finite distances this is argmin's choice. Counts
+    and center sums are bincounts keyed by restart, folder and cluster. An
+    empty cluster takes the farthest point of its restart and folder among
+    the clusters with at least two members, so that no cluster is left
+    empty (and no center is 0/0); the repaired counts divide the center
+    sums. A restart whose labels repeat has reached a fixed point (the same
+    labels give the same centers), so it leaves play, and a folder leaves
+    once none of its restarts change; the pairs in play are gathered again
+    only when a segment has left. Per folder, the restart of least inertia
+    wins, ties to the earliest. The labels are those of running k-means on
+    each folder alone, bit for bit.
     """
     n, d = coords.shape
     sizes = np.asarray(sizes, dtype=int)
@@ -183,15 +189,25 @@ def kmeans_split(coords: np.ndarray, sizes: list[int], k: int, rng: np.random.Ge
     seg_of = (np.arange(restarts)[:, None] * n_folders + seg).ravel()  # per (restart, point)
     labels = np.zeros(restarts * n, dtype=int)
     live = np.ones(n_segs, dtype=bool)
+    runs_all = np.tile(sizes, restarts)  # pairs per segment
+    n_live = n_segs
+    pairs, s, x, runs = slice(None), seg_of, x_all, runs_all  # every segment in play
     for it in range(KMEANS_MAX_ITER):
-        pairs = np.flatnonzero(live[seg_of])
-        if not len(pairs):
-            break
-        s = seg_of[pairs]  # nondecreasing: each segment is one contiguous run
-        x = np.take(x_all, pairs, axis=1)
-        d2 = _own_center_d2(x, centers, s)
-        new = np.argmin(d2, axis=0)
-        own = d2.min(axis=0)  # the distance argmin picks, NaN included
+        now = np.count_nonzero(live)
+        if now < n_live:  # `live` only shrinks
+            if not now:
+                break
+            n_live = now
+            pairs = np.flatnonzero(live[seg_of])
+            s = seg_of[pairs]  # nondecreasing: each segment is one contiguous run
+            x = np.take(x_all, pairs, axis=1)
+            runs = np.where(live, runs_all, 0)
+        d2 = _own_center_d2(x, centers, runs)
+        new = np.zeros(len(s), dtype=int)
+        own = d2[0]
+        for j in range(1, k):
+            np.copyto(new, j, where=d2[j] < own)
+            own = np.minimum(own, d2[j])
         key = s * k + new
         counts = np.bincount(key, minlength=n_segs * k).reshape(n_segs, k)
         for g, j in zip(*np.nonzero((counts == 0) & live[:, None])):
@@ -206,12 +222,10 @@ def kmeans_split(coords: np.ndarray, sizes: list[int], k: int, rng: np.random.Ge
         if it > 0:
             live &= np.bincount(s[new != labels[pairs]], minlength=n_segs) > 0
         labels[pairs] = new
-        upd = np.flatnonzero(live)
-        cnts = np.bincount(key, minlength=n_segs * k).reshape(n_segs, k)[upd].T
         for j in range(d):
             sums = np.bincount(key, weights=x[j], minlength=n_segs * k).reshape(n_segs, k)
-            centers[j][:, upd] = sums[upd].T / cnts
-    d2 = _own_center_d2(x_all, centers, seg_of)
+            np.divide(sums.T, counts.T, out=centers[j], where=live)
+    d2 = _own_center_d2(x_all, centers, runs_all)
     own = np.take_along_axis(d2, labels[None], axis=0).reshape(restarts, n)
     labels = labels.reshape(restarts, n)
     out = np.empty(n, dtype=int)
@@ -222,11 +236,12 @@ def kmeans_split(coords: np.ndarray, sizes: list[int], k: int, rng: np.random.Ge
     return out
 
 
-def _own_center_d2(x: np.ndarray, centers: np.ndarray, s: np.ndarray) -> np.ndarray:
+def _own_center_d2(x: np.ndarray, centers: np.ndarray, runs: np.ndarray) -> np.ndarray:
     """Squared distances (k, P) from each of P points, x (d, P), to the k
-    centers of its segment s; centers are (d, k, segments)."""
+    centers of its segment; centers are (d, k, segments), and the points
+    are runs[g] for segment g, segment after segment."""
     def term(j):
-        t = np.take(centers[j], s, axis=1)
+        t = np.repeat(centers[j], runs, axis=1)
         np.subtract(x[j], t, out=t)
         return np.square(t, out=t)
     return _pairwise_sum(term, 0, x.shape[0])

@@ -296,10 +296,13 @@ def test_median_bandwidth_is_the_median_of_the_nonzero_distances_bit_for_bit():
             d = cdist(X, X)
             nz = d[d > 0]
             assert median_bandwidth(X) == (float(np.median(nz)) if nz.size else 1.0)
-    X = rng.normal(size=(2300, 4))  # subsampled to 2000 points: a mapped 32 MB buffer
-    sub = X[np.unique(np.linspace(0, 2299, 2000).astype(int))]
-    d = cdist(sub, sub)
-    assert median_bandwidth(X) == float(np.median(d[d > 0]))
+    X = rng.normal(size=(2300, 4))  # subsampled to 2000 points: a mapped 16 MB buffer
+    for dup in (False, True):
+        if dup:  # rows that repeat inside the subsample
+            X[100:1500:3] = X[0]
+        sub = X[np.unique(np.linspace(0, 2299, 2000).astype(int))]
+        d = cdist(sub, sub)
+        assert median_bandwidth(X) == float(np.median(d[d > 0]))
 
 
 def test_embedding_deterministic():

@@ -505,6 +505,19 @@ def test_nan_in_a_saved_config_is_a_value_error(tmp_path, small_model, key):
         io.load_model(model_dir)
 
 
+def test_nan_in_saved_eigenvectors_is_a_value_error(tmp_path, small_model):
+    model_dir = tmp_path / "model"
+    io.save_model(model_dir, small_model)
+    path = model_dir / "eigenvectors.csv"
+    lines = path.read_text().splitlines()
+    row = lines[5].split(",")
+    row[2] = "nan"
+    lines[5] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="finite"):
+        io.load_model(model_dir)
+
+
 def test_cli_extend_on_a_corrupt_tree_exits_1(tmp_path, small_trial, small_model, capsys):
     model_dir = tmp_path / "model"
     io.save_model(model_dir, small_model)

@@ -9,6 +9,7 @@ from cohortmetric.metric import (
     NeighborhoodRule,
     aggregate_point_weights,
     bin_feature,
+    compute_folder_weights,
     compute_weight_field,
     folder_weight,
     fit_weighted_metric,
@@ -146,6 +147,56 @@ def test_weight_drops_undefined_bins():
     w = folder_weight(bins, F)
     # only the last two bins count: values 2.5, 4.5 equal sizes -> var 1.0
     np.testing.assert_allclose(w, 1.0)
+
+
+# --- compute_folder_weights -------------------------------------------------------
+
+
+def _oracle_folder_weights(tree, X, F, k_bins):
+    """bin_feature and folder_weight, one feature at a time."""
+    return {(level, fid): np.array([folder_weight(bin_feature(pts, X, y, k_bins), F)
+                                    for y in range(X.shape[1])])
+            for level in range(1, tree.n_levels + 1)
+            for fid, pts in enumerate(tree.folders(level)) if len(pts) >= F.min_cohort}
+
+
+@pytest.mark.parametrize("k_bins", [1, 2, 3, 5])
+def test_folder_weights_match_the_per_feature_oracle_bit_for_bit(k_bins):
+    rng = np.random.default_rng(k_bins)
+    n, c = 48, 6
+    X = np.column_stack([
+        rng.normal(size=n),
+        rng.integers(0, 3, size=n).astype(float),  # ties at the edges
+        np.full(n, 1.5),  # constant
+        np.where(rng.random(n) < 0.7, 0.0, rng.normal(size=n)),  # mostly one value
+        np.arange(n) % 7 * 0.25,
+    ])
+    perm = rng.permutation(n)
+    tree = make_tree([[range(n)], [perm[:c], perm[c:30], perm[30:]],
+                      [perm[:c], perm[c:18], perm[18:30], perm[30:]], [[p] for p in range(n)]])
+    labels = rng.normal(size=n)
+
+    def functional():
+        calls = []
+
+        def fn(idx):
+            calls.append(idx.tolist())
+            if idx.sum() % 4 == 0:
+                raise UndefinedCohortValue("undefined on this bin")
+            return float(labels[idx].mean())
+
+        return CohortFunctional(fn, c), calls
+
+    F, calls = functional()
+    got = compute_folder_weights(tree, X, F, k_bins)
+    F_oracle, oracle_calls = functional()
+    want = _oracle_folder_weights(tree, X, F_oracle, k_bins)
+    assert list(got) == list(want)
+    assert (1, 0) in got and (2, 0) in got  # the folder of exactly c points is weighted
+    assert all(got[key].tobytes() == want[key].tobytes() for key in want)
+    assert calls == oracle_calls  # the same bins, in the same order
+    assert any(sum(idx) % 4 == 0 for idx in calls)  # F was undefined on some bins
+    assert any(w.any() for w in got.values()) == (k_bins > 1)  # one bin has no variance
 
 
 # --- aggregate_point_weights --------------------------------------------------------

@@ -56,6 +56,22 @@ def test_topdown_small_folder_passes_through():
     tree.validate()
 
 
+@pytest.mark.parametrize("field, value", [("eigenvalues", np.nan), ("eigenvectors", np.nan),
+                                          ("t", np.nan), ("t", -1.0), ("t", np.inf)])
+def test_topdown_refuses_a_nonfinite_embedding(field, value):
+    # a NaN coordinate would otherwise become a folder of its own
+    coords = np.random.default_rng(4).normal(size=(60, 3))
+    vals, vecs, t = np.array([1.0, 0.5, 0.0, -0.2]), np.column_stack([np.ones(60), coords]), 1.0
+    if field == "eigenvalues":
+        vals[2] = value
+    elif field == "eigenvectors":
+        vecs[17, 1] = value
+    else:
+        t = value
+    with pytest.raises(ValueError, match="finite"):
+        build_topdown(DiffusionEmbedding(vals, vecs, t=t, d=3), k=2, min_folder=1, seed=0)
+
+
 def test_bottomup_wide_radius_gives_two_levels():
     rng = np.random.default_rng(3)
     coords = rng.normal(size=(12, 2))
@@ -171,8 +187,9 @@ def test_batched_distances_sum_over_d_as_numpy_does(d):
     rng = np.random.default_rng(d)
     x = rng.normal(size=(d, 50))
     centers = rng.normal(size=(d, 3, 4))
-    s = rng.integers(4, size=50)
-    got = tree_mod._own_center_d2(x, centers, s)
+    runs = np.array([20, 0, 13, 17])  # points per segment; one segment out of play
+    s = np.repeat(np.arange(4), runs)
+    got = tree_mod._own_center_d2(x, centers, runs)
     diff = x[:, None, :] - centers[:, :, s]  # (d, k, points)
     want = np.ascontiguousarray(diff.transpose(1, 2, 0) ** 2).sum(axis=-1)
     assert got.tobytes() == want.tobytes()
