@@ -1,6 +1,6 @@
 """Function-regularized diffusion metrics for cohort-level functionals."""
 
-from .config import ConfigError, NeighborhoodRule, RunConfig, load_config
+from .config import ConfigError, RunConfig, load_config
 from .data import DataMatrix
 from .diffusion import (
     AffinityMatrix,
@@ -34,6 +34,7 @@ from .harness import (
 )
 from .metric import (
     CohortFunctional,
+    NeighborhoodRule,
     RegularizedMetric,
     WeightField,
     aggregate_point_weights,

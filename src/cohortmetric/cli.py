@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 runtime failure, 2 config/validation error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 from pathlib import Path
@@ -62,25 +63,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _overrides(args, names) -> dict:
+    """The config fields among `names` that were given on the command line."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _resolve_config(args) -> tuple[RunConfig, TrialSpec | None]:
     if args.config is not None:
         config, trial = load_config(args.config)
     else:
         config, trial = RunConfig(), None
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.repeats is not None:
-        overrides["repeats"] = args.repeats
-    if args.estimator is not None:
-        overrides["estimator"] = args.estimator
-    if args.c_threshold is not None:
-        overrides["c_threshold"] = args.c_threshold
+    overrides = _overrides(args, ("seed", "repeats", "estimator", "c_threshold"))
     if overrides:
         config = config.replace(**overrides)
     if trial is not None and args.seed is not None:
         trial = TrialSpec.from_dict({**trial.to_dict(), "seed": args.seed})
     return config, trial
+
+
+def _load_model(args):
+    """The model saved under --model, with --estimator and --c-threshold
+    applied to its config."""
+    model = io.load_model(args.model)
+    overrides = _overrides(args, ("estimator", "c_threshold"))
+    return dataclasses.replace(model, config=model.config.replace(**overrides))
 
 
 def _load_trial_dataset(data_path, truth_path) -> TrialDataset:
@@ -146,17 +152,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_recommend(args) -> int:
-    config, _ = _resolve_config(args)
-    model = io.load_model(args.model)
-    if args.estimator is not None or args.c_threshold is not None:
-        model = type(model)(
-            metric=model.metric, ref=model.ref, records=model.records,
-            config=model.config.replace(
-                **({"estimator": args.estimator} if args.estimator else {}),
-                **({"c_threshold": args.c_threshold} if args.c_threshold is not None else {}),
-            ),
-            feature_names=model.feature_names, train_ids=model.train_ids,
-        )
+    _resolve_config(args)  # validates the config file and overrides
+    model = _load_model(args)
     data, records = io.read_dataset_csv(args.data)
     report = recommend_pipeline(model, data, records)
     out = args.out
@@ -180,7 +177,7 @@ def cmd_recommend(args) -> int:
 
 def cmd_extend(args) -> int:
     _resolve_config(args)  # validates the config file and overrides
-    model = io.load_model(args.model)
+    model = _load_model(args)
     try:
         data, _records = io.read_dataset_csv(args.data)
     except ValueError:

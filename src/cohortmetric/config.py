@@ -16,42 +16,23 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class NeighborhoodRule:
-    kind: str  # "knn" or "radius"
-    k: int | None = None
-    eps: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("knn", "radius"):
-            raise ValueError(f"unknown neighborhood kind {self.kind!r}")
-        if self.kind == "knn" and (isinstance(self.k, bool)
-                                   or not isinstance(self.k, (int, np.integer)) or self.k < 1):
-            raise ValueError(f"knn rule needs an integer k >= 1, got {self.k!r}")
-        # written so that NaN fails it
-        if self.kind == "radius" and (self.eps is None or not self.eps > 0):
-            raise ValueError(f"radius rule needs eps > 0, got {self.eps!r}")
-
-
-@dataclass(frozen=True)
 class RunConfig:
-    """Every knob of the fit, predict, validate and recommend pipelines;
-    None means the documented rule."""
+    """Every knob of the fit, predict, validate and recommend pipelines.
+
+    The kernel bandwidths, the regularizer lam and the cohort size are not
+    knobs: each stage derives them from the data.
+    """
 
     seed: int = 0
     estimator: str = "partial"  # local-effect estimator for the estimates
     weight_estimator: str = "moments"  # functional driving the feature weights
     min_cohort: int = 25
-    sigma0: float | None = None  # initial Gaussian bandwidth (median rule)
-    sigma_weighted: float | None = None  # weighted-kernel bandwidth (median rule)
     dim: int = 5
     time: float = 1.0
     weight_alpha: float = 1.0
-    weight_lam: float | None = None  # 1e-3 * median nonzero weight, or 1e-6 if all zero
     k_bins: int = 3
     branching: int = 2
     min_folder: int | None = None  # max(10, ceil(n/256))
-    knn: int | None = None  # max(c, ceil(0.05 n)); radius, when given, wins
-    radius: float | None = None
     balance_threshold: float = BALANCE_THRESHOLD
     c_threshold: float = 0.5
     max_iters: int = 10  # weight steps per fit
@@ -59,10 +40,10 @@ class RunConfig:
     train_fraction: float = 0.8
 
     def __post_init__(self):
-        for name in ("seed", "min_cohort", "dim", "k_bins", "branching", "min_folder", "knn",
+        for name in ("seed", "min_cohort", "dim", "k_bins", "branching", "min_folder",
                      "max_iters", "repeats"):
             v = getattr(self, name)
-            if v is None and name in ("min_folder", "knn"):
+            if v is None and name == "min_folder":
                 continue
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
                 raise ConfigError(f"{name} must be an integer, got {v!r}")
@@ -77,20 +58,14 @@ class RunConfig:
         if self.min_cohort < 2:
             raise ConfigError("min_cohort must be at least 2")
         # float comparisons are written so that NaN fails them
-        for name in ("sigma0", "sigma_weighted", "radius", "weight_lam"):
-            v = getattr(self, name)
-            if v is not None and not v > 0:
-                raise ConfigError(f"{name} must be positive when given, got {v}")
-        if self.dim < 1 or not self.time > 0:
-            raise ConfigError("dim must be >= 1 and time positive")
+        if self.dim < 1 or not 0 < self.time < np.inf:
+            raise ConfigError("dim must be >= 1 and time finite and positive")
         if not 0 <= self.weight_alpha < np.inf:
             raise ConfigError(f"weight_alpha must be finite and >= 0, got {self.weight_alpha}")
         if self.k_bins < 1 or self.branching < 2:
             raise ConfigError("k_bins must be >= 1 and branching >= 2")
         if self.min_folder is not None and self.min_folder < 1:
             raise ConfigError("min_folder must be >= 1 when given")
-        if self.knn is not None and self.knn < 1:
-            raise ConfigError("knn must be >= 1 when given")
         if not 0.5 <= self.balance_threshold < 1.0:
             raise ConfigError("balance_threshold must be in [0.5, 1)")
         if not self.c_threshold >= 0:
@@ -106,14 +81,6 @@ class RunConfig:
         if self.min_folder is not None:
             return self.min_folder
         return max(10, int(np.ceil(n / 256)))
-
-    def resolve_neighborhood(self, n: int, min_cohort: int) -> NeighborhoodRule:
-        """`radius` if given, else `knn`, else knn with max(c, ceil(0.05 n))."""
-        if self.radius is not None:
-            return NeighborhoodRule("radius", eps=self.radius)
-        if self.knn is not None:
-            return NeighborhoodRule("knn", k=self.knn)
-        return NeighborhoodRule("knn", k=max(min_cohort, int(np.ceil(0.05 * n))))
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -84,6 +84,9 @@ class DiffusionEmbedding:
     def __post_init__(self):
         vals = np.asarray(self.eigenvalues, dtype=float)
         vecs = np.asarray(self.eigenvectors, dtype=float)
+        if vals.shape != (self.d + 1,) or vecs.ndim != 2 or vecs.shape[1] != self.d + 1:
+            raise ValueError(f"d={self.d} needs {self.d + 1} eigenpairs, got eigenvalues of "
+                             f"shape {vals.shape} and eigenvectors of shape {vecs.shape}")
         # the tree's k-means labels are argmin's only on finite distances,
         # so the coordinates must be finite
         if not (np.isfinite(vals).all() and np.isfinite(vecs).all()):

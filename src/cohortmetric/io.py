@@ -182,11 +182,10 @@ def save_model(model_dir, model) -> None:
     write_matrix_csv(
         d / "d2.csv", ref.d2[:, None], np.arange(ref.n_ref), ["d2"], id_col="row"
     )
-    with open(d / "singular_values.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "value"])
-        for j, s in enumerate(ref.singular_values):
-            w.writerow([j, _fmt(s)])
+    write_matrix_csv(
+        d / "singular_values.csv", ref.singular_values[:, None], np.arange(ref.rank), ["value"],
+        id_col="index",
+    )
     (d / "tree.txt").write_text("\n".join(model.metric.tree.to_lines()) + "\n")
     eigen = model.metric.embedding
     write_matrix_csv(
@@ -197,11 +196,7 @@ def save_model(model_dir, model) -> None:
         "config": model.config.to_dict(),
         "sigma": ref.sigma,
         "lam": model.metric.weights.lam,
-        "weight_alpha": model.metric.weights.alpha,
         "eigenvalues": [float(v) for v in eigen.eigenvalues],
-        "diffusion_time": eigen.t,
-        "dim": eigen.d,
-        "iterations": model.metric.iterations,
         "history": [
             {
                 # JSON has no NaN: the first step's undefined change is null
@@ -225,12 +220,20 @@ def save_model(model_dir, model) -> None:
 
 
 def load_model(model_dir):
-    """Rebuild a FittedModel (reference side) from a saved artifact."""
+    """Rebuild a FittedModel (reference side) from a saved artifact.
+
+    The diffusion time and dimension come from the saved config, the
+    iteration count from the saved history."""
     from .config import RunConfig
     from .diffusion import DiffusionEmbedding
     from .extension import ReferenceEmbedding
     from .harness import FittedModel
-    from .metric import IterationDiagnostics, RegularizedMetric, WeightField
+    from .metric import (
+        IterationDiagnostics,
+        RegularizedMetric,
+        WeightField,
+        cohort_neighborhood,
+    )
     from .tree import PartitionTree
 
     d = Path(model_dir)
@@ -242,24 +245,20 @@ def load_model(model_dir):
     _, psi, _ = read_matrix_csv(d / "psi.csv")
     _, ref_coords, _ = read_matrix_csv(d / "ref_coords.csv")
     _, d2_col, _ = read_matrix_csv(d / "d2.csv")
-    with open(d / "singular_values.csv", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        svals = np.array([float(row[1]) for row in reader])
-    weights = WeightField(point_weights, float(meta["weight_alpha"]), float(meta["lam"]))
+    _, svals_col, _ = read_matrix_csv(d / "singular_values.csv")
+    weights = WeightField(point_weights, float(meta["lam"]))
     ref = ReferenceEmbedding(
         x_ref=x_ref,
         inv_diag=weights.inv_diag(),
         sigma=float(meta["sigma"]),
         psi=psi,
-        singular_values=svals,
+        singular_values=svals_col[:, 0],
         d2=d2_col[:, 0],
         coords=ref_coords,
     )
     _, eigenvectors, _ = read_matrix_csv(d / "eigenvectors.csv")
     embedding = DiffusionEmbedding(
-        np.array(meta["eigenvalues"]), eigenvectors, float(meta["diffusion_time"]),
-        int(meta["dim"]),
+        np.array(meta["eigenvalues"]), eigenvectors, float(config.time), config.dim
     )
     tree = PartitionTree.from_lines((d / "tree.txt").read_text().splitlines())
     history = tuple(
@@ -269,15 +268,14 @@ def load_model(model_dir):
             lam=h["lam"],
             top_eigenvalues=tuple(h["top_eigenvalues"]),
         )
-        for h in meta.get("history", [])  # models saved without it load with none
+        for h in meta["history"]
     )
     metric = RegularizedMetric(
         embedding=embedding,
         weights=weights,
         tree=tree,
-        neighborhood=config.resolve_neighborhood(x_ref.shape[0], config.min_cohort),
+        neighborhood=cohort_neighborhood(x_ref.shape[0], config.min_cohort),
         sigma=float(meta["sigma"]),
-        iterations=int(meta["iterations"]),
         history=history,
     )
     return FittedModel(

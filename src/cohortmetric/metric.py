@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .config import NeighborhoodRule, RunConfig
+from .config import RunConfig
 from .data import as_values
 from .diffusion import (
     PLANE_DEPTH,
@@ -78,7 +78,6 @@ class WeightField:
     """
 
     point_weights: np.ndarray
-    alpha: float
     lam: float
 
     def __post_init__(self):
@@ -103,6 +102,29 @@ class IterationDiagnostics:
 
 
 @dataclass(frozen=True)
+class NeighborhoodRule:
+    kind: str  # "knn" or "radius"
+    k: int | None = None
+    eps: float | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("knn", "radius"):
+            raise ValueError(f"unknown neighborhood kind {self.kind!r}")
+        if self.kind == "knn" and (isinstance(self.k, bool)
+                                   or not isinstance(self.k, (int, np.integer)) or self.k < 1):
+            raise ValueError(f"knn rule needs an integer k >= 1, got {self.k!r}")
+        # written so that NaN fails it
+        if self.kind == "radius" and (self.eps is None or not self.eps > 0):
+            raise ValueError(f"radius rule needs eps > 0, got {self.eps!r}")
+
+
+def cohort_neighborhood(n: int, min_cohort: int) -> NeighborhoodRule:
+    """The cohort of a point among n references: its max(c, ceil(0.05 n))
+    nearest."""
+    return NeighborhoodRule("knn", k=max(min_cohort, int(np.ceil(0.05 * n))))
+
+
+@dataclass(frozen=True)
 class RegularizedMetric:
     """Stable function-weighted embedding with its weight field and tree."""
 
@@ -111,8 +133,11 @@ class RegularizedMetric:
     tree: PartitionTree
     neighborhood: NeighborhoodRule
     sigma: float
-    iterations: int
-    history: tuple
+    history: tuple  # one IterationDiagnostics per weight step
+
+    @property
+    def iterations(self) -> int:
+        return len(self.history)
 
 
 def bin_feature(folder_points, X, feature: int, k_bins: int) -> list[Bin]:
@@ -231,9 +256,8 @@ def compute_folder_weights(tree: PartitionTree, X, F: CohortFunctional,
     return out
 
 
-def resolve_lam(point_weights: np.ndarray, lam: float | None) -> float:
-    if lam is not None:
-        return lam
+def resolve_lam(point_weights: np.ndarray) -> float:
+    """1e-3 times the median nonzero weight, or 1e-6 when every weight is 0."""
     nz = point_weights[point_weights > 0]
     if nz.size == 0:
         return 1e-6
@@ -250,7 +274,7 @@ def aggregate_point_weights(tree: PartitionTree, folder_weights: dict, alpha: fl
     w = np.zeros((n, m))
     for (level, fid), farr in folder_weights.items():
         w[tree.folders(level)[fid]] += 2.0 ** (-alpha * level) * farr[None, :]
-    return WeightField(w, alpha, resolve_lam(w, lam))
+    return WeightField(w, resolve_lam(w) if lam is None else lam)
 
 
 def _median_quadratic_scale(values: np.ndarray, u: np.ndarray, subsample: int = 512) -> float:
@@ -337,8 +361,8 @@ def compute_weight_field(X, F: CohortFunctional, tree: PartitionTree,
         # no folder reached the cohort minimum; all-zero field
         values = as_values(X)
         w = np.zeros_like(values)
-        return WeightField(w, config.weight_alpha, resolve_lam(w, config.weight_lam))
-    return aggregate_point_weights(tree, folder_w, config.weight_alpha, config.weight_lam)
+        return WeightField(w, resolve_lam(w))
+    return aggregate_point_weights(tree, folder_w, config.weight_alpha)
 
 
 def _weight_change(prev: WeightField | None, new: WeightField) -> float:
@@ -359,7 +383,7 @@ def fit_weighted_metric(X, F: CohortFunctional, config: RunConfig = RunConfig())
     bandwidth of the weighted kernel those weights build, so the reference
     decomposition serves the same geometry as `embedding`. Each kernel is
     freed once embedded. `history` has one record per step.
-    The default neighborhood is sized from F's own minimum cohort, not from
+    The cohort neighborhood is sized from F's own minimum cohort, not from
     `config.min_cohort`.
     """
     values = as_values(X)
@@ -369,7 +393,7 @@ def fit_weighted_metric(X, F: CohortFunctional, config: RunConfig = RunConfig())
             f"need at least two valid cohorts: n={n} < 2c={2 * F.min_cohort}"
         )
     emb = spectral_embed(
-        markov_normalize(gaussian_kernel(values, sigma=config.sigma0)),
+        markov_normalize(gaussian_kernel(values)),
         t=config.time, d=config.dim,
     )
     W = tree = None
@@ -378,7 +402,7 @@ def fit_weighted_metric(X, F: CohortFunctional, config: RunConfig = RunConfig())
         del tree  # one tree at a time
         tree = build_topdown(emb, config.branching, config.resolve_min_folder(n), config.seed + it)
         W_prev, W = W, compute_weight_field(values, F, tree, config)
-        K = weighted_kernel(values, W, sigma=config.sigma_weighted)
+        K = weighted_kernel(values, W)
         sigma = K.sigma
         emb = spectral_embed(markov_normalize(K), t=config.time, d=config.dim)
         del K  # one n x n kernel at a time
@@ -394,9 +418,8 @@ def fit_weighted_metric(X, F: CohortFunctional, config: RunConfig = RunConfig())
         embedding=emb,
         weights=W,
         tree=tree,
-        neighborhood=config.resolve_neighborhood(n, F.min_cohort),
+        neighborhood=cohort_neighborhood(n, F.min_cohort),
         sigma=sigma,
-        iterations=config.max_iters,
         history=tuple(history),
     )
 

@@ -151,16 +151,20 @@ def calibrate_horizon(outcome_times: np.ndarray, target: float) -> float:
     return float(np.quantile(outcome_times, target, method="higher"))
 
 
-def _censor(times: np.ndarray, treatments: np.ndarray, spec: TrialSpec):
+def _spec_horizon(times: np.ndarray, spec: TrialSpec) -> float:
+    """The spec's horizon, or the one calibrated to its outcome target."""
     if spec.outcome_target is not None:
-        horizon = calibrate_horizon(times, spec.outcome_target)
-    else:
-        horizon = spec.horizon
-        if horizon is None:
-            raise ValueError("spec needs a horizon or an outcome_target")
+        return calibrate_horizon(times, spec.outcome_target)
+    if spec.horizon is None:
+        raise ValueError("spec needs a horizon or an outcome_target")
+    return float(spec.horizon)
+
+
+def _censor(times: np.ndarray, treatments: np.ndarray, horizon: float) -> SurvivalRecords:
+    """Administrative censoring: an outcome after the horizon is not observed."""
     observed = np.minimum(times, horizon)
     events = (times <= horizon).astype(int)
-    return SurvivalRecords(observed, events, treatments), float(horizon)
+    return SurvivalRecords(observed, events, treatments)
 
 
 def gen_sphere_trial(spec: TrialSpec) -> TrialDataset:
@@ -177,7 +181,8 @@ def gen_sphere_trial(spec: TrialSpec) -> TrialDataset:
     treatments = (rng.random(spec.n) < spec.p_treated).astype(int)
     W = weibull_sample(spec.weibull_lam, spec.weibull_k, rng, spec.n)
     times = np.where(treatments == 1, W * np.exp(beta), W)
-    records, horizon = _censor(times, treatments, spec)
+    horizon = _spec_horizon(times, spec)
+    records = _censor(times, treatments, horizon)
     truth = GroundTruth(beta, np.full(spec.n, spec.p_treated), "time_scaling")
     data = DataMatrix(X)
     info = {"horizon": horizon, "outcome_fraction": float(records.events.mean())}
@@ -213,7 +218,8 @@ def gen_propensity_trial(spec: TrialSpec) -> TrialDataset:
     h = X[:, 0] + 0.5 * X[:, 1] + 0.5 * X[:, 0] * X[:, 1] + treatments * X[:, 1]
     W = weibull_sample(spec.weibull_lam, spec.weibull_k, rng, spec.n)
     times = W * np.exp(-h / spec.weibull_k)
-    records, horizon = _censor(times, treatments, spec)
+    horizon = _spec_horizon(times, spec)
+    records = _censor(times, treatments, horizon)
     truth = GroundTruth(X[:, 1], propensity, "log_hazard")
     info = {"horizon": horizon, "outcome_fraction": float(records.events.mean())}
     return TrialDataset(DataMatrix(X), records, truth, spec, info)
@@ -260,9 +266,7 @@ def gen_random_model(spec: TrialSpec) -> TrialDataset:
     W = weibull_sample(spec.weibull_lam, spec.weibull_k, rng, spec.n)
     times = W * np.exp(-h / spec.weibull_k)
     horizon = calibrate_horizon(times, outcome_target)
-    observed = np.minimum(times, horizon)
-    events = (times <= horizon).astype(int)
-    records = SurvivalRecords(observed, events, treatments)
+    records = _censor(times, treatments, horizon)
     truth = GroundTruth(interact, propensity, "log_hazard")
     info = {
         "horizon": horizon,

@@ -222,6 +222,16 @@ def test_embedding_time_scaling():
     np.testing.assert_allclose(e2.coords, e1.coords * lam[None, :], rtol=1e-9, atol=1e-12)
 
 
+@pytest.mark.parametrize("vals_size, vecs_shape", [(3, (10, 4)), (4, (10, 3)), (4, (40,)),
+                                                   (5, (10, 5))])
+def test_embedding_refuses_eigenpairs_that_do_not_match_d(vals_size, vecs_shape):
+    vals = np.linspace(1.0, 0.1, vals_size)
+    vecs = np.ones(vecs_shape)
+    with pytest.raises(ValueError, match="d=3 needs 4 eigenpairs"):
+        diffusion.DiffusionEmbedding(vals, vecs, t=1.0, d=3)
+    diffusion.DiffusionEmbedding(np.linspace(1.0, 0.1, 4), np.ones((10, 4)), t=1.0, d=3)
+
+
 def test_embedding_separates_two_blocks():
     # block-diagonal affinity with a weak bridge: sign of phi_1 splits blocks
     n = 20

@@ -21,7 +21,7 @@ from cohortmetric.simulate import GroundTruth, TrialSpec, gen_sphere_trial
 from cohortmetric.survival import LocalAlphaFunctional, SurvivalRecords
 
 
-FAST = dict(dim=3, max_iters=2, min_cohort=15, min_folder=20, knn=30)
+FAST = dict(dim=3, max_iters=2, min_cohort=15, min_folder=20)
 
 
 @pytest.fixture(scope="module")
@@ -56,10 +56,9 @@ def test_config_ranges():
 
 @pytest.mark.parametrize("knob,value", [
     ("branching", 1), ("k_bins", 0), ("dim", 0), ("time", 0.0), ("time", np.nan),
-    ("sigma0", 0.0), ("sigma_weighted", np.nan), ("weight_lam", -1.0),
-    ("weight_alpha", -0.5), ("weight_alpha", np.inf), ("min_folder", 0), ("knn", 0),
-    ("radius", np.nan), ("max_iters", 0), ("seed", -1),
-    ("branching", 2.5), ("max_iters", 1.5), ("knn", 7.5), ("min_folder", 5.5), ("k_bins", True),
+    ("time", np.inf), ("weight_alpha", -0.5), ("weight_alpha", np.inf), ("min_folder", 0),
+    ("max_iters", 0), ("seed", -1),
+    ("branching", 2.5), ("max_iters", 1.5), ("min_folder", 5.5), ("k_bins", True),
 ])
 def test_invalid_metric_knob_reaches_the_fit_only_as_config_error(knob, value):
     from cohortmetric.metric import CohortFunctional, fit_weighted_metric
@@ -125,7 +124,8 @@ def test_predict_training_points_defined(small_trial, small_model):
     preds = predict(small_model, small_trial.data)
     assert preds.in_support.all()
     assert np.isfinite(preds.estimates).mean() > 0.9
-    assert (preds.n_neighbors >= 30).all()
+    # the cohort size, max(min_cohort, ceil(5% of n_train)), is 20 here
+    assert (preds.n_neighbors == 20).all()
 
 
 def test_scale_conversion():
@@ -459,23 +459,18 @@ def test_predict_balance_flag_is_the_cohort_estimate_flag(small_trial, monkeypat
     assert ((shares > 0.6) & (shares <= 0.8) & defined).any()
 
 
-def test_loaded_model_keeps_neighborhood_rule(tmp_path, small_trial):
-    # the default knn size, max(min_cohort, ceil(5% of n_train)), is 20 here
-    expected = {
-        "default": ({"knn": None}, NeighborhoodRule("knn", k=20)),
-        "knn": ({"knn": 30}, NeighborhoodRule("knn", k=30)),
-        "radius": ({"knn": None, "radius": 0.5}, NeighborhoodRule("radius", eps=0.5)),
-    }
-    for name, (knobs, rule) in expected.items():
-        cfg = RunConfig(seed=21, **{**FAST, "max_iters": 1, **knobs})
-        model = fit_pipeline(small_trial.data, small_trial.records, cfg)
-        io.save_model(tmp_path / name, model)
-        assert model.metric.neighborhood == rule, name
-        assert io.load_model(tmp_path / name).metric.neighborhood == rule, name
+def test_loaded_model_keeps_neighborhood_rule(tmp_path, small_model):
+    # the cohort size, max(min_cohort, ceil(5% of n_train)), is 20 here
+    rule = NeighborhoodRule("knn", k=20)
+    io.save_model(tmp_path / "model", small_model)
+    assert small_model.metric.neighborhood == rule
+    assert io.load_model(tmp_path / "model").metric.neighborhood == rule
 
 
 # knobs of earlier versions, at their old defaults: a model saved with one must be refit
-STALE_KEYS = {"tol": 1e-3, "tree_method": "topdown", "bottomup_eps": None, "tau": 0.0}
+STALE_KEYS = {"tol": 1e-3, "tree_method": "topdown", "bottomup_eps": None, "tau": 0.0,
+              "sigma0": None, "sigma_weighted": None, "weight_lam": None, "knn": None,
+              "radius": None}
 
 
 @pytest.mark.parametrize("key", list(STALE_KEYS))
@@ -502,6 +497,16 @@ def test_nan_in_a_saved_config_is_a_value_error(tmp_path, small_model, key):
     meta[key] = float("nan")
     (model_dir / "config.json").write_text(json.dumps(meta))
     with pytest.raises(ValueError, match=key):
+        io.load_model(model_dir)
+
+
+def test_saved_dim_that_disagrees_with_the_eigenpairs_is_a_value_error(tmp_path, small_model):
+    model_dir = tmp_path / "model"
+    io.save_model(model_dir, small_model)
+    meta = json.loads((model_dir / "config.json").read_text())
+    meta["config"]["dim"] = 1
+    (model_dir / "config.json").write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match="d=1 needs 2 eigenpairs"):
         io.load_model(model_dir)
 
 
@@ -580,6 +585,31 @@ def test_cli_fit_validate_recommend_extend(tmp_path):
     ids, rows, header = io.read_matrix_csv(out / "ext" / "extended.csv")
     assert header[-3:] == ["f_hat", "neighborhood_size", "balance_flag"]
     assert len(ids) == 300
+
+
+def test_cli_extend_and_recommend_apply_the_model_overrides(tmp_path, small_trial, small_model):
+    from dataclasses import replace
+
+    model_dir = tmp_path / "model"
+    io.save_model(model_dir, small_model)
+    data = tmp_path / "data.csv"
+    io.write_dataset_csv(data, small_trial.data, small_trial.records)
+    f_hat = {}
+    for name, flags in (("default", []), ("moments", ["--estimator", "moments"])):
+        assert main(["extend", "--model", str(model_dir), "--data", str(data),
+                     "--out", str(tmp_path / name), *flags]) == 0
+        _, rows, header = io.read_matrix_csv(tmp_path / name / "extended.csv")
+        f_hat[name] = rows[:, header.index("f_hat")]
+    moments = replace(small_model, config=small_model.config.replace(estimator="moments"))
+    np.testing.assert_array_equal(f_hat["moments"], predict(moments, small_trial.data).estimates)
+    assert not np.array_equal(f_hat["moments"], f_hat["default"], equal_nan=True)
+
+    assert main(["recommend", "--model", str(model_dir), "--data", str(data),
+                 "--out", str(tmp_path / "rec"), "--c-threshold", "1e9"]) == 0
+    report = recommend_pipeline(small_model, small_trial.data, small_trial.records, 1e9)
+    assert report.group_sizes["recommended"] == report.group_sizes["anti_recommended"] == 0
+    assert ((tmp_path / "rec" / "report.txt").read_text()
+            == "\n".join(report.summary_lines()) + "\n")
 
 
 def test_cli_refit_byte_identical(tmp_path):
