@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import logging
 import sys
 from pathlib import Path
@@ -29,11 +30,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, fits=True):
         p.add_argument("--config", type=Path, help="JSON config file")
-        p.add_argument("--seed", type=int, help="root seed override")
         p.add_argument("--out", type=Path, required=True, help="output directory")
-        p.add_argument("--repeats", type=int, help="validation repeats override")
+        if fits:  # a saved model keeps the seed it was fitted with and validates nothing
+            p.add_argument("--seed", type=int, help="root seed override")
+            p.add_argument("--repeats", type=int, help="validation repeats override")
         p.add_argument("--estimator", choices=("moments", "partial"),
                        help="local-effect estimator override")
         p.add_argument("--c-threshold", type=float, dest="c_threshold",
@@ -52,12 +54,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--truth", type=Path, help="ground-truth CSV")
 
     p_rec = sub.add_parser("recommend", help="recommendation groups and survival curves")
-    common(p_rec)
+    common(p_rec, fits=False)
     p_rec.add_argument("--model", type=Path, required=True, help="fitted model directory")
     p_rec.add_argument("--data", type=Path, required=True, help="test dataset CSV")
 
     p_ext = sub.add_parser("extend", help="embed and estimate new points")
-    common(p_ext)
+    common(p_ext, fits=False)
     p_ext.add_argument("--model", type=Path, required=True, help="fitted model directory")
     p_ext.add_argument("--data", type=Path, required=True, help="new-points dataset CSV")
     return parser
@@ -81,11 +83,21 @@ def _resolve_config(args) -> tuple[RunConfig, TrialSpec | None]:
     return config, trial
 
 
+# the config fields that act on a saved model; the rest act only on a fit
+MODEL_KNOBS = ("estimator", "c_threshold")
+
+
 def _load_model(args):
-    """The model saved under --model, with --estimator and --c-threshold
+    """The model saved under --model, with the `estimator` and `c_threshold`
+    that the --config file sets, and then those of the command line,
     applied to its config."""
+    overrides = {}
+    if args.config is not None:
+        config, _ = load_config(args.config)  # validates the whole file
+        given = json.loads(args.config.read_text())
+        overrides = {name: getattr(config, name) for name in MODEL_KNOBS if name in given}
+    overrides.update(_overrides(args, MODEL_KNOBS))
     model = io.load_model(args.model)
-    overrides = _overrides(args, ("estimator", "c_threshold"))
     return dataclasses.replace(model, config=model.config.replace(**overrides))
 
 
@@ -152,7 +164,6 @@ def cmd_validate(args) -> int:
 
 
 def cmd_recommend(args) -> int:
-    _resolve_config(args)  # validates the config file and overrides
     model = _load_model(args)
     data, records = io.read_dataset_csv(args.data)
     report = recommend_pipeline(model, data, records)
@@ -176,7 +187,6 @@ def cmd_recommend(args) -> int:
 
 
 def cmd_extend(args) -> int:
-    _resolve_config(args)  # validates the config file and overrides
     model = _load_model(args)
     try:
         data, _records = io.read_dataset_csv(args.data)

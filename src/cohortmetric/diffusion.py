@@ -141,6 +141,18 @@ def _rows_per_block(n_cols: int, m: int) -> int:
     return max(1, (1 << 21) // max(n_cols * m, 1))
 
 
+# `_max_asymmetry` and `_symmetrize` keep blocks of 2^21 floats, though their
+# 16 MB temporaries add to the fit's peak: a sphere fit at n=2000 (m=9, one
+# BLAS thread) peaks at 159 MiB with them and at 142 MiB with blocks of 2^16
+# floats. Freeing a temporary that large is what raises glibc's dynamic mmap
+# and trim thresholds; without it every 0.3-0.5 MB temporary of the tree and
+# the kernels page-faults afresh: in a traced serve-sphere run (seed 911,
+# 10 s) the smaller blocks made `build_topdown` 18% and `weighted_kernel` 20%
+# slower, and 18% fewer prediction batches were served. Fixing the two
+# thresholds (MALLOC_MMAP_THRESHOLD_, MALLOC_TRIM_THRESHOLD_) restored the
+# speed.
+
+
 # Kernel blocks take their rows as if 32 planes deep, so that a (rows, cols)
 # plane holds about 2^16 floats (512 KB): at n=2000, m=9, one BLAS thread,
 # the weighted kernel took 45 ms with planes of 2^16 floats, 48 ms with 2^18
@@ -184,13 +196,16 @@ def _empty_mapped(shape) -> np.ndarray:
     """Uninitialised float array; from MAPPED_MIN_BYTES up in its own
     anonymous memory map, which is unmapped when the array is freed.
 
-    The fit's n x n kernels and operators, and the pairwise buffers of the
-    two bandwidth medians, come from here. On the malloc heap (glibc serves
-    an n=2000 kernel from it once its dynamic mmap threshold has risen) the
-    space a freed kernel leaves stays resident whenever a later small
-    allocation lands above it, and whether one does changes from one process
-    to the next: the serve-sphere peak RSS took 211 or 236 MB at random. A
-    mapped array gives its pages back as soon as it is freed.
+    The fit's n x n kernels (each Markov operator S is built in its
+    kernel's buffer), the reference kernel A and the extension's kernel
+    rows, A'A on the dense paths of the reference decomposition, and the
+    pairwise buffers of the two bandwidth medians come from here. On the
+    malloc heap (glibc serves an n=2000 kernel from it once its dynamic mmap
+    threshold has risen) the space a freed kernel leaves stays resident
+    whenever a later small allocation lands above it, and whether one does
+    changes from one process to the next: the serve-sphere peak RSS took 211
+    or 236 MB at random. A mapped array gives its pages back as soon as it
+    is freed.
     """
     nbytes = 8 * int(np.prod(shape))
     if nbytes < MAPPED_MIN_BYTES:
@@ -277,17 +292,21 @@ def correlation_kernel(X) -> AffinityMatrix:
 
 
 def markov_normalize(K: AffinityMatrix) -> MarkovOperator:
-    """Build S = D^{-1/2} K D^{-1/2}; P = D^{-1} K is never formed."""
+    """Build S = D^{-1/2} K D^{-1/2}; P = D^{-1} K is never formed.
+
+    K is consumed: S is built in K's own buffer, so that the fit holds one
+    n x n array here, and `K.entries` holds S afterwards.
+    """
     A = K.entries
     d = A.sum(axis=1)
     if np.any(d <= 0):
         bad = np.where(d <= 0)[0]
         raise ValueError(f"isolated points with zero affinity row sums: {bad[:10].tolist()}")
     inv_sqrt = 1.0 / np.sqrt(d)
-    S = np.multiply(A, inv_sqrt[:, None], out=_empty_mapped(A.shape))
-    S *= inv_sqrt[None, :]
-    _symmetrize(S)
-    return MarkovOperator(S, d)
+    A *= inv_sqrt[:, None]
+    A *= inv_sqrt[None, :]
+    _symmetrize(A)
+    return MarkovOperator(A, d)
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
@@ -299,9 +318,11 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _top_eigenpairs(M: np.ndarray, k: int):
+def _top_eigenpairs(M, k: int, dense=None):
     """Top k eigenpairs of symmetric M, descending; the package's one solver.
 
+    M is an array, or an operator that ARPACK reaches only through its
+    products (a `LinearOperator`) with `dense()` building it as an array.
     ARPACK runs whenever k < n - 1; the dense subset `eigh` runs for k >= n - 1
     and when ARPACK does not converge. Ties keep the solver's order.
     """
@@ -316,7 +337,7 @@ def _top_eigenpairs(M: np.ndarray, k: int):
             logger.warning("ARPACK converged %d/%d eigenpairs at n=%d; using dense eigh",
                            len(exc.eigenvalues), k, n)
     if vals is None:
-        vals, vecs = eigh(M, subset_by_index=[n - k, n - 1])
+        vals, vecs = eigh(M if dense is None else dense(), subset_by_index=[n - k, n - 1])
     order = np.argsort(-vals, kind="stable")
     return vals[order], vecs[:, order]
 

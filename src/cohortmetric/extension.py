@@ -1,10 +1,11 @@
 """Reference-set extension of the weighted embedding to unseen points.
 
 The asymmetric kernel against the training (reference) points is normalized
-on both sides, only the top eigenpairs of its Gram matrix A'A are computed,
-and new points embed through their normalized kernel rows. Test points never
-touch the weights or each other. The kernel is built feature-major, one
-(rows, n_ref) plane per feature, and a batch's rows are normalized in place.
+on both sides into A, only the top right singular pairs of A are computed,
+as eigenpairs of A'A reached through products with A, and new points embed
+through their normalized kernel rows. Test points never touch the weights or
+each other. The kernel is built feature-major, one (rows, n_ref) plane per
+feature, and a batch's rows are normalized in place.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator
 
 from .data import DataMatrix, as_values
 from .diffusion import (
@@ -113,13 +115,17 @@ def build_reference(x_ref, weights, sigma: float,
                     n_components: int | None = None) -> ReferenceEmbedding:
     """Decompose the normalized asymmetric kernel of the reference set.
 
-    A = D1^{-1/2} K D2^{-1/2}; the top n_components (all when None) eigenpairs
-    of A'A = Psi Sigma^2 Psi' give the right singular vectors, and the
-    reference embedding is A Psi.
+    A = D1^{-1/2} K D2^{-1/2}, normalized in K's buffer; the top n_components
+    (all when None) eigenpairs of A'A = Psi Sigma^2 Psi' give the right
+    singular vectors, and the reference embedding is A Psi.
+    ARPACK takes the pairs through the products v -> A'(A v), so A is the
+    one n x n array; A'A is formed only on the dense paths (n_components of
+    at least n - 1, or ARPACK not converging).
     Singular values below 1e-10 of the maximum are discarded.
     """
     Xr = as_values(x_ref)
-    if Xr.shape[0] < 2:
+    n = Xr.shape[0]
+    if n < 2:
         raise ValueError("need at least two reference points")
     A = asymmetric_kernel(Xr, Xr, weights, sigma)  # K, normalized in place below
     d1 = A.sum(axis=1)
@@ -132,10 +138,15 @@ def build_reference(x_ref, weights, sigma: float,
         raise ValueError(f"zero kernel column sums at reference points {bad[:10].tolist()}")
     A /= np.sqrt(d1)[:, None]
     A /= np.sqrt(d2)[None, :]
-    gram = np.matmul(A.T, A, out=_empty_mapped((A.shape[1], A.shape[1])))
-    _symmetrize(gram)
-    k = Xr.shape[0] if n_components is None else min(n_components, Xr.shape[0])
-    vals, vecs = _top_eigenpairs(gram, k)
+
+    def gram():
+        G = np.matmul(A.T, A, out=_empty_mapped((n, n)))
+        _symmetrize(G)
+        return G
+
+    gram_op = LinearOperator((n, n), matvec=lambda v: A.T @ (A @ v), dtype=float)
+    k = n if n_components is None else min(n_components, n)
+    vals, vecs = _top_eigenpairs(gram_op, k, dense=gram)
     s = np.sqrt(np.clip(vals, 0.0, None))
     keep = s >= SINGULAR_CUTOFF * s[0]
     s, vecs = s[keep], vecs[:, keep]

@@ -54,17 +54,18 @@ def estimate_fit_bytes(n: int, m: int) -> int:
     """Upper estimate of the peak resident bytes of `fit_pipeline` on n points
     and m features.
 
-    8 bytes times 2.2n^2 + 2^20 + 8nm floats, plus 125 MB for the interpreter
-    with numpy and scipy loaded. The peak holds two n x n arrays (K and S
-    while a kernel is normalized and embedded, or A and A'A in the reference
-    decomposition) with allocator slack, one block of the feature-major
-    kernels' (rows, cols) planes of about 2^16 floats each, and a few n x m
-    arrays. Measured sphere fits (m=9, 2-vCPU host, one BLAS thread) peak at
-    110, 196-200 and 462-467 MB for n=400, 2000 and 4500, against estimates
-    of 136, 205 and 492 MB. The partition tree is left out: each of its
+    8 bytes times 1.15n^2 + 2^21 + 8nm floats, plus 125 MB for the
+    interpreter with numpy and scipy loaded (107 MB) and allocator slack.
+    The peak holds one n x n array (a kernel, normalized into S in its own
+    buffer, or the reference kernel A, whose eigenpairs ARPACK takes without
+    forming A'A) with its slack, one 2^21-float row block of the symmetry
+    check or the symmetrization, and a few n x m arrays. Measured sphere fits
+    (m=9, 2-vCPU host, one BLAS thread, seeds 0-2) peak at 116, 167 and
+    307-310 MB (1 MB = 10^6 bytes) for n=400, 2000 and 4500, against estimates
+    of 143, 180 and 331 MB. The partition tree is left out: each of its
     levels holds n point indices.
     """
-    return int(125e6 + 8 * (2.2 * n * n + 2**20 + 8 * n * m))
+    return int(125e6 + 8 * (1.15 * n * n + 2**21 + 8 * n * m))
 
 
 def _physical_memory_bytes() -> int:

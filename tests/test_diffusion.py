@@ -117,9 +117,10 @@ def test_markov_normalize_matches_the_unblocked_formula_bit_for_bit(rows, monkey
     K = weighted_kernel(X, u, sigma=2.0)
     if rows is not None:  # many row blocks instead of one
         monkeypatch.setattr(diffusion, "_rows_per_block", lambda n_cols, m: rows)
+    K0 = K.entries.copy()  # markov_normalize consumes K
     op = markov_normalize(K)
-    inv_sqrt = 1.0 / np.sqrt(K.entries.sum(axis=1))
-    S = K.entries * inv_sqrt[:, None] * inv_sqrt[None, :]
+    inv_sqrt = 1.0 / np.sqrt(K0.sum(axis=1))
+    S = K0 * inv_sqrt[:, None] * inv_sqrt[None, :]
     S = 0.5 * (S + S.T)
     assert op.S.tobytes() == S.tobytes()
     emb = spectral_embed(op, t=1.0, d=6)
@@ -165,6 +166,13 @@ def test_large_kernels_and_operators_get_their_own_mapping():
     assert not _is_mapped(gaussian_kernel(X[:50]).entries)
 
 
+def test_markov_normalize_builds_s_in_the_kernels_buffer():
+    rng = np.random.default_rng(16)
+    K = gaussian_kernel(rng.normal(size=(300, 4)))
+    op = markov_normalize(K)
+    assert np.shares_memory(op.S, K.entries)
+
+
 def test_correlation_kernel_values():
     X = np.array([[1.0, 0.0], [1.0, 1.0], [-1.0, 0.0], [2.0, 0.0]])
     K = correlation_kernel(X).entries
@@ -180,14 +188,16 @@ def test_correlation_kernel_rejects_zero_rows():
 
 def test_markov_identity_and_uniform():
     K = gaussian_kernel(np.array([[0.0], [100.0]]), sigma=0.1)
+    K0 = K.entries.copy()
     op = markov_normalize(K)
-    np.testing.assert_allclose(K.entries / op.row_sums[:, None], np.eye(2), atol=1e-300)
+    np.testing.assert_allclose(K0 / op.row_sums[:, None], np.eye(2), atol=1e-300)
 
     from cohortmetric.diffusion import AffinityMatrix
 
     K = AffinityMatrix(np.ones((2, 2)), sigma=1.0)
+    K0 = K.entries.copy()
     op = markov_normalize(K)
-    np.testing.assert_allclose(K.entries / op.row_sums[:, None], 0.5 * np.ones((2, 2)))
+    np.testing.assert_allclose(K0 / op.row_sums[:, None], 0.5 * np.ones((2, 2)))
 
 
 def test_markov_rejects_isolated_point():
@@ -203,8 +213,9 @@ def test_markov_rows_sum_to_one_and_spectra_match():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(20, 4))
     K = gaussian_kernel(X, sigma=1.0)
+    K0 = K.entries.copy()
     op = markov_normalize(K)
-    P = K.entries / op.row_sums[:, None]
+    P = K0 / op.row_sums[:, None]
     np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-12)
     # dense eigensolver oracle on both P and S
     vals_p = np.sort(eig(P)[0].real)
@@ -240,7 +251,7 @@ def test_embedding_separates_two_blocks():
     K[10:, 10:] = 1.0
     from cohortmetric.diffusion import AffinityMatrix
 
-    A = AffinityMatrix(K, sigma=1.0)
+    A = AffinityMatrix(K.copy(), sigma=1.0)  # markov_normalize consumes A
     op = markov_normalize(A)
     emb = spectral_embed(op, t=1.0, d=3)
     phi1 = emb.eigenvectors[:, 1]
@@ -248,7 +259,7 @@ def test_embedding_separates_two_blocks():
     assert len(set(np.sign(phi1[10:]))) == 1
     assert np.sign(phi1[0]) != np.sign(phi1[-1])
     # oracle: phi_1 matches the dense eigensolver's second eigenvector of P
-    vals, vecs = eig(A.entries / op.row_sums[:, None])
+    vals, vecs = eig(K / op.row_sums[:, None])
     order = np.argsort(-vals.real)
     v = vecs[:, order[1]].real
     v = v / np.linalg.norm(v) * np.linalg.norm(phi1)
@@ -263,10 +274,11 @@ def test_full_spectrum_distance_matches_transition_rows():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(15, 3))
     K = gaussian_kernel(X, sigma=1.2)
+    K0 = K.entries.copy()
     op = markov_normalize(K)
     t = 3
     emb = spectral_embed(op, t=float(t), d=14)
-    Pt = np.linalg.matrix_power(K.entries / op.row_sums[:, None], t)
+    Pt = np.linalg.matrix_power(K0 / op.row_sums[:, None], t)
     for i, j in [(0, 5), (3, 9), (1, 14), (7, 7)]:
         direct = np.sqrt(np.sum((Pt[i] - Pt[j]) ** 2 / op.row_sums))
         np.testing.assert_allclose(diffusion_distance(emb, i, j), direct, atol=1e-8)
@@ -373,3 +385,53 @@ def test_arpack_failure_falls_back_to_dense_eigh(monkeypatch, caplog):
     np.testing.assert_allclose(ref_dense.singular_values, ref.singular_values, atol=1e-10)
     _assert_equal_up_to_column_sign(ref_dense.psi, ref.psi, 1e-10)
     _assert_equal_up_to_column_sign(ref_dense.coords, ref.coords, 1e-10)
+
+
+def _reference_inputs(n=600, m=4):
+    rng = np.random.default_rng(17)
+    return rng.normal(size=(n, m)), rng.uniform(0.5, 2.0, size=(n, m))
+
+
+def test_reference_arpack_path_matches_an_explicit_gram_oracle():
+    from cohortmetric.extension import asymmetric_kernel
+
+    X, u = _reference_inputs(n=300)
+    ref = build_reference(X, u, sigma=1.0, n_components=6)
+    K = asymmetric_kernel(X, X, u, 1.0)
+    A = K / np.sqrt(K.sum(axis=1))[:, None] / np.sqrt(K.sum(axis=0))[None, :]
+    vals, vecs = np.linalg.eigh(A.T @ A)
+    vals, vecs = vals[::-1][:6], vecs[:, ::-1][:, :6]
+    np.testing.assert_allclose(ref.singular_values, np.sqrt(vals), rtol=0, atol=1e-10)
+    _assert_equal_up_to_column_sign(ref.psi, vecs, 1e-10)
+    _assert_equal_up_to_column_sign(ref.coords, A @ vecs, 1e-10)
+
+
+def test_reference_arpack_path_holds_one_n_by_n_array(monkeypatch):
+    import tracemalloc
+
+    from cohortmetric import extension
+
+    X, u = _reference_inputs()
+    n = X.shape[0]
+    shapes, operands = [], []
+
+    def mapped_spy(shape):
+        shapes.append(tuple(shape))
+        return diffusion._empty_mapped(shape)
+
+    def eigsh_spy(M, k, **kwargs):
+        operands.append(type(M))
+        return eigsh(M, k, **kwargs)
+
+    monkeypatch.setattr(extension, "_empty_mapped", mapped_spy)
+    monkeypatch.setattr(diffusion, "eigsh", eigsh_spy)
+    tracemalloc.start()
+    try:
+        build_reference(X, u, sigma=1.0, n_components=6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert shapes.count((n, n)) == 1  # the kernel A, normalized in place
+    assert operands and not any(issubclass(t, np.ndarray) for t in operands)
+    # A is mapped, so numpy's traced allocations hold no second n x n array
+    assert peak < 8 * n * n

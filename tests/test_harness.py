@@ -263,9 +263,39 @@ def test_fit_memory_estimate_grows_with_size():
 
     assert estimate_fit_bytes(2000, 9) < estimate_fit_bytes(4500, 9)
     assert estimate_fit_bytes(2000, 9) < estimate_fit_bytes(2000, 30)
-    # the two measured peaks (200 and 467 MB) are covered within 10%
-    assert 200e6 <= estimate_fit_bytes(2000, 9) <= 1.1 * 200e6
-    assert 467e6 <= estimate_fit_bytes(4500, 9) <= 1.1 * 467e6
+    # the two measured peaks (167 and 310 MB) are covered within 10%
+    assert 167e6 <= estimate_fit_bytes(2000, 9) <= 1.1 * 167e6
+    assert 310e6 <= estimate_fit_bytes(4500, 9) <= 1.1 * 310e6
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux's VmHWM")
+def test_fit_memory_estimate_bounds_a_measured_fit():
+    import os
+    import subprocess
+    import sys
+
+    import cohortmetric
+    from cohortmetric.harness import estimate_fit_bytes
+
+    n = 1500
+    # the child's ru_maxrss would start from the peak of the process that
+    # forked it (this one), so it reads its own high-water mark instead
+    code = (
+        "from cohortmetric.config import RunConfig\n"
+        "from cohortmetric.harness import fit_pipeline\n"
+        "from cohortmetric.simulate import TrialSpec, generate\n"
+        f"ds = generate(TrialSpec('sphere', n={n}, seed=0))\n"
+        "fit_pipeline(ds.data, ds.records, RunConfig(seed=0))\n"
+        "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
+    )
+    src = str(Path(cohortmetric.__file__).resolve().parent.parent)
+    # the estimate is stated for one BLAS thread
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=600)
+    peak_bytes = 1024 * int(out.stdout.split()[-1])  # VmHWM is in KiB
+    assert peak_bytes < estimate_fit_bytes(n, 9)
 
 
 # --- recommendation -------------------------------------------------------------------
@@ -610,6 +640,50 @@ def test_cli_extend_and_recommend_apply_the_model_overrides(tmp_path, small_tria
     assert report.group_sizes["recommended"] == report.group_sizes["anti_recommended"] == 0
     assert ((tmp_path / "rec" / "report.txt").read_text()
             == "\n".join(report.summary_lines()) + "\n")
+
+
+def test_cli_extend_and_recommend_apply_the_config_file_with_flags_winning(
+        tmp_path, small_trial, small_model):
+    model_dir = tmp_path / "model"
+    io.save_model(model_dir, small_model)
+    data = tmp_path / "data.csv"
+    io.write_dataset_csv(data, small_trial.data, small_trial.records)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"estimator": "moments", "c_threshold": 1e9}))
+
+    def extended(name, *flags):
+        assert main(["extend", "--model", str(model_dir), "--data", str(data),
+                     "--out", str(tmp_path / name), *flags]) == 0
+        return (tmp_path / name / "extended.csv").read_bytes()
+
+    moments = extended("flag", "--estimator", "moments")
+    assert extended("file", "--config", str(cfg)) == moments
+    assert extended("both", "--config", str(cfg), "--estimator", "partial") == extended("plain")
+    assert moments != extended("plain")
+
+    def report(name, *flags):
+        assert main(["recommend", "--model", str(model_dir), "--data", str(data),
+                     "--out", str(tmp_path / name), *flags]) == 0
+        return (tmp_path / name / "report.txt").read_text()
+
+    assert report("rec_file", "--config", str(cfg)) == report(
+        "rec_flags", "--estimator", "moments", "--c-threshold", "1e9")
+    assert report("rec_both", "--config", str(cfg), "--c-threshold", "0.5",
+                  "--estimator", "partial") == report("rec_plain")
+
+
+@pytest.mark.parametrize("command", ["extend", "recommend"])
+@pytest.mark.parametrize("flag", ["--seed", "--repeats"])
+def test_cli_serving_commands_refuse_fit_flags(tmp_path, small_trial, small_model, command, flag):
+    model_dir = tmp_path / "model"
+    io.save_model(model_dir, small_model)
+    data = tmp_path / "data.csv"
+    io.write_dataset_csv(data, small_trial.data, small_trial.records)
+    with pytest.raises(SystemExit) as info:
+        main([command, "--model", str(model_dir), "--data", str(data),
+              "--out", str(tmp_path / "o"), flag, "3"])
+    assert info.value.code == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_refit_byte_identical(tmp_path):
