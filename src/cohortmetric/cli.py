@@ -90,12 +90,17 @@ MODEL_KNOBS = ("estimator", "c_threshold")
 def _load_model(args):
     """The model saved under --model, with the `estimator` and `c_threshold`
     that the --config file sets, and then those of the command line,
-    applied to its config."""
+    applied to its config. A --config key that acts only on a fit is a
+    ConfigError."""
     overrides = {}
     if args.config is not None:
         config, _ = load_config(args.config)  # validates the whole file
         given = json.loads(args.config.read_text())
-        overrides = {name: getattr(config, name) for name in MODEL_KNOBS if name in given}
+        fit_keys = sorted(set(given) - set(MODEL_KNOBS))
+        if fit_keys:
+            raise ConfigError(f"{args.command} takes only {list(MODEL_KNOBS)} from --config; "
+                              f"{fit_keys} act only on a fit")
+        overrides = {name: getattr(config, name) for name in given}
     overrides.update(_overrides(args, MODEL_KNOBS))
     model = io.load_model(args.model)
     return dataclasses.replace(model, config=model.config.replace(**overrides))

@@ -84,6 +84,9 @@ def asymmetric_kernel(Z, x_ref, weights, sigma: float) -> np.ndarray:
     u = weights.inv_diag() if isinstance(weights, WeightField) else np.asarray(weights, dtype=float)
     if u.shape != Xr.shape:
         raise ValueError(f"weights {u.shape} do not match reference {Xr.shape}")
+    if Zv.shape[1] != Xr.shape[1]:
+        raise ValueError(f"points have {Zv.shape[1]} features, the reference points "
+                         f"{Xr.shape[1]}")
     if np.any(u <= 0):
         raise ValueError("W_x diagonals must be positive")
     if not sigma > 0:

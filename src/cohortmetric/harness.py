@@ -54,18 +54,19 @@ def estimate_fit_bytes(n: int, m: int) -> int:
     """Upper estimate of the peak resident bytes of `fit_pipeline` on n points
     and m features.
 
-    8 bytes times 1.15n^2 + 2^21 + 8nm floats, plus 125 MB for the
-    interpreter with numpy and scipy loaded (107 MB) and allocator slack.
+    8 bytes times 1.15n^2 + 2^21 + 8nm floats, plus 92 MB for the
+    interpreter with numpy and the library's scipy modules loaded (73 MB)
+    and allocator slack.
     The peak holds one n x n array (a kernel, normalized into S in its own
     buffer, or the reference kernel A, whose eigenpairs ARPACK takes without
     forming A'A) with its slack, one 2^21-float row block of the symmetry
     check or the symmetrization, and a few n x m arrays. Measured sphere fits
-    (m=9, 2-vCPU host, one BLAS thread, seeds 0-2) peak at 116, 167 and
-    307-310 MB (1 MB = 10^6 bytes) for n=400, 2000 and 4500, against estimates
-    of 143, 180 and 331 MB. The partition tree is left out: each of its
-    levels holds n point indices.
+    (m=9, 2-vCPU host, one BLAS thread, seeds 0-2) peak at 83-84, 134-136
+    and 274-275 MB (1 MB = 10^6 bytes) for n=400, 2000 and 4500, against
+    estimates of 111, 147 and 298 MB. The partition tree is left out: each
+    of its levels holds n point indices.
     """
-    return int(125e6 + 8 * (1.15 * n * n + 2**21 + 8 * n * m))
+    return int(92e6 + 8 * (1.15 * n * n + 2**21 + 8 * n * m))
 
 
 def _physical_memory_bytes() -> int:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtrc
 
 logger = logging.getLogger(__name__)
 
@@ -420,7 +420,9 @@ def cox_fit(X, records: SurvivalRecords, names=None, max_iter: int = 60) -> CoxF
     cov = np.linalg.inv(info)
     se = np.sqrt(np.diagonal(cov))
     z = beta / se
-    pvals = chi2.sf(z**2, df=1)
+    # chdtrc(1, x) is chi2.sf(x, df=1) bit for bit for x >= 0 (NaN below 0,
+    # which a square cannot reach)
+    pvals = chdtrc(1, z**2)
     return CoxFit(beta, se, z, pvals, float(loglik), it, converged, tuple(names))
 
 
@@ -469,8 +471,9 @@ def logrank_test(group_a: SurvivalRecords, group_b: SurvivalRecords) -> LogRankR
     variance = np.cumsum(d * (r0 / r) * (r1 / r) * (r - d) / np.maximum(r - 1, 1))[-1]
     if variance <= 0:
         return LogRankResult(np.nan, np.nan, n_a, n_b, events_a, events_b, defined=False)
+    # a square over a positive variance, so chdtrc's NaN for x < 0 cannot occur
     stat = (np.sum(d - d1) - expected) ** 2 / variance
-    return LogRankResult(float(stat), float(chi2.sf(stat, df=1)), n_a, n_b, events_a, events_b)
+    return LogRankResult(float(stat), float(chdtrc(1, stat)), n_a, n_b, events_a, events_b)
 
 
 @dataclass(frozen=True)

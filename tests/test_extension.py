@@ -151,6 +151,18 @@ def test_reference_needs_two_points():
         build_reference(np.zeros((1, 2)), uniform_weights(1, 2), sigma=1.0)
 
 
+@pytest.mark.parametrize("width", [3, 5])
+def test_points_of_another_width_are_refused(width):
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(30, 4))
+    ref = build_reference(X, uniform_weights(30, 4), sigma=1.1)
+    Z = rng.normal(size=(5, width))
+    with pytest.raises(ValueError, match=f"points have {width} features, the reference points 4"):
+        asymmetric_kernel(Z, X, uniform_weights(30, 4), sigma=1.1)
+    with pytest.raises(ValueError, match=f"points have {width} features"):
+        extend_batch(ref, Z)
+
+
 # --- extend ---------------------------------------------------------------------------
 
 

@@ -8,6 +8,7 @@ import pytest
 from cohortmetric import io
 from cohortmetric.cli import main
 from cohortmetric.config import ConfigError, RunConfig, load_config
+from cohortmetric.data import DataMatrix
 from cohortmetric.harness import (
     estimates_on_truth_scale,
     fit_pipeline,
@@ -263,23 +264,36 @@ def test_fit_memory_estimate_grows_with_size():
 
     assert estimate_fit_bytes(2000, 9) < estimate_fit_bytes(4500, 9)
     assert estimate_fit_bytes(2000, 9) < estimate_fit_bytes(2000, 30)
-    # the two measured peaks (167 and 310 MB) are covered within 10%
-    assert 167e6 <= estimate_fit_bytes(2000, 9) <= 1.1 * 167e6
-    assert 310e6 <= estimate_fit_bytes(4500, 9) <= 1.1 * 310e6
+    # the two measured peaks (136 and 275 MB) are covered within 10%
+    assert 136e6 <= estimate_fit_bytes(2000, 9) <= 1.1 * 136e6
+    assert 275e6 <= estimate_fit_bytes(4500, 9) <= 1.1 * 275e6
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux's VmHWM")
-def test_fit_memory_estimate_bounds_a_measured_fit():
+def _last_line_of_a_fresh_interpreter(code: str) -> str:
+    """Run `code` in a new Python process on this library, with one BLAS
+    thread, and return the last line it prints."""
     import os
     import subprocess
     import sys
 
     import cohortmetric
+
+    src = str(Path(cohortmetric.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=600)
+    return out.stdout.splitlines()[-1]
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux's VmHWM")
+def test_fit_memory_estimate_bounds_a_measured_fit():
     from cohortmetric.harness import estimate_fit_bytes
 
     n = 1500
     # the child's ru_maxrss would start from the peak of the process that
-    # forked it (this one), so it reads its own high-water mark instead
+    # forked it (this one), so it reads its own high-water mark instead; the
+    # estimate is stated for one BLAS thread
     code = (
         "from cohortmetric.config import RunConfig\n"
         "from cohortmetric.harness import fit_pipeline\n"
@@ -288,14 +302,29 @@ def test_fit_memory_estimate_bounds_a_measured_fit():
         "fit_pipeline(ds.data, ds.records, RunConfig(seed=0))\n"
         "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
     )
-    src = str(Path(cohortmetric.__file__).resolve().parent.parent)
-    # the estimate is stated for one BLAS thread
-    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
-           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=600)
-    peak_bytes = 1024 * int(out.stdout.split()[-1])  # VmHWM is in KiB
+    peak_bytes = 1024 * int(_last_line_of_a_fresh_interpreter(code))  # VmHWM is in KiB
     assert peak_bytes < estimate_fit_bytes(n, 9)
+
+
+def test_the_library_never_imports_scipy_stats(tmp_path):
+    """scipy.stats adds about 33 MB to every process; the library takes its
+    two scalar functions from scipy.special instead."""
+    code = (
+        "import sys\n"
+        "from cohortmetric import io\n"
+        "from cohortmetric.config import RunConfig\n"
+        "from cohortmetric.harness import fit_pipeline, predict, recommend_pipeline\n"
+        "from cohortmetric.simulate import TrialSpec, generate\n"
+        "import cohortmetric.cli\n"
+        "ds = generate(TrialSpec('random', n=300, seed=3))\n"
+        f"model = fit_pipeline(ds.data, ds.records, RunConfig(seed=3, **{FAST!r}))\n"
+        f"io.save_model({str(tmp_path / 'model')!r}, model)\n"
+        f"model = io.load_model({str(tmp_path / 'model')!r})\n"
+        "predict(model, ds.data)\n"
+        "assert recommend_pipeline(model, ds.data, ds.records).logrank is not None\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n"
+    )
+    assert _last_line_of_a_fresh_interpreter(code) == "[]"
 
 
 # --- recommendation -------------------------------------------------------------------
@@ -684,6 +713,44 @@ def test_cli_serving_commands_refuse_fit_flags(tmp_path, small_trial, small_mode
               "--out", str(tmp_path / "o"), flag, "3"])
     assert info.value.code == 2
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["extend", "recommend"])
+@pytest.mark.parametrize("payload", [
+    {"dim": 4, "min_cohort": 40},
+    {"estimator": "moments", "seed": 3},
+    {"trial": {"kind": "sphere", "n": 300, "seed": 7}},
+])
+def test_cli_serving_commands_refuse_fit_keys_in_the_config_file(
+        tmp_path, small_trial, small_model, capsys, command, payload):
+    model_dir = tmp_path / "model"
+    io.save_model(model_dir, small_model)
+    data = tmp_path / "data.csv"
+    io.write_dataset_csv(data, small_trial.data, small_trial.records)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    assert main([command, "--model", str(model_dir), "--data", str(data),
+                 "--out", str(tmp_path / "o"), "--config", str(cfg)]) == 2
+    fit_keys = sorted(set(payload) - {"estimator", "c_threshold"})
+    assert f"{fit_keys} act only on a fit" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("width", [8, 10])
+def test_points_of_another_width_are_refused(tmp_path, small_trial, small_model, capsys, width):
+    X = small_trial.data.values
+    Z = np.column_stack([X, X[:, :1]]) if width > X.shape[1] else X[:, :width]
+    with pytest.raises(ValueError, match=f"points have {width} features, the reference points 9"):
+        predict(small_model, Z)
+    model_dir = tmp_path / "model"
+    io.save_model(model_dir, small_model)
+    data = tmp_path / "data.csv"
+    io.write_dataset_csv(data, DataMatrix(Z), small_trial.records)
+    for command in ("extend", "recommend"):
+        assert main([command, "--model", str(model_dir), "--data", str(data),
+                     "--out", str(tmp_path / command)]) == 1
+        assert f"error: points have {width} features" in capsys.readouterr().err
+        assert not (tmp_path / command).exists()
 
 
 def test_cli_refit_byte_identical(tmp_path):

@@ -152,6 +152,35 @@ def test_random_model_reproducible():
     assert np.array_equal(a.truth.true_effect, b.truth.true_effect)
 
 
+@pytest.mark.parametrize("gamma", [(), (8.0, -8.0, 3.0, 0.0, 0.0, 0.0)])
+def test_random_model_propensity_equals_scipy_stats_norm_bit_for_bit(gamma):
+    # the large gamma pushes scores into both tails and into the clip
+    spec = TrialSpec("random", n=2000, seed=16, dim=6, gamma=gamma)
+    ds = gen_random_model(spec)
+    score = spec.gamma0 + ds.data.values @ spec.resolve_gamma()
+    expected = np.clip(norm.cdf(score), 1e-12, 1 - 1e-12)
+    assert ds.truth.propensity.tobytes() == expected.tobytes()
+
+
+def test_generated_trial_files_are_pinned(tmp_path):
+    import hashlib
+
+    from cohortmetric import io
+    from cohortmetric.simulate import generate
+
+    ds = generate(TrialSpec("random", n=200, seed=5))
+    io.write_dataset_csv(tmp_path / "dataset.csv", ds.data, ds.records)
+    io.write_truth_csv(tmp_path / "truth.csv", ds.data.point_ids, ds.truth)
+    digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+              for name in ("dataset.csv", "truth.csv")}
+    # taken with numpy 2.4, scipy 1.17 and OpenBLAS 0.3 on x86-64, while the
+    # propensities came from scipy.stats.norm.cdf
+    assert digest == {
+        "dataset.csv": "3c977b5b5bd573cfc36c85b375ccacb0d5cfc2b5b753c1d7c7fafd16d5c9aa96",
+        "truth.csv": "d360561723d9e745ef4d27c10e891f9b509a43a78968bec8383512be455cac3e",
+    }
+
+
 def test_calibration_monotone_in_quantile():
     rng = np.random.default_rng(15)
     times = rng.exponential(1.0, 5000)

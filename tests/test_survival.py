@@ -345,6 +345,27 @@ def test_cox_rank_deficiency_reported():
         cox_fit(X, rec)
 
 
+def test_cox_p_values_equal_scipy_stats_chi2_bit_for_bit():
+    from scipy.stats import chi2
+
+    rng = np.random.default_rng(11)
+    n = 3000
+    X = rng.normal(size=(n, 2))
+    W = weibull_sample(1.0, 1.0, rng, n) / np.exp(1.5 * X[:, 0] + 0.1 * X[:, 1])
+    rec = SurvivalRecords(np.minimum(W, 2.0), (W <= 2.0).astype(int), np.zeros(n, dtype=int))
+    # a strong and a weak effect, then 30 covariates unrelated to the outcome:
+    # z^2 from tiny to far past the underflow of the p-value
+    designs = [X] + [rng.normal(size=(n, 1)) for _ in range(30)]
+    z2 = []
+    for Z in designs:
+        fit = cox_fit(Z, rec)
+        assert fit.p_values.tobytes() == chi2.sf(fit.z**2, df=1).tobytes()
+        z2.extend(fit.z**2)
+    z2 = np.array(z2)
+    assert z2.min() < 1e-2 and ((z2 > 1) & (z2 < 100)).any()
+    assert z2.max() > 1e3 and chi2.sf(z2.max(), df=1) == 0
+
+
 # --- mom_bias_oracle ------------------------------------------------------------
 
 
@@ -549,6 +570,33 @@ def test_logrank_matches_loop():
         assert (res.n_a, res.n_b) == (len(rec_a), len(rec_b))
         if defined:
             assert res.statistic == stat
+
+
+def test_logrank_p_value_equals_scipy_stats_chi2_bit_for_bit():
+    from scipy.stats import chi2
+
+    rng = np.random.default_rng(19)
+    same = random_cohort(rng, n=50)
+    pairs = [(same, same)]  # a statistic of exactly 0
+    pairs.append((SurvivalRecords(*_exp_group(rng, 2000, rate=1.0)),
+                  SurvivalRecords(*_exp_group(rng, 2000, rate=30.0))))  # p underflows to 0
+    # random halves of one sample: null statistics, some of them tiny
+    times, events, arms = _exp_group(rng, 240, rate=1.0)
+    for _ in range(100):
+        half = rng.permutation(240) < 120
+        pairs.append((SurvivalRecords(times[half], events[half], arms[half]),
+                      SurvivalRecords(times[~half], events[~half], arms[~half])))
+    cohorts = list(tied_cohorts(seed=29))
+    pairs.extend(zip(cohorts[::2], cohorts[1::2]))
+    stats = []
+    for a, b in pairs:
+        res = logrank_test(a, b)
+        if res.defined:
+            assert np.float64(res.p_value).tobytes() == chi2.sf(res.statistic, df=1).tobytes()
+            stats.append(res.statistic)
+    stats = np.array(stats)
+    assert (stats == 0).any() and ((stats > 0) & (stats < 1e-3)).any()
+    assert ((stats > 1) & (stats < 100)).any() and stats.max() > 1e3
 
 
 # --- recommend_groups -------------------------------------------------------------
