@@ -34,7 +34,6 @@ from .harness import (
 )
 from .metric import (
     CohortFunctional,
-    NeighborhoodRule,
     RegularizedMetric,
     WeightField,
     aggregate_point_weights,
@@ -42,7 +41,6 @@ from .metric import (
     folder_weight,
     fit_weighted_metric,
     multiscale_estimate,
-    pointwise_estimate,
     weighted_kernel,
 )
 from .simulate import (

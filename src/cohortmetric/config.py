@@ -19,8 +19,9 @@ class ConfigError(ValueError):
 class RunConfig:
     """Every knob of the fit, predict, validate and recommend pipelines.
 
-    The kernel bandwidths, the regularizer lam and the cohort size are not
-    knobs: each stage derives them from the data.
+    The kernel bandwidths, the regularizer lam, the cohort size and the
+    tree's stopping size are not knobs: each stage derives them from the
+    data.
     """
 
     seed: int = 0
@@ -32,7 +33,6 @@ class RunConfig:
     weight_alpha: float = 1.0
     k_bins: int = 3
     branching: int = 2
-    min_folder: int | None = None  # max(10, ceil(n/256))
     balance_threshold: float = BALANCE_THRESHOLD
     c_threshold: float = 0.5
     max_iters: int = 10  # weight steps per fit
@@ -40,11 +40,8 @@ class RunConfig:
     train_fraction: float = 0.8
 
     def __post_init__(self):
-        for name in ("seed", "min_cohort", "dim", "k_bins", "branching", "min_folder",
-                     "max_iters", "repeats"):
+        for name in ("seed", "min_cohort", "dim", "k_bins", "branching", "max_iters", "repeats"):
             v = getattr(self, name)
-            if v is None and name == "min_folder":
-                continue
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
                 raise ConfigError(f"{name} must be an integer, got {v!r}")
         if self.seed < 0:
@@ -64,8 +61,6 @@ class RunConfig:
             raise ConfigError(f"weight_alpha must be finite and >= 0, got {self.weight_alpha}")
         if self.k_bins < 1 or self.branching < 2:
             raise ConfigError("k_bins must be >= 1 and branching >= 2")
-        if self.min_folder is not None and self.min_folder < 1:
-            raise ConfigError("min_folder must be >= 1 when given")
         if not 0.5 <= self.balance_threshold < 1.0:
             raise ConfigError("balance_threshold must be in [0.5, 1)")
         if not self.c_threshold >= 0:
@@ -76,11 +71,6 @@ class RunConfig:
             raise ConfigError("repeats must be >= 1")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError("train_fraction must be in (0, 1)")
-
-    def resolve_min_folder(self, n: int) -> int:
-        if self.min_folder is not None:
-            return self.min_folder
-        return max(10, int(np.ceil(n / 256)))
 
     def to_dict(self) -> dict:
         return asdict(self)

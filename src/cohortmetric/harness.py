@@ -107,9 +107,13 @@ def predict(model: FittedModel, Z) -> Predictions:
     """Local treatment-effect estimates for new points via the reference set.
 
     Estimates are on the log-hazard (harm) scale; undefined cohorts carry NaN.
+    A DataMatrix must name the model's features in the model's order; raw
+    arrays are checked only for their width.
     """
-    coords, in_support = extend_batch(model.ref, Z)
-    rule = model.metric.neighborhood
+    coords, in_support = extend_batch(model.ref, Z)  # checks the width
+    if isinstance(Z, DataMatrix) and Z.feature_names != model.feature_names:
+        raise ValueError(f"features {list(Z.feature_names)} do not match the model's "
+                         f"{list(model.feature_names)}")
     cfg = model.config
     functional = LocalAlphaFunctional(model.records, cfg.estimator, cfg.min_cohort,
                                       cfg.balance_threshold)
@@ -119,7 +123,8 @@ def predict(model: FittedModel, Z) -> Predictions:
     balanced = np.zeros(n, dtype=bool)
     rows = np.flatnonzero(in_support)
     # one neighbourhood pass for the whole batch
-    for i, nbhd in zip(rows, neighborhood_indices(model.ref.coords, coords[rows], rule)):
+    cohorts = neighborhood_indices(model.ref.coords, coords[rows], model.metric.cohort_size)
+    for i, nbhd in zip(rows, cohorts):
         n_neighbors[i] = nbhd.size
         if nbhd.size < cfg.min_cohort:
             continue

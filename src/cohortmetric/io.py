@@ -274,7 +274,7 @@ def load_model(model_dir):
         embedding=embedding,
         weights=weights,
         tree=tree,
-        neighborhood=cohort_neighborhood(x_ref.shape[0], config.min_cohort),
+        cohort_size=cohort_neighborhood(x_ref.shape[0], config.min_cohort),
         sigma=float(meta["sigma"]),
         history=history,
     )

@@ -6,8 +6,12 @@ to per-point diagonal metrics, and feed the locally weighted PSD kernel. The
 fit runs a fixed number of steps of tree -> weights -> weighted kernel ->
 embedding, and returns the last step's tree, weights and the embedding of the
 kernel those weights build. The weighted kernel is summed from per-feature
-planes, and `neighborhood_indices` answers a whole batch of centers in one
-pass.
+planes.
+
+A point's neighbourhood is its cohort: the k = max(c, ceil(0.05 n)) nearest
+of n reference points in the embedding (`cohort_neighborhood`).
+`neighborhood_indices` answers a whole batch of centers in one pass, and
+`multiscale_estimate` is the filtration of nested kNN cohorts inside it.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .diffusion import (
     spectral_embed,
 )
 from .survival import CohortError, CohortTooSmallError
-from .tree import PartitionTree, build_topdown
+from .tree import PartitionTree, build_topdown, fit_min_folder
 
 logger = logging.getLogger(__name__)
 
@@ -101,27 +105,10 @@ class IterationDiagnostics:
     top_eigenvalues: tuple
 
 
-@dataclass(frozen=True)
-class NeighborhoodRule:
-    kind: str  # "knn" or "radius"
-    k: int | None = None
-    eps: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("knn", "radius"):
-            raise ValueError(f"unknown neighborhood kind {self.kind!r}")
-        if self.kind == "knn" and (isinstance(self.k, bool)
-                                   or not isinstance(self.k, (int, np.integer)) or self.k < 1):
-            raise ValueError(f"knn rule needs an integer k >= 1, got {self.k!r}")
-        # written so that NaN fails it
-        if self.kind == "radius" and (self.eps is None or not self.eps > 0):
-            raise ValueError(f"radius rule needs eps > 0, got {self.eps!r}")
-
-
-def cohort_neighborhood(n: int, min_cohort: int) -> NeighborhoodRule:
-    """The cohort of a point among n references: its max(c, ceil(0.05 n))
+def cohort_neighborhood(n: int, min_cohort: int) -> int:
+    """The cohort size of a point among n references: its max(c, ceil(0.05 n))
     nearest."""
-    return NeighborhoodRule("knn", k=max(min_cohort, int(np.ceil(0.05 * n))))
+    return max(min_cohort, int(np.ceil(0.05 * n)))
 
 
 @dataclass(frozen=True)
@@ -131,7 +118,7 @@ class RegularizedMetric:
     embedding: DiffusionEmbedding
     weights: WeightField
     tree: PartitionTree
-    neighborhood: NeighborhoodRule
+    cohort_size: int  # k nearest references per estimate
     sigma: float
     history: tuple  # one IterationDiagnostics per weight step
 
@@ -383,7 +370,7 @@ def fit_weighted_metric(X, F: CohortFunctional, config: RunConfig = RunConfig())
     bandwidth of the weighted kernel those weights build, so the reference
     decomposition serves the same geometry as `embedding`. Each kernel is
     freed once embedded. `history` has one record per step.
-    The cohort neighborhood is sized from F's own minimum cohort, not from
+    The cohort size is taken from F's own minimum cohort, not from
     `config.min_cohort`.
     """
     values = as_values(X)
@@ -400,7 +387,7 @@ def fit_weighted_metric(X, F: CohortFunctional, config: RunConfig = RunConfig())
     history: list[IterationDiagnostics] = []
     for it in range(config.max_iters):
         del tree  # one tree at a time
-        tree = build_topdown(emb, config.branching, config.resolve_min_folder(n), config.seed + it)
+        tree = build_topdown(emb, config.branching, fit_min_folder(n), config.seed + it)
         W_prev, W = W, compute_weight_field(values, F, tree, config)
         K = weighted_kernel(values, W)
         sigma = K.sigma
@@ -418,30 +405,30 @@ def fit_weighted_metric(X, F: CohortFunctional, config: RunConfig = RunConfig())
         embedding=emb,
         weights=W,
         tree=tree,
-        neighborhood=cohort_neighborhood(n, F.min_cohort),
+        cohort_size=cohort_neighborhood(n, F.min_cohort),
         sigma=sigma,
         history=tuple(history),
     )
 
 
-def neighborhood_indices(coords: np.ndarray, centers: np.ndarray,
-                         rule: NeighborhoodRule) -> list[np.ndarray]:
-    """Point indices inside the neighborhood of each row of the (q, d)
-    `centers`: q index arrays, a center's own row included when it is one
-    of the coords.
+def neighborhood_indices(coords: np.ndarray, centers: np.ndarray, k: int) -> list[np.ndarray]:
+    """The k nearest coords of each row of the (q, d) `centers`, nearest
+    first: q index arrays, a center's own row included when it is one of
+    the coords. A k above the number of coords keeps them all.
 
     One pass over row blocks of centers: distances are pairwise sums of
     feature-major (rows, n) planes, equal bit for bit to
-    np.linalg.norm(coords - center, axis=1) for each center. knn keeps the k
-    nearest by argpartition, then orders them by a stable argsort; radius
-    keeps every point closer than eps, in index order.
+    np.linalg.norm(coords - center, axis=1) for each center. The k nearest
+    are kept by argpartition, then ordered by a stable argsort.
     """
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"a cohort needs an integer k >= 1, got {k!r}")
     centers = np.asarray(centers, dtype=float)
     n, d = coords.shape
     if centers.ndim != 2 or centers.shape[1] != d:
         raise ValueError(f"centers must be (q, {d}) rows, got shape {centers.shape}")
     xt, ct = coords.T.copy(), centers.T.copy()  # (d, points): one row per coordinate
-    k = min(rule.k, n) if rule.kind == "knn" else 0
+    k = min(k, n)
     out: list[np.ndarray] = []
     block = _rows_per_block(n, PLANE_DEPTH)
     for i0 in range(0, centers.shape[0], block):
@@ -452,68 +439,35 @@ def neighborhood_indices(coords: np.ndarray, centers: np.ndarray,
             return np.square(t, out=t)
 
         dist = np.sqrt(_pairwise_sum(term, 0, d))
-        if rule.kind == "radius":
-            inside = dist < rule.eps
-            out.extend(np.split(np.nonzero(inside)[1], np.cumsum(inside.sum(axis=1))[:-1]))
-            continue
         part = np.argpartition(dist, k - 1, axis=1)[:, :k]
         order = np.argsort(np.take_along_axis(dist, part, axis=1), axis=1, kind="stable")
         out.extend(np.take_along_axis(part, order, axis=1))
     return out
 
 
-def pointwise_estimate(metric: RegularizedMetric, F: CohortFunctional, i: int,
-                       eps: float | None = None) -> float:
-    """F over the embedding neighborhood of training point i.
-
-    Radius eps overrides the metric's neighborhood rule; too-small
-    neighborhoods raise with the achieved size.
-    """
-    coords = metric.embedding.coords
-    rule = NeighborhoodRule("radius", eps=eps) if eps is not None else metric.neighborhood
-    nbhd = neighborhood_indices(coords, coords[i:i + 1], rule)[0]
-    if nbhd.size < F.min_cohort:
-        raise CohortTooSmallError(nbhd.size, F.min_cohort)
-    return F(nbhd)
-
-
 @dataclass(frozen=True)
 class MultiscaleDecomposition:
-    scales: tuple
-    coefficients: tuple
+    sizes: tuple  # nested cohort sizes, coarse to fine
+    coefficients: tuple  # one per consecutive pair of sizes
     coarse_value: float
-    truncated_at: float | None  # first scale whose eps/2 neighborhood was too small
 
 
-def multiscale_estimate(metric: RegularizedMetric, F: CohortFunctional, i: int,
-                        scales) -> MultiscaleDecomposition:
-    """Detail coefficients F(N^{eps/2}) - F(N^{eps}) per scale.
+def multiscale_estimate(metric: RegularizedMetric, F: CohortFunctional,
+                        i: int) -> MultiscaleDecomposition:
+    """The filtration of training point i's cohort: nested kNN cohorts of
+    sizes k, ceil(k/2), ceil(k/4), ... down to the last of at least F's c.
 
-    Each scale must be below the one before; scales whose half-radius neighborhood
-    drops below the cohort minimum truncate the decomposition and are
-    reported.
+    All are prefixes of one ordered `neighborhood_indices` list for the
+    metric's k, and coefficient j is F(first sizes[j+1]) - F(first sizes[j]),
+    so the coefficients sum to F(finest) - coarse_value. `coarse_value` is F
+    over the full k-cohort, the cohort `predict` serves; F raises
+    CohortTooSmallError when k is below c.
     """
-    scales = [float(s) for s in scales]
-    if any(b >= a for a, b in zip(scales, scales[1:])) or not scales:
-        raise ValueError("scales must be nonempty, each below the one before")
     coords = metric.embedding.coords
-    center = coords[i:i + 1]
-
-    def ball(eps):
-        return neighborhood_indices(coords, center, NeighborhoodRule("radius", eps=eps))[0]
-
-    n_coarse = ball(scales[0])
-    if n_coarse.size < F.min_cohort:
-        raise CohortTooSmallError(n_coarse.size, F.min_cohort)
-    coarse_value = F(n_coarse)
-    used, coeffs = [], []
-    truncated_at = None
-    for eps in scales:
-        half = ball(eps / 2)
-        if half.size < F.min_cohort:
-            truncated_at = eps
-            break
-        full = ball(eps)
-        coeffs.append(F(half) - F(full))
-        used.append(eps)
-    return MultiscaleDecomposition(tuple(used), tuple(coeffs), coarse_value, truncated_at)
+    order = neighborhood_indices(coords, coords[i:i + 1], metric.cohort_size)[0]
+    sizes = [order.size]
+    while (half := -(-sizes[-1] // 2)) >= F.min_cohort and half < sizes[-1]:
+        sizes.append(half)
+    values = [F(order[:s]) for s in sizes]
+    coeffs = tuple(fine - coarse for coarse, fine in zip(values, values[1:]))
+    return MultiscaleDecomposition(tuple(sizes), coeffs, values[0])

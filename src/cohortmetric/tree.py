@@ -247,6 +247,12 @@ def _own_center_d2(x: np.ndarray, centers: np.ndarray, runs: np.ndarray) -> np.n
     return _pairwise_sum(term, 0, x.shape[0])
 
 
+def fit_min_folder(n: int) -> int:
+    """The fit's tree splits only folders of more than max(10, ceil(n/256))
+    points."""
+    return max(10, int(np.ceil(n / 256)))
+
+
 def build_topdown(emb: DiffusionEmbedding, k: int = 2, min_folder: int = 1,
                   seed: int = 0) -> PartitionTree:
     """Top-down k-means on the embedded coordinates, one level at a time.

@@ -17,12 +17,11 @@ from cohortmetric.harness import (
     split_indices,
     validate_pipeline,
 )
-from cohortmetric.metric import NeighborhoodRule
 from cohortmetric.simulate import GroundTruth, TrialSpec, gen_sphere_trial
 from cohortmetric.survival import LocalAlphaFunctional, SurvivalRecords
 
 
-FAST = dict(dim=3, max_iters=2, min_cohort=15, min_folder=20)
+FAST = dict(dim=3, max_iters=2, min_cohort=15)
 
 
 @pytest.fixture(scope="module")
@@ -57,9 +56,9 @@ def test_config_ranges():
 
 @pytest.mark.parametrize("knob,value", [
     ("branching", 1), ("k_bins", 0), ("dim", 0), ("time", 0.0), ("time", np.nan),
-    ("time", np.inf), ("weight_alpha", -0.5), ("weight_alpha", np.inf), ("min_folder", 0),
+    ("time", np.inf), ("weight_alpha", -0.5), ("weight_alpha", np.inf),
     ("max_iters", 0), ("seed", -1),
-    ("branching", 2.5), ("max_iters", 1.5), ("min_folder", 5.5), ("k_bins", True),
+    ("branching", 2.5), ("max_iters", 1.5), ("k_bins", True),
 ])
 def test_invalid_metric_knob_reaches_the_fit_only_as_config_error(knob, value):
     from cohortmetric.metric import CohortFunctional, fit_weighted_metric
@@ -184,7 +183,7 @@ def test_validate_end_to_end_small(small_trial):
 def test_validate_records_fold_failures_and_continues():
     # training split smaller than two cohorts: every fold fails, run continues
     tiny = gen_sphere_trial(TrialSpec("sphere", n=40, seed=22))
-    cfg = RunConfig(seed=22, dim=3, max_iters=1, min_cohort=30, min_folder=10)
+    cfg = RunConfig(seed=22, dim=3, max_iters=1, min_cohort=30)
     report = validate_pipeline(tiny, cfg, repeats=3)
     assert len(report.folds) == 3
     assert all(f.error is not None for f in report.folds)
@@ -351,7 +350,7 @@ def test_fit_constant_outcomes_zero_weights():
     records = SurvivalRecords(
         np.full(300, 0.7), np.ones(300, dtype=int), (rng.random(300) < 0.5).astype(int)
     )
-    cfg = RunConfig(seed=33, dim=3, max_iters=3, min_cohort=15, min_folder=20)
+    cfg = RunConfig(seed=33, dim=3, max_iters=3, min_cohort=15)
     model = fit_pipeline(X, records, cfg)
     np.testing.assert_allclose(model.metric.weights.point_weights, 0.0)
     assert model.metric.iterations == cfg.max_iters
@@ -477,7 +476,7 @@ def test_predict_cohorts_are_the_nearest_reference_points(small_trial, small_mod
     monkeypatch.setattr(LocalAlphaFunctional, "detail", spy)
     predict(small_model, Z)
     coords, _ = extend_batch(small_model.ref, Z)
-    k = small_model.metric.neighborhood.k
+    k = small_model.metric.cohort_size
     assert len(seen) == len(Z)
     for z, nbhd in zip(coords, seen):
         d = np.linalg.norm(small_model.ref.coords - z[None, :], axis=1)
@@ -485,8 +484,7 @@ def test_predict_cohorts_are_the_nearest_reference_points(small_trial, small_mod
 
     # a neighbourhood below min_cohort is reported, with no estimate
     seen.clear()
-    small = replace(small_model, metric=replace(small_model.metric,
-                                                neighborhood=NeighborhoodRule("knn", k=5)))
+    small = replace(small_model, metric=replace(small_model.metric, cohort_size=5))
     preds = predict(small, Z)
     assert seen == []
     assert (preds.n_neighbors == 5).all() and np.isnan(preds.estimates).all()
@@ -520,16 +518,15 @@ def test_predict_balance_flag_is_the_cohort_estimate_flag(small_trial, monkeypat
 
 def test_loaded_model_keeps_neighborhood_rule(tmp_path, small_model):
     # the cohort size, max(min_cohort, ceil(5% of n_train)), is 20 here
-    rule = NeighborhoodRule("knn", k=20)
     io.save_model(tmp_path / "model", small_model)
-    assert small_model.metric.neighborhood == rule
-    assert io.load_model(tmp_path / "model").metric.neighborhood == rule
+    assert small_model.metric.cohort_size == 20
+    assert io.load_model(tmp_path / "model").metric.cohort_size == 20
 
 
 # knobs of earlier versions, at their old defaults: a model saved with one must be refit
 STALE_KEYS = {"tol": 1e-3, "tree_method": "topdown", "bottomup_eps": None, "tau": 0.0,
               "sigma0": None, "sigma_weighted": None, "weight_lam": None, "knn": None,
-              "radius": None}
+              "radius": None, "min_folder": None}
 
 
 @pytest.mark.parametrize("key", list(STALE_KEYS))
@@ -750,6 +747,26 @@ def test_points_of_another_width_are_refused(tmp_path, small_trial, small_model,
         assert main([command, "--model", str(model_dir), "--data", str(data),
                      "--out", str(tmp_path / command)]) == 1
         assert f"error: points have {width} features" in capsys.readouterr().err
+        assert not (tmp_path / command).exists()
+
+
+def test_points_with_reordered_features_are_refused(tmp_path, small_trial, small_model, capsys):
+    data = small_trial.data
+    names = list(data.feature_names)
+    reversed_dm = DataMatrix(data.values[:, ::-1], data.point_ids, names[::-1])
+    with pytest.raises(ValueError) as exc:
+        predict(small_model, reversed_dm)
+    assert str(names) in str(exc.value) and str(names[::-1]) in str(exc.value)
+    # the model's own feature order is served
+    assert predict(small_model, data.subset(np.arange(50))).in_support.all()
+    model_dir = tmp_path / "model"
+    io.save_model(model_dir, small_model)
+    csv_path = tmp_path / "data.csv"
+    io.write_dataset_csv(csv_path, reversed_dm, small_trial.records)
+    for command in ("extend", "recommend"):
+        assert main([command, "--model", str(model_dir), "--data", str(csv_path),
+                     "--out", str(tmp_path / command)]) == 1
+        assert f"do not match the model's {names}" in capsys.readouterr().err
         assert not (tmp_path / command).exists()
 
 

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from cohortmetric.config import RunConfig
-from cohortmetric.diffusion import markov_normalize, spectral_embed
+from cohortmetric.diffusion import DiffusionEmbedding, markov_normalize, spectral_embed
 from cohortmetric.metric import (
     Bin,
     CohortFunctional,
-    NeighborhoodRule,
     aggregate_point_weights,
     bin_feature,
     compute_folder_weights,
@@ -14,7 +13,6 @@ from cohortmetric.metric import (
     folder_weight,
     fit_weighted_metric,
     multiscale_estimate,
-    pointwise_estimate,
     weighted_kernel,
 )
 from cohortmetric.survival import CohortTooSmallError, UndefinedCohortValue
@@ -354,7 +352,7 @@ def test_algorithm_constant_functional_one_iteration():
     rng = np.random.default_rng(6)
     X = rng.normal(size=(80, 4))
     F = constant_functional(2.0, c=5)
-    cfg = RunConfig(dim=3, min_folder=10, seed=0)
+    cfg = RunConfig(dim=3, seed=0)
     metric = fit_weighted_metric(X, F, cfg)
     assert metric.iterations == cfg.max_iters
     np.testing.assert_allclose(metric.weights.point_weights, 0.0)
@@ -366,7 +364,7 @@ def loop_fit():
     rng = np.random.default_rng(13)
     X = rng.uniform(size=(150, 4))
     F = CohortFunctional.from_labels(np.sin(4 * X[:, 0]) + X[:, 1], 8)
-    cfg = RunConfig(dim=3, min_folder=12, seed=2, max_iters=3)
+    cfg = RunConfig(dim=3, seed=2, max_iters=3)
     return X, F, cfg, fit_weighted_metric(X, F, cfg)
 
 
@@ -415,7 +413,7 @@ def test_algorithm_upweights_driving_feature():
     rng = np.random.default_rng(7)
     X = rng.uniform(size=(500, 5))
     F = CohortFunctional(lambda idx: float(X[idx, 0].mean()), 10)
-    metric = fit_weighted_metric(X, F, RunConfig(dim=3, min_folder=25, seed=1))
+    metric = fit_weighted_metric(X, F, RunConfig(dim=3, seed=1))
     mean_w = metric.weights.point_weights.mean(axis=0)
     assert int(np.argmax(mean_w)) == 0
     assert mean_w[0] > 2 * mean_w[1:].max()
@@ -426,11 +424,11 @@ def test_algorithm_deterministic():
     X = rng.normal(size=(120, 4))
     labels = X[:, 1] ** 2
     F = CohortFunctional.from_labels(labels, 8)
-    cfg = RunConfig(dim=3, min_folder=12, seed=3, max_iters=3)
+    cfg = RunConfig(dim=3, seed=3, max_iters=3)
     m1 = fit_weighted_metric(X, F, cfg)
     m2 = fit_weighted_metric(X, F, cfg)
-    # the default neighborhood follows F's c = 8, not cfg.min_cohort = 25
-    assert m1.neighborhood == NeighborhoodRule("knn", k=8)
+    # the cohort size follows F's c = 8, not cfg.min_cohort = 25
+    assert m1.cohort_size == 8
     assert np.array_equal(m1.weights.point_weights, m2.weights.point_weights)
     assert np.array_equal(m1.embedding.coords, m2.embedding.coords)
 
@@ -445,7 +443,7 @@ def test_metric_distance_axioms_on_samples():
     rng = np.random.default_rng(10)
     X = rng.normal(size=(100, 4))
     F = CohortFunctional.from_labels(X[:, 0], 8)
-    metric = fit_weighted_metric(X, F, RunConfig(dim=4, min_folder=12, seed=4, max_iters=2))
+    metric = fit_weighted_metric(X, F, RunConfig(dim=4, seed=4, max_iters=2))
     coords = metric.embedding.coords
     d = lambda i, j: np.linalg.norm(coords[i] - coords[j])
     for i in range(0, 100, 17):
@@ -456,7 +454,7 @@ def test_metric_distance_axioms_on_samples():
         assert d(i, k) <= d(i, j) + d(j, k) + 1e-10
 
 
-# --- pointwise and multiscale estimates ------------------------------------------------
+# --- cohorts and their filtration ----------------------------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -465,31 +463,20 @@ def fitted_metric():
     X = rng.uniform(size=(200, 3))
     labels = np.sin(3 * X[:, 0])
     F = CohortFunctional.from_labels(labels, 6)
-    metric = fit_weighted_metric(X, F, RunConfig(dim=3, min_folder=15, seed=5, max_iters=2))
+    metric = fit_weighted_metric(X, F, RunConfig(dim=3, seed=5, max_iters=2))
     return metric, F, labels, X
-
-
-def test_estimate_with_huge_radius_is_global_value(fitted_metric):
-    metric, F, labels, _ = fitted_metric
-    diameter = np.linalg.norm(
-        metric.embedding.coords.max(axis=0) - metric.embedding.coords.min(axis=0)
-    )
-    for i in (0, 57, 123):
-        np.testing.assert_allclose(
-            pointwise_estimate(metric, F, i, eps=10 * diameter + 1.0), labels.mean(), rtol=1e-12
-        )
 
 
 def test_estimate_knn_matches_bruteforce(fitted_metric):
     metric, F, labels, _ = fitted_metric
     coords = metric.embedding.coords
     k = F.min_cohort
-    rule_metric = metric.neighborhood
-    assert rule_metric.kind == "knn"
-    from cohortmetric.metric import NeighborhoodRule, neighborhood_indices
+    # max(c, ceil(5% of 200))
+    assert metric.cohort_size == 10
+    from cohortmetric.metric import neighborhood_indices
 
     for i in (3, 77, 150):
-        nbhd = neighborhood_indices(coords, coords[i:i + 1], NeighborhoodRule("knn", k=k))[0]
+        nbhd = neighborhood_indices(coords, coords[i:i + 1], k)[0]
         d = np.linalg.norm(coords - coords[i], axis=1)
         brute = np.argsort(d, kind="stable")[:k]
         assert set(nbhd.tolist()) == set(brute.tolist())
@@ -497,14 +484,18 @@ def test_estimate_knn_matches_bruteforce(fitted_metric):
         np.testing.assert_allclose(got, labels[brute].mean(), rtol=1e-12)
 
 
-def _neighborhood_oracle(coords, center, rule):
+def _neighborhood_oracle(coords, center, k):
     """The per-point rule: one norm, then argpartition and a stable argsort."""
     d = np.linalg.norm(coords - center[None, :], axis=1)
-    if rule.kind == "radius":
-        return np.where(d < rule.eps)[0]
-    k = min(rule.k, coords.shape[0])
+    k = min(k, coords.shape[0])
     idx = np.argpartition(d, k - 1)[:k]
     return idx[np.argsort(d[idx], kind="stable")]
+
+
+def _tied_grid(d, rng):
+    coords = rng.integers(-2, 3, size=(150, d)).astype(float)  # a grid: many tied distances
+    coords[100:130] = coords[:30]  # duplicate coordinates
+    return coords
 
 
 @pytest.mark.parametrize("d", [1, 5, 8, 9, 17])
@@ -516,21 +507,15 @@ def test_batched_neighborhoods_match_the_per_point_formula(d, rows, monkeypatch)
     if rows is not None:  # several row blocks of centers
         monkeypatch.setattr(metric_mod, "_rows_per_block", lambda n_cols, m: rows)
     rng = np.random.default_rng(d)
-    coords = rng.integers(-2, 3, size=(150, d)).astype(float)  # a grid: many tied distances
-    coords[100:130] = coords[:30]  # duplicate coordinates
+    coords = _tied_grid(d, rng)
     centers = np.vstack([coords[::9], coords[100:103], rng.normal(size=(7, d))])
-    span = np.linalg.norm(coords - coords[0], axis=1)
-    rules = [NeighborhoodRule("knn", k=1), NeighborhoodRule("knn", k=17),
-             NeighborhoodRule("knn", k=150), NeighborhoodRule("knn", k=400),
-             NeighborhoodRule("radius", eps=float(np.median(span))),
-             NeighborhoodRule("radius", eps=1e-9)]
-    for rule in rules:
-        got = neighborhood_indices(coords, centers, rule)
+    for k in (1, 17, 150, 400):
+        got = neighborhood_indices(coords, centers, k)
         assert len(got) == len(centers)
         for g, c in zip(got, centers):
-            want = _neighborhood_oracle(coords, c, rule)
+            want = _neighborhood_oracle(coords, c, k)
             assert g.dtype == want.dtype and np.array_equal(g, want)
-    assert neighborhood_indices(coords, centers[:0], rules[0]) == []
+    assert neighborhood_indices(coords, centers[:0], 1) == []
 
 
 def test_neighborhoods_take_rows_of_centers():
@@ -538,24 +523,25 @@ def test_neighborhoods_take_rows_of_centers():
 
     coords = np.arange(12.0).reshape(6, 2)
     with pytest.raises(ValueError, match="centers must be"):
-        neighborhood_indices(coords, coords[0], NeighborhoodRule("knn", k=2))
+        neighborhood_indices(coords, coords[0], 2)
     with pytest.raises(ValueError, match="centers must be"):
-        neighborhood_indices(coords, coords[:2, :1], NeighborhoodRule("knn", k=2))
+        neighborhood_indices(coords, coords[:2, :1], 2)
 
 
-@pytest.mark.parametrize("kind,kw", [
-    ("knn", {"k": 7.5}), ("knn", {"k": True}), ("knn", {"k": 0}), ("knn", {}),
-    ("radius", {"eps": np.nan}), ("radius", {"eps": 0.0}), ("radius", {}),
-])
+@pytest.mark.parametrize("kind,kw", [("knn", {"k": 7.5}), ("knn", {"k": True}), ("knn", {"k": 0})])
 def test_neighborhood_rule_rejects_invalid_size(kind, kw):
-    with pytest.raises(ValueError, match="k >= 1" if kind == "knn" else "eps > 0"):
-        NeighborhoodRule(kind, **kw)
+    from cohortmetric.metric import neighborhood_indices
+
+    coords = np.arange(12.0).reshape(6, 2)
+    with pytest.raises(ValueError, match="k >= 1"):
+        neighborhood_indices(coords, coords[:1], **kw)
 
 
 def test_estimate_propagates_too_small(fitted_metric):
-    metric, F, _, _ = fitted_metric
+    metric, _, labels, _ = fitted_metric
+    F = CohortFunctional.from_labels(labels, metric.cohort_size + 1)
     with pytest.raises(CohortTooSmallError):
-        pointwise_estimate(metric, F, 0, eps=1e-12)
+        multiscale_estimate(metric, F, 0)
 
 
 def test_duplicate_points_share_estimates():
@@ -564,49 +550,73 @@ def test_duplicate_points_share_estimates():
     X = np.vstack([base, base[:2]])  # rows 60,61 duplicate rows 0,1
     labels = X[:, 0]
     F = CohortFunctional.from_labels(labels, 5)
-    metric = fit_weighted_metric(X, F, RunConfig(dim=3, min_folder=10, seed=6, max_iters=1))
-    e0 = pointwise_estimate(metric, F, 0)
-    e60 = pointwise_estimate(metric, F, 60)
+    metric = fit_weighted_metric(X, F, RunConfig(dim=3, seed=6, max_iters=1))
+    e0 = multiscale_estimate(metric, F, 0).coarse_value
+    e60 = multiscale_estimate(metric, F, 60).coarse_value
     np.testing.assert_allclose(e0, e60, rtol=1e-9)
 
 
 def test_multiscale_constant_functional_zero(fitted_metric):
     metric, _, _, _ = fitted_metric
     F = constant_functional(5.0, c=3)
-    dec = multiscale_estimate(metric, F, 10, scales=[1.0, 0.5, 0.25])
+    dec = multiscale_estimate(metric, F, 10)
+    assert dec.sizes == (10, 5, 3)
+    assert dec.coarse_value == 5.0
     assert all(c == 0.0 for c in dec.coefficients)
 
 
 def test_multiscale_single_scale_definition(fitted_metric):
-    metric, F, _, _ = fitted_metric
-    coords = metric.embedding.coords
-    span = float(np.linalg.norm(coords.max(axis=0) - coords.min(axis=0)))
-    eps = 0.8 * span
-    dec = multiscale_estimate(metric, F, 5, scales=[eps])
-    from cohortmetric.metric import NeighborhoodRule, neighborhood_indices
+    metric, _, labels, _ = fitted_metric
+    from cohortmetric.metric import neighborhood_indices
 
-    half = neighborhood_indices(coords, coords[5:6], NeighborhoodRule("radius", eps=eps / 2))[0]
-    full = neighborhood_indices(coords, coords[5:6], NeighborhoodRule("radius", eps=eps))[0]
-    np.testing.assert_allclose(dec.coefficients[0], F(half) - F(full), rtol=1e-12)
+    coords = metric.embedding.coords
+    F = CohortFunctional.from_labels(labels, 5)
+    dec = multiscale_estimate(metric, F, 5)
+    cohort = neighborhood_indices(coords, coords[5:6], metric.cohort_size)[0]
+    assert dec.sizes == (10, 5) and len(dec.coefficients) == 1
+    assert dec.coarse_value == F(cohort)
+    assert dec.coefficients[0] == F(cohort[:5]) - F(cohort)
 
 
 def test_multiscale_telescoping(fitted_metric):
+    from dataclasses import replace
+    from cohortmetric.metric import neighborhood_indices
+
     metric, F, _, _ = fitted_metric
     coords = metric.embedding.coords
-    span = float(np.linalg.norm(coords.max(axis=0) - coords.min(axis=0)))
-    scales = [span, span / 2, span / 4]
+    wide = replace(metric, cohort_size=100)
     for i in (1, 42, 99):
-        dec = multiscale_estimate(metric, F, i, scales=scales)
-        if dec.truncated_at is not None:
-            continue
-        from cohortmetric.metric import NeighborhoodRule, neighborhood_indices
-
-        finest = neighborhood_indices(
-            coords, coords[i:i + 1], NeighborhoodRule("radius", eps=scales[-1] / 2)
-        )[0]
-        coarsest = neighborhood_indices(
-            coords, coords[i:i + 1], NeighborhoodRule("radius", eps=scales[0])
-        )[0]
+        dec = multiscale_estimate(wide, F, i)
+        assert dec.sizes == (100, 50, 25, 13, 7)
+        cohort = neighborhood_indices(coords, coords[i:i + 1], 100)[0]
         np.testing.assert_allclose(
-            sum(dec.coefficients), F(finest) - F(coarsest), rtol=1e-9, atol=1e-12
+            sum(dec.coefficients), F(cohort[:7]) - dec.coarse_value, rtol=1e-9, atol=1e-12
         )
+
+
+@pytest.mark.parametrize("d", [1, 3, 8])
+@pytest.mark.parametrize("k,c", [(150, 2), (64, 5), (17, 17), (400, 9)])
+def test_multiscale_filtration_matches_the_nested_knn_oracle(fitted_metric, d, k, c):
+    from dataclasses import replace
+
+    metric = fitted_metric[0]
+    rng = np.random.default_rng(d)
+    coords = _tied_grid(d, rng)
+    grid = replace(metric, cohort_size=k, embedding=DiffusionEmbedding(
+        np.ones(d + 1), np.column_stack([np.ones(len(coords)), coords]), t=1.0, d=d))
+    labels = rng.normal(size=len(coords))
+    F = CohortFunctional.from_labels(labels, c)
+    for i in (0, 7, 100, 149):
+        order = _neighborhood_oracle(coords, coords[i], k)
+        sizes = [order.size]
+        while -(-sizes[-1] // 2) >= c:
+            sizes.append(-(-sizes[-1] // 2))
+        dec = multiscale_estimate(grid, F, i)
+        assert dec.sizes == tuple(sizes)
+        assert dec.coarse_value == F(order)
+        want = [F(order[:fine]) - F(order[:coarse]) for coarse, fine in zip(sizes, sizes[1:])]
+        assert list(dec.coefficients) == want
+        np.testing.assert_allclose(sum(dec.coefficients), F(order[:sizes[-1]]) - F(order),
+                                   rtol=1e-9, atol=1e-12)
+        const = multiscale_estimate(grid, constant_functional(0.3, c), i)
+        assert all(x == 0.0 for x in const.coefficients)
