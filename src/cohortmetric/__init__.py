@@ -6,20 +6,16 @@ from .diffusion import (
     AffinityMatrix,
     DiffusionEmbedding,
     MarkovOperator,
-    correlation_kernel,
-    diffusion_distance,
     gaussian_kernel,
     markov_normalize,
     median_bandwidth,
     spectral_embed,
 )
 from .extension import (
-    OutOfSupportError,
     ReferenceEmbedding,
     asymmetric_kernel,
     build_reference,
     build_reference_from_metric,
-    extend,
     extend_batch,
 )
 from .harness import (
@@ -64,7 +60,6 @@ from .survival import (
     SurvivalCurve,
     SurvivalRecords,
     UndefinedCohortValue,
-    apply_treatment_and_censor,
     cox_fit,
     kaplan_meier,
     logrank_test,

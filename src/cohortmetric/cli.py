@@ -107,8 +107,13 @@ def _load_model(args):
 
 
 def _load_trial_dataset(data_path, truth_path) -> TrialDataset:
+    """The dataset with its truth; the truth file must list the dataset's
+    ids in the dataset's order."""
     data, records = io.read_dataset_csv(data_path)
-    _, truth = io.read_truth_csv(truth_path)
+    truth_ids, truth = io.read_truth_csv(truth_path)
+    if not np.array_equal(truth_ids, data.point_ids):
+        raise ValueError(f"{truth_path}: the truth ids are not the ids of {data_path}, "
+                         "in the same order")
     spec = TrialSpec("sphere", n=data.n_points)  # weibull defaults for scale conversion
     return TrialDataset(data, records, truth, spec)
 

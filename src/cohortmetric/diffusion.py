@@ -1,8 +1,10 @@
-"""Affinity kernels, Markov normalization, and the diffusion embedding.
+"""The Gaussian kernel, Markov normalization, and the diffusion embedding.
 
 Pipeline: kernel -> row-stochastic operator P (with its symmetric conjugate
 S = D^{-1/2} K D^{-1/2}) -> top eigenpairs of S, back-transformed to the right
-eigenvectors of P -> embedding coordinates lambda_k^t * phi_k.
+eigenvectors of P -> embedding coordinates lambda_k^t * phi_k. The fit's
+other kernels are `metric.weighted_kernel` and the reference kernel
+`extension.asymmetric_kernel`.
 
 Also the package's shared kernel plumbing: row blocks (`_rows_per_block`),
 memory-mapped n x n buffers, and `_pairwise_sum`, the one reduction over
@@ -276,21 +278,6 @@ def gaussian_kernel(X, sigma: float | None = None) -> AffinityMatrix:
     return AffinityMatrix(K, float(sigma))
 
 
-def correlation_kernel(X) -> AffinityMatrix:
-    """Clamped cosine affinities max(<x_i, x_j> / (||x_i|| ||x_j||), 0)."""
-    values = as_values(X)
-    norms = np.linalg.norm(values, axis=1)
-    if np.any(norms == 0):
-        bad = np.where(norms == 0)[0]
-        raise ValueError(f"zero-norm rows at points {bad[:10].tolist()}")
-    unit = values / norms[:, None]
-    G = unit @ unit.T
-    _symmetrize(G)
-    K = np.clip(G, 0.0, 1.0)
-    np.fill_diagonal(K, 1.0)
-    return AffinityMatrix(K, sigma=1.0)
-
-
 def markov_normalize(K: AffinityMatrix) -> MarkovOperator:
     """Build S = D^{-1/2} K D^{-1/2}; P = D^{-1} K is never formed.
 
@@ -363,8 +350,3 @@ def spectral_embed(op: MarkovOperator, t: float = 1.0, d: int = 5) -> DiffusionE
     phi = _fix_signs(vecs / np.sqrt(op.row_sums)[:, None])
     return DiffusionEmbedding(vals, phi, float(t), int(d))
 
-
-def diffusion_distance(emb: DiffusionEmbedding, i: int, j: int) -> float:
-    """Euclidean distance between embedded points i and j."""
-    coords = emb.coords
-    return float(np.linalg.norm(coords[i] - coords[j]))

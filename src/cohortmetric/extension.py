@@ -3,9 +3,10 @@
 The asymmetric kernel against the training (reference) points is normalized
 on both sides into A, only the top right singular pairs of A are computed,
 as eigenpairs of A'A reached through products with A, and new points embed
-through their normalized kernel rows. Test points never touch the weights or
-each other. The kernel is built feature-major, one (rows, n_ref) plane per
-feature, and a batch's rows are normalized in place.
+through their normalized kernel rows. `extend_batch` is the one path from new
+points to coordinates, for one point or many. Test points never touch the
+weights or each other. The kernel is built feature-major, one (rows, n_ref)
+plane per feature, and a batch's rows are normalized in place.
 """
 
 from __future__ import annotations
@@ -33,10 +34,6 @@ SINGULAR_CUTOFF = 1e-10
 def _as_rows(Z) -> np.ndarray:
     """DataMatrix, 2-d array, or a single 1-d point, as validated (k, m) rows."""
     return as_values(Z if isinstance(Z, DataMatrix) else np.atleast_2d(Z))
-
-
-class OutOfSupportError(ValueError):
-    """The point's kernel row underflows to zero at every reference point."""
 
 
 @dataclass(frozen=True)
@@ -164,23 +161,6 @@ def build_reference(x_ref, weights, sigma: float,
         d2=d2,
         coords=A @ psi,
     )
-
-
-def extend(ref: ReferenceEmbedding, z) -> np.ndarray:
-    """Embed one new point through its normalized kernel row.
-
-    z is a 1-d point or a one-row 2-d array; more rows go to `extend_batch`.
-    The new point's own row sum plays the D1 role; the reference D2 is
-    frozen. A point whose kernel row underflows to zero is flagged out of
-    support.
-    """
-    z = _as_rows(z)
-    if z.shape[0] != 1:
-        raise ValueError(f"extend takes one point, got {z.shape[0]} rows; use extend_batch")
-    coords, in_support = extend_batch(ref, z)
-    if not in_support.all():
-        raise OutOfSupportError("point's kernel row underflows to zero at every reference")
-    return coords[0]
 
 
 def extend_batch(ref: ReferenceEmbedding, Z):

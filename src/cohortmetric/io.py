@@ -1,4 +1,10 @@
-"""CSV and artifact serialization; every writer round-trips through its reader."""
+"""CSV and artifact serialization.
+
+Every CSV the package writes or reads goes through one writer, `_write_csv`,
+and one reader, `_read_csv`, which refuses a row whose cell count differs
+from the header's. Each `write_*` round-trips through its `read_*`, and the
+readers return C-contiguous arrays.
+"""
 
 from __future__ import annotations
 
@@ -12,139 +18,124 @@ from .data import DataMatrix
 from .survival import SurvivalCurve, SurvivalRecords
 
 FLOAT_FMT = "%.17g"
+TRUTH_HEADER = ["id", "true_effect", "propensity", "effect_scale"]
+RECORDS_HEADER = ["id", "time", "event", "treatment"]
+CURVE_HEADER = ["time", "survival", "at_risk"]
 
 
-def _fmt(x) -> str:
-    return FLOAT_FMT % float(x)
+def _write_csv(path, header, columns) -> None:
+    """The header, then one row per index of the equal-length 1-d columns.
+    Float columns are written with FLOAT_FMT, every other column as str()
+    gives it."""
+    n = len(columns[0])
+    cells = []  # formatted lazily, one row at a time
+    for col in map(np.asarray, columns):
+        if col.shape != (n,):
+            raise ValueError(f"{path}: a column of shape {col.shape} among columns of {n} rows")
+        cells.append(map(FLOAT_FMT.__mod__ if col.dtype.kind == "f" else str, col))
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(zip(*cells))
+
+
+def _read_csv(path, expect=None) -> tuple[list[str], list[tuple[str, ...]]]:
+    """The header and the columns, as strings. A header other than `expect`
+    (when given), or a row whose cell count differs from the header's, is a
+    ValueError naming the file."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if not header or (expect is not None and header != expect):
+            raise ValueError(f"{path}: unexpected header {header}")
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                raise ValueError(f"{path}, line {reader.line_num}: {len(row)} cells under "
+                                 f"a header of {len(header)}")
+            rows.append(row)
+    return header, list(zip(*rows)) if rows else [() for _ in header]
+
+
+def _array(column, kind=float) -> np.ndarray:
+    return np.array([kind(v) for v in column], dtype=kind)
+
+
+def _matrix(columns, n_rows: int) -> np.ndarray:
+    """String columns as a C-contiguous (n_rows, len(columns)) float array."""
+    out = np.empty((n_rows, len(columns)))
+    for j, col in enumerate(columns):
+        out[:, j] = _array(col)
+    return out
 
 
 def write_dataset_csv(path, data: DataMatrix, records: SurvivalRecords) -> None:
     """Dataset rows: id, features..., treatment, time, event."""
     if data.n_points != len(records):
         raise ValueError("data and records must align")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id", *data.feature_names, "treatment", "time", "event"])
-        for i in range(data.n_points):
-            w.writerow(
-                [data.point_ids[i]]
-                + [_fmt(v) for v in data.values[i]]
-                + [int(records.treatments[i]), _fmt(records.times[i]), int(records.events[i])]
-            )
+    _write_csv(path, ["id", *data.feature_names, "treatment", "time", "event"],
+               [data.point_ids, *data.values.T, records.treatments, records.times,
+                records.events])
 
 
 def read_dataset_csv(path) -> tuple[DataMatrix, SurvivalRecords]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[0] != "id" or header[-3:] != ["treatment", "time", "event"]:
-            raise ValueError(f"unexpected dataset header: {header}")
-        names = header[1:-3]
-        ids, vals, arms, times, events = [], [], [], [], []
-        for row in reader:
-            ids.append(row[0])
-            vals.append([float(v) for v in row[1 : 1 + len(names)]])
-            arms.append(int(row[-3]))
-            times.append(float(row[-2]))
-            events.append(int(row[-1]))
-    data = DataMatrix(np.array(vals), np.array(ids), tuple(names))
-    return data, SurvivalRecords(np.array(times), np.array(events), np.array(arms))
+    header, cols = _read_csv(path)
+    if header[0] != "id" or header[-3:] != ["treatment", "time", "event"]:
+        raise ValueError(f"unexpected dataset header: {header}")
+    ids, arms, times, events = cols[0], cols[-3], cols[-2], cols[-1]
+    data = DataMatrix(_matrix(cols[1:-3], len(ids)), np.array(ids), tuple(header[1:-3]))
+    return data, SurvivalRecords(_array(times), _array(events, int), _array(arms, int))
 
 
 def write_truth_csv(path, point_ids, truth) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id", "true_effect", "propensity", "effect_scale"])
-        for i, pid in enumerate(point_ids):
-            w.writerow(
-                [pid, _fmt(truth.true_effect[i]), _fmt(truth.propensity[i]), truth.effect_scale]
-            )
+    _write_csv(path, TRUTH_HEADER, [point_ids, truth.true_effect, truth.propensity,
+                                    [truth.effect_scale] * len(point_ids)])
 
 
 def read_truth_csv(path):
+    """(ids, GroundTruth); a file mixing effect scales is a ValueError."""
     from .simulate import GroundTruth
 
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        ids, eff, prop, scale = [], [], [], "log_hazard"
-        for row in reader:
-            ids.append(row[0])
-            eff.append(float(row[1]))
-            prop.append(float(row[2]))
-            scale = row[3]
-    return np.array(ids), GroundTruth(np.array(eff), np.array(prop), scale)
+    _, (ids, effects, propensities, scales) = _read_csv(path, TRUTH_HEADER)
+    if len(set(scales)) > 1:
+        raise ValueError(f"{path}: effect_scale holds more than one value: {sorted(set(scales))}")
+    scale = scales[0] if scales else "log_hazard"
+    return np.array(ids), GroundTruth(_array(effects), _array(propensities), scale)
 
 
 def write_records_csv(path, records: SurvivalRecords, point_ids=None) -> None:
     ids = point_ids if point_ids is not None else np.arange(len(records))
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id", "time", "event", "treatment"])
-        for i in range(len(records)):
-            w.writerow(
-                [ids[i], _fmt(records.times[i]), int(records.events[i]), int(records.treatments[i])]
-            )
+    _write_csv(path, RECORDS_HEADER, [ids, records.times, records.events, records.treatments])
 
 
 def read_records_csv(path) -> tuple[np.ndarray, SurvivalRecords]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        ids, times, events, arms = [], [], [], []
-        for row in reader:
-            ids.append(row[0])
-            times.append(float(row[1]))
-            events.append(int(row[2]))
-            arms.append(int(row[3]))
-    return np.array(ids), SurvivalRecords(np.array(times), np.array(events), np.array(arms))
+    _, (ids, times, events, arms) = _read_csv(path, RECORDS_HEADER)
+    return np.array(ids), SurvivalRecords(_array(times), _array(events, int), _array(arms, int))
 
 
 def write_curve_csv(path, curve: SurvivalCurve) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time", "survival", "at_risk"])
-        for i in range(curve.times.size):
-            w.writerow([_fmt(curve.times[i]), _fmt(curve.survival[i]), int(curve.at_risk[i])])
+    _write_csv(path, CURVE_HEADER, [curve.times, curve.survival, curve.at_risk])
 
 
 def read_curve_csv(path) -> SurvivalCurve:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        t, s, r = [], [], []
-        for row in reader:
-            t.append(float(row[0]))
-            s.append(float(row[1]))
-            r.append(int(row[2]))
-    return SurvivalCurve(np.array(t), np.array(s), np.array(r, dtype=int))
+    _, (times, survival, at_risk) = _read_csv(path, CURVE_HEADER)
+    return SurvivalCurve(_array(times), _array(survival), _array(at_risk, int))
 
 
 def write_matrix_csv(path, matrix: np.ndarray, row_ids, col_names, id_col: str = "id") -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([id_col, *col_names])
-        for i, rid in enumerate(row_ids):
-            w.writerow([rid, *(_fmt(v) for v in np.atleast_1d(matrix[i]))])
+    """One row per id: the id, then that row of the float matrix (a 1-d
+    matrix is one column)."""
+    M = np.asarray(matrix, dtype=float)
+    _write_csv(path, [id_col, *col_names], [row_ids, *(M[:, None] if M.ndim == 1 else M).T])
 
 
 def read_matrix_csv(path) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        ids, rows = [], []
-        for row in reader:
-            ids.append(row[0])
-            rows.append([float(v) for v in row[1:]])
-    return np.array(ids), np.array(rows), header[1:]
+    header, cols = _read_csv(path)
+    return np.array(cols[0]), _matrix(cols[1:], len(cols[0])), header[1:]
 
 
 def write_histogram_csv(path, edges: np.ndarray, counts: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["bin_left", "bin_right", "count"])
-        for i in range(len(counts)):
-            w.writerow([_fmt(edges[i]), _fmt(edges[i + 1]), int(counts[i])])
+    _write_csv(path, ["bin_left", "bin_right", "count"], [edges[:-1], edges[1:], counts])
 
 
 def write_json(path, payload: dict) -> None:

@@ -11,7 +11,9 @@ planes.
 A point's neighbourhood is its cohort: the k = max(c, ceil(0.05 n)) nearest
 of n reference points in the embedding (`cohort_neighborhood`).
 `neighborhood_indices` answers a whole batch of centers in one pass, and
-`multiscale_estimate` is the filtration of nested kNN cohorts inside it.
+`multiscale_estimate` is the filtration of nested kNN cohorts inside one
+point's cohort; on the reference coordinates its coarse value is the
+estimate `predict` serves.
 """
 
 from __future__ import annotations
@@ -452,19 +454,21 @@ class MultiscaleDecomposition:
     coarse_value: float
 
 
-def multiscale_estimate(metric: RegularizedMetric, F: CohortFunctional,
+def multiscale_estimate(coords: np.ndarray, k: int, F: CohortFunctional,
                         i: int) -> MultiscaleDecomposition:
-    """The filtration of training point i's cohort: nested kNN cohorts of
-    sizes k, ceil(k/2), ceil(k/4), ... down to the last of at least F's c.
+    """The filtration of point i's cohort among the rows of `coords`: nested
+    kNN cohorts of sizes k, ceil(k/2), ceil(k/4), ... down to the last of at
+    least F's c.
 
-    All are prefixes of one ordered `neighborhood_indices` list for the
-    metric's k, and coefficient j is F(first sizes[j+1]) - F(first sizes[j]),
-    so the coefficients sum to F(finest) - coarse_value. `coarse_value` is F
-    over the full k-cohort, the cohort `predict` serves; F raises
-    CohortTooSmallError when k is below c.
+    All are prefixes of one ordered `neighborhood_indices` list of row i's k
+    nearest rows, and coefficient j is F(first sizes[j+1]) - F(first
+    sizes[j]), so the coefficients sum to F(finest) - coarse_value.
+    `coarse_value` is F over the full k-cohort; with a model's `ref.coords`,
+    `metric.cohort_size` and `predict`'s functional it is the estimate that
+    `predict` serves at training point i. F raises CohortTooSmallError when
+    k is below c.
     """
-    coords = metric.embedding.coords
-    order = neighborhood_indices(coords, coords[i:i + 1], metric.cohort_size)[0]
+    order = neighborhood_indices(coords, coords[i:i + 1], k)[0]
     sizes = [order.size]
     while (half := -(-sizes[-1] // 2)) >= F.min_cohort and half < sizes[-1]:
         sizes.append(half)

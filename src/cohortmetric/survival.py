@@ -139,22 +139,6 @@ def weibull_sample(lam: float, k: float, rng: np.random.Generator, size=None):
     return (-np.log(u) / lam) ** (1.0 / k)
 
 
-def apply_treatment_and_censor(W, treatments, beta, horizon: float) -> SurvivalRecords:
-    """Scale treated outcome times by e^beta, then censor at the horizon.
-
-    Records (min(t, horizon), D = 1 iff t <= horizon, treatment).
-    """
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    W = np.atleast_1d(np.asarray(W, dtype=float))
-    T = np.atleast_1d(np.asarray(treatments, dtype=int))
-    b = np.broadcast_to(np.asarray(beta, dtype=float), W.shape)
-    t = np.where(T == 1, W * np.exp(b), W)
-    observed = np.minimum(t, horizon)
-    events = (t <= horizon).astype(int)
-    return SurvivalRecords(observed, events, T)
-
-
 def _arm_stats(events: np.ndarray, treatments: np.ndarray):
     """Arm sizes and events per arm, (n0, n1, d0, d1), from 0/1 columns."""
     n1 = int(treatments.sum())

@@ -9,8 +9,6 @@ from scipy.spatial.distance import cdist
 from cohortmetric import diffusion
 from cohortmetric.data import DataMatrix
 from cohortmetric.diffusion import (
-    correlation_kernel,
-    diffusion_distance,
     gaussian_kernel,
     markov_normalize,
     median_bandwidth,
@@ -173,19 +171,6 @@ def test_markov_normalize_builds_s_in_the_kernels_buffer():
     assert np.shares_memory(op.S, K.entries)
 
 
-def test_correlation_kernel_values():
-    X = np.array([[1.0, 0.0], [1.0, 1.0], [-1.0, 0.0], [2.0, 0.0]])
-    K = correlation_kernel(X).entries
-    np.testing.assert_allclose(K[0, 3], 1.0)  # identical direction
-    np.testing.assert_allclose(K[0, 2], 0.0)  # opposite, clamped
-    np.testing.assert_allclose(K[0, 1], 1.0 / np.sqrt(2.0), rtol=1e-12)
-
-
-def test_correlation_kernel_rejects_zero_rows():
-    with pytest.raises(ValueError, match="zero-norm"):
-        correlation_kernel(np.array([[0.0, 0.0], [1.0, 0.0]]))
-
-
 def test_markov_identity_and_uniform():
     K = gaussian_kernel(np.array([[0.0], [100.0]]), sigma=0.1)
     K0 = K.entries.copy()
@@ -281,17 +266,8 @@ def test_full_spectrum_distance_matches_transition_rows():
     Pt = np.linalg.matrix_power(K0 / op.row_sums[:, None], t)
     for i, j in [(0, 5), (3, 9), (1, 14), (7, 7)]:
         direct = np.sqrt(np.sum((Pt[i] - Pt[j]) ** 2 / op.row_sums))
-        np.testing.assert_allclose(diffusion_distance(emb, i, j), direct, atol=1e-8)
-
-
-def test_diffusion_distance_axioms():
-    rng = np.random.default_rng(6)
-    X = rng.normal(size=(25, 4))
-    emb = spectral_embed(markov_normalize(gaussian_kernel(X, sigma=1.0)), t=1.0, d=5)
-    for i in range(0, 25, 5):
-        assert diffusion_distance(emb, i, i) == 0.0
-    for i, j in [(0, 3), (8, 20), (11, 2)]:
-        assert diffusion_distance(emb, i, j) == diffusion_distance(emb, j, i)
+        embedded = np.linalg.norm(emb.coords[i] - emb.coords[j])
+        np.testing.assert_allclose(embedded, direct, atol=1e-8)
 
 
 def test_spectrum_bounds_and_constant_top_vector():

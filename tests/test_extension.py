@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from cohortmetric.extension import (
-    OutOfSupportError,
-    asymmetric_kernel,
-    build_reference,
-    extend,
-    extend_batch,
-)
+from cohortmetric.extension import asymmetric_kernel, build_reference, extend_batch
 from cohortmetric.metric import weighted_kernel
 
 
@@ -172,19 +166,11 @@ def test_extend_duplicate_of_training_point():
     u = rng.uniform(0.5, 2.0, size=(30, 4))
     ref = build_reference(X, u, sigma=1.1)
     z = X[7].copy()
-    coords = extend(ref, z)
+    coords, in_support = extend_batch(ref, z)
+    assert in_support.tolist() == [True]
+    coords = coords[0]
     rel = np.abs(coords - ref.coords[7]) / np.maximum(np.abs(ref.coords[7]), 1e-12)
     assert rel.max() < 1e-6
-
-
-def test_extend_takes_exactly_one_point():
-    rng = np.random.default_rng(7)
-    X = rng.normal(size=(30, 4))
-    ref = build_reference(X, uniform_weights(30, 4), sigma=1.1)
-    np.testing.assert_array_equal(extend(ref, X[4]), extend(ref, X[4:5]))
-    np.testing.assert_array_equal(extend(ref, X[4]), extend_batch(ref, X[4:5])[0][0])
-    with pytest.raises(ValueError, match="one point, got 3 rows"):
-        extend(ref, X[:3])
 
 
 def test_extend_is_linear_in_normalized_rows():
@@ -213,8 +199,6 @@ def test_far_outlier_flagged_out_of_support():
     X = rng.normal(size=(20, 3))
     ref = build_reference(X, uniform_weights(20, 3), sigma=0.5)
     z = np.full(3, 1e4)  # its kernel row underflows to zero
-    with pytest.raises(OutOfSupportError, match="underflows"):
-        extend(ref, z)
     coords, ok = extend_batch(ref, np.vstack([X[0], z]))
     assert ok.tolist() == [True, False]
     assert np.isnan(coords[1]).all()

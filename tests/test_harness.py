@@ -85,6 +85,7 @@ def test_dataset_csv_roundtrip(tmp_path, small_trial):
     io.write_dataset_csv(path, small_trial.data, small_trial.records)
     data, records = io.read_dataset_csv(path)
     assert np.array_equal(data.values, small_trial.data.values)
+    assert data.values.flags.c_contiguous
     assert np.array_equal(records.times, small_trial.records.times)
     assert np.array_equal(records.events, small_trial.records.events)
     # writing again from the parsed objects is byte-identical
@@ -110,6 +111,33 @@ def test_curve_csv_roundtrip(tmp_path, small_trial):
     back = io.read_curve_csv(path)
     assert np.array_equal(back.times, curve.times)
     assert np.array_equal(back.survival, curve.survival)
+
+
+@pytest.mark.parametrize("cells", ["missing", "extra"])
+@pytest.mark.parametrize("kind", ["dataset", "truth", "records", "curve", "matrix"])
+def test_readers_refuse_a_row_of_the_wrong_width(tmp_path, small_trial, kind, cells):
+    from cohortmetric.survival import kaplan_meier
+
+    data, records, path = small_trial.data, small_trial.records, tmp_path / f"{kind}.csv"
+    write, read = {
+        "dataset": (lambda: io.write_dataset_csv(path, data, records), io.read_dataset_csv),
+        "truth": (lambda: io.write_truth_csv(path, data.point_ids, small_trial.truth),
+                  io.read_truth_csv),
+        "records": (lambda: io.write_records_csv(path, records), io.read_records_csv),
+        "curve": (lambda: io.write_curve_csv(path, kaplan_meier(records)), io.read_curve_csv),
+        "matrix": (lambda: io.write_matrix_csv(path, data.values, data.point_ids,
+                                               data.feature_names), io.read_matrix_csv),
+    }[kind]
+    write()
+    read(path)
+    lines = path.read_text().splitlines()
+    row = lines[2].split(",")
+    lines[2] = ",".join(row[:-1] if cells == "missing" else [*row, row[-1]])
+    path.write_text("\n".join(lines) + "\n")
+    want = len(lines[0].split(","))
+    got = want - 1 if cells == "missing" else want + 1
+    with pytest.raises(ValueError, match=f"{kind}.csv, line 3: {got} cells under a header of {want}"):
+        read(path)
 
 
 # --- fit / predict -----------------------------------------------------------------
@@ -491,6 +519,20 @@ def test_predict_cohorts_are_the_nearest_reference_points(small_trial, small_mod
     assert not preds.balanced.any()
 
 
+def test_multiscale_coarse_value_is_the_served_estimate(small_trial, small_model):
+    from cohortmetric.metric import multiscale_estimate
+
+    model, cfg = small_model, small_model.config
+    preds = predict(model, small_trial.data)
+    assert preds.coords.tobytes() == model.ref.coords.tobytes()
+    F = LocalAlphaFunctional(model.records, cfg.estimator, cfg.min_cohort, cfg.balance_threshold)
+    served = np.flatnonzero(np.isfinite(preds.estimates))
+    assert served.size > 300
+    for i in served:
+        dec = multiscale_estimate(model.ref.coords, model.metric.cohort_size, F, i)
+        assert dec.coarse_value == preds.estimates[i]
+
+
 def test_predict_balance_flag_is_the_cohort_estimate_flag(small_trial, monkeypatch):
     cfg = RunConfig(seed=21, **{**FAST, "max_iters": 1}, balance_threshold=0.6)
     model = fit_pipeline(small_trial.data, small_trial.records, cfg)
@@ -641,6 +683,32 @@ def test_cli_fit_validate_recommend_extend(tmp_path):
     ids, rows, header = io.read_matrix_csv(out / "ext" / "extended.csv")
     assert header[-3:] == ["f_hat", "neighborhood_size", "balance_flag"]
     assert len(ids) == 300
+
+
+@pytest.mark.parametrize("fault", ["reordered", "truncated", "mixed_scales"])
+def test_cli_validate_refuses_a_truth_file_that_does_not_match_the_dataset(
+    tmp_path, small_trial, capsys, fault
+):
+    data, truth = tmp_path / "dataset.csv", tmp_path / "truth.csv"
+    io.write_dataset_csv(data, small_trial.data, small_trial.records)
+    io.write_truth_csv(truth, small_trial.data.point_ids, small_trial.truth)
+    header, *rows = truth.read_text().splitlines()
+    if fault == "reordered":
+        rows.sort(key=lambda row: float(row.split(",")[1]))  # by effect
+    elif fault == "truncated":
+        rows = rows[:200]
+    else:
+        assert small_trial.truth.effect_scale == "time_scaling"
+        rows[-1] = rows[-1].rsplit(",", 1)[0] + ",log_hazard"
+    truth.write_text("\n".join([header, *rows]) + "\n")
+    out = tmp_path / "out"
+    assert main(["validate", "--data", str(data), "--truth", str(truth), "--out", str(out),
+                 "--repeats", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {truth}")
+    assert ("effect_scale holds more than one value" if fault == "mixed_scales"
+            else "truth ids are not") in err
+    assert not (out / "report.txt").exists()
 
 
 def test_cli_extend_and_recommend_apply_the_model_overrides(tmp_path, small_trial, small_model):

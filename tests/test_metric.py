@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cohortmetric.config import RunConfig
-from cohortmetric.diffusion import DiffusionEmbedding, markov_normalize, spectral_embed
+from cohortmetric.diffusion import markov_normalize, spectral_embed
 from cohortmetric.metric import (
     Bin,
     CohortFunctional,
@@ -541,7 +541,7 @@ def test_estimate_propagates_too_small(fitted_metric):
     metric, _, labels, _ = fitted_metric
     F = CohortFunctional.from_labels(labels, metric.cohort_size + 1)
     with pytest.raises(CohortTooSmallError):
-        multiscale_estimate(metric, F, 0)
+        multiscale_estimate(metric.embedding.coords, metric.cohort_size, F, 0)
 
 
 def test_duplicate_points_share_estimates():
@@ -551,15 +551,16 @@ def test_duplicate_points_share_estimates():
     labels = X[:, 0]
     F = CohortFunctional.from_labels(labels, 5)
     metric = fit_weighted_metric(X, F, RunConfig(dim=3, seed=6, max_iters=1))
-    e0 = multiscale_estimate(metric, F, 0).coarse_value
-    e60 = multiscale_estimate(metric, F, 60).coarse_value
+    coords, k = metric.embedding.coords, metric.cohort_size
+    e0 = multiscale_estimate(coords, k, F, 0).coarse_value
+    e60 = multiscale_estimate(coords, k, F, 60).coarse_value
     np.testing.assert_allclose(e0, e60, rtol=1e-9)
 
 
 def test_multiscale_constant_functional_zero(fitted_metric):
     metric, _, _, _ = fitted_metric
     F = constant_functional(5.0, c=3)
-    dec = multiscale_estimate(metric, F, 10)
+    dec = multiscale_estimate(metric.embedding.coords, metric.cohort_size, F, 10)
     assert dec.sizes == (10, 5, 3)
     assert dec.coarse_value == 5.0
     assert all(c == 0.0 for c in dec.coefficients)
@@ -571,7 +572,7 @@ def test_multiscale_single_scale_definition(fitted_metric):
 
     coords = metric.embedding.coords
     F = CohortFunctional.from_labels(labels, 5)
-    dec = multiscale_estimate(metric, F, 5)
+    dec = multiscale_estimate(coords, metric.cohort_size, F, 5)
     cohort = neighborhood_indices(coords, coords[5:6], metric.cohort_size)[0]
     assert dec.sizes == (10, 5) and len(dec.coefficients) == 1
     assert dec.coarse_value == F(cohort)
@@ -579,14 +580,12 @@ def test_multiscale_single_scale_definition(fitted_metric):
 
 
 def test_multiscale_telescoping(fitted_metric):
-    from dataclasses import replace
     from cohortmetric.metric import neighborhood_indices
 
     metric, F, _, _ = fitted_metric
     coords = metric.embedding.coords
-    wide = replace(metric, cohort_size=100)
     for i in (1, 42, 99):
-        dec = multiscale_estimate(wide, F, i)
+        dec = multiscale_estimate(coords, 100, F, i)
         assert dec.sizes == (100, 50, 25, 13, 7)
         cohort = neighborhood_indices(coords, coords[i:i + 1], 100)[0]
         np.testing.assert_allclose(
@@ -596,14 +595,9 @@ def test_multiscale_telescoping(fitted_metric):
 
 @pytest.mark.parametrize("d", [1, 3, 8])
 @pytest.mark.parametrize("k,c", [(150, 2), (64, 5), (17, 17), (400, 9)])
-def test_multiscale_filtration_matches_the_nested_knn_oracle(fitted_metric, d, k, c):
-    from dataclasses import replace
-
-    metric = fitted_metric[0]
+def test_multiscale_filtration_matches_the_nested_knn_oracle(d, k, c):
     rng = np.random.default_rng(d)
     coords = _tied_grid(d, rng)
-    grid = replace(metric, cohort_size=k, embedding=DiffusionEmbedding(
-        np.ones(d + 1), np.column_stack([np.ones(len(coords)), coords]), t=1.0, d=d))
     labels = rng.normal(size=len(coords))
     F = CohortFunctional.from_labels(labels, c)
     for i in (0, 7, 100, 149):
@@ -611,12 +605,12 @@ def test_multiscale_filtration_matches_the_nested_knn_oracle(fitted_metric, d, k
         sizes = [order.size]
         while -(-sizes[-1] // 2) >= c:
             sizes.append(-(-sizes[-1] // 2))
-        dec = multiscale_estimate(grid, F, i)
+        dec = multiscale_estimate(coords, k, F, i)
         assert dec.sizes == tuple(sizes)
         assert dec.coarse_value == F(order)
         want = [F(order[:fine]) - F(order[:coarse]) for coarse, fine in zip(sizes, sizes[1:])]
         assert list(dec.coefficients) == want
         np.testing.assert_allclose(sum(dec.coefficients), F(order[:sizes[-1]]) - F(order),
                                    rtol=1e-9, atol=1e-12)
-        const = multiscale_estimate(grid, constant_functional(0.3, c), i)
+        const = multiscale_estimate(coords, k, constant_functional(0.3, c), i)
         assert all(x == 0.0 for x in const.coefficients)

@@ -10,7 +10,6 @@ from cohortmetric.survival import (
     LinearRisk,
     LocalAlphaFunctional,
     SurvivalRecords,
-    apply_treatment_and_censor,
     cox_fit,
     kaplan_meier,
     logrank_test,
@@ -27,7 +26,7 @@ from cohortmetric.survival import (
 def random_cohort(rng, n=60, alpha=0.7, horizon=1.0):
     T = (rng.random(n) < 0.5).astype(int)
     W = weibull_sample(2.0, 1.2, rng, n) * np.exp(-alpha * T / 1.2)
-    return apply_treatment_and_censor(W, T, 0.0, horizon)
+    return SurvivalRecords(np.minimum(W, horizon), (W <= horizon).astype(int), T)
 
 
 def tied_cohorts(seed, count=300):
@@ -66,17 +65,24 @@ def test_weibull_k1_is_exponential():
     assert W.min() > 0
 
 
-# --- apply_treatment_and_censor ------------------------------------------------
+# --- censoring ------------------------------------------------------------------
 
 
 def test_treatment_scaling_and_censoring():
-    rec = apply_treatment_and_censor([0.5, 3.0], [0, 0], 0.0, horizon=2.0)
+    from cohortmetric.simulate import _censor
+
+    rec = _censor(np.array([0.5, 3.0]), np.array([0, 0]), horizon=2.0)
     assert rec.times.tolist() == [0.5, 2.0]
     assert rec.events.tolist() == [1, 0]
-    rec2 = apply_treatment_and_censor([0.5], [1], 0.0, horizon=2.0)
-    assert rec2.times.tolist() == [0.5]  # beta = 0 leaves treated times unchanged
-    rec3 = apply_treatment_and_censor([0.5], [1], np.log(3.0), horizon=2.0)
-    np.testing.assert_allclose(rec3.times, [1.5])
+    assert rec.treatments.tolist() == [0, 0]
+    rec2 = _censor(np.array([0.5, 2.0]), np.array([1, 1]), horizon=2.0)
+    assert rec2.times.tolist() == [0.5, 2.0]  # an outcome at the horizon is observed
+    assert rec2.events.tolist() == [1, 1]
+    # a treated time scaled by e^beta = 3 (as the generators scale it) is
+    # censored at the horizon only when the scaled time passes it
+    rec3 = _censor(np.array([0.5, 1.0]) * 3.0, np.array([1, 1]), horizon=2.0)
+    np.testing.assert_allclose(rec3.times, [1.5, 2.0])
+    assert rec3.events.tolist() == [1, 0]
 
 
 def test_records_reject_fractional_events_and_arms():
