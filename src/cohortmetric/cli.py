@@ -16,7 +16,6 @@ import numpy as np
 
 from . import io
 from .config import ConfigError, RunConfig, load_config
-from .data import DataMatrix
 from .harness import fit_pipeline, predict, recommend_pipeline, validate_pipeline
 from .simulate import TrialDataset, TrialSpec, generate
 
@@ -198,12 +197,7 @@ def cmd_recommend(args) -> int:
 
 def cmd_extend(args) -> int:
     model = _load_model(args)
-    try:
-        data, _records = io.read_dataset_csv(args.data)
-    except ValueError:
-        # features-only input: id column plus feature columns
-        ids, vals, names = io.read_matrix_csv(args.data)
-        data = DataMatrix(vals, ids, tuple(names))
+    data = io.read_points_csv(args.data)
     preds = predict(model, data)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)

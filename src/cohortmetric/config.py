@@ -8,7 +8,6 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .simulate import TrialSpec
-from .survival import BALANCE_THRESHOLD
 
 
 class ConfigError(ValueError):
@@ -21,26 +20,22 @@ class RunConfig:
 
     The kernel bandwidths, the regularizer lam, the cohort size and the
     tree's stopping size are not knobs: each stage derives them from the
-    data.
+    data. The diffusion time, the folder decay, the bins per feature, the
+    tree's branching, the weights' estimator and the balance threshold are
+    constants of `metric`, `harness` and `survival`.
     """
 
     seed: int = 0
     estimator: str = "partial"  # local-effect estimator for the estimates
-    weight_estimator: str = "moments"  # functional driving the feature weights
     min_cohort: int = 25
     dim: int = 5
-    time: float = 1.0
-    weight_alpha: float = 1.0
-    k_bins: int = 3
-    branching: int = 2
-    balance_threshold: float = BALANCE_THRESHOLD
     c_threshold: float = 0.5
     max_iters: int = 10  # weight steps per fit
     repeats: int = 20
     train_fraction: float = 0.8
 
     def __post_init__(self):
-        for name in ("seed", "min_cohort", "dim", "k_bins", "branching", "max_iters", "repeats"):
+        for name in ("seed", "min_cohort", "dim", "max_iters", "repeats"):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
                 raise ConfigError(f"{name} must be an integer, got {v!r}")
@@ -48,21 +43,11 @@ class RunConfig:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.estimator not in ("moments", "partial"):
             raise ConfigError(f"estimator must be moments|partial, got {self.estimator!r}")
-        if self.weight_estimator not in ("moments", "partial"):
-            raise ConfigError(
-                f"weight_estimator must be moments|partial, got {self.weight_estimator!r}"
-            )
         if self.min_cohort < 2:
             raise ConfigError("min_cohort must be at least 2")
+        if self.dim < 1:
+            raise ConfigError("dim must be >= 1")
         # float comparisons are written so that NaN fails them
-        if self.dim < 1 or not 0 < self.time < np.inf:
-            raise ConfigError("dim must be >= 1 and time finite and positive")
-        if not 0 <= self.weight_alpha < np.inf:
-            raise ConfigError(f"weight_alpha must be finite and >= 0, got {self.weight_alpha}")
-        if self.k_bins < 1 or self.branching < 2:
-            raise ConfigError("k_bins must be >= 1 and branching >= 2")
-        if not 0.5 <= self.balance_threshold < 1.0:
-            raise ConfigError("balance_threshold must be in [0.5, 1)")
         if not self.c_threshold >= 0:
             raise ConfigError("c_threshold must be nonnegative")
         if self.max_iters < 1:

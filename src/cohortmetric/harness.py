@@ -26,6 +26,8 @@ from .survival import (
 
 logger = logging.getLogger(__name__)
 
+WEIGHT_ESTIMATOR = "moments"  # the local-effect estimator that drives the fit's weights
+
 
 @dataclass(frozen=True)
 class FittedModel:
@@ -89,8 +91,7 @@ def fit_pipeline(data, records: SurvivalRecords, config: RunConfig) -> FittedMod
             f"a fit of n={n} points with m={m} features needs about {need / 1e6:.0f} MB "
             f"at peak, more than the {have / 1e6:.0f} MB of physical memory"
         )
-    functional = LocalAlphaFunctional(records, config.weight_estimator, config.min_cohort,
-                                      config.balance_threshold)
+    functional = LocalAlphaFunctional(records, WEIGHT_ESTIMATOR, config.min_cohort)
     metric = fit_weighted_metric(dm.values, functional, config)
     ref = build_reference_from_metric(dm.values, metric)
     return FittedModel(
@@ -115,8 +116,7 @@ def predict(model: FittedModel, Z) -> Predictions:
         raise ValueError(f"features {list(Z.feature_names)} do not match the model's "
                          f"{list(model.feature_names)}")
     cfg = model.config
-    functional = LocalAlphaFunctional(model.records, cfg.estimator, cfg.min_cohort,
-                                      cfg.balance_threshold)
+    functional = LocalAlphaFunctional(model.records, cfg.estimator, cfg.min_cohort)
     n = coords.shape[0]
     estimates = np.full(n, np.nan)
     n_neighbors = np.zeros(n, dtype=int)
@@ -215,14 +215,13 @@ def validate_fold(dataset: TrialDataset, config: RunConfig, fold: int) -> FoldRe
     return FoldResult(fold, score.correlation, score.kept_fraction, len(test_idx), score.defined)
 
 
-def validate_pipeline(dataset: TrialDataset, config: RunConfig,
-                      repeats: int | None = None, histogram_bins: int = 20) -> ValidationReport:
-    """Repeated random sub-sampling validation: fit on a train split, estimate
-    the held-out points through the reference extension only, and score
-    against the ground truth under the balance filter."""
-    repeats = repeats if repeats is not None else config.repeats
+def validate_pipeline(dataset: TrialDataset, config: RunConfig) -> ValidationReport:
+    """Repeated random sub-sampling validation over `config.repeats` folds:
+    fit on a train split, estimate the held-out points through the reference
+    extension only, and score against the ground truth under the balance
+    filter."""
     folds = []
-    for fold in range(repeats):
+    for fold in range(config.repeats):
         try:
             folds.append(validate_fold(dataset, config, fold))
         except Exception as exc:  # a failed fold is recorded, the run continues
@@ -230,7 +229,7 @@ def validate_pipeline(dataset: TrialDataset, config: RunConfig,
             folds.append(FoldResult(fold, np.nan, 0.0, 0, False,
                                     error=f"{type(exc).__name__}: {exc}"))
     corr = np.array([f.correlation for f in folds if f.defined and np.isfinite(f.correlation)])
-    edges = np.linspace(-1.0, 1.0, histogram_bins + 1)
+    edges = np.linspace(-1.0, 1.0, 21)  # 20 equal bins of the correlation's range
     counts, _ = np.histogram(corr, bins=edges)
     return ValidationReport(tuple(folds), corr, edges, counts)
 

@@ -2,8 +2,9 @@
 
 Every CSV the package writes or reads goes through one writer, `_write_csv`,
 and one reader, `_read_csv`, which refuses a row whose cell count differs
-from the header's. Each `write_*` round-trips through its `read_*`, and the
-readers return C-contiguous arrays.
+from the header's; `_array` refuses a cell that is not a number. Both errors
+name the file and the line. Each `write_*` round-trips through its `read_*`,
+and the readers return C-contiguous arrays.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ FLOAT_FMT = "%.17g"
 TRUTH_HEADER = ["id", "true_effect", "propensity", "effect_scale"]
 RECORDS_HEADER = ["id", "time", "event", "treatment"]
 CURVE_HEADER = ["time", "survival", "at_risk"]
+DATASET_TAIL = ["treatment", "time", "event"]  # the last columns of a dataset file
 
 
 def _write_csv(path, header, columns) -> None:
@@ -57,15 +59,23 @@ def _read_csv(path, expect=None) -> tuple[list[str], list[tuple[str, ...]]]:
     return header, list(zip(*rows)) if rows else [() for _ in header]
 
 
-def _array(column, kind=float) -> np.ndarray:
-    return np.array([kind(v) for v in column], dtype=kind)
+def _array(path, column, kind=float) -> np.ndarray:
+    """A string column of `path` as numbers. A cell that `kind` cannot read
+    is a ValueError naming the file and the line (row i is on line i + 2)."""
+    values = []
+    for line, v in enumerate(column, start=2):
+        try:
+            values.append(kind(v))
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {line}: {exc}") from None
+    return np.array(values, dtype=kind)
 
 
-def _matrix(columns, n_rows: int) -> np.ndarray:
+def _matrix(path, columns, n_rows: int) -> np.ndarray:
     """String columns as a C-contiguous (n_rows, len(columns)) float array."""
     out = np.empty((n_rows, len(columns)))
     for j, col in enumerate(columns):
-        out[:, j] = _array(col)
+        out[:, j] = _array(path, col)
     return out
 
 
@@ -79,12 +89,26 @@ def write_dataset_csv(path, data: DataMatrix, records: SurvivalRecords) -> None:
 
 
 def read_dataset_csv(path) -> tuple[DataMatrix, SurvivalRecords]:
-    header, cols = _read_csv(path)
-    if header[0] != "id" or header[-3:] != ["treatment", "time", "event"]:
+    return _dataset(path, *_read_csv(path))
+
+
+def _dataset(path, header, cols) -> tuple[DataMatrix, SurvivalRecords]:
+    if header[0] != "id" or header[-3:] != DATASET_TAIL:
         raise ValueError(f"unexpected dataset header: {header}")
     ids, arms, times, events = cols[0], cols[-3], cols[-2], cols[-1]
-    data = DataMatrix(_matrix(cols[1:-3], len(ids)), np.array(ids), tuple(header[1:-3]))
-    return data, SurvivalRecords(_array(times), _array(events, int), _array(arms, int))
+    data = DataMatrix(_matrix(path, cols[1:-3], len(ids)), np.array(ids), tuple(header[1:-3]))
+    return data, SurvivalRecords(_array(path, times), _array(path, events, int),
+                                 _array(path, arms, int))
+
+
+def read_points_csv(path) -> DataMatrix:
+    """New points from a dataset file, whose records must be valid as well,
+    or from a features-only file (`id`, then the features). A header that
+    ends in `treatment, time, event` makes it a dataset file."""
+    header, cols = _read_csv(path)
+    if header[-3:] == DATASET_TAIL:
+        return _dataset(path, header, cols)[0]
+    return DataMatrix(_matrix(path, cols[1:], len(cols[0])), np.array(cols[0]), tuple(header[1:]))
 
 
 def write_truth_csv(path, point_ids, truth) -> None:
@@ -100,7 +124,7 @@ def read_truth_csv(path):
     if len(set(scales)) > 1:
         raise ValueError(f"{path}: effect_scale holds more than one value: {sorted(set(scales))}")
     scale = scales[0] if scales else "log_hazard"
-    return np.array(ids), GroundTruth(_array(effects), _array(propensities), scale)
+    return np.array(ids), GroundTruth(_array(path, effects), _array(path, propensities), scale)
 
 
 def write_records_csv(path, records: SurvivalRecords, point_ids=None) -> None:
@@ -110,7 +134,8 @@ def write_records_csv(path, records: SurvivalRecords, point_ids=None) -> None:
 
 def read_records_csv(path) -> tuple[np.ndarray, SurvivalRecords]:
     _, (ids, times, events, arms) = _read_csv(path, RECORDS_HEADER)
-    return np.array(ids), SurvivalRecords(_array(times), _array(events, int), _array(arms, int))
+    return np.array(ids), SurvivalRecords(_array(path, times), _array(path, events, int),
+                                          _array(path, arms, int))
 
 
 def write_curve_csv(path, curve: SurvivalCurve) -> None:
@@ -119,7 +144,7 @@ def write_curve_csv(path, curve: SurvivalCurve) -> None:
 
 def read_curve_csv(path) -> SurvivalCurve:
     _, (times, survival, at_risk) = _read_csv(path, CURVE_HEADER)
-    return SurvivalCurve(_array(times), _array(survival), _array(at_risk, int))
+    return SurvivalCurve(_array(path, times), _array(path, survival), _array(path, at_risk, int))
 
 
 def write_matrix_csv(path, matrix: np.ndarray, row_ids, col_names, id_col: str = "id") -> None:
@@ -131,7 +156,7 @@ def write_matrix_csv(path, matrix: np.ndarray, row_ids, col_names, id_col: str =
 
 def read_matrix_csv(path) -> tuple[np.ndarray, np.ndarray, list[str]]:
     header, cols = _read_csv(path)
-    return np.array(cols[0]), _matrix(cols[1:], len(cols[0])), header[1:]
+    return np.array(cols[0]), _matrix(path, cols[1:], len(cols[0])), header[1:]
 
 
 def write_histogram_csv(path, edges: np.ndarray, counts: np.ndarray) -> None:
@@ -213,13 +238,14 @@ def save_model(model_dir, model) -> None:
 def load_model(model_dir):
     """Rebuild a FittedModel (reference side) from a saved artifact.
 
-    The diffusion time and dimension come from the saved config, the
-    iteration count from the saved history."""
+    The dimension comes from the saved config, the diffusion time from
+    `metric.DIFFUSION_TIME`, the iteration count from the saved history."""
     from .config import RunConfig
     from .diffusion import DiffusionEmbedding
     from .extension import ReferenceEmbedding
     from .harness import FittedModel
     from .metric import (
+        DIFFUSION_TIME,
         IterationDiagnostics,
         RegularizedMetric,
         WeightField,
@@ -249,7 +275,7 @@ def load_model(model_dir):
     )
     _, eigenvectors, _ = read_matrix_csv(d / "eigenvectors.csv")
     embedding = DiffusionEmbedding(
-        np.array(meta["eigenvalues"]), eigenvectors, float(config.time), config.dim
+        np.array(meta["eigenvalues"]), eigenvectors, DIFFUSION_TIME, config.dim
     )
     tree = PartitionTree.from_lines((d / "tree.txt").read_text().splitlines())
     history = tuple(

@@ -42,6 +42,14 @@ from .tree import PartitionTree, build_topdown, fit_min_folder
 
 logger = logging.getLogger(__name__)
 
+# the fit's fixed choices: the diffusion time t of every embedding, the
+# 2^{-alpha l} decay of folder weights with level, the quantile bins per
+# feature in a folder, and the tree's branching
+DIFFUSION_TIME = 1.0
+WEIGHT_ALPHA = 1.0
+K_BINS = 3
+BRANCHING = 2
+
 
 class CohortFunctional:
     """A functional F(E) defined only on index sets with at least c points.
@@ -343,15 +351,14 @@ def weighted_kernel(X, weights, sigma: float | None = None) -> AffinityMatrix:
     return AffinityMatrix(_assemble(n, block), float(sigma))
 
 
-def compute_weight_field(X, F: CohortFunctional, tree: PartitionTree,
-                         config: RunConfig) -> WeightField:
-    folder_w = compute_folder_weights(tree, X, F, config.k_bins)
+def compute_weight_field(X, F: CohortFunctional, tree: PartitionTree) -> WeightField:
+    folder_w = compute_folder_weights(tree, X, F, K_BINS)
     if not folder_w:
         # no folder reached the cohort minimum; all-zero field
         values = as_values(X)
         w = np.zeros_like(values)
         return WeightField(w, resolve_lam(w))
-    return aggregate_point_weights(tree, folder_w, config.weight_alpha)
+    return aggregate_point_weights(tree, folder_w, WEIGHT_ALPHA)
 
 
 def _weight_change(prev: WeightField | None, new: WeightField) -> float:
@@ -372,8 +379,8 @@ def fit_weighted_metric(X, F: CohortFunctional, config: RunConfig = RunConfig())
     bandwidth of the weighted kernel those weights build, so the reference
     decomposition serves the same geometry as `embedding`. Each kernel is
     freed once embedded. `history` has one record per step.
-    The cohort size is taken from F's own minimum cohort, not from
-    `config.min_cohort`.
+    Of `config` it reads only `seed`, `dim` and `max_iters`: the cohort size
+    is taken from F's own minimum cohort.
     """
     values = as_values(X)
     n = values.shape[0]
@@ -383,17 +390,17 @@ def fit_weighted_metric(X, F: CohortFunctional, config: RunConfig = RunConfig())
         )
     emb = spectral_embed(
         markov_normalize(gaussian_kernel(values)),
-        t=config.time, d=config.dim,
+        t=DIFFUSION_TIME, d=config.dim,
     )
     W = tree = None
     history: list[IterationDiagnostics] = []
     for it in range(config.max_iters):
         del tree  # one tree at a time
-        tree = build_topdown(emb, config.branching, fit_min_folder(n), config.seed + it)
-        W_prev, W = W, compute_weight_field(values, F, tree, config)
+        tree = build_topdown(emb, BRANCHING, fit_min_folder(n), config.seed + it)
+        W_prev, W = W, compute_weight_field(values, F, tree)
         K = weighted_kernel(values, W)
         sigma = K.sigma
-        emb = spectral_embed(markov_normalize(K), t=config.time, d=config.dim)
+        emb = spectral_embed(markov_normalize(K), t=DIFFUSION_TIME, d=config.dim)
         del K  # one n x n kernel at a time
         history.append(
             IterationDiagnostics(

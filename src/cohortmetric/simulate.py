@@ -15,7 +15,7 @@ from scipy.special import ndtr
 
 from .data import DataMatrix
 from .rng import substream
-from .survival import SurvivalRecords, weibull_sample
+from .survival import SurvivalRecords, _censor, weibull_sample
 
 # Signed effect pockets for the sphere trial. Cyclic-permutation-symmetric
 # centers spread the loadings over all three coordinates; the harm pocket is
@@ -158,13 +158,6 @@ def _spec_horizon(times: np.ndarray, spec: TrialSpec) -> float:
     if spec.horizon is None:
         raise ValueError("spec needs a horizon or an outcome_target")
     return float(spec.horizon)
-
-
-def _censor(times: np.ndarray, treatments: np.ndarray, horizon: float) -> SurvivalRecords:
-    """Administrative censoring: an outcome after the horizon is not observed."""
-    observed = np.minimum(times, horizon)
-    events = (times <= horizon).astype(int)
-    return SurvivalRecords(observed, events, treatments)
 
 
 def gen_sphere_trial(spec: TrialSpec) -> TrialDataset:

@@ -604,6 +604,14 @@ class ExponentialCensoring:
             raise ValueError("censoring rate must be positive")
 
 
+def _censor(times: np.ndarray, treatments: np.ndarray, censor_times) -> SurvivalRecords:
+    """Right censoring: an outcome after its censoring time is not observed.
+    `censor_times` is one time per record, or one horizon for all."""
+    observed = np.minimum(times, censor_times)
+    events = (times <= censor_times).astype(int)
+    return SurvivalRecords(observed, events, treatments)
+
+
 def simulate_cohort(model: HazardModel, n: int, p_treated: float, censoring,
                     rng: np.random.Generator, x_sampler=None):
     """Simulate records from the hazard model under the censoring mechanism.
@@ -625,10 +633,7 @@ def simulate_cohort(model: HazardModel, n: int, p_treated: float, censoring,
             C = np.minimum(C, censoring.horizon)
     else:
         raise TypeError(f"unsupported censoring model {censoring!r}")
-    observed = np.minimum(W, C)
-    events = (W <= C).astype(int)
-    records = SurvivalRecords(observed, events, T)
-    return records, X
+    return _censor(W, T, C), X
 
 
 def _outcome_probability(log_risk: np.ndarray, model: HazardModel, censoring) -> np.ndarray:

@@ -17,8 +17,8 @@ from cohortmetric.harness import (
     split_indices,
     validate_pipeline,
 )
-from cohortmetric.simulate import GroundTruth, TrialSpec, gen_sphere_trial
-from cohortmetric.survival import LocalAlphaFunctional, SurvivalRecords
+from cohortmetric.simulate import GroundTruth, TrialSpec, gen_propensity_trial, gen_sphere_trial
+from cohortmetric.survival import BALANCE_THRESHOLD, LocalAlphaFunctional, SurvivalRecords
 
 
 FAST = dict(dim=3, max_iters=2, min_cohort=15)
@@ -47,18 +47,13 @@ def test_config_rejects_unknown_keys(tmp_path):
 
 def test_config_ranges():
     with pytest.raises(ConfigError):
-        RunConfig(balance_threshold=1.5)
-    with pytest.raises(ConfigError):
         RunConfig(estimator="banana")
     with pytest.raises(ConfigError):
         RunConfig(train_fraction=0.0)
 
 
 @pytest.mark.parametrize("knob,value", [
-    ("branching", 1), ("k_bins", 0), ("dim", 0), ("time", 0.0), ("time", np.nan),
-    ("time", np.inf), ("weight_alpha", -0.5), ("weight_alpha", np.inf),
-    ("max_iters", 0), ("seed", -1),
-    ("branching", 2.5), ("max_iters", 1.5), ("k_bins", True),
+    ("dim", 0), ("max_iters", 0), ("seed", -1), ("max_iters", 1.5),
 ])
 def test_invalid_metric_knob_reaches_the_fit_only_as_config_error(knob, value):
     from cohortmetric.metric import CohortFunctional, fit_weighted_metric
@@ -67,6 +62,16 @@ def test_invalid_metric_knob_reaches_the_fit_only_as_config_error(knob, value):
     F = CohortFunctional.from_labels(X[:, 0], 5)
     with pytest.raises(ConfigError, match=knob):
         fit_weighted_metric(X, F, RunConfig(**{"dim": 2, "max_iters": 1, knob: value}))
+
+
+def test_readme_names_every_config_knob():
+    import dataclasses
+    import re
+
+    readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
+    count, knobs = re.search(r"The config has (\d+) knobs: (.*?)\.", readme).groups()
+    names = [f.name for f in dataclasses.fields(RunConfig)]
+    assert re.findall(r"`(\w+)`", knobs) == names and int(count) == len(names)
 
 
 def test_config_with_trial_section(tmp_path):
@@ -113,7 +118,7 @@ def test_curve_csv_roundtrip(tmp_path, small_trial):
     assert np.array_equal(back.survival, curve.survival)
 
 
-@pytest.mark.parametrize("cells", ["missing", "extra"])
+@pytest.mark.parametrize("cells", ["missing", "extra", "non-numeric"])
 @pytest.mark.parametrize("kind", ["dataset", "truth", "records", "curve", "matrix"])
 def test_readers_refuse_a_row_of_the_wrong_width(tmp_path, small_trial, kind, cells):
     from cohortmetric.survival import kaplan_meier
@@ -132,11 +137,16 @@ def test_readers_refuse_a_row_of_the_wrong_width(tmp_path, small_trial, kind, ce
     read(path)
     lines = path.read_text().splitlines()
     row = lines[2].split(",")
-    lines[2] = ",".join(row[:-1] if cells == "missing" else [*row, row[-1]])
-    path.write_text("\n".join(lines) + "\n")
     want = len(lines[0].split(","))
-    got = want - 1 if cells == "missing" else want + 1
-    with pytest.raises(ValueError, match=f"{kind}.csv, line 3: {got} cells under a header of {want}"):
+    if cells == "non-numeric":
+        row[1] = "abc"  # the second column is a float column in each of these files
+        message = "could not convert string to float: 'abc'"
+    else:
+        row = row[:-1] if cells == "missing" else [*row, row[-1]]
+        message = f"{len(row)} cells under a header of {want}"
+    lines[2] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"{kind}.csv, line 3: {message}"):
         read(path)
 
 
@@ -195,7 +205,7 @@ def test_validate_truth_equal_estimator_gives_ones(small_trial, monkeypatch):
         return hz.FoldResult(fold, score.correlation, 1.0, len(test_idx), score.defined)
 
     monkeypatch.setattr(hz, "validate_fold", fake_validate_fold)
-    report = hz.validate_pipeline(small_trial, RunConfig(seed=21, **FAST), repeats=5)
+    report = hz.validate_pipeline(small_trial, RunConfig(seed=21, repeats=5, **FAST))
     np.testing.assert_allclose(report.correlations, 1.0)
     assert report.histogram_counts.sum() == 5
 
@@ -211,8 +221,8 @@ def test_validate_end_to_end_small(small_trial):
 def test_validate_records_fold_failures_and_continues():
     # training split smaller than two cohorts: every fold fails, run continues
     tiny = gen_sphere_trial(TrialSpec("sphere", n=40, seed=22))
-    cfg = RunConfig(seed=22, dim=3, max_iters=1, min_cohort=30)
-    report = validate_pipeline(tiny, cfg, repeats=3)
+    cfg = RunConfig(seed=22, dim=3, max_iters=1, min_cohort=30, repeats=3)
+    report = validate_pipeline(tiny, cfg)
     assert len(report.folds) == 3
     assert all(f.error is not None for f in report.folds)
     assert report.correlations.size == 0
@@ -231,7 +241,7 @@ def test_validate_records_the_exception_type_of_a_failed_fold(small_trial, monke
         return fit(*args)
 
     monkeypatch.setattr(hz, "fit_pipeline", fit_or_fail)
-    report = validate_pipeline(small_trial, RunConfig(seed=21, **FAST), repeats=2)
+    report = validate_pipeline(small_trial, RunConfig(seed=21, repeats=2, **FAST))
     assert [f.error for f in report.folds] == [None, "FloatingPointError: boom"]
     assert report.summary_lines()[-1].endswith("error=FloatingPointError: boom")
 
@@ -249,7 +259,7 @@ def test_validate_counts_failed_folds(small_trial, monkeypatch):
         return fit(*args)
 
     monkeypatch.setattr(hz, "fit_pipeline", fail_first)
-    report = validate_pipeline(small_trial, RunConfig(seed=21, **FAST), repeats=2)
+    report = validate_pipeline(small_trial, RunConfig(seed=21, repeats=2, **FAST))
     assert report.n_failed == 1
     assert report.folds[0].error == "LinAlgError: singular" and report.folds[1].error is None
     lines = report.summary_lines()
@@ -525,7 +535,7 @@ def test_multiscale_coarse_value_is_the_served_estimate(small_trial, small_model
     model, cfg = small_model, small_model.config
     preds = predict(model, small_trial.data)
     assert preds.coords.tobytes() == model.ref.coords.tobytes()
-    F = LocalAlphaFunctional(model.records, cfg.estimator, cfg.min_cohort, cfg.balance_threshold)
+    F = LocalAlphaFunctional(model.records, cfg.estimator, cfg.min_cohort)
     served = np.flatnonzero(np.isfinite(preds.estimates))
     assert served.size > 300
     for i in served:
@@ -533,9 +543,11 @@ def test_multiscale_coarse_value_is_the_served_estimate(small_trial, small_model
         assert dec.coarse_value == preds.estimates[i]
 
 
-def test_predict_balance_flag_is_the_cohort_estimate_flag(small_trial, monkeypatch):
-    cfg = RunConfig(seed=21, **{**FAST, "max_iters": 1}, balance_threshold=0.6)
-    model = fit_pipeline(small_trial.data, small_trial.records, cfg)
+def test_predict_balance_flag_is_the_cohort_estimate_flag(monkeypatch):
+    # probit treatment assignment: many cohorts here are mostly one arm
+    trial = gen_propensity_trial(TrialSpec("propensity", n=400, seed=21))
+    cfg = RunConfig(seed=21, **{**FAST, "max_iters": 1})
+    model = fit_pipeline(trial.data, trial.records, cfg)
     seen = []
     detail = LocalAlphaFunctional.detail
 
@@ -544,7 +556,7 @@ def test_predict_balance_flag_is_the_cohort_estimate_flag(small_trial, monkeypat
         return seen[-1]
 
     monkeypatch.setattr(LocalAlphaFunctional, "detail", spy)
-    preds = predict(model, small_trial.data.values[:150])
+    preds = predict(model, trial.data.values[:150])
     # every point here gets a cohort estimate, in order
     assert preds.in_support.all() and (preds.n_neighbors >= cfg.min_cohort).all()
     assert len(seen) == 150
@@ -553,9 +565,8 @@ def test_predict_balance_flag_is_the_cohort_estimate_flag(small_trial, monkeypat
     flags = np.array([est.balanced for est in seen])
     assert np.array_equal(preds.balanced[defined], flags[defined])
     shares = np.array([max(est.n0, est.n1) / est.size for est in seen])
-    assert np.array_equal(flags, shares <= 0.6)
-    # cohorts the default threshold would call balanced and 0.6 does not
-    assert ((shares > 0.6) & (shares <= 0.8) & defined).any()
+    assert np.array_equal(flags, shares <= BALANCE_THRESHOLD)
+    assert (flags & defined).any() and (~flags & defined).any()
 
 
 def test_loaded_model_keeps_neighborhood_rule(tmp_path, small_model):
@@ -568,7 +579,9 @@ def test_loaded_model_keeps_neighborhood_rule(tmp_path, small_model):
 # knobs of earlier versions, at their old defaults: a model saved with one must be refit
 STALE_KEYS = {"tol": 1e-3, "tree_method": "topdown", "bottomup_eps": None, "tau": 0.0,
               "sigma0": None, "sigma_weighted": None, "weight_lam": None, "knn": None,
-              "radius": None, "min_folder": None}
+              "radius": None, "min_folder": None, "time": 1.0, "weight_alpha": 1.0,
+              "k_bins": 3, "branching": 2, "weight_estimator": "moments",
+              "balance_threshold": 0.8}
 
 
 @pytest.mark.parametrize("key", list(STALE_KEYS))
@@ -633,6 +646,29 @@ def test_cli_extend_on_a_corrupt_tree_exits_1(tmp_path, small_trial, small_model
     assert main(["extend", "--model", str(model_dir), "--data", str(data),
                  "--out", str(tmp_path / "ext")]) == 1
     assert "error: level 2: folders overlap or miss a point" in capsys.readouterr().err
+
+
+def test_cli_extend_reads_a_dataset_file_by_its_header(tmp_path, small_trial, small_model, capsys):
+    model_dir = tmp_path / "model"
+    io.save_model(model_dir, small_model)
+    data, points = tmp_path / "data.csv", tmp_path / "points.csv"
+    io.write_dataset_csv(data, small_trial.data, small_trial.records)
+    io.write_matrix_csv(points, small_trial.data.values, small_trial.data.point_ids,
+                        small_trial.data.feature_names)
+    for name, path in (("dataset", data), ("features", points)):
+        assert main(["extend", "--model", str(model_dir), "--data", str(path),
+                     "--out", str(tmp_path / name)]) == 0
+    assert ((tmp_path / "dataset" / "extended.csv").read_bytes()
+            == (tmp_path / "features" / "extended.csv").read_bytes())
+    # a dataset file with a bad record is refused as a dataset, not read as features
+    header, first, *rows = data.read_text().splitlines()
+    data.write_text("\n".join([header, first.rsplit(",", 1)[0] + ",2", *rows]) + "\n")
+    capsys.readouterr()
+    for command in ("extend", "recommend"):
+        assert main([command, "--model", str(model_dir), "--data", str(data),
+                     "--out", str(tmp_path / command)]) == 1
+        assert capsys.readouterr().err == "error: events and treatments must be 0/1\n"
+        assert not (tmp_path / command).exists()
 
 
 # --- CLI -------------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 from cohortmetric.config import RunConfig
 from cohortmetric.diffusion import markov_normalize, spectral_embed
 from cohortmetric.metric import (
+    DIFFUSION_TIME,
     Bin,
     CohortFunctional,
     aggregate_point_weights,
@@ -371,14 +372,14 @@ def loop_fit():
 def test_fit_embedding_is_built_from_the_returned_weights(loop_fit):
     X, _, cfg, metric = loop_fit
     K = weighted_kernel(X, metric.weights, sigma=metric.sigma)
-    emb = spectral_embed(markov_normalize(K), t=cfg.time, d=cfg.dim)
+    emb = spectral_embed(markov_normalize(K), t=DIFFUSION_TIME, d=cfg.dim)
     assert np.array_equal(emb.eigenvalues, metric.embedding.eigenvalues)
     assert np.array_equal(emb.eigenvectors, metric.embedding.eigenvectors)
 
 
 def test_fit_weights_are_computed_on_the_returned_tree(loop_fit):
     X, F, cfg, metric = loop_fit
-    W = compute_weight_field(X, F, metric.tree, cfg)
+    W = compute_weight_field(X, F, metric.tree)
     assert np.array_equal(W.point_weights, metric.weights.point_weights)
     assert W.lam == metric.weights.lam
 

@@ -69,18 +69,18 @@ def test_weibull_k1_is_exponential():
 
 
 def test_treatment_scaling_and_censoring():
-    from cohortmetric.simulate import _censor
+    from cohortmetric.survival import _censor
 
-    rec = _censor(np.array([0.5, 3.0]), np.array([0, 0]), horizon=2.0)
+    rec = _censor(np.array([0.5, 3.0]), np.array([0, 0]), 2.0)
     assert rec.times.tolist() == [0.5, 2.0]
     assert rec.events.tolist() == [1, 0]
     assert rec.treatments.tolist() == [0, 0]
-    rec2 = _censor(np.array([0.5, 2.0]), np.array([1, 1]), horizon=2.0)
+    rec2 = _censor(np.array([0.5, 2.0]), np.array([1, 1]), 2.0)
     assert rec2.times.tolist() == [0.5, 2.0]  # an outcome at the horizon is observed
     assert rec2.events.tolist() == [1, 1]
     # a treated time scaled by e^beta = 3 (as the generators scale it) is
     # censored at the horizon only when the scaled time passes it
-    rec3 = _censor(np.array([0.5, 1.0]) * 3.0, np.array([1, 1]), horizon=2.0)
+    rec3 = _censor(np.array([0.5, 1.0]) * 3.0, np.array([1, 1]), 2.0)
     np.testing.assert_allclose(rec3.times, [1.5, 2.0])
     assert rec3.events.tolist() == [1, 0]
 
