@@ -150,11 +150,11 @@ def cmd_fit(args) -> int:
 
 def cmd_validate(args) -> int:
     config, trial = _resolve_config(args)
+    if (args.data is None) != (args.truth is None):
+        raise ConfigError("validate needs --data and --truth together")
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     if args.data is not None:
-        if args.truth is None:
-            raise ConfigError("validate needs --truth alongside --data")
         dataset = _load_trial_dataset(args.data, args.truth)
         if trial is not None:
             dataset = TrialDataset(dataset.data, dataset.records, dataset.truth, trial)

@@ -6,10 +6,11 @@ eigenvectors of P -> embedding coordinates lambda_k^t * phi_k. The fit's
 other kernels are `metric.weighted_kernel` and the reference kernel
 `extension.asymmetric_kernel`.
 
-Also the package's shared kernel plumbing: row blocks (`_rows_per_block`),
-memory-mapped n x n buffers, and `_pairwise_sum`, the one reduction over
-features, which adds per-feature planes in numpy's pairwise order so that a
-feature-major kernel equals its (rows, cols, m) formula bit for bit.
+Also the package's shared kernel plumbing: row blocks (`_rows_per_block`)
+and memory-mapped n x n buffers. The feature-major kernels add their
+per-feature planes as a running sum in feature order, so each equals its
+dense formula summed over the first axis of a C-contiguous feature-first
+stack bit for bit.
 """
 
 from __future__ import annotations
@@ -161,33 +162,6 @@ def _rows_per_block(n_cols: int, m: int) -> int:
 # and 55 ms with 2^14, and the Gaussian kernel 21 ms with 2^16 and 27 ms
 # with 2^21.
 PLANE_DEPTH = 32
-
-
-def _pairwise_sum(term, lo: int, n: int) -> np.ndarray:
-    """Sum ``term(lo) .. term(lo + n - 1)`` in the order numpy's pairwise
-    reduction adds n contiguous values (eight running sums up to 128 terms,
-    halves beyond), so a sum over per-feature planes equals ``.sum(axis=-1)``
-    over the feature-last array bit for bit. The package's one reduction
-    over features: each ``term(i)`` must return a new array, and the terms
-    are asked for once each, in increasing order."""
-    if n < 8:
-        acc = term(lo)
-        for i in range(lo + 1, lo + n):
-            acc += term(i)
-        return acc
-    if n <= 128:
-        r = [term(lo + j) for j in range(8)]
-        stop = lo + n - n % 8
-        for i in range(lo + 8, stop, 8):
-            for j in range(8):
-                r[j] += term(i + j)
-        acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for i in range(stop, lo + n):
-            acc += term(i)
-        return acc
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(term, lo, half) + _pairwise_sum(term, lo + half, n - half)
 
 
 # Arrays of at least this many bytes get their own anonymous memory map.

@@ -21,7 +21,6 @@ from .diffusion import (
     PLANE_DEPTH,
     _empty_mapped,
     _fix_signs,
-    _pairwise_sum,
     _rows_per_block,
     _symmetrize,
     _top_eigenpairs,
@@ -73,8 +72,9 @@ def asymmetric_kernel(Z, x_ref, weights, sigma: float) -> np.ndarray:
 
     rows indexed by the stacked points Z, columns by the reference points.
     Only the reference point's weights enter; determinants go through logs.
-    The quadratic form is a pairwise sum of per-feature (rows, n_ref)
-    planes, equal bit for bit to the sum over a (rows, n_ref, m) array.
+    The quadratic form is the running sum of per-feature (rows, n_ref)
+    planes in feature order, equal bit for bit to the sum over an
+    (m, rows, n_ref) stack.
     """
     Zv = _as_rows(Z)
     Xr = as_values(x_ref)
@@ -96,14 +96,13 @@ def asymmetric_kernel(Z, x_ref, weights, sigma: float) -> np.ndarray:
     for i0 in range(0, Zv.shape[0], block):
         i1 = min(Zv.shape[0], i0 + block)
 
-        def term(y):
+        q = None
+        for y in range(Xr.shape[1]):
             t = np.subtract.outer(zt[y, i0:i1], xt[y])
             np.square(t, out=t)
             t *= w_inv[y]
-            return t
-
+            q = t if q is None else np.add(q, t, out=q)
         # exp(-q / sigma**2 - half_logdet), in place
-        q = _pairwise_sum(term, 0, Xr.shape[1])
         np.negative(q, out=q)
         q /= sigma**2
         q -= half_logdet

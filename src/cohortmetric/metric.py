@@ -31,7 +31,6 @@ from .diffusion import (
     AffinityMatrix,
     DiffusionEmbedding,
     _assemble,
-    _pairwise_sum,
     _rows_per_block,
     gaussian_kernel,
     markov_normalize,
@@ -274,22 +273,30 @@ def aggregate_point_weights(tree: PartitionTree, folder_weights: dict, alpha: fl
     return WeightField(w, resolve_lam(w) if lam is None else lam)
 
 
+def _form_and_det(xt, ut, i0, i1, j0):
+    """Rows [i0, i1) against columns [j0, n) of q = sum_f (x_if - x_jf)^2 / a_f
+    and of det = prod_f a_f, where a_f = u_if + u_jf, from feature-major
+    (m, n) values xt and W diagonals ut: one (rows, cols) plane per feature,
+    added and multiplied in feature order. det may overflow to inf."""
+    q = det = None
+    with np.errstate(over="ignore"):
+        for y in range(xt.shape[0]):
+            a = np.add.outer(ut[y, i0:i1], ut[y, j0:])
+            t = np.subtract.outer(xt[y, i0:i1], xt[y, j0:])
+            np.square(t, out=t)
+            t /= a
+            q = t if q is None else np.add(q, t, out=q)
+            det = a if det is None else np.multiply(det, a, out=det)
+    return q, det
+
+
 def _median_quadratic_scale(values: np.ndarray, u: np.ndarray, subsample: int = 512) -> float:
     """Median nonzero weighted quadratic form on a subsample; bandwidth^2."""
     n = values.shape[0]
     idx = np.unique(np.linspace(0, n - 1, min(n, subsample)).astype(int))
     vt, ut = values[idx].T.copy(), u[idx].T.copy()  # (m, s): feature-major
-
-    def block(i0, i1, j0):
-        def term(y):
-            t = np.subtract.outer(vt[y, i0:i1], vt[y, j0:])
-            np.square(t, out=t)
-            t /= np.add.outer(ut[y, i0:i1], ut[y, j0:])
-            return t
-        return _pairwise_sum(term, 0, vt.shape[0])
-
     # the form is symmetric bit for bit: the upper blocks, mirrored
-    q = _assemble(len(idx), block)
+    q = _assemble(len(idx), lambda i0, i1, j0: _form_and_det(vt, ut, i0, i1, j0)[0])
     nz = q[q > 0]
     return float(np.median(nz)) if nz.size else 1.0
 
@@ -303,9 +310,9 @@ def weighted_kernel(X, weights, sigma: float | None = None) -> AffinityMatrix:
     WeightField or a raw (n, m) array of W diagonals.
 
     Row blocks are built from per-feature (rows, cols) planes: q is their
-    pairwise sum in numpy's order, the determinant a running product of the
-    a = W_i + W_j planes in feature order (np.prod's), so the entries equal
-    those of the (rows, cols, m) formula bit for bit.
+    running sum and the determinant the running product of the
+    a = W_i + W_j planes, both in feature order, so the entries equal those
+    of the formula reduced over an (m, rows, cols) stack bit for bit.
     """
     values = as_values(X)
     u = weights.inv_diag() if isinstance(weights, WeightField) else np.asarray(weights, dtype=float)
@@ -321,26 +328,17 @@ def weighted_kernel(X, weights, sigma: float | None = None) -> AffinityMatrix:
     xt, ut = values.T.copy(), u.T.copy()  # (m, n): one contiguous row per feature
 
     def block(i0, i1, j0):
-        det = None
-
-        def term(y):
-            nonlocal det
-            a = np.add.outer(ut[y, i0:i1], ut[y, j0:])
-            t = np.subtract.outer(xt[y, i0:i1], xt[y, j0:])
-            np.square(t, out=t)
-            t /= a
-            det = a if det is None else np.multiply(det, a, out=det)
-            return t
-
+        q, det = _form_and_det(xt, ut, i0, i1, j0)
         # determinant via products when safe, per-element logs when it
         # overflows (as huge W_i + W_j may, too)
-        with np.errstate(over="ignore"):
-            q = _pairwise_sum(term, 0, m)
-            if np.all(np.isfinite(det)) and det.min() > 0:
-                logdet = np.log(det, out=det)
-            else:
-                logdet = _pairwise_sum(
-                    lambda y: np.log(np.add.outer(ut[y, i0:i1], ut[y, j0:])), 0, m)
+        if np.all(np.isfinite(det)) and det.min() > 0:
+            logdet = np.log(det, out=det)
+        else:
+            logdet = None
+            with np.errstate(over="ignore"):
+                for y in range(m):
+                    la = np.log(np.add.outer(ut[y, i0:i1], ut[y, j0:]))
+                    logdet = la if logdet is None else np.add(logdet, la, out=logdet)
         # exp(-q / sigma**2 - 0.5 * logdet), in place
         np.negative(q, out=q)
         q /= sigma**2
@@ -425,10 +423,10 @@ def neighborhood_indices(coords: np.ndarray, centers: np.ndarray, k: int) -> lis
     first: q index arrays, a center's own row included when it is one of
     the coords. A k above the number of coords keeps them all.
 
-    One pass over row blocks of centers: distances are pairwise sums of
-    feature-major (rows, n) planes, equal bit for bit to
-    np.linalg.norm(coords - center, axis=1) for each center. The k nearest
-    are kept by argpartition, then ordered by a stable argsort.
+    One pass over row blocks of centers: a distance is the square root of
+    the running sum of feature-major (rows, n) planes of squared coordinate
+    differences, in coordinate order. The k nearest are kept by
+    argpartition, then ordered by a stable argsort.
     """
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError(f"a cohort needs an integer k >= 1, got {k!r}")
@@ -443,11 +441,12 @@ def neighborhood_indices(coords: np.ndarray, centers: np.ndarray, k: int) -> lis
     for i0 in range(0, centers.shape[0], block):
         i1 = min(centers.shape[0], i0 + block)
 
-        def term(y):
+        dist = None
+        for y in range(d):
             t = np.subtract(xt[y][None, :], ct[y, i0:i1][:, None])
-            return np.square(t, out=t)
-
-        dist = np.sqrt(_pairwise_sum(term, 0, d))
+            np.square(t, out=t)
+            dist = t if dist is None else np.add(dist, t, out=dist)
+        np.sqrt(dist, out=dist)
         part = np.argpartition(dist, k - 1, axis=1)[:, :k]
         order = np.argsort(np.take_along_axis(dist, part, axis=1), axis=1, kind="stable")
         out.extend(np.take_along_axis(part, order, axis=1))

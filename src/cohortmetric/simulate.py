@@ -63,8 +63,11 @@ class TrialSpec:
             raise ValueError("p_treated must be in (0, 1)")
         if self.condition_bound < 1:
             raise ValueError("condition bound must be >= 1")
-        if self.kind == "sphere" and self.dim % 3 != 0:
-            raise ValueError("sphere trial dimension must be a multiple of 3")
+        if self.kind == "sphere" and (self.dim < 3 or self.dim % 3 != 0):
+            raise ValueError(f"sphere trial dimension must be a positive multiple of 3, "
+                             f"got {self.dim}")
+        if self.kind != "sphere" and self.dim < 2:
+            raise ValueError(f"{self.kind} trial needs dimension >= 2, got {self.dim}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -237,8 +240,6 @@ def gen_random_model(spec: TrialSpec) -> TrialDataset:
     """
     if spec.kind != "random":
         raise ValueError(f"spec kind is {spec.kind!r}")
-    if spec.dim < 2:
-        raise ValueError("random model needs dimension >= 2")
     rng = substream(spec.seed, "simulate")
     cov = random_spd(spec.dim, spec.condition_bound, rng)
     X = rng.normal(size=(spec.n, spec.dim)) @ np.linalg.cholesky(cov).T

@@ -329,6 +329,10 @@ def cox_fit(X, records: SurvivalRecords, names=None, max_iter: int = 60) -> CoxF
         raise ValueError(f"{n} covariate rows vs {len(records)} records")
     if names is None:
         names = tuple(f"x_{j + 1}" for j in range(p))
+    if len(names) != p:
+        raise ValueError(f"{len(names)} names for {p} covariates")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     center = Xv.mean(axis=0)
     Xc = Xv - center[None, :]
 
@@ -481,10 +485,12 @@ def recommend_groups(estimates, treatments, c: float) -> RecommendationGroups:
     a = np.asarray(treatments, dtype=int)
     if f.shape != a.shape:
         raise ValueError("estimates and treatments must align")
+    if f.size == 0:
+        raise ValueError("no estimates to split")
     if not np.all(np.isfinite(f)):
         raise ValueError("estimates must be finite; filter undefined points first")
     sigma = float(np.std(f))
-    if sigma <= 0:
+    if not sigma > 0:
         raise ValueError("estimates have zero variance; no recommendation threshold exists")
     thr = c * sigma
     strong = np.abs(f) > thr

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.cluster.hierarchy import linkage
 
-from .diffusion import DiffusionEmbedding, _pairwise_sum
+from .diffusion import DiffusionEmbedding
 from .rng import substream
 
 KMEANS_RESTARTS = 25
@@ -127,10 +127,12 @@ def _kmeans_plus_plus_init_batch(coords, k, restarts, rng):
     centers = np.empty((restarts, k, d))
 
     def d2_to(c):  # (R, n) squared distances to the centers c (R, d)
-        def term(i):
+        d2 = None
+        for i in range(d):
             t = np.subtract(xt[i][None, :], c[:, i][:, None])
-            return np.square(t, out=t)
-        return _pairwise_sum(term, 0, d)
+            np.square(t, out=t)
+            d2 = t if d2 is None else np.add(d2, t, out=d2)
+        return d2
 
     first = rng.integers(n, size=restarts)
     centers[:, 0] = coords[first]
@@ -159,7 +161,7 @@ def kmeans_split(coords: np.ndarray, sizes: list[int], k: int, rng: np.random.Ge
     number of points in each. Each folder is seeded by k-means++ in folder
     order. Then each Lloyd iteration is one pass over the (restart, point)
     pairs still in play, with the (restart, folder) segment of each pair:
-    distances are (k, pairs), summed over d in numpy's reduction order. A
+    distances are (k, pairs), summed over d in coordinate order. A
     pair's label is the first of its nearest centers, found by a running
     strict `<` over the k rows of distances, so ties go to the earliest
     cluster; distances are finite (`DiffusionEmbedding` refuses non-finite
@@ -240,11 +242,13 @@ def _own_center_d2(x: np.ndarray, centers: np.ndarray, runs: np.ndarray) -> np.n
     """Squared distances (k, P) from each of P points, x (d, P), to the k
     centers of its segment; centers are (d, k, segments), and the points
     are runs[g] for segment g, segment after segment."""
-    def term(j):
+    d2 = None
+    for j in range(x.shape[0]):
         t = np.repeat(centers[j], runs, axis=1)
         np.subtract(x[j], t, out=t)
-        return np.square(t, out=t)
-    return _pairwise_sum(term, 0, x.shape[0])
+        np.square(t, out=t)
+        d2 = t if d2 is None else np.add(d2, t, out=d2)
+    return d2
 
 
 def fit_min_folder(n: int) -> int:

@@ -89,22 +89,6 @@ def test_row_blocks_cap_temporaries_without_changing_entries(monkeypatch):
     assert np.array_equal(extension.asymmetric_kernel(Z, X, u, sigma=1.2), A)
 
 
-@pytest.mark.parametrize("m", [1, 2, 7, 8, 9, 17, 130, 300])
-def test_pairwise_sum_of_planes_equals_the_sum_over_the_last_axis(m):
-    rng = np.random.default_rng(m)
-    # magnitudes spread over 16 decades, so that the order of the adds shows
-    A = rng.normal(size=(5, 33, m)) * 10.0 ** rng.integers(-8, 8, size=m)
-    asked = []
-
-    def plane(j):
-        asked.append(j)
-        return A[:, :, j].copy()
-
-    got = diffusion._pairwise_sum(plane, 0, m)
-    assert got.tobytes() == A.sum(axis=-1).tobytes()
-    assert asked == list(range(m))  # once each, in feature order
-
-
 @pytest.mark.parametrize("rows", [None, 37])
 def test_markov_normalize_matches_the_unblocked_formula_bit_for_bit(rows, monkeypatch):
     from cohortmetric.metric import weighted_kernel

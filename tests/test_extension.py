@@ -47,9 +47,10 @@ def test_one_sided_rows_differ_from_symmetric_kernel():
 
 
 def _asymmetric_oracle(Z, X, u, sigma):
-    """The (rows, n_ref, m) formula in one block."""
-    diff2 = (Z[:, None, :] - X[None, :, :]) ** 2
-    q = (diff2 * (1.0 / u)[None, :, :]).sum(axis=2)
+    """The formula in one C-contiguous (m, rows, n_ref) stack, summed over
+    its first axis."""
+    diff2 = (Z.T.copy()[:, :, None] - X.T.copy()[:, None, :]) ** 2
+    q = (diff2 * (1.0 / u).T[:, None, :]).sum(axis=0)
     return np.exp(-q / sigma**2 - (0.5 * np.log(u).sum(axis=1))[None, :])
 
 

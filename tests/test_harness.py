@@ -721,6 +721,25 @@ def test_cli_fit_validate_recommend_extend(tmp_path):
     assert len(ids) == 300
 
 
+@pytest.mark.parametrize("given", ["--data", "--truth"])
+def test_cli_validate_refuses_data_or_truth_alone(tmp_path, capsys, given):
+    cfg = write_cfg(tmp_path)  # with a trial section it could validate
+    out = tmp_path / "out"
+    assert main(["validate", "--config", str(cfg), given, str(tmp_path / "absent.csv"),
+                 "--out", str(out)]) == 2
+    assert "--data and --truth together" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_propensity_trial_of_one_feature_exits_2(tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"trial": {"kind": "propensity", "n": 50, "dim": 1}}))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == 2
+    assert "dimension >= 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fault", ["reordered", "truncated", "mixed_scales"])
 def test_cli_validate_refuses_a_truth_file_that_does_not_match_the_dataset(
     tmp_path, small_trial, capsys, fault

@@ -266,23 +266,25 @@ def test_median_quadratic_scale_matches_the_plain_formula_bit_for_bit():
         X = rng.normal(size=(n, m))
         u = rng.uniform(0.1, 3.0, size=(n, m))
         idx = np.unique(np.linspace(0, n - 1, min(n, 512)).astype(int))
-        V, U = X[idx], u[idx]
-        q = ((V[:, None, :] - V[None, :, :]) ** 2 / (U[:, None, :] + U[None, :, :])).sum(axis=2)
+        V, U = X[idx].T.copy(), u[idx].T.copy()  # C-contiguous, feature-first
+        q = ((V[:, :, None] - V[:, None, :]) ** 2 / (U[:, :, None] + U[:, None, :])).sum(axis=0)
         assert _median_quadratic_scale(X, u) == float(np.median(q[q > 0]))
 
 
 def _weighted_kernel_oracle(X, u, sigma):
-    """The (rows, cols, m) formula over all pairs in one block."""
-    diff2 = (X[:, None, :] - X[None, :, :]) ** 2
+    """The formula over all pairs in one C-contiguous (m, rows, cols)
+    stack, reduced over its first axis."""
+    xt, ut = X.T.copy(), u.T.copy()
+    diff2 = (xt[:, :, None] - xt[:, None, :]) ** 2
     with np.errstate(over="ignore"):  # huge W: the log fallback below
-        a = u[:, None, :] + u[None, :, :]
-        det = np.prod(a, axis=2)
+        a = ut[:, :, None] + ut[:, None, :]
+        det = np.prod(a, axis=0)
     np.divide(diff2, a, out=diff2)
-    q = diff2.sum(axis=2)
+    q = diff2.sum(axis=0)
     if np.all(np.isfinite(det)) and det.min() > 0:
         logdet = np.log(det)
     else:
-        logdet = np.log(a).sum(axis=2)
+        logdet = np.log(a).sum(axis=0)
     return np.exp(-q / sigma**2 - 0.5 * logdet)
 
 
@@ -332,8 +334,8 @@ def test_feature_major_median_quadratic_scale_matches_the_3d_formula(m):
     X[100:140] = X[:40]  # repeated points: zero forms the median skips
     u = rng.uniform(0.1, 3.0, size=(700, m))
     idx = np.unique(np.linspace(0, 699, 512).astype(int))
-    V, U = X[idx], u[idx]
-    q = ((V[:, None, :] - V[None, :, :]) ** 2 / (U[:, None, :] + U[None, :, :])).sum(axis=2)
+    V, U = X[idx].T.copy(), u[idx].T.copy()  # C-contiguous, feature-first
+    q = ((V[:, :, None] - V[:, None, :]) ** 2 / (U[:, :, None] + U[:, None, :])).sum(axis=0)
     want = float(np.median(q[q > 0]))
     assert np.float64(_median_quadratic_scale(X, u)).tobytes() == np.float64(want).tobytes()
 
@@ -486,8 +488,9 @@ def test_estimate_knn_matches_bruteforce(fitted_metric):
 
 
 def _neighborhood_oracle(coords, center, k):
-    """The per-point rule: one norm, then argpartition and a stable argsort."""
-    d = np.linalg.norm(coords - center[None, :], axis=1)
+    """The per-point rule: one distance per coord, its squares summed in
+    coordinate order, then argpartition and a stable argsort."""
+    d = np.sqrt(((coords.T.copy() - center[:, None]) ** 2).sum(axis=0))
     k = min(k, coords.shape[0])
     idx = np.argpartition(d, k - 1)[:k]
     return idx[np.argsort(d[idx], kind="stable")]

@@ -220,7 +220,11 @@ def test_spec_validation():
         TrialSpec("bogus", n=10)
     with pytest.raises(ValueError, match="outcome_target"):
         TrialSpec("sphere", n=10, outcome_target=1.5)
-    with pytest.raises(ValueError, match="multiple of 3"):
-        TrialSpec("sphere", n=10, dim=7)
+    for dim in (7, 0, -3):
+        with pytest.raises(ValueError, match="positive multiple of 3"):
+            TrialSpec("sphere", n=10, dim=dim)
+    for kind in ("propensity", "random"):
+        with pytest.raises(ValueError, match="dimension >= 2"):
+            TrialSpec(kind, n=50, dim=1)
     with pytest.raises(ValueError, match="unknown trial spec keys"):
         TrialSpec.from_dict({"kind": "sphere", "n": 10, "bogus_key": 1})

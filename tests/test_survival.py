@@ -351,6 +351,17 @@ def test_cox_rank_deficiency_reported():
         cox_fit(X, rec)
 
 
+def test_cox_refuses_a_zero_iteration_budget_and_names_of_the_wrong_length():
+    rng = np.random.default_rng(12)
+    rec = random_cohort(rng, n=60)
+    X = rng.normal(size=(60, 2))
+    with pytest.raises(ValueError, match="max_iter must be >= 1"):
+        cox_fit(X, rec, max_iter=0)
+    with pytest.raises(ValueError, match="1 names for 2 covariates"):
+        cox_fit(X, rec, names=("a",))
+    assert cox_fit(X, rec, names=("a", "b")).names == ("a", "b")
+
+
 def test_cox_p_values_equal_scipy_stats_chi2_bit_for_bit():
     from scipy.stats import chi2
 
@@ -624,6 +635,11 @@ def test_recommend_huge_c_all_neutral():
     groups = recommend_groups(f, np.array([0, 1, 0]), c=1e9)
     assert groups.neutral.size == 3
     assert groups.recommended.size == 0 and groups.anti_recommended.size == 0
+
+
+def test_recommend_refuses_an_empty_estimate_array():
+    with pytest.raises(ValueError, match="no estimates"):
+        recommend_groups(np.array([]), np.array([], dtype=int), c=0.5)
 
 
 def test_recommend_random_partition_exhaustive():

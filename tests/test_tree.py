@@ -191,7 +191,7 @@ def test_batched_distances_sum_over_d_as_numpy_does(d):
     s = np.repeat(np.arange(4), runs)
     got = tree_mod._own_center_d2(x, centers, runs)
     diff = x[:, None, :] - centers[:, :, s]  # (d, k, points)
-    want = np.ascontiguousarray(diff.transpose(1, 2, 0) ** 2).sum(axis=-1)
+    want = np.ascontiguousarray(diff**2).sum(axis=0)  # in d's order
     assert got.tobytes() == want.tobytes()
 
 
