@@ -5,8 +5,11 @@ on both sides into A, only the top right singular pairs of A are computed,
 as eigenpairs of A'A reached through products with A, and new points embed
 through their normalized kernel rows. `extend_batch` is the one path from new
 points to coordinates, for one point or many. Test points never touch the
-weights or each other. The kernel is built feature-major, one (rows, n_ref)
-plane per feature, and a batch's rows are normalized in place.
+weights or each other. Each row block of the kernel is one matrix product
+of the centred points' features against the reference's, clamped so that
+q >= 0, and a batch's rows are normalized in place. Entries agree with the
+kernel's formula to about 1e-14 relative, and a row's last bits may change
+with the number of rows in its batch.
 """
 
 from __future__ import annotations
@@ -72,9 +75,17 @@ def asymmetric_kernel(Z, x_ref, weights, sigma: float) -> np.ndarray:
 
     rows indexed by the stacked points Z, columns by the reference points.
     Only the reference point's weights enter; determinants go through logs.
-    The quadratic form is the running sum of per-feature (rows, n_ref)
-    planes in feature order, equal bit for bit to the sum over an
-    (m, rows, n_ref) stack.
+    With w = 1 / (sigma^2 u_x) the form separates,
+
+        q / sigma^2 = (z o z) . w - 2 z . (x o w) + sum_f x_f^2 w_f,
+
+    so each row block is one matrix product of [z o z, z, 1] with
+    [-w; 2 x o w; -sum_f x_f^2 w_f - log sqrt(det W_x)], the two products of
+    the expansion stacked along the inner axis and written into the output.
+    Both sides are first centred on the reference mean, which leaves q
+    unchanged and keeps the cancellation small; q is clamped at 0. Entries
+    agree with the formula to about 1e-14 relative on the fit's inputs, and
+    a row may differ in its last bits with the number of rows in the batch.
     """
     Zv = _as_rows(Z)
     Xr = as_values(x_ref)
@@ -84,29 +95,26 @@ def asymmetric_kernel(Z, x_ref, weights, sigma: float) -> np.ndarray:
     if Zv.shape[1] != Xr.shape[1]:
         raise ValueError(f"points have {Zv.shape[1]} features, the reference points "
                          f"{Xr.shape[1]}")
-    if np.any(u <= 0):
+    if not (u > 0).all():  # NaN fails too
         raise ValueError("W_x diagonals must be positive")
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    half_logdet = 0.5 * np.log(u).sum(axis=1)  # log sqrt(det W_x)
-    # feature-major (m, points) copies: one (rows, n_ref) plane per feature
-    zt, xt, w_inv = Zv.T.copy(), Xr.T.copy(), (1.0 / u).T.copy()
+    xt, ut = Xr.T.copy(), u.T.copy()  # feature-major (m, n_ref)
+    mean = xt.mean(axis=1)
+    xt -= mean[:, None]
+    w = 1.0 / (sigma**2 * ut)
+    half_logdet = 0.5 * np.log(ut).sum(axis=0)  # log sqrt(det W_x)
+    xw = xt * w
+    coef = np.vstack([-w, 2.0 * xw, -(xt * xw).sum(axis=0) - half_logdet])
+    zc = Zv - mean
+    lead = np.hstack([zc * zc, zc, np.ones((zc.shape[0], 1))])
     out = _empty_mapped((Zv.shape[0], Xr.shape[0]))
     block = _rows_per_block(Xr.shape[0], PLANE_DEPTH)
     for i0 in range(0, Zv.shape[0], block):
-        i1 = min(Zv.shape[0], i0 + block)
-
-        q = None
-        for y in range(Xr.shape[1]):
-            t = np.subtract.outer(zt[y, i0:i1], xt[y])
-            np.square(t, out=t)
-            t *= w_inv[y]
-            q = t if q is None else np.add(q, t, out=q)
-        # exp(-q / sigma**2 - half_logdet), in place
-        np.negative(q, out=q)
-        q /= sigma**2
-        q -= half_logdet
-        np.exp(q, out=out[i0:i1])
+        rows = out[i0:i0 + block]
+        np.matmul(lead[i0:i0 + block], coef, out=rows)  # -q / sigma^2 - half_logdet
+        np.minimum(rows, -half_logdet, out=rows)  # q >= 0
+        np.exp(rows, out=rows)
     return out
 
 

@@ -318,7 +318,7 @@ def weighted_kernel(X, weights, sigma: float | None = None) -> AffinityMatrix:
     u = weights.inv_diag() if isinstance(weights, WeightField) else np.asarray(weights, dtype=float)
     if u.shape != values.shape:
         raise ValueError(f"weight diagonals {u.shape} do not match data {values.shape}")
-    if np.any(u <= 0):
+    if not (u > 0).all():  # NaN fails too
         raise ValueError("W_x diagonals must be positive")
     if sigma is None:
         sigma = float(np.sqrt(_median_quadratic_scale(values, u)))

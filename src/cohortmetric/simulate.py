@@ -53,21 +53,28 @@ class TrialSpec:
             raise ValueError(f"unknown trial kind {self.kind!r}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.weibull_lam <= 0 or self.weibull_k <= 0:
-            raise ValueError("Weibull parameters must be positive")
-        if self.horizon is not None and self.horizon <= 0:
+        # each test is written so that NaN fails it
+        if not (0 < self.weibull_lam < np.inf and 0 < self.weibull_k < np.inf):
+            raise ValueError("Weibull parameters must be positive and finite")
+        if self.horizon is not None and not self.horizon > 0:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
         if self.outcome_target is not None and not 0 < self.outcome_target <= 1:
             raise ValueError("outcome_target must be in (0, 1]")
         if not 0 < self.p_treated < 1:
             raise ValueError("p_treated must be in (0, 1)")
-        if self.condition_bound < 1:
+        if not self.condition_bound >= 1:
             raise ValueError("condition bound must be >= 1")
         if self.kind == "sphere" and (self.dim < 3 or self.dim % 3 != 0):
             raise ValueError(f"sphere trial dimension must be a positive multiple of 3, "
                              f"got {self.dim}")
         if self.kind != "sphere" and self.dim < 2:
             raise ValueError(f"{self.kind} trial needs dimension >= 2, got {self.dim}")
+        if not 0 < self.sup_effect < np.inf:
+            raise ValueError(f"sup_effect must be positive and finite, got {self.sup_effect}")
+        if self.gamma and self.kind == "sphere":
+            raise ValueError("a sphere trial has no treatment propensity: gamma must be empty")
+        if self.gamma and len(self.gamma) != self.dim:
+            raise ValueError(f"gamma must have length {self.dim}, got {len(self.gamma)}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -85,10 +92,7 @@ class TrialSpec:
 
     def resolve_gamma(self) -> np.ndarray:
         if self.gamma:
-            g = np.asarray(self.gamma, dtype=float)
-            if g.shape != (self.dim,):
-                raise ValueError(f"gamma must have length {self.dim}")
-            return g
+            return np.asarray(self.gamma, dtype=float)
         g = np.zeros(self.dim)
         g[:2] = 1.0
         return g

@@ -194,20 +194,20 @@ def _breslow_table(t: np.ndarray, events: np.ndarray, treatments: np.ndarray):
     te = t[ev]
     if not te.size:
         return None
-    first = np.empty(te.size, dtype=bool)  # first event of each distinct time
-    first[0] = True
-    np.not_equal(te[1:], te[:-1], out=first[1:])
-    group = np.flatnonzero(first)
-    bounds = np.append(group, te.size)
+    first = np.empty(te.size + 1, dtype=bool)  # first event of each distinct time, then the end
+    first[0] = first[-1] = True
+    np.not_equal(te[1:], te[:-1], out=first[1:-1])
+    bounds = np.flatnonzero(first)
+    group = bounds[:-1]
     uniq = te[group]
     start = np.searchsorted(t, uniq, side="left")
     treated_suffix = np.cumsum(treatments[::-1])[::-1]  # treated among positions >= i
     return {
         "times": uniq,
-        "d": (bounds[1:] - bounds[:-1]).astype(float),
-        "d1": np.add.reduceat(treatments[ev], group).astype(float),
-        "r": (t.size - start).astype(float),
-        "r1": treated_suffix[start].astype(float),
+        "d": np.subtract(bounds[1:], group, dtype=float),
+        "d1": np.add.reduceat(treatments[ev], group).astype(float, copy=False),
+        "r": np.subtract(t.size, start, dtype=float),
+        "r1": treated_suffix[start].astype(float, copy=False),
     }
 
 
@@ -218,30 +218,43 @@ def _risk_set_counts(records: SurvivalRecords):
                           records.treatments[order])
 
 
-def _partial_loglik_terms(alpha, d, d1, r, r1):
+def _partial_loglik_terms(alpha, d, d1, r, r1, r0=None):
     """l, l', l'' of the Breslow one-parameter partial likelihood.
 
     Written so the exponential is always of -|alpha|, keeping the terms
     finite far beyond the divergence cap. The denominator is positive for
     |alpha| <= ALPHA_CAP + 5, so a time with no treated at risk (r1 = 0)
-    gets frac = 0 exactly.
+    gets frac = 0 exactly. r0 = r - r1, the untreated at risk, may be
+    passed in by a caller that evaluates many alphas.
     """
-    r0 = r - r1
+    if r0 is None:
+        r0 = r - r1
+    work = np.empty((5, d.size))
+    l_terms, lp_terms, lpp_terms, den, frac = work  # summands of l, l', -l'', then work rows
+    # ufunc outputs are passed by position: the `out=` keyword costs more
+    # than the arithmetic on a cohort's hundred or so event times
     if alpha >= 0:
-        e = np.exp(-alpha)
-        den = r1 + r0 * e
-        log_denom = alpha + np.log(den)
-        frac = r1 / den
+        np.multiply(r0, np.exp(-alpha), den)
+        np.add(den, r1, den)
+        np.divide(r1, den, frac)
+        log_denom = np.log(den, den)
+        np.add(log_denom, alpha, log_denom)
     else:
-        e = np.exp(alpha)
-        den = r0 + r1 * e
-        log_denom = np.log(den)
-        frac = r1 * e / den
-    # add.reduce is what ndarray.sum and np.sum run, without their wrappers
-    l = float(np.add.reduce(alpha * d1 - d * log_denom))
-    lp = float(np.add.reduce(d1 - d * frac))
-    lpp = float(-np.add.reduce(d * frac * (1.0 - frac)))
-    return l, lp, lpp
+        np.multiply(r1, np.exp(alpha), frac)
+        np.add(r0, frac, den)
+        np.divide(frac, den, frac)
+        log_denom = np.log(den, den)
+    np.multiply(alpha, d1, l_terms)
+    np.multiply(log_denom, d, log_denom)
+    np.subtract(l_terms, log_denom, l_terms)
+    d_frac = np.multiply(d, frac, den)  # reused by l' and l''
+    np.subtract(d1, d_frac, lp_terms)
+    np.subtract(1.0, frac, frac)
+    np.multiply(d_frac, frac, lpp_terms)
+    # one reduce over the three rows sums each as a 1-d add.reduce (what
+    # ndarray.sum runs) would, bit for bit
+    l, lp, minus_lpp = np.add.reduce(work[:3], 1).tolist()
+    return l, lp, -minus_lpp
 
 
 def _partial_estimate(n0: int, n1: int, counts, balance_threshold: float) -> LocalEffectEstimate:
@@ -250,20 +263,24 @@ def _partial_estimate(n0: int, n1: int, counts, balance_threshold: float) -> Loc
     if counts is None or n0 == 0 or n1 == 0:
         return LocalEffectEstimate(np.nan, n0, n1, "partial", balanced=balanced, defined=False)
     d, d1, r, r1 = counts["d"], counts["d1"], counts["r"], counts["r1"]
+    r0 = r - r1
     # score limits at alpha -> +/- inf; a finite maximizer needs
-    # l'(-inf) > 0 > l'(+inf), otherwise the likelihood is monotone
-    score_plus = float((d1 - d * (r1 > 0)).sum())
-    score_minus = float((d1 - d * (r1 == r)).sum())
-    if score_plus >= 0:
+    # l'(-inf) > 0 > l'(+inf), otherwise the likelihood is monotone:
+    # l'(+inf) = sum(d1) - sum(d where r1 > 0), l'(-inf) = sum(d1) - sum(d
+    # where r0 = 0). r1 and r0 never increase along the table, so r1 > 0 on
+    # a prefix and r0 = 0 on a suffix; the counts are whole numbers, so the
+    # sums are exact in any order
+    treated_events = np.add.reduce(d1)
+    if treated_events >= np.add.reduce(d[:np.count_nonzero(r1)]):
         return LocalEffectEstimate(
             np.inf, n0, n1, "partial", balanced=balanced, defined=False, diverged=True
         )
-    if score_minus <= 0:
+    if treated_events <= np.add.reduce(d[np.count_nonzero(r0):]):
         return LocalEffectEstimate(
             -np.inf, n0, n1, "partial", balanced=balanced, defined=False, diverged=True
         )
     alpha = 0.0
-    l, lp, lpp = _partial_loglik_terms(alpha, d, d1, r, r1)
+    l, lp, lpp = _partial_loglik_terms(alpha, d, d1, r, r1, r0)
     lo, hi = -ALPHA_CAP - 5, ALPHA_CAP + 5
     for _ in range(100):
         if not math.isfinite(lp) or abs(lp) < 1e-12:
@@ -272,12 +289,12 @@ def _partial_estimate(n0: int, n1: int, counts, balance_threshold: float) -> Loc
             break
         step = -lp / lpp
         new_alpha = min(max(alpha + step, lo), hi)
-        new_l, new_lp, new_lpp = _partial_loglik_terms(new_alpha, d, d1, r, r1)
+        new_l, new_lp, new_lpp = _partial_loglik_terms(new_alpha, d, d1, r, r1, r0)
         halvings = 0
         # `not >=` so a non-finite candidate keeps halving toward the iterate
         while not (new_l >= l - 1e-12) and halvings < 50:
             new_alpha = alpha + 0.5 * (new_alpha - alpha)
-            new_l, new_lp, new_lpp = _partial_loglik_terms(new_alpha, d, d1, r, r1)
+            new_l, new_lp, new_lpp = _partial_loglik_terms(new_alpha, d, d1, r, r1, r0)
             halvings += 1
         if abs(new_alpha - alpha) < 1e-13:
             break
@@ -537,8 +554,8 @@ class LocalAlphaFunctional:
         if self.kind == "partial":
             pos = np.sort(self._rank[idx])
             t, events, treatments = (col[pos] for col in self._by_time)
-            n0, n1, _, _ = _arm_stats(events, treatments)
-            return _partial_estimate(n0, n1, _breslow_table(t, events, treatments),
+            n1 = np.count_nonzero(treatments)
+            return _partial_estimate(idx.size - n1, n1, _breslow_table(t, events, treatments),
                                      self.balance_threshold)
         counts = _arm_stats(self.records.events[idx], self.records.treatments[idx])
         return _moments_estimate(*counts, self.balance_threshold)

@@ -128,6 +128,14 @@ def test_asymmetry_check_reports_the_full_maximum(rows, monkeypatch):
     diffusion.AffinityMatrix(K, sigma=1.0)  # 1e-13 is within the tolerance
 
 
+@pytest.mark.parametrize("at", [(0, 1), (2, 2)])
+def test_affinity_matrix_refuses_nan_entries(at):
+    K = np.ones((4, 4))
+    K[at] = K[at[::-1]] = np.nan  # symmetric, so only the NaN is wrong
+    with pytest.raises(ValueError, match="not finite"):
+        diffusion.AffinityMatrix(K, sigma=1.0)
+
+
 def _is_mapped(a) -> bool:
     while isinstance(a, np.ndarray):
         a = a.base

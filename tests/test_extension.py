@@ -47,26 +47,43 @@ def test_one_sided_rows_differ_from_symmetric_kernel():
 
 
 def _asymmetric_oracle(Z, X, u, sigma):
-    """The formula in one C-contiguous (m, rows, n_ref) stack, summed over
-    its first axis."""
-    diff2 = (Z.T.copy()[:, :, None] - X.T.copy()[:, None, :]) ** 2
+    """The formula in one (m, rows, n_ref) stack of squared differences."""
+    diff2 = (Z.T[:, :, None] - X.T[:, None, :]) ** 2
     q = (diff2 * (1.0 / u).T[:, None, :]).sum(axis=0)
     return np.exp(-q / sigma**2 - (0.5 * np.log(u).sum(axis=1))[None, :])
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 8, 9, 17, 130])
 @pytest.mark.parametrize("rows", [None, 3])
-def test_feature_major_asymmetric_kernel_matches_the_3d_formula_bit_for_bit(m, rows, monkeypatch):
+@pytest.mark.parametrize("offset", [0.0, 1e3])
+def test_asymmetric_kernel_matches_the_3d_formula(m, rows, offset, monkeypatch):
     from cohortmetric import extension
 
     if rows is not None:  # many row blocks instead of one
         monkeypatch.setattr(extension, "_rows_per_block", lambda n_cols, m: rows)
     rng = np.random.default_rng(m)
-    X = rng.normal(size=(80, m))
+    X = rng.normal(size=(80, m)) + offset
     u = rng.uniform(0.05, 4.0, size=(80, m))
-    Z = np.vstack([rng.normal(size=(20, m)), X[:5]])
+    Z = np.vstack([rng.normal(size=(20, m)) + offset, X[:5]])
     got = asymmetric_kernel(Z, X, u, sigma=1.3)
-    assert got.tobytes() == _asymmetric_oracle(Z, X, u, 1.3).tobytes()
+    want = _asymmetric_oracle(Z, X, u, 1.3)
+    assert want.min() > 0  # no entry underflows: the relative test sees all
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_asymmetric_kernel_of_near_duplicates_is_at_most_its_peak():
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(60, 9)) + 5.0
+    u = rng.uniform(0.05, 4.0, size=(60, 9))
+    Z = np.vstack([X, X + 1e-9 * rng.normal(size=X.shape)])
+    K = asymmetric_kernel(Z, X, u, sigma=0.7)
+    logdet = np.log(u[:, 0])
+    for f in range(1, 9):  # in feature order, as the kernel adds the logs
+        logdet = logdet + np.log(u[:, f])
+    peak = np.exp(-0.5 * logdet)  # the entry at q = 0
+    assert (K <= peak[None, :]).all()  # q >= 0 after the clamp
+    for rows in (K[:60], K[60:]):
+        np.testing.assert_allclose(np.diagonal(rows), peak, rtol=1e-12)
 
 
 def test_extend_batch_matches_the_copying_normalization_bit_for_bit():
@@ -156,6 +173,17 @@ def test_points_of_another_width_are_refused(width):
         asymmetric_kernel(Z, X, uniform_weights(30, 4), sigma=1.1)
     with pytest.raises(ValueError, match=f"points have {width} features"):
         extend_batch(ref, Z)
+
+
+def test_a_nan_weight_diagonal_is_refused():
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(30, 4))
+    u = rng.uniform(0.5, 2.0, size=(30, 4))
+    u[11, 1] = np.nan
+    with pytest.raises(ValueError, match="W_x diagonals must be positive"):
+        asymmetric_kernel(X[:5], X, u, sigma=1.1)
+    with pytest.raises(ValueError, match="W_x diagonals must be positive"):
+        build_reference(X, u, sigma=1.1, n_components=3)  # before the eigensolver
 
 
 # --- extend ---------------------------------------------------------------------------

@@ -529,6 +529,21 @@ def test_predict_cohorts_are_the_nearest_reference_points(small_trial, small_mod
     assert not preds.balanced.any()
 
 
+def test_predict_serves_a_point_alike_in_any_batch(small_model):
+    # the reference kernel is a matrix product, so a row's last bits may
+    # change with the batch's row count; the cohorts and estimates must not
+    Z = gen_sphere_trial(TrialSpec("sphere", n=60, seed=22)).data.values
+    whole = predict(small_model, Z)
+    assert np.isfinite(whole.estimates).sum() > 50
+    for size in (1, 7):
+        parts = [predict(small_model, Z[i:i + size]) for i in range(0, len(Z), size)]
+        for field in ("estimates", "balanced", "n_neighbors", "in_support"):
+            got = np.concatenate([getattr(p, field) for p in parts])
+            assert got.tobytes() == getattr(whole, field).tobytes(), (size, field)
+        coords = np.vstack([p.coords for p in parts])
+        np.testing.assert_allclose(coords, whole.coords, rtol=1e-12, atol=0)
+
+
 def test_multiscale_coarse_value_is_the_served_estimate(small_trial, small_model):
     from cohortmetric.metric import multiscale_estimate
 
@@ -737,6 +752,21 @@ def test_cli_propensity_trial_of_one_feature_exits_2(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["simulate", "--config", str(p), "--out", str(out)]) == 2
     assert "dimension >= 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("trial", [
+    {"kind": "sphere", "weibull_lam": float("nan")},  # written as NaN, which json reads
+    {"kind": "sphere", "sup_effect": 0.0},
+    {"kind": "propensity", "dim": 4, "gamma": [1.0, 1.0]},
+    {"kind": "sphere", "gamma": [1.0] * 9},
+])
+def test_cli_simulate_refuses_a_bad_trial_value_with_exit_2(tmp_path, capsys, trial):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"trial": {"n": 50, **trial}}))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(p), "--out", str(out)]) == 2
+    assert "invalid trial spec" in capsys.readouterr().err
     assert not out.exists()
 
 

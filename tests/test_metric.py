@@ -249,6 +249,16 @@ def test_weighted_kernel_diagonal_value():
     np.testing.assert_allclose(np.diagonal(K), expected, rtol=1e-12)
 
 
+@pytest.mark.parametrize("sigma", [None, 0.9])
+def test_weighted_kernel_refuses_a_nan_weight_diagonal(sigma):
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(30, 4))
+    u = rng.uniform(0.2, 2.0, size=(30, 4))
+    u[7, 2] = np.nan
+    with pytest.raises(ValueError, match="W_x diagonals must be positive"):
+        weighted_kernel(X, u, sigma=sigma)
+
+
 def test_weighted_kernel_psd_with_extreme_spreads():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(50, 9))

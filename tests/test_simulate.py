@@ -228,3 +228,25 @@ def test_spec_validation():
             TrialSpec(kind, n=50, dim=1)
     with pytest.raises(ValueError, match="unknown trial spec keys"):
         TrialSpec.from_dict({"kind": "sphere", "n": 10, "bogus_key": 1})
+
+
+# Values that construction let through and generation then failed on
+# (a NaN passes `<= 0`), or that the trial ignored.
+BAD_SPECS = [
+    (dict(kind="sphere", weibull_lam=float("nan")), "Weibull"),
+    (dict(kind="random", weibull_k=float("inf")), "Weibull"),
+    (dict(kind="sphere", sup_effect=0.0), "sup_effect"),
+    (dict(kind="sphere", sup_effect=-2.0), "sup_effect"),
+    (dict(kind="sphere", sup_effect=float("nan")), "sup_effect"),
+    (dict(kind="propensity", gamma=(1.0, 1.0)), "gamma must have length 9"),
+    (dict(kind="random", dim=6, gamma=(1.0,) * 7), "gamma must have length 6"),
+    (dict(kind="sphere", gamma=(1.0,) * 9), "sphere trial has no treatment propensity"),
+    (dict(kind="sphere", horizon=float("nan")), "horizon"),
+    (dict(kind="random", condition_bound=float("nan")), "condition bound"),
+]
+
+
+@pytest.mark.parametrize("fields, message", BAD_SPECS)
+def test_spec_refuses_what_generation_would_trip_on(fields, message):
+    with pytest.raises(ValueError, match=message):
+        TrialSpec(n=50, **fields)

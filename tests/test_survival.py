@@ -22,6 +22,8 @@ from cohortmetric.survival import (
     weibull_sample,
 )
 
+import partial_oracle
+
 
 def random_cohort(rng, n=60, alpha=0.7, horizon=1.0):
     T = (rng.random(n) < 0.5).astype(int)
@@ -291,6 +293,62 @@ def test_presorted_detail_matches_partial_likelihood_on_the_subset_bit_for_bit()
         seen.add("finite" if np.isfinite(got.alpha) else
                  "undefined" if np.isnan(got.alpha) else f"{got.alpha:+}")
     assert seen == {"finite", "undefined", "+inf", "-inf"}
+
+
+def _oracle_cohorts(rng, records):
+    """Cohorts of every kind the estimator branches on, plus random draws."""
+    n = len(records)
+    treated, event = records.treatments == 1, records.events == 1
+    cohorts = [rng.choice(n, size, replace=False) for size in rng.integers(2, 300, 400)]
+    return cohorts + [
+        rng.choice(np.flatnonzero(treated), 40, replace=False),  # one arm only
+        rng.choice(np.flatnonzero(~treated), 40, replace=False),
+        rng.choice(np.flatnonzero(~event), 60, replace=False),  # no events
+        # events in one arm only: the likelihood is monotone, +inf and -inf
+        np.concatenate([rng.choice(np.flatnonzero(treated & event), 15, replace=False),
+                        rng.choice(np.flatnonzero(~treated & ~event), 25, replace=False)]),
+        np.concatenate([rng.choice(np.flatnonzero(~treated & event), 15, replace=False),
+                        rng.choice(np.flatnonzero(treated & ~event), 25, replace=False)]),
+        np.arange(n)[::-1],
+    ]
+
+
+@pytest.mark.parametrize("decimals", [None, 1, 0])  # distinct times, ties, heavy ties
+@pytest.mark.parametrize("threshold", [0.8, 0.6])
+def test_detail_equals_the_frozen_partial_estimator_bit_for_bit(decimals, threshold):
+    rng = np.random.default_rng(41 if decimals is None else 42 + decimals)
+    n = 900
+    times = rng.exponential(1.0, n)
+    if decimals is not None:
+        times = np.round(times, decimals)
+    events = (rng.random(n) < 0.5).astype(int)
+    arms = (rng.random(n) < 0.5).astype(int)
+    records = SurvivalRecords(times, events, arms)
+    F = LocalAlphaFunctional(records, "partial", min_cohort=2, balance_threshold=threshold)
+    seen = set()
+    for idx in _oracle_cohorts(rng, records):
+        got = F.detail(idx)
+        want = partial_oracle.cohort_estimate(records, idx, threshold)
+        assert _estimate_bits(got) == _estimate_bits(want)
+        seen.add("finite" if np.isfinite(got.alpha) else
+                 "undefined" if np.isnan(got.alpha) else f"{got.alpha:+}")
+    assert seen == {"finite", "undefined", "+inf", "-inf"}
+
+
+def test_loglik_terms_equal_the_frozen_evaluation_bit_for_bit():
+    from cohortmetric.survival import _partial_loglik_terms, _risk_set_counts
+
+    alphas = [0.0, -0.0, 1e-9, -1e-9, 0.37, -0.37, 3.0, -3.0, 49.9, -49.9, 55.0, -55.0]
+    for rec in tied_cohorts(seed=43, count=120):
+        c = _risk_set_counts(rec)
+        if c is None:
+            continue
+        args = (c["d"], c["d1"], c["r"], c["r1"])
+        for a in alphas:
+            want = np.array(partial_oracle.loglik_terms(a, *args))
+            for got in (_partial_loglik_terms(a, *args),
+                        _partial_loglik_terms(a, *args, c["r"] - c["r1"])):
+                assert np.array(got).tobytes() == want.tobytes(), a
 
 
 def test_estimators_agree_in_sign_when_strong():
