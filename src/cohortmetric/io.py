@@ -235,11 +235,31 @@ def save_model(model_dir, model) -> None:
     (d / "report.txt").write_text("\n".join(report_lines) + "\n")
 
 
+def _same_rows(path, ids, train_ids) -> None:
+    if not np.array_equal(ids, train_ids):
+        raise ValueError(f"{path}: row ids differ from those of xref.csv")
+
+
+def _model_matrix(path, train_ids=None, n_rows=None) -> np.ndarray:
+    """A matrix file of a saved model. Its row ids must be `train_ids` in
+    order, or it must have `n_rows` rows, where either is given."""
+    ids, matrix, _ = read_matrix_csv(path)
+    if train_ids is not None:
+        _same_rows(path, ids, train_ids)
+    if n_rows is not None and len(ids) != n_rows:
+        raise ValueError(f"{path}: {len(ids)} rows, but xref.csv has {n_rows}")
+    return matrix
+
+
 def load_model(model_dir):
     """Rebuild a FittedModel (reference side) from a saved artifact.
 
     The dimension comes from the saved config, the diffusion time from
-    `metric.DIFFUSION_TIME`, the iteration count from the saved history."""
+    `metric.DIFFUSION_TIME`, the iteration count from the saved history.
+    Files that disagree are a ValueError naming the file: the per-point
+    files must carry xref.csv's ids in xref.csv's order, psi.csv and d2.csv
+    one row per reference point, and psi.csv and ref_coords.csv one column
+    per singular value."""
     from .config import RunConfig
     from .diffusion import DiffusionEmbedding
     from .extension import ReferenceEmbedding
@@ -257,12 +277,18 @@ def load_model(model_dir):
     meta = read_json(d / "config.json")
     config = RunConfig.from_dict(meta["config"])
     train_ids, x_ref, feature_names = read_matrix_csv(d / "xref.csv")
-    _, records = read_records_csv(d / "train_records.csv")
-    _, point_weights, _ = read_matrix_csv(d / "weights.csv")
-    _, psi, _ = read_matrix_csv(d / "psi.csv")
-    _, ref_coords, _ = read_matrix_csv(d / "ref_coords.csv")
-    _, d2_col, _ = read_matrix_csv(d / "d2.csv")
-    _, svals_col, _ = read_matrix_csv(d / "singular_values.csv")
+    record_ids, records = read_records_csv(d / "train_records.csv")
+    _same_rows(d / "train_records.csv", record_ids, train_ids)
+    point_weights = _model_matrix(d / "weights.csv", train_ids)
+    ref_coords = _model_matrix(d / "ref_coords.csv", train_ids)
+    eigenvectors = _model_matrix(d / "eigenvectors.csv", train_ids)
+    psi = _model_matrix(d / "psi.csv", n_rows=len(train_ids))
+    d2_col = _model_matrix(d / "d2.csv", n_rows=len(train_ids))
+    svals_col = _model_matrix(d / "singular_values.csv")
+    for name, matrix in (("psi.csv", psi), ("ref_coords.csv", ref_coords)):
+        if matrix.shape[1] != len(svals_col):
+            raise ValueError(f"{d / name}: rank {matrix.shape[1]}, but singular_values.csv "
+                             f"holds {len(svals_col)} values")
     weights = WeightField(point_weights, float(meta["lam"]))
     ref = ReferenceEmbedding(
         x_ref=x_ref,
@@ -273,7 +299,6 @@ def load_model(model_dir):
         d2=d2_col[:, 0],
         coords=ref_coords,
     )
-    _, eigenvectors, _ = read_matrix_csv(d / "eigenvectors.csv")
     embedding = DiffusionEmbedding(
         np.array(meta["eigenvalues"]), eigenvectors, DIFFUSION_TIME, config.dim
     )

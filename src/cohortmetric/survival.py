@@ -133,7 +133,7 @@ class CoxFit:
 
 def weibull_sample(lam: float, k: float, rng: np.random.Generator, size=None):
     """Outcome times with survival function S(t) = exp(-lam * t^k)."""
-    if lam <= 0 or k <= 0:
+    if not (lam > 0 and k > 0):
         raise ValueError(f"Weibull parameters must be positive, got lam={lam}, k={k}")
     u = rng.random(size)
     return (-np.log(u) / lam) ** (1.0 / k)
@@ -491,7 +491,8 @@ class RecommendationGroups:
 
 
 def recommend_groups(estimates, treatments, c: float) -> RecommendationGroups:
-    """Split patients by the sign-vs-arm rules at threshold c * std(estimates).
+    """Split patients by the sign-vs-arm rules at threshold c * std(estimates),
+    for a multiplier c >= 0 (a negative c would put a patient in two groups).
 
     Estimates are on the harm scale (positive = treatment raises the hazard):
     a patient followed the recommendation when the estimate exceeds the
@@ -504,6 +505,8 @@ def recommend_groups(estimates, treatments, c: float) -> RecommendationGroups:
         raise ValueError("estimates and treatments must align")
     if f.size == 0:
         raise ValueError("no estimates to split")
+    if not c >= 0:
+        raise ValueError(f"threshold multiplier c must be nonnegative, got {c}")
     if not np.all(np.isfinite(f)):
         raise ValueError("estimates must be finite; filter undefined points first")
     sigma = float(np.std(f))
@@ -599,8 +602,11 @@ class HazardModel:
     y0: object = 0.0
 
     def __post_init__(self):
-        if self.lam <= 0 or self.k <= 0:
-            raise ValueError("baseline Weibull parameters must be positive")
+        if not (self.lam > 0 and self.k > 0):
+            raise ValueError(f"baseline Weibull parameters must be positive, got lam={self.lam}, "
+                             f"k={self.k}")
+        if not np.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
 
     def y0_values(self, X) -> np.ndarray:
         if callable(self.y0):
@@ -613,8 +619,8 @@ class AdministrativeCensoring:
     horizon: float
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not self.horizon > 0:
+            raise ValueError(f"horizon must be positive, got {self.horizon}")
 
 
 @dataclass(frozen=True)
@@ -623,8 +629,10 @@ class ExponentialCensoring:
     horizon: float = np.inf
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError("censoring rate must be positive")
+        if not self.rate > 0:
+            raise ValueError(f"censoring rate must be positive, got {self.rate}")
+        if not self.horizon > 0:
+            raise ValueError(f"horizon must be positive, got {self.horizon}")
 
 
 def _censor(times: np.ndarray, treatments: np.ndarray, censor_times) -> SurvivalRecords:

@@ -3,20 +3,14 @@
 A tree is a list of levels; level 1 is the whole point set, the last level is
 all singletons, and every level partitions the points exactly. Folders that
 reach the stopping size are carried through unchanged until the singleton
-level is appended. A tree is exactly what both builders make: coarse-to-fine
-lists with one sorted point array per folder. A folder's parent is the
+level is appended. A tree is exactly what `build_topdown` makes:
+coarse-to-fine lists with one sorted point array per folder. A folder's parent is the
 folder of the previous level that contains it, found when it is needed.
 
 The top-down tree is level-synchronous: one `kmeans_split` call splits every
 splittable folder of a level, its Lloyd iterations running over all of the
 level's points with a segment id per (restart, folder). The result is that
 of running k-means on each folder alone, in folder order, bit for bit.
-
-The bottom-up tree is a greedy eps-cover followed by size-weighted centroid
-agglomeration, taken from one `scipy.cluster.hierarchy.linkage` call
-(Müllner 2011). Where two candidate merges tie exactly, scipy's order
-decides which is taken first. The fit builds only top-down trees;
-`build_bottomup` is not reachable from `RunConfig`.
 """
 
 from __future__ import annotations
@@ -24,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.cluster.hierarchy import linkage
 
 from .diffusion import DiffusionEmbedding
 from .rng import substream
@@ -295,69 +288,5 @@ def build_topdown(emb: DiffusionEmbedding, k: int = 2, min_folder: int = 1,
         levels.append(nxt)
     if len(levels) == 1 or any(len(pts) > 1 for pts in levels[-1]):
         levels.append([np.array([p]) for pts in levels[-1] for p in pts])
-    return PartitionTree(levels)
-
-
-def build_bottomup(emb: DiffusionEmbedding, eps: float) -> PartitionTree:
-    """Greedy eps-cover of the embedded points, then size-weighted centroid
-    agglomeration of the cover folders up to the root.
-
-    Each step merges the two folders whose centroids (the means of their
-    points) are closest; the merged folder takes the list position of the
-    earlier of its two parts. The merges come from one
-    `linkage(..., method="centroid")` call on one observation per point,
-    placed at its cover folder's centroid, so that linkage's cluster sizes
-    are point counts. A row whose two parts already lie in one folder adds
-    no level: these are the n - L rows that join copies of one cover folder
-    at distance 0, and, where two folders' centroids coincide, rows that
-    join copies of the folder that merged them. Where two candidate merges
-    tie exactly, scipy's order decides which is taken first. The singleton
-    level, if the cover is not already singletons, is in point order.
-    """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    coords = emb.coords
-    n = coords.shape[0]
-    uncovered = np.ones(n, dtype=bool)
-    cover: list[np.ndarray] = []
-    while uncovered.any():
-        center = int(np.argmax(uncovered))  # first uncovered index
-        d = np.linalg.norm(coords - coords[center], axis=1)
-        members = np.where(uncovered & (d <= eps))[0]
-        cover.append(members)
-        uncovered[members] = False
-
-    # fine-to-coarse: replay linkage's merges over the folder list
-    fine_levels: list[list[np.ndarray]] = [cover]
-    if len(cover) > 1:
-        sizes = [len(pts) for pts in cover]
-        centroids = np.array([coords[pts].mean(axis=0) for pts in cover])
-        merges = linkage(np.repeat(centroids, sizes, axis=0), method="centroid")
-        points = list(cover)  # by folder id; each merge adds a folder
-        into = list(range(len(cover)))  # the folder each folder was merged into, or itself
-        folder = np.repeat(np.arange(len(cover)), sizes).tolist()  # one per linkage cluster
-        order = list(range(len(cover)))  # folder ids in list order
-
-        def now(f):  # the folder that f is part of
-            while into[f] != f:
-                f = into[f]
-            return f
-
-        for a, b in merges[:, :2].astype(int):
-            fa, fb = now(folder[a]), now(folder[b])
-            if fa != fb:
-                i, j = sorted((order.index(fa), order.index(fb)))
-                new = len(points)
-                points.append(np.sort(np.concatenate([points[fa], points[fb]])))
-                into.append(new)
-                into[fa] = into[fb] = new
-                order[i] = new
-                del order[j]
-                fine_levels.append([points[f] for f in order])
-            folder.append(now(fa))
-
-    levels = fine_levels[::-1]
-    if any(len(pts) > 1 for pts in levels[-1]):
-        levels.append([np.array([p]) for p in range(n)])
     return PartitionTree(levels)
 

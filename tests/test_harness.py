@@ -345,7 +345,8 @@ def test_fit_memory_estimate_bounds_a_measured_fit():
 
 def test_the_library_never_imports_scipy_stats(tmp_path):
     """scipy.stats adds about 33 MB to every process; the library takes its
-    two scalar functions from scipy.special instead."""
+    two scalar functions from scipy.special instead. No module of the
+    library needs scipy.cluster either."""
     code = (
         "import sys\n"
         "from cohortmetric import io\n"
@@ -359,7 +360,7 @@ def test_the_library_never_imports_scipy_stats(tmp_path):
         f"model = io.load_model({str(tmp_path / 'model')!r})\n"
         "predict(model, ds.data)\n"
         "assert recommend_pipeline(model, ds.data, ds.records).logrank is not None\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.cluster'))))\n"
     )
     assert _last_line_of_a_fresh_interpreter(code) == "[]"
 
@@ -661,6 +662,34 @@ def test_cli_extend_on_a_corrupt_tree_exits_1(tmp_path, small_trial, small_model
     assert main(["extend", "--model", str(model_dir), "--data", str(data),
                  "--out", str(tmp_path / "ext")]) == 1
     assert "error: level 2: folders overlap or miss a point" in capsys.readouterr().err
+
+
+def _reverse_rows(lines):
+    return lines[:1] + lines[:0:-1]
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("train_records.csv", _reverse_rows, "row ids differ from those of xref.csv"),
+    ("train_records.csv", lambda lines: lines[:-40], "row ids differ from those of xref.csv"),
+    ("eigenvectors.csv", _reverse_rows, "row ids differ from those of xref.csv"),
+    ("psi.csv", lambda lines: lines[:-40], "360 rows, but xref.csv has 400"),
+    ("ref_coords.csv", lambda lines: [line.rsplit(",", 1)[0] for line in lines],
+     "rank 3, but singular_values.csv holds 4"),
+], ids=["records_reversed", "records_cut", "eigenvectors_reversed", "psi_cut", "rank"])
+def test_model_files_that_disagree_are_refused(tmp_path, small_trial, small_model, capsys,
+                                               name, edit, message):
+    model_dir = tmp_path / "model"
+    io.save_model(model_dir, small_model)
+    assert small_model.ref.n_ref == 400 and small_model.ref.rank == 4
+    path = model_dir / name
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ValueError, match=f"{name}: {message}"):
+        io.load_model(model_dir)
+    data = tmp_path / "data.csv"
+    io.write_dataset_csv(data, small_trial.data, small_trial.records)
+    assert main(["extend", "--model", str(model_dir), "--data", str(data),
+                 "--out", str(tmp_path / "ext")]) == 1
+    assert f"{name}: {message}" in capsys.readouterr().err
 
 
 def test_cli_extend_reads_a_dataset_file_by_its_header(tmp_path, small_trial, small_model, capsys):

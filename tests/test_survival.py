@@ -498,6 +498,26 @@ def test_oracle_rejects_bad_p():
         mom_bias_oracle(model, 1.0, AdministrativeCensoring(1.0), 100, np.random.default_rng(0))
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: HazardModel(lam=NAN, k=1.2, alpha=0.5), "Weibull"),
+    (lambda: HazardModel(lam=2.0, k=NAN, alpha=0.5), "Weibull"),
+    (lambda: HazardModel(lam=2.0, k=1.2, alpha=NAN), "alpha"),
+    (lambda: AdministrativeCensoring(NAN), "horizon"),
+    (lambda: ExponentialCensoring(NAN), "rate"),
+    (lambda: ExponentialCensoring(1.0, horizon=-1.0), "horizon"),
+    (lambda: ExponentialCensoring(1.0, horizon=NAN), "horizon"),
+    (lambda: weibull_sample(NAN, 1.2, np.random.default_rng(0), 3), "Weibull"),
+    (lambda: weibull_sample(2.0, NAN, np.random.default_rng(0), 3), "Weibull"),
+], ids=["lam", "k", "alpha", "admin_horizon", "exp_rate", "exp_horizon_negative",
+        "exp_horizon_nan", "sample_lam", "sample_k"])
+def test_simulator_refuses_nan_and_nonpositive_parameters(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 # --- kaplan_meier ----------------------------------------------------------------
 
 
@@ -686,6 +706,11 @@ def test_recommend_rules_and_partition():
     assert groups.neutral.tolist() == [4, 5]
     all_idx = np.sort(np.concatenate([groups.recommended, groups.neutral, groups.anti_recommended]))
     assert all_idx.tolist() == list(range(6))
+    # at c=-1 patients 1 and 2 would be both recommended and anti-recommended,
+    # and at c=nan every patient would be neutral
+    for c in (-1.0, NAN):
+        with pytest.raises(ValueError, match="threshold multiplier"):
+            recommend_groups(np.array([-1.0, -0.2, 0.1, 0.9]), np.array([0, 1, 0, 1]), c=c)
 
 
 def test_recommend_huge_c_all_neutral():

@@ -4,7 +4,7 @@ import pytest
 import cohortmetric.tree as tree_mod
 from cohortmetric.diffusion import DiffusionEmbedding, gaussian_kernel, markov_normalize, spectral_embed
 from cohortmetric.rng import substream
-from cohortmetric.tree import PartitionTree, build_bottomup, build_topdown
+from cohortmetric.tree import PartitionTree, build_topdown
 
 
 def embed_coords(coords):
@@ -72,53 +72,6 @@ def test_topdown_refuses_a_nonfinite_embedding(field, value):
         build_topdown(DiffusionEmbedding(vals, vecs, t=t, d=3), k=2, min_folder=1, seed=0)
 
 
-def test_bottomup_wide_radius_gives_two_levels():
-    rng = np.random.default_rng(3)
-    coords = rng.normal(size=(12, 2))
-    tree = build_bottomup(embed_coords(coords), eps=1e3)
-    assert tree.n_levels == 2
-    assert len(tree.folders(1)) == 1
-    assert all(len(f) == 1 for f in tree.folders(2))
-
-
-def test_bottomup_collinear_cover():
-    tree = build_bottomup(embed_coords([[0.0], [1.0], [10.0]]), eps=2.0)
-    finest_nonsingleton = {frozenset(f.tolist()) for f in tree.folders(tree.n_levels - 1)}
-    assert finest_nonsingleton == {frozenset({0, 1}), frozenset({2})}
-
-
-def test_bottomup_merge_order_matches_bruteforce():
-    coords = np.array([[0.0], [0.4], [3.0], [3.3], [9.0]])
-    tree = build_bottomup(embed_coords(coords), eps=0.1)  # every point its own ball
-    # brute-force agglomeration oracle over weighted centroids
-    folders = [[i] for i in range(5)]
-    cents = {i: (coords[i, 0], 1) for i in range(5)}
-    expected_levels = [tuple(map(tuple, folders))]
-    fs = list(range(5))
-    store = {i: [i] for i in range(5)}
-    while len(fs) > 1:
-        best = None
-        for a in range(len(fs)):
-            for b in range(a + 1, len(fs)):
-                d = abs(cents[fs[a]][0] - cents[fs[b]][0])
-                if best is None or d < best[0] - 1e-15:
-                    best = (d, a, b)
-        _, a, b = best
-        ia, ib = fs[a], fs[b]
-        (ca, wa), (cb, wb) = cents[ia], cents[ib]
-        new = max(cents) + 1
-        cents[new] = ((ca * wa + cb * wb) / (wa + wb), wa + wb)
-        store[new] = sorted(store[ia] + store[ib])
-        fs = [f for f in fs if f not in (ia, ib)]
-        fs.insert(a, new)
-        expected_levels.append(tuple(tuple(store[f]) for f in fs))
-    got = []
-    for level in range(tree.n_levels, 0, -1):  # fine to coarse; cover is singletons here
-        got.append({frozenset(f.tolist()) for f in tree.folders(level)})
-    expected = [{frozenset(g) for g in lv} for lv in expected_levels]
-    assert got == expected
-
-
 def test_parent_child_links():
     rng = np.random.default_rng(5)
     coords = rng.normal(size=(30, 2))
@@ -178,8 +131,8 @@ def test_tree_on_real_embedding():
 def test_invalid_parameters():
     with pytest.raises(ValueError, match="branching"):
         build_topdown(embed_coords([[0.0], [1.0]]), k=1, min_folder=1)
-    with pytest.raises(ValueError, match="eps"):
-        build_bottomup(embed_coords([[0.0], [1.0]]), eps=0.0)
+    with pytest.raises(ValueError, match="min_folder"):
+        build_topdown(embed_coords([[0.0], [1.0]]), k=2, min_folder=0)
 
 
 @pytest.mark.parametrize("d", [1, 7, 8, 9, 17, 130, 300])
@@ -327,94 +280,3 @@ def test_level_batched_tree_matches_oracle_when_lloyd_is_cut_short(max_iter, mon
         got = build_topdown(emb, k=k, min_folder=10, seed=max_iter)
         assert got.to_lines() == _oracle_topdown(emb.coords, k, 10, max_iter)[0]
 
-
-# --- bottom-up oracle: the closest-pair merge loop over weighted centroids ---
-
-
-def _oracle_bottomup(coords, eps):
-    """Tree lines of the greedy eps-cover and the pairwise merge loop: each
-    step merges the closest pair of folder centroids (the first pair in list
-    order within 1e-15), the merged folder at the earlier position."""
-    n = coords.shape[0]
-    uncovered = np.ones(n, dtype=bool)
-    cover = []
-    while uncovered.any():
-        center = int(np.argmax(uncovered))
-        d = np.linalg.norm(coords - coords[center], axis=1)
-        members = np.where(uncovered & (d <= eps))[0]
-        cover.append(members)
-        uncovered[members] = False
-    fine_levels = [cover]
-    current = [(pts, coords[pts].mean(axis=0), len(pts)) for pts in cover]
-    while len(current) > 1:
-        best = None
-        for i in range(len(current)):
-            for j in range(i + 1, len(current)):
-                d = float(np.linalg.norm(current[i][1] - current[j][1]))
-                if best is None or d < best[0] - 1e-15:
-                    best = (d, i, j)
-        _, i, j = best
-        merged_pts = np.sort(np.concatenate([current[i][0], current[j][0]]))
-        wi, wj = current[i][2], current[j][2]
-        centroid = (current[i][1] * wi + current[j][1] * wj) / (wi + wj)
-        nxt = [current[t] for t in range(len(current)) if t not in (i, j)]
-        nxt.insert(i, (merged_pts, centroid, wi + wj))
-        current = nxt
-        fine_levels.append([c[0] for c in current])
-    levels = fine_levels[::-1]
-    if any(len(pts) > 1 for pts in levels[-1]):
-        levels.append([np.array([p]) for p in range(n)])
-    lines = []
-    for li, folders in enumerate(levels):
-        for fid, pts in enumerate(folders):
-            parent = -1 if li == 0 else next(
-                pid for pid, up in enumerate(levels[li - 1]) if pts[0] in up)
-            lines.append(",".join([str(li + 1), str(fid), str(parent)]
-                                  + [str(p) for p in np.sort(pts)]))
-    return lines
-
-
-def _span(coords):
-    return float(np.linalg.norm(coords.max(axis=0) - coords.min(axis=0)))
-
-
-def _bottomup_inputs(kind, d, seed, n=64):
-    rng = np.random.default_rng(seed)
-    if kind == "gaussian":
-        return rng.normal(size=(n, d))
-    if kind == "repeated":  # every distinct row two to four times
-        rows = rng.normal(size=(n // 3, d))
-        return rows[rng.permutation(np.repeat(np.arange(n // 3), rng.integers(2, 5, n // 3)))]
-    return _diffusion_coords(seed, d, n=n).coords
-
-
-@pytest.mark.parametrize("kind", ["gaussian", "diffusion", "repeated"])
-@pytest.mark.parametrize("d", [1, 2, 5])
-@pytest.mark.parametrize("frac", [0.0, 0.02, 0.05, 0.10])
-def test_bottomup_tree_matches_merge_loop_oracle(kind, d, frac, monkeypatch):
-    coords = _bottomup_inputs(kind, d, seed=100 * d + int(1000 * frac))
-    # frac 0: a radius below every nonzero gap, so each distinct row is its own ball
-    eps = frac * _span(coords) if frac else 1e-9
-    calls = []
-    scipy_linkage = tree_mod.linkage
-
-    def counted(y, *args, **kwargs):
-        calls.append((y.shape, kwargs.get("method")))
-        return scipy_linkage(y, *args, **kwargs)
-
-    monkeypatch.setattr(tree_mod, "linkage", counted)
-    got = build_bottomup(embed_coords(coords), eps)
-    assert got.to_lines() == _oracle_bottomup(coords, eps)
-    assert calls == [((coords.shape[0], d), "centroid")]  # one call, one row per point
-
-
-def test_bottomup_coinciding_centroids_match_oracle():
-    # the first two balls (eps = 1) have bitwise-equal centroids, so linkage
-    # merges copies of both at distance 0 in an order of its own
-    a = [(0.0, 0.0)] + [(0.9375, 0.125)] * 10 + [(1.0, 0.0)] * 5
-    b = [(1.5, 0.0)] + [(0.8125, 0.625)] * 4 + [(0.8125, -0.625)] * 3
-    c = [(6.0, 0.0), (9.0, 0.5), (-5.0, 1.0)]
-    coords = np.array(a + b + c)
-    got = build_bottomup(embed_coords(coords), eps=1.0)
-    assert [len(f) for f in got.folders(got.n_levels - 1)] == [16, 8, 1, 1, 1]
-    assert got.to_lines() == _oracle_bottomup(coords, 1.0)
