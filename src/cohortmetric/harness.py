@@ -5,6 +5,7 @@ from __future__ import annotations
 import logging
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +38,13 @@ class FittedModel:
     config: RunConfig
     feature_names: tuple[str, ...]
     train_ids: np.ndarray
+
+    @cached_property
+    def functional(self) -> LocalAlphaFunctional:
+        """`predict`'s cohort functional: the config's estimator on the
+        training records, built once per model (a `dataclasses.replace`
+        of the model builds its own)."""
+        return LocalAlphaFunctional(self.records, self.config.estimator, self.config.min_cohort)
 
 
 @dataclass(frozen=True)
@@ -115,8 +123,7 @@ def predict(model: FittedModel, Z) -> Predictions:
     if isinstance(Z, DataMatrix) and Z.feature_names != model.feature_names:
         raise ValueError(f"features {list(Z.feature_names)} do not match the model's "
                          f"{list(model.feature_names)}")
-    cfg = model.config
-    functional = LocalAlphaFunctional(model.records, cfg.estimator, cfg.min_cohort)
+    cfg, functional = model.config, model.functional
     n = coords.shape[0]
     estimates = np.full(n, np.nan)
     n_neighbors = np.zeros(n, dtype=int)

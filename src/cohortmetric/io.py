@@ -251,6 +251,14 @@ def _model_matrix(path, train_ids=None, n_rows=None) -> np.ndarray:
     return matrix
 
 
+def _model_column(path, n_rows=None) -> np.ndarray:
+    """A saved model's file of one value column after its id column."""
+    matrix = _model_matrix(path, n_rows=n_rows)
+    if matrix.shape[1] != 1:
+        raise ValueError(f"{path}: {matrix.shape[1]} value columns, expected one")
+    return matrix[:, 0]
+
+
 def load_model(model_dir):
     """Rebuild a FittedModel (reference side) from a saved artifact.
 
@@ -258,8 +266,8 @@ def load_model(model_dir):
     `metric.DIFFUSION_TIME`, the iteration count from the saved history.
     Files that disagree are a ValueError naming the file: the per-point
     files must carry xref.csv's ids in xref.csv's order, psi.csv and d2.csv
-    one row per reference point, and psi.csv and ref_coords.csv one column
-    per singular value."""
+    one row per reference point, d2.csv and singular_values.csv one value
+    column, and psi.csv and ref_coords.csv one column per singular value."""
     from .config import RunConfig
     from .diffusion import DiffusionEmbedding
     from .extension import ReferenceEmbedding
@@ -283,20 +291,20 @@ def load_model(model_dir):
     ref_coords = _model_matrix(d / "ref_coords.csv", train_ids)
     eigenvectors = _model_matrix(d / "eigenvectors.csv", train_ids)
     psi = _model_matrix(d / "psi.csv", n_rows=len(train_ids))
-    d2_col = _model_matrix(d / "d2.csv", n_rows=len(train_ids))
-    svals_col = _model_matrix(d / "singular_values.csv")
+    d2 = _model_column(d / "d2.csv", n_rows=len(train_ids))
+    svals = _model_column(d / "singular_values.csv")
     for name, matrix in (("psi.csv", psi), ("ref_coords.csv", ref_coords)):
-        if matrix.shape[1] != len(svals_col):
+        if matrix.shape[1] != len(svals):
             raise ValueError(f"{d / name}: rank {matrix.shape[1]}, but singular_values.csv "
-                             f"holds {len(svals_col)} values")
+                             f"holds {len(svals)} values")
     weights = WeightField(point_weights, float(meta["lam"]))
     ref = ReferenceEmbedding(
         x_ref=x_ref,
         inv_diag=weights.inv_diag(),
         sigma=float(meta["sigma"]),
         psi=psi,
-        singular_values=svals_col[:, 0],
-        d2=d2_col[:, 0],
+        singular_values=svals,
+        d2=d2,
         coords=ref_coords,
     )
     embedding = DiffusionEmbedding(

@@ -10,7 +10,10 @@ planes.
 
 A point's neighbourhood is its cohort: the k = max(c, ceil(0.05 n)) nearest
 of n reference points in the embedding (`cohort_neighborhood`).
-`neighborhood_indices` answers a whole batch of centers in one pass, and
+`neighborhood_indices` answers a whole batch of centers in one pass: it
+ranks by the squared distance less the center's own term, one matrix
+product per row block, so points within rounding of a tie may swap places
+(and a cohort may differ with the batch's row count only at such a tie).
 `multiscale_estimate` is the filtration of nested kNN cohorts inside one
 point's cohort; on the reference coordinates its coarse value is the
 estimate `predict` serves.
@@ -421,34 +424,44 @@ def fit_weighted_metric(X, F: CohortFunctional, config: RunConfig = RunConfig())
 def neighborhood_indices(coords: np.ndarray, centers: np.ndarray, k: int) -> list[np.ndarray]:
     """The k nearest coords of each row of the (q, d) `centers`, nearest
     first: q index arrays, a center's own row included when it is one of
-    the coords. A k above the number of coords keeps them all.
+    the coords. A k above the number of coords keeps them all. Non-finite
+    coords or centers are a ValueError.
 
-    One pass over row blocks of centers: a distance is the square root of
-    the running sum of feature-major (rows, n) planes of squared coordinate
-    differences, in coordinate order. The k nearest are kept by
-    argpartition, then ordered by a stable argsort.
+    The coords x are ranked for a center c by
+
+        q(c, x) = |x - c|^2 - |c - mu|^2 = |x - mu|^2 - 2 (c - mu) . (x - mu),
+
+    with mu the mean of the coords: q orders the coords as the distance
+    does, centring keeps its cancellation small, and each row block of
+    centers is one matrix product of [c - mu, 1] with
+    [-2 (x - mu)'; |x - mu|^2]. No square root is taken. The k smallest are
+    kept by argpartition, then ordered by a stable argsort. q is exact to a
+    few units in the last place of |x - mu|^2 + 2 |c - mu| |x - mu|, so
+    points whose distances tie within that may swap places, and only at such
+    a tie may a center's cohort differ with the number of rows in its batch
+    (a one-row batch runs a matrix-vector product).
     """
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError(f"a cohort needs an integer k >= 1, got {k!r}")
+    coords = np.asarray(coords, dtype=float)
     centers = np.asarray(centers, dtype=float)
     n, d = coords.shape
     if centers.ndim != 2 or centers.shape[1] != d:
         raise ValueError(f"centers must be (q, {d}) rows, got shape {centers.shape}")
-    xt, ct = coords.T.copy(), centers.T.copy()  # (d, points): one row per coordinate
+    if not (np.isfinite(coords).all() and np.isfinite(centers).all()):
+        raise ValueError("coords and centers must be finite")
+    xt = coords.T.copy()  # (d, n): one row per coordinate
+    mean = xt.mean(axis=1)
+    xt -= mean[:, None]
+    right = np.vstack([-2.0 * xt, np.einsum("ij,ij->j", xt, xt)])
+    left = np.hstack([centers - mean, np.ones((centers.shape[0], 1))])
     k = min(k, n)
     out: list[np.ndarray] = []
     block = _rows_per_block(n, PLANE_DEPTH)
-    for i0 in range(0, centers.shape[0], block):
-        i1 = min(centers.shape[0], i0 + block)
-
-        dist = None
-        for y in range(d):
-            t = np.subtract(xt[y][None, :], ct[y, i0:i1][:, None])
-            np.square(t, out=t)
-            dist = t if dist is None else np.add(dist, t, out=dist)
-        np.sqrt(dist, out=dist)
-        part = np.argpartition(dist, k - 1, axis=1)[:, :k]
-        order = np.argsort(np.take_along_axis(dist, part, axis=1), axis=1, kind="stable")
+    for i0 in range(0, left.shape[0], block):
+        q = left[i0:i0 + block] @ right
+        part = np.argpartition(q, k - 1, axis=1)[:, :k]
+        order = np.argsort(np.take_along_axis(q, part, axis=1), axis=1, kind="stable")
         out.extend(np.take_along_axis(part, order, axis=1))
     return out
 
@@ -471,9 +484,13 @@ def multiscale_estimate(coords: np.ndarray, k: int, F: CohortFunctional,
     sizes[j]), so the coefficients sum to F(finest) - coarse_value.
     `coarse_value` is F over the full k-cohort; with a model's `ref.coords`,
     `metric.cohort_size` and `predict`'s functional it is the estimate that
-    `predict` serves at training point i. F raises CohortTooSmallError when
-    k is below c.
+    `predict` serves at training point i, up to the near-ties of
+    `neighborhood_indices`. F raises CohortTooSmallError when k is below c;
+    an i that is not an integer in 0..n-1 is a ValueError.
     """
+    n = len(coords)
+    if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < n:
+        raise ValueError(f"i must be an integer row of the {n} coords, got {i!r}")
     order = neighborhood_indices(coords, coords[i:i + 1], k)[0]
     sizes = [order.size]
     while (half := -(-sizes[-1] // 2)) >= F.min_cohort and half < sizes[-1]:

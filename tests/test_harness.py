@@ -545,6 +545,81 @@ def test_predict_serves_a_point_alike_in_any_batch(small_model):
         np.testing.assert_allclose(coords, whole.coords, rtol=1e-12, atol=0)
 
 
+@pytest.fixture(scope="module")
+def sphere_model():
+    """A serving-size sphere model (n_train = 2000, the c08 knobs) and 1000
+    new patients."""
+    trial = gen_sphere_trial(TrialSpec("sphere", n=2000, seed=23))
+    model = fit_pipeline(trial.data, trial.records,
+                         RunConfig(seed=23, dim=5, max_iters=4, min_cohort=25))
+    return model, gen_sphere_trial(TrialSpec("sphere", n=1000, seed=24)).data.values
+
+
+@pytest.mark.parametrize("which", ["small", "sphere"])
+def test_served_cohorts_and_estimates_equal_the_frozen_plane_rule(
+        request, small_trial, which, monkeypatch):
+    import cohortmetric.harness as harness_mod
+
+    import plane_knn
+
+    if which == "small":
+        model = request.getfixturevalue("small_model")
+        new = gen_sphere_trial(TrialSpec("sphere", n=200, seed=22)).data.values
+        Z = np.vstack([small_trial.data.values, new])
+    else:
+        model, Z = request.getfixturevalue("sphere_model")
+    detail = LocalAlphaFunctional.detail
+
+    def served(rule):
+        cohorts = []
+
+        def spy(self, indices):
+            cohorts.append(np.sort(indices))
+            return detail(self, indices)
+
+        monkeypatch.setattr(LocalAlphaFunctional, "detail", spy)
+        monkeypatch.setattr(harness_mod, "neighborhood_indices", rule)
+        return predict(model, Z), cohorts
+
+    got, got_cohorts = served(harness_mod.neighborhood_indices)
+    want, want_cohorts = served(plane_knn.neighborhood_indices)
+    assert len(got_cohorts) == len(want_cohorts) == len(Z)
+    assert all(np.array_equal(g, w) for g, w in zip(got_cohorts, want_cohorts))
+    for field in ("estimates", "balanced", "n_neighbors"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+    assert np.isfinite(got.estimates).mean() > 0.9
+
+
+def test_predict_builds_its_functional_once_per_model(small_trial, small_model, monkeypatch):
+    from dataclasses import replace
+
+    import cohortmetric.harness as harness_mod
+
+    built = []
+
+    class Counted(LocalAlphaFunctional):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(harness_mod, "LocalAlphaFunctional", Counted)
+    model = replace(small_model)
+    Z = small_trial.data.values[:30]
+    first = predict(model, Z)
+    assert predict(model, Z).estimates.tobytes() == first.estimates.tobytes()
+    assert len(built) == 1 and model.functional.kind == model.config.estimator == "partial"
+    # a replaced model builds its own, from its own config
+    moments = replace(model, config=replace(model.config, estimator="moments"))
+    assert moments.functional is not model.functional and moments.functional.kind == "moments"
+    assert len(built) == 2
+    want = [LocalAlphaFunctional(model.records, "moments", model.config.min_cohort).detail(c)
+            for c in harness_mod.neighborhood_indices(
+                model.ref.coords, first.coords, model.metric.cohort_size)]
+    got = predict(moments, Z)
+    assert np.array_equal(got.estimates, [w.alpha if w.defined else np.nan for w in want],
+                          equal_nan=True)
+
+
 def test_multiscale_coarse_value_is_the_served_estimate(small_trial, small_model):
     from cohortmetric.metric import multiscale_estimate
 
@@ -675,7 +750,14 @@ def _reverse_rows(lines):
     ("psi.csv", lambda lines: lines[:-40], "360 rows, but xref.csv has 400"),
     ("ref_coords.csv", lambda lines: [line.rsplit(",", 1)[0] for line in lines],
      "rank 3, but singular_values.csv holds 4"),
-], ids=["records_reversed", "records_cut", "eigenvectors_reversed", "psi_cut", "rank"])
+    ("d2.csv", lambda lines: [line.split(",")[0] for line in lines],
+     "0 value columns, expected one"),
+    ("singular_values.csv", lambda lines: [line.split(",")[0] for line in lines],
+     "0 value columns, expected one"),
+    ("d2.csv", lambda lines: [line + "," + line.split(",")[1] for line in lines],
+     "2 value columns, expected one"),
+], ids=["records_reversed", "records_cut", "eigenvectors_reversed", "psi_cut", "rank",
+        "d2_ids_only", "singular_values_ids_only", "d2_two_columns"])
 def test_model_files_that_disagree_are_refused(tmp_path, small_trial, small_model, capsys,
                                                name, edit, message):
     model_dir = tmp_path / "model"

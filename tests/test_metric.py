@@ -497,13 +497,19 @@ def test_estimate_knn_matches_bruteforce(fitted_metric):
         np.testing.assert_allclose(got, labels[brute].mean(), rtol=1e-12)
 
 
-def _neighborhood_oracle(coords, center, k):
-    """The per-point rule: one distance per coord, its squares summed in
-    coordinate order, then argpartition and a stable argsort."""
-    d = np.sqrt(((coords.T.copy() - center[:, None]) ** 2).sum(axis=0))
-    k = min(k, coords.shape[0])
-    idx = np.argpartition(d, k - 1)[:k]
-    return idx[np.argsort(d[idx], kind="stable")]
+def _assert_nearest_first(coords, center, k, got):
+    """The brute-force kNN oracle: `got` holds min(k, n) distinct indices,
+    their exact squared distances do not decrease along the order, and no
+    excluded point is nearer than the farthest kept one, each up to 1e-12
+    of the squared distances' scale (near-ties may swap)."""
+    d2 = ((coords - center) ** 2).sum(axis=1)
+    tol = 1e-12 * d2.max()
+    assert got.dtype == np.intp and got.size == min(k, len(coords))
+    assert np.unique(got).size == got.size and 0 <= got.min() and got.max() < len(coords)
+    assert (np.diff(d2[got]) >= -tol).all()
+    excluded = np.setdiff1d(np.arange(len(coords)), got)
+    if excluded.size:
+        assert d2[excluded].min() >= d2[got].max() - tol
 
 
 def _tied_grid(d, rng):
@@ -527,8 +533,7 @@ def test_batched_neighborhoods_match_the_per_point_formula(d, rows, monkeypatch)
         got = neighborhood_indices(coords, centers, k)
         assert len(got) == len(centers)
         for g, c in zip(got, centers):
-            want = _neighborhood_oracle(coords, c, k)
-            assert g.dtype == want.dtype and np.array_equal(g, want)
+            _assert_nearest_first(coords, c, k, g)
     assert neighborhood_indices(coords, centers[:0], 1) == []
 
 
@@ -540,6 +545,18 @@ def test_neighborhoods_take_rows_of_centers():
         neighborhood_indices(coords, coords[0], 2)
     with pytest.raises(ValueError, match="centers must be"):
         neighborhood_indices(coords, coords[:2, :1], 2)
+
+
+@pytest.mark.parametrize("where", ["coords", "centers"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_neighborhoods_refuse_nonfinite_points(where, bad):
+    from cohortmetric.metric import neighborhood_indices
+
+    coords = np.arange(120.0).reshape(40, 3)
+    centers = coords[33:34].copy()
+    (coords if where == "coords" else centers)[0, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        neighborhood_indices(coords, centers, 3)
 
 
 @pytest.mark.parametrize("kind,kw", [("knn", {"k": 7.5}), ("knn", {"k": True}), ("knn", {"k": 0})])
@@ -556,6 +573,13 @@ def test_estimate_propagates_too_small(fitted_metric):
     F = CohortFunctional.from_labels(labels, metric.cohort_size + 1)
     with pytest.raises(CohortTooSmallError):
         multiscale_estimate(metric.embedding.coords, metric.cohort_size, F, 0)
+
+
+@pytest.mark.parametrize("i", [-1, 200, 2.0, np.float64(3), True, None])
+def test_multiscale_refuses_a_point_that_is_not_a_row(fitted_metric, i):
+    metric, F, _, _ = fitted_metric
+    with pytest.raises(ValueError, match="integer row of the 200 coords"):
+        multiscale_estimate(metric.embedding.coords, metric.cohort_size, F, i)
 
 
 def test_duplicate_points_share_estimates():
@@ -610,12 +634,15 @@ def test_multiscale_telescoping(fitted_metric):
 @pytest.mark.parametrize("d", [1, 3, 8])
 @pytest.mark.parametrize("k,c", [(150, 2), (64, 5), (17, 17), (400, 9)])
 def test_multiscale_filtration_matches_the_nested_knn_oracle(d, k, c):
+    from cohortmetric.metric import neighborhood_indices
+
     rng = np.random.default_rng(d)
     coords = _tied_grid(d, rng)
     labels = rng.normal(size=len(coords))
     F = CohortFunctional.from_labels(labels, c)
     for i in (0, 7, 100, 149):
-        order = _neighborhood_oracle(coords, coords[i], k)
+        order = neighborhood_indices(coords, coords[i:i + 1], k)[0]
+        _assert_nearest_first(coords, coords[i], k, order)
         sizes = [order.size]
         while -(-sizes[-1] // 2) >= c:
             sizes.append(-(-sizes[-1] // 2))
