@@ -2,11 +2,13 @@
 
 Folder-level feature weights score each feature's power to discriminate a
 cohort functional F (size-weighted variance of F over value bins), decay-sum
-to per-point diagonal metrics, and feed the locally weighted PSD kernel. The
-fit runs a fixed number of steps of tree -> weights -> weighted kernel ->
-embedding, and returns the last step's tree, weights and the embedding of the
-kernel those weights build. The weighted kernel is summed from per-feature
-planes.
+to per-point diagonal metrics, and feed the locally weighted PSD kernel. F
+is evaluated only where a weight can be nonzero: a folder under 2c points,
+or a feature left with one valid bin of at least c points, weighs 0 with no
+F call. The fit runs a fixed number of steps of tree -> weights -> weighted
+kernel -> embedding, and returns the last step's tree, weights and the
+embedding of the kernel those weights build. The weighted kernel is summed
+from per-feature planes.
 
 A point's neighbourhood is its cohort: the k = max(c, ceil(0.05 n)) nearest
 of n reference points in the embedding (`cohort_neighborhood`).
@@ -22,6 +24,7 @@ estimate `predict` serves.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -206,21 +209,33 @@ def _merge_small_bins(bins: list[Bin], c: int) -> list[Bin]:
 def folder_weight(bins: list[Bin], F: CohortFunctional) -> float:
     """Size-weighted variance of F across the folder's bins.
 
-    Bins below F's minimum cohort are merged first; bins where F is undefined
-    are dropped. No valid bin left means weight 0.
+    Bins below F's minimum cohort are merged first, which reads only their
+    sizes and value ranges. F is evaluated only where the weight can be
+    nonzero: fewer than two merged bins of at least c points weigh 0 with no
+    F call. Otherwise F is called once per merged bin, bins where it is
+    undefined (a `CohortError`) are dropped, and no defined bin left means
+    weight 0. A non-finite F value is a ValueError naming the bin's size.
+    So a functional that breaks the `CohortFunctional` contract on a feature
+    left with one valid bin, by returning NaN or raising an error other than
+    `CohortError` there, is not called there and passes unnoticed.
     """
     merged = _merge_small_bins(bins, F.min_cohort)
+    if len(merged) < 2:
+        # at most one value of F: its variance is 0
+        return 0.0
+    # merging stopped with every bin at least c points
     sizes, values = [], []
     for b in merged:
-        if b.indices.size < F.min_cohort:
-            continue
         try:
-            values.append(F(b.indices))
-            sizes.append(b.indices.size)
+            value = F(b.indices)
         except CohortError:
             continue
+        if not math.isfinite(value):
+            raise ValueError(f"F is {value} on a bin of {b.indices.size} points")
+        values.append(value)
+        sizes.append(b.indices.size)
     if not sizes:
-        logger.info("no valid bin after merging; folder weight set to 0")
+        logger.info("F undefined on every bin after merging; folder weight set to 0")
         return 0.0
     sizes = np.asarray(sizes, dtype=float)
     # shifting by the first value keeps the (translation-invariant) weight
@@ -235,18 +250,30 @@ def compute_folder_weights(tree: PartitionTree, X, F: CohortFunctional,
                            k_bins: int) -> dict:
     """Weights for every (level, folder, feature) with folder size >= c.
 
-    Each such folder takes one `np.quantile` pass over all of its features,
-    and each feature's bins are those `bin_feature` makes. F sees the bins
-    folder by folder and feature by feature.
+    F is evaluated only where a weight can be nonzero. A folder of
+    c <= size < 2c points holds at most one bin of c points, so its row is
+    all zeros, with no quantile, binning or F call. Each larger folder takes
+    one `np.quantile` pass over all of its features, each feature's bins are
+    those `bin_feature` makes, and `folder_weight` merges them and calls F
+    on the merged bins of each feature with at least two of them, folder by
+    folder (levels top down) and feature by feature. A tree over a different
+    number of points than X has rows is a ValueError.
     """
     if k_bins < 1:
         raise ValueError(f"k_bins must be >= 1, got {k_bins}")
     values = as_values(X)
+    if tree.n_points != values.shape[0]:
+        raise ValueError(
+            f"the tree holds {tree.n_points} points but X has {values.shape[0]} rows")
     probs = _bin_probs(k_bins)
+    c = F.min_cohort
     out: dict = {}
     for level in range(1, tree.n_levels + 1):
         for fid, pts in enumerate(tree.folders(level)):
-            if len(pts) < F.min_cohort:
+            if len(pts) < c:
+                continue
+            if len(pts) < 2 * c:
+                out[(level, fid)] = np.zeros(values.shape[1])
                 continue
             vals = values[pts].T  # (m, folder): a feature per row
             edges = np.quantile(vals, probs, axis=1).T

@@ -17,7 +17,13 @@ from cohortmetric.harness import (
     split_indices,
     validate_pipeline,
 )
-from cohortmetric.simulate import GroundTruth, TrialSpec, gen_propensity_trial, gen_sphere_trial
+from cohortmetric.simulate import (
+    GroundTruth,
+    TrialSpec,
+    gen_propensity_trial,
+    gen_sphere_trial,
+    generate,
+)
 from cohortmetric.survival import BALANCE_THRESHOLD, LocalAlphaFunctional, SurvivalRecords
 
 
@@ -402,6 +408,36 @@ def test_fit_sphere_top_weights_are_effect_features():
     mean_w = model.metric.weights.point_weights.mean(axis=0)
     top3 = set(np.argsort(-mean_w)[:3].tolist())
     assert top3 == {0, 1, 2}
+
+
+@pytest.mark.parametrize("kind, seed", [("sphere", 21), ("random", 31)])
+def test_fit_and_predict_equal_those_of_the_frozen_folder_weights(kind, seed, monkeypatch):
+    import weights_oracle
+
+    import cohortmetric.metric as metric
+
+    trial = generate(TrialSpec(kind, n=500, seed=seed, outcome_target=0.35))
+    train_idx, test_idx = split_indices(trial.data.n_points, 0.8, seed=seed, fold=0)
+    cfg = RunConfig(seed=seed, **FAST)
+
+    def fit_and_predict():
+        model = fit_pipeline(trial.data.subset(train_idx), trial.records.subset(train_idx), cfg)
+        return model, predict(model, trial.data.values[test_idx])
+
+    model, preds = fit_and_predict()
+    monkeypatch.setattr(metric, "compute_folder_weights", weights_oracle.compute_folder_weights)
+    frozen, frozen_preds = fit_and_predict()
+    c = cfg.min_cohort
+    tree = model.metric.tree
+    assert any(c <= len(pts) < 2 * c  # a folder the skip leaves unweighted
+               for level in range(1, tree.n_levels + 1) for pts in tree.folders(level))
+    assert (model.metric.weights.point_weights.tobytes()
+            == frozen.metric.weights.point_weights.tobytes())
+    assert tree.to_lines() == frozen.metric.tree.to_lines()
+    assert model.ref.coords.tobytes() == frozen.ref.coords.tobytes()
+    assert np.isfinite(preds.estimates).any()
+    for name in ("estimates", "n_neighbors", "balanced", "in_support", "coords"):
+        assert getattr(preds, name).tobytes() == getattr(frozen_preds, name).tobytes(), name
 
 
 # --- leakage canary ----------------------------------------------------------------------

@@ -19,6 +19,9 @@ from cohortmetric.metric import (
 from cohortmetric.survival import CohortTooSmallError, UndefinedCohortValue
 from cohortmetric.tree import PartitionTree
 
+import weights_oracle
+from weights_oracle import folder_weight as frozen_folder_weight
+
 
 def make_tree(levels_points):
     """Build a PartitionTree from nested lists of point-index lists."""
@@ -151,16 +154,35 @@ def test_weight_drops_undefined_bins():
 # --- compute_folder_weights -------------------------------------------------------
 
 
-def _oracle_folder_weights(tree, X, F, k_bins):
-    """bin_feature and folder_weight, one feature at a time."""
-    return {(level, fid): np.array([folder_weight(bin_feature(pts, X, y, k_bins), F)
-                                    for y in range(X.shape[1])])
-            for level in range(1, tree.n_levels + 1)
-            for fid, pts in enumerate(tree.folders(level)) if len(pts) >= F.min_cohort}
+def _frozen_folder_weights(monkeypatch, tree, X, F, k_bins, calls):
+    """The frozen weights, and the part of F's `calls` made on features left
+    with at least two valid merged bins, in call order."""
+    kept = []
+
+    def per_feature(bins, F):
+        start = len(calls)
+        w = frozen_folder_weight(bins, F)
+        if len(weights_oracle.merge_small_bins(bins, F.min_cohort)) >= 2:
+            kept.extend(calls[start:])
+        return w
+
+    monkeypatch.setattr(weights_oracle, "folder_weight", per_feature)
+    return weights_oracle.compute_folder_weights(tree, X, F, k_bins), kept
+
+
+def _spy(fn, c):
+    """A CohortFunctional over `fn` and the list of index lists it is called on."""
+    calls = []
+
+    def spy(idx):
+        calls.append(idx.tolist())
+        return fn(idx)
+
+    return CohortFunctional(spy, c), calls
 
 
 @pytest.mark.parametrize("k_bins", [1, 2, 3, 5])
-def test_folder_weights_match_the_per_feature_oracle_bit_for_bit(k_bins):
+def test_folder_weights_match_the_per_feature_oracle_bit_for_bit(k_bins, monkeypatch):
     rng = np.random.default_rng(k_bins)
     n, c = 48, 6
     X = np.column_stack([
@@ -175,27 +197,79 @@ def test_folder_weights_match_the_per_feature_oracle_bit_for_bit(k_bins):
                       [perm[:c], perm[c:18], perm[18:30], perm[30:]], [[p] for p in range(n)]])
     labels = rng.normal(size=n)
 
-    def functional():
-        calls = []
+    def fn(idx):
+        if idx.sum() % 4 == 0:
+            raise UndefinedCohortValue("undefined on this bin")
+        return float(labels[idx].mean())
 
-        def fn(idx):
-            calls.append(idx.tolist())
-            if idx.sum() % 4 == 0:
-                raise UndefinedCohortValue("undefined on this bin")
-            return float(labels[idx].mean())
-
-        return CohortFunctional(fn, c), calls
-
-    F, calls = functional()
+    F, calls = _spy(fn, c)
     got = compute_folder_weights(tree, X, F, k_bins)
-    F_oracle, oracle_calls = functional()
-    want = _oracle_folder_weights(tree, X, F_oracle, k_bins)
+    F_frozen, frozen_calls = _spy(fn, c)
+    want, kept_calls = _frozen_folder_weights(monkeypatch, tree, X, F_frozen, k_bins,
+                                              frozen_calls)
     assert list(got) == list(want)
     assert (1, 0) in got and (2, 0) in got  # the folder of exactly c points is weighted
     assert all(got[key].tobytes() == want[key].tobytes() for key in want)
-    assert calls == oracle_calls  # the same bins, in the same order
-    assert any(sum(idx) % 4 == 0 for idx in calls)  # F was undefined on some bins
+    # the same bins, in the same order, on every feature with two valid bins
+    assert calls == kept_calls
+    assert len(calls) < len(frozen_calls)  # and none on the others
+    assert (calls == []) == (k_bins == 1)
+    if k_bins > 1:
+        assert any(sum(idx) % 4 == 0 for idx in calls)  # F was undefined on some bins
     assert any(w.any() for w in got.values()) == (k_bins > 1)  # one bin has no variance
+
+
+@pytest.mark.parametrize("n", [6, 11])
+def test_a_folder_under_2c_points_weighs_zero_with_no_F_call(n):
+    c = 6
+    X = np.random.default_rng(n).normal(size=(n, 3))
+    labels = np.arange(n, dtype=float)
+    tree = make_tree([[range(n)], [range(3), range(3, n)], [[p] for p in range(n)]])
+    F, calls = _spy(lambda idx: float(labels[idx].mean()), c)
+    got = compute_folder_weights(tree, X, F, 3)
+    F_frozen, frozen_calls = _spy(lambda idx: float(labels[idx].mean()), c)
+    want = weights_oracle.compute_folder_weights(tree, X, F_frozen, 3)
+    assert list(got) == list(want) == [(1, 0)] + [(2, 1)] * (n - 3 >= c)
+    assert all(got[key].tobytes() == np.zeros(3).tobytes() == want[key].tobytes()
+               for key in got)
+    assert calls == [] and frozen_calls
+
+
+def test_weight_of_one_valid_bin_is_zero_with_no_F_call():
+    F, calls = _spy(lambda idx: float(idx.mean()), 3)
+    bins = [Bin(np.arange(0, 6), 0.0, 0.5), Bin(np.array([6, 7]), 0.9, 1.0)]
+    w = folder_weight(bins, F)
+    assert (w, np.signbit(w), calls) == (0.0, False, [])
+
+
+def test_a_folder_of_exactly_2c_points_in_two_valid_bins_calls_F_twice():
+    c = 5
+    X = np.arange(2.0 * c)[:, None]
+    labels = np.array([0.0] * c + [1.0] * c)
+    F, calls = _spy(lambda idx: float(labels[idx].mean()), c)
+    tree = make_tree([[range(2 * c)], [[p] for p in range(2 * c)]])
+    got = compute_folder_weights(tree, X, F, 2)
+    assert calls == [list(range(c)), list(range(c, 2 * c))]
+    assert got[(1, 0)].tolist() == [0.25]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_weight_refuses_a_non_finite_F_value_naming_the_bin(value):
+    F = CohortFunctional(lambda idx: value if idx[0] == 4 else 1.0, 3)
+    bins = [Bin(np.arange(4), 0.0, 0.3), Bin(np.arange(4, 11), 0.5, 1.0)]
+    with pytest.raises(ValueError, match="on a bin of 7 points"):
+        folder_weight(bins, F)
+
+
+@pytest.mark.parametrize("n_tree", [60, 120])
+def test_folder_weights_refuse_a_tree_over_other_points(n_tree):
+    X = np.random.default_rng(8).normal(size=(100, 3))
+    tree = make_tree([[range(n_tree)], [[p] for p in range(n_tree)]])
+    F = CohortFunctional(lambda idx: 1.0, 5)
+    with pytest.raises(ValueError, match=f"{n_tree} points but X has 100 rows"):
+        compute_folder_weights(tree, X, F, 3)
+    with pytest.raises(ValueError, match=f"{n_tree} points but X has 100 rows"):
+        compute_weight_field(X, F, tree)
 
 
 # --- aggregate_point_weights --------------------------------------------------------
