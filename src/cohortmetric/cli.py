@@ -16,6 +16,7 @@ import numpy as np
 
 from . import io
 from .config import ConfigError, RunConfig, load_config
+from .diffusion import EigensolverError
 from .harness import fit_pipeline, predict, recommend_pipeline, validate_pipeline
 from .simulate import TrialDataset, TrialSpec, generate
 
@@ -230,7 +231,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, EigensolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

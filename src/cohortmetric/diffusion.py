@@ -6,12 +6,12 @@ eigenvectors of P -> embedding coordinates lambda_k^t * phi_k. The fit's
 other kernels are `metric.weighted_kernel` and the reference kernel
 `extension.asymmetric_kernel`.
 
-Also the package's shared kernel plumbing: row blocks (`_rows_per_block`)
-and memory-mapped n x n buffers. The weighted kernel adds its per-feature
-planes as a running sum in feature order, so it equals its dense formula
-summed over the first axis of a C-contiguous feature-first stack bit for
-bit. The reference kernel separates into matrix products, one per row
-block, and agrees with its formula to about 1e-14 relative.
+Also the package's shared kernel plumbing: row blocks (`_rows_per_block`),
+memory-mapped n x n buffers and the median of nonzero entries that both
+bandwidths take (`_median_nonzero`). The weighted kernel and the reference
+kernel separate into matrix products, the weighted one per block of a
+weight group's rows, the reference one per row block; each agrees with its
+formula to rounding, about 1e-14 relative on the fit's inputs.
 """
 
 from __future__ import annotations
@@ -129,9 +129,13 @@ def median_bandwidth(X, subsample: int = 2000) -> float:
         idx = np.unique(np.linspace(0, n - 1, subsample).astype(int))
         values = values[idx]
     n = len(values)
-    d = pdist(values, out=_empty_mapped((n * (n - 1) // 2,)))
-    # the zero distances sort first: the median of the rest, as np.median
-    # takes it, from one partition in place
+    return _median_nonzero(pdist(values, out=_empty_mapped((n * (n - 1) // 2,))))
+
+
+def _median_nonzero(d: np.ndarray) -> float:
+    """The median of the nonzero entries of the nonnegative d, as np.median
+    takes it, from one partition of d in place; 1.0 when every entry is 0."""
+    # the zeros sort first: the median of the rest
     zeros = d.size - np.count_nonzero(d)
     size = d.size - zeros
     if size == 0:
@@ -160,10 +164,11 @@ def _rows_per_block(n_cols: int, m: int) -> int:
 
 
 # Kernel blocks take their rows as if 32 planes deep, so that a (rows, cols)
-# plane holds about 2^16 floats (512 KB): at n=2000, m=9, one BLAS thread,
-# the weighted kernel took 45 ms with planes of 2^16 floats, 48 ms with 2^18
-# and 55 ms with 2^14, and the Gaussian kernel 21 ms with 2^16 and 27 ms
-# with 2^21.
+# block holds about 2^16 floats (512 KB). At n=2000, m=9, one BLAS thread,
+# the weighted kernel of a sphere fit's weights (21 groups, AMD EPYC) took
+# 22.6-24 ms with blocks of 2^16 floats, 24-25 ms with 2^14, 25-26 ms with
+# 2^18 and 26.5-31 ms with 2^20, and the Gaussian kernel 21 ms with 2^16 and
+# 27 ms with 2^21.
 PLANE_DEPTH = 32
 
 

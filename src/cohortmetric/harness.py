@@ -71,10 +71,10 @@ def estimate_fit_bytes(n: int, m: int) -> int:
     buffer, or the reference kernel A, whose eigenpairs ARPACK takes without
     forming A'A) with its slack, one 2^21-float row block of the symmetry
     check or the symmetrization, and a few n x m arrays. Measured sphere fits
-    (m=9, 2-vCPU host, one BLAS thread, seeds 0-2) peak at 83-84, 134-136
-    and 274-275 MB (1 MB = 10^6 bytes) for n=400, 2000 and 4500, against
-    estimates of 111, 147 and 298 MB. The partition tree is left out: each
-    of its levels holds n point indices.
+    (m=9, 2-vCPU AMD EPYC host, one BLAS thread, seeds 0-2) peak at 79,
+    133-135 and 273-276 MB (1 MB = 10^6 bytes) for n=400, 2000 and 4500,
+    against estimates of 111, 147 and 298 MB. The partition tree is left
+    out: each of its levels holds n point indices.
     """
     return int(92e6 + 8 * (1.15 * n * n + 2**21 + 8 * n * m))
 

@@ -70,7 +70,7 @@ def test_gaussian_kernel_is_dense_and_exact_above_4000_points():
 
 
 def test_row_blocks_cap_temporaries_without_changing_entries(monkeypatch):
-    from cohortmetric import extension
+    from cohortmetric import extension, metric
     from cohortmetric.metric import weighted_kernel
 
     assert diffusion._rows_per_block(2000, 9) * 2000 * 9 <= 2**21
@@ -85,6 +85,7 @@ def test_row_blocks_cap_temporaries_without_changing_entries(monkeypatch):
     A = extension.asymmetric_kernel(Z, X, u, sigma=1.2)
     monkeypatch.setattr(diffusion, "_rows_per_block", lambda n_cols, m: 10**6)
     monkeypatch.setattr(extension, "_rows_per_block", lambda n_cols, m: 10**6)
+    monkeypatch.setattr(metric, "_rows_per_block", lambda n_cols, m: 10**6)
     assert np.array_equal(weighted_kernel(X, u, sigma=1.2).entries, K)
     assert np.array_equal(extension.asymmetric_kernel(Z, X, u, sigma=1.2), A)
 

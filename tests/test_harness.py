@@ -775,6 +775,20 @@ def test_cli_extend_on_a_corrupt_tree_exits_1(tmp_path, small_trial, small_model
     assert "error: level 2: folders overlap or miss a point" in capsys.readouterr().err
 
 
+def test_cli_fit_exits_1_on_an_eigensolver_failure(tmp_path, small_trial, monkeypatch, capsys):
+    from cohortmetric import metric
+    from cohortmetric.diffusion import EigensolverError
+
+    def fail(*args, **kwargs):
+        raise EigensolverError("spectrum violates Markov bounds: top values [1.5]")
+
+    monkeypatch.setattr(metric, "spectral_embed", fail)
+    data = tmp_path / "data.csv"
+    io.write_dataset_csv(data, small_trial.data, small_trial.records)
+    assert main(["fit", "--data", str(data), "--out", str(tmp_path / "fit")]) == 1
+    assert "error: spectrum violates Markov bounds" in capsys.readouterr().err
+
+
 def _reverse_rows(lines):
     return lines[:1] + lines[:0:-1]
 

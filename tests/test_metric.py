@@ -19,6 +19,7 @@ from cohortmetric.metric import (
 from cohortmetric.survival import CohortTooSmallError, UndefinedCohortValue
 from cohortmetric.tree import PartitionTree
 
+import kernel_oracle
 import weights_oracle
 from weights_oracle import folder_weight as frozen_folder_weight
 
@@ -372,41 +373,62 @@ def _weighted_kernel_oracle(X, u, sigma):
     return np.exp(-q / sigma**2 - 0.5 * logdet)
 
 
+def _patch_row_blocks(monkeypatch, rows):
+    """Blocks of `rows` rows in the library's kernel and the frozen one."""
+    from cohortmetric import metric
+
+    monkeypatch.setattr(metric, "_rows_per_block", lambda n_cols, m: rows)
+    monkeypatch.setattr(kernel_oracle, "_rows_per_block", lambda n_cols, m: rows)
+
+
+def _assert_matches_the_frozen_kernel(X, u, sigma, rtol=None):
+    """The library's kernel within 1e-12 of the largest entry of the frozen
+    plane kernel's, and each entry within rtol of its own when given."""
+    want = kernel_oracle.weighted_kernel(X, u, sigma)
+    got = weighted_kernel(X, u, sigma=sigma).entries
+    assert np.abs(got - want).max() <= 1e-12 * want.max()
+    if rtol is not None:
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=0)
+    return got
+
+
 @pytest.mark.parametrize("m", [1, 2, 7, 8, 9, 17, 130])
 @pytest.mark.parametrize("rows", [None, 16])
 def test_feature_major_weighted_kernel_matches_the_3d_formula_bit_for_bit(m, rows, monkeypatch):
-    from cohortmetric import diffusion
-
+    # the frozen plane kernel is the 3-d formula bit for bit; the library's
+    # grouped expansion agrees with it to rounding
     if rows is not None:  # many row blocks instead of one
-        monkeypatch.setattr(diffusion, "_rows_per_block", lambda n_cols, m: rows)
+        _patch_row_blocks(monkeypatch, rows)
     rng = np.random.default_rng(m)
     X = rng.normal(size=(70, m))
     u = rng.uniform(0.05, 4.0, size=(70, m))
-    assert weighted_kernel(X, u, sigma=1.1).entries.tobytes() == \
+    assert kernel_oracle.weighted_kernel(X, u, 1.1).tobytes() == \
         _weighted_kernel_oracle(X, u, 1.1).tobytes()
-    if m == 1:  # the determinant is W_i + W_j itself: no fallback to take
+    _assert_matches_the_frozen_kernel(X, u, 1.1)
+    if m == 1:  # the determinant is W_i + W_j itself: it cannot overflow
         return
-    # W_i + W_j so large that every determinant overflows: the per-element
-    # log fallback runs
+    # W_i + W_j so large that every determinant overflows: the frozen kernel
+    # takes its per-element log fallback, the library always sums logs
     huge = u * 10.0 ** (400 / m)
     with np.errstate(over="ignore"):
         assert not np.any(np.isfinite(np.prod(huge[:, None] + huge[None, :], axis=2)))
-    got = weighted_kernel(X, huge, sigma=1.1).entries
-    assert np.all(got > 0)
-    assert got.tobytes() == _weighted_kernel_oracle(X, huge, 1.1).tobytes()
+    assert kernel_oracle.weighted_kernel(X, huge, 1.1).tobytes() == \
+        _weighted_kernel_oracle(X, huge, 1.1).tobytes()
+    got = _assert_matches_the_frozen_kernel(X, huge, 1.1, rtol=1e-12)
+    assert np.all(got > 0) and np.all(np.isfinite(got))
 
 
 def test_weighted_kernel_log_fallback_is_taken_per_block(monkeypatch):
-    from cohortmetric import diffusion
-
-    # one huge row puts its whole block, and only that block, on the logs
+    # one huge row puts the frozen kernel's whole block, and only that
+    # block, on the logs; the library's sum of logs matches it on every row
     rng = np.random.default_rng(40)
     X = rng.normal(size=(60, 9))
     u = rng.uniform(0.05, 4.0, size=(60, 9))
     u[5] = 1e40
-    monkeypatch.setattr(diffusion, "_rows_per_block", lambda n_cols, m: 10**6)
-    assert weighted_kernel(X, u, sigma=0.8).entries.tobytes() == \
+    _patch_row_blocks(monkeypatch, 10**6)
+    assert kernel_oracle.weighted_kernel(X, u, 0.8).tobytes() == \
         _weighted_kernel_oracle(X, u, 0.8).tobytes()
+    _assert_matches_the_frozen_kernel(X, u, 0.8, rtol=1e-12)
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 8, 9, 17, 130])
@@ -424,12 +446,134 @@ def test_feature_major_median_quadratic_scale_matches_the_3d_formula(m):
     assert np.float64(_median_quadratic_scale(X, u)).tobytes() == np.float64(want).tobytes()
 
 
+@pytest.mark.parametrize("n, repeats, nonzero", [
+    (5, 0, 10), (5, 1, 9), (6, 2, 13), (8, 3, 25), (300, 1, 44849)])
+def test_median_quadratic_scale_takes_odd_and_even_counts_of_nonzero_forms(n, repeats, nonzero):
+    from cohortmetric.metric import _median_quadratic_scale
+
+    rng = np.random.default_rng(n + repeats)
+    X = rng.normal(size=(n, 3))
+    X[n - repeats:] = X[:repeats]  # each repeat is one zero form
+    u = rng.uniform(0.1, 3.0, size=(n, 3))
+    V, U = X.T.copy(), u.T.copy()
+    q = ((V[:, :, None] - V[:, None, :]) ** 2 / (U[:, :, None] + U[:, None, :])).sum(axis=0)
+    assert np.count_nonzero(q[np.triu_indices(n, 1)]) == nonzero
+    want = float(np.median(q[q > 0]))
+    assert np.float64(_median_quadratic_scale(X, u)).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 40])
+def test_median_quadratic_scale_of_identical_points_is_one(n):
+    from cohortmetric.metric import _median_quadratic_scale
+
+    X = np.tile([0.3, -1.2, 4.0], (n, 1))
+    u = np.random.default_rng(n).uniform(0.1, 3.0, size=(n, 3))
+    assert _median_quadratic_scale(X, u) == 1.0
+
+
 def test_weighted_kernel_exact_symmetry():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(30, 5))
     u = rng.uniform(0.01, 10.0, size=(30, 5))
     K = weighted_kernel(X, u, sigma=0.7).entries
     assert np.array_equal(K, K.T)
+
+
+def test_weighted_kernel_groups_the_rows_bit_for_bit():
+    from cohortmetric.metric import _weight_groups
+
+    u = np.array([[1.0, 2.0], [3.0, 4.0], [1.0, 2.0], [1.0, np.nextafter(2.0, 3.0)],
+                  [3.0, 4.0], [1.0, 2.0]])
+    assert sorted(g.tolist() for g in _weight_groups(u)) == [[0, 2, 5], [1, 4], [3]]
+
+
+@pytest.mark.parametrize("n_groups", [1, 3, 11, 90])  # 90: every row distinct
+@pytest.mark.parametrize("rows", [None, 4])
+def test_weighted_kernel_with_interleaved_weight_groups(n_groups, rows, monkeypatch):
+    if rows is not None:  # each group over several row blocks
+        _patch_row_blocks(monkeypatch, rows)
+    rng = np.random.default_rng(n_groups)
+    X = rng.normal(size=(90, 9)) + 100.0  # far off the origin: centring matters
+    distinct = rng.uniform(0.05, 4.0, size=(n_groups, 9))
+    u = distinct[rng.permutation(np.arange(90) % n_groups)]  # groups interleaved
+    K = _assert_matches_the_frozen_kernel(X, u, 1.3)
+    _assert_exponents_within_the_stated_bound(X, u, 1.3, K)
+    assert np.array_equal(K, K.T)
+
+
+def test_weighted_kernel_near_duplicates_stay_at_or_below_the_diagonal():
+    # a point and its near-duplicates in one weight group: q is a tiny
+    # difference of large terms, clamped at 0, so no entry exceeds the
+    # diagonal that shares its determinant
+    rng = np.random.default_rng(21)
+    base = rng.normal(size=(10, 9)) * 50.0
+    X = np.repeat(base, 6, axis=0)
+    X[1::6] += 1e-9
+    X[2::6] *= 1.0 + 1e-13
+    X[3::6] = np.nextafter(X[3::6], np.inf)
+    u = np.repeat(rng.uniform(0.05, 4.0, size=(10, 9)), 6, axis=0)
+    K = _assert_matches_the_frozen_kernel(X, u, 0.9)
+    _assert_exponents_within_the_stated_bound(X, u, 0.9, K)
+    for g in range(10):
+        block = K[6 * g:6 * g + 6, 6 * g:6 * g + 6]
+        assert np.all(block <= block[0, 0])
+
+
+def test_weighted_kernel_diagonal_is_its_closed_form_bit_for_bit():
+    rng = np.random.default_rng(22)
+    X = rng.normal(size=(40, 9)) * 10.0
+    u = 10.0 ** rng.uniform(-6, 0, size=(40, 9))
+    u[::4] = u[0]
+    K = weighted_kernel(X, u, sigma=0.4).entries
+    logdet = np.log(2.0 * u[:, 0])
+    for f in range(1, 9):  # in feature order
+        logdet = logdet + np.log(2.0 * u[:, f])
+    assert np.diagonal(K).tobytes() == np.exp(-0.5 * logdet).tobytes()
+
+
+def _assert_exponents_within_the_stated_bound(X, u, sigma, K):
+    """Every entry's exponent within (3m + 10) u S of the formula's, with
+    u = 2^-53 and S as the `weighted_kernel` docstring defines it. The
+    formula is evaluated in extended precision where the platform has it."""
+    ld = np.longdouble
+    tiny = np.finfo(float).tiny
+    a = u[:, None, :] + u[None, :, :]
+    al = u.astype(ld)[:, None, :] + u.astype(ld)[None, :, :]
+    Xl = X.astype(ld)
+    exact = -(((Xl[:, None, :] - Xl[None, :, :]) ** 2 / al).sum(axis=2) / ld(sigma) ** 2
+              + 0.5 * np.log(al).sum(axis=2))
+    xc = np.abs(X - X.mean(axis=0))
+    S = (((xc[:, None, :] + xc[None, :, :]) ** 2 / (sigma**2 * a)
+          + 0.5 * np.abs(np.log(a)) + 1.0).sum(axis=2))
+    m = X.shape[1]
+    bound = (3 * m + 10) * 2.0**-53 * S
+    bound += (m + 4) * float(np.finfo(ld).eps) * S  # the reference's own rounding
+    normal = K >= tiny
+    assert np.all(np.abs(np.log(K[normal]).astype(ld) - exact[normal]) <= bound[normal])
+    # an entry under the normal range has an exponent that is, within the bound
+    assert np.all(exact[~normal] - bound[~normal] < np.log(tiny))
+
+
+def test_weighted_kernel_exponent_within_the_stated_bound_at_six_decades():
+    rng = np.random.default_rng(1)
+    for _ in range(5):  # c01's spreads
+        X = rng.normal(size=(60, 9))
+        u = 10.0 ** rng.uniform(-6, 0, size=(60, 9))
+        u[::3] = u[1]  # one group of 20 rows, the rest distinct
+        sigma = float(rng.uniform(0.3, 3.0))
+        K = weighted_kernel(X, u, sigma=sigma).entries
+        _assert_exponents_within_the_stated_bound(X, u, sigma, K)
+
+
+def test_fitted_weight_field_matches_the_frozen_kernel(loop_fit):
+    from cohortmetric.metric import _weight_groups
+
+    X, _, _, metric = loop_fit
+    u = metric.weights.inv_diag()
+    assert len(_weight_groups(u)) < len(X) // 4
+    _assert_matches_the_frozen_kernel(X, u, metric.sigma)
+    # the field's own bandwidth: the median form, as the fit took it
+    assert weighted_kernel(X, metric.weights).sigma == metric.sigma
 
 
 # --- fit_weighted_metric -----------------------------------------------------------------
