@@ -2,16 +2,17 @@
 
 Pipeline: kernel -> row-stochastic operator P (with its symmetric conjugate
 S = D^{-1/2} K D^{-1/2}) -> top eigenpairs of S, back-transformed to the right
-eigenvectors of P -> embedding coordinates lambda_k^t * phi_k. The fit's
-other kernels are `metric.weighted_kernel` and the reference kernel
-`extension.asymmetric_kernel`.
+eigenvectors of P -> embedding coordinates lambda_k^t * phi_k.
 
-Also the package's shared kernel plumbing: row blocks (`_rows_per_block`),
+Also the package's one kernel assembly and its shared kernel plumbing. A
+kernel's exponent is the row side [x o x, x, 1] times the column side that
+`_expansion` builds, clamped at q = 0 and exponentiated in place
+(`_clamped_exp`). `_grouped_kernel` assembles the symmetric kernels one
+weight group at a time: `metric.weighted_kernel`, and the Gaussian kernel as
+its one-group case; `extension.asymmetric_kernel` takes the same expansion
+with the row side's W at 0. The plumbing: row blocks (`_rows_per_block`),
 memory-mapped n x n buffers and the median of nonzero entries that both
-bandwidths take (`_median_nonzero`). The weighted kernel and the reference
-kernel separate into matrix products, the weighted one per block of a
-weight group's rows, the reference one per row block; each agrees with its
-formula to rounding, about 1e-14 relative on the fit's inputs.
+bandwidths take (`_median_nonzero`).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial.distance import pdist
 
 from .data import as_values
 
@@ -167,8 +168,9 @@ def _rows_per_block(n_cols: int, m: int) -> int:
 # block holds about 2^16 floats (512 KB). At n=2000, m=9, one BLAS thread,
 # the weighted kernel of a sphere fit's weights (21 groups, AMD EPYC) took
 # 22.6-24 ms with blocks of 2^16 floats, 24-25 ms with 2^14, 25-26 ms with
-# 2^18 and 26.5-31 ms with 2^20, and the Gaussian kernel 21 ms with 2^16 and
-# 27 ms with 2^21.
+# 2^18 and 26.5-31 ms with 2^20. The entries of the Gaussian kernel of a
+# sphere trial (one group, Intel Xeon) took 39-42 ms with 2^16, 48-50 ms
+# with 2^14, 44-45 ms with 2^18, 52 ms with 2^20 and 67 ms with 2^21.
 PLANE_DEPTH = 32
 
 
@@ -221,43 +223,92 @@ def _symmetrize(S: np.ndarray) -> None:
         S[i1:, i0:i1] = B[:, i1 - i0:].T
 
 
-def _assemble(n, row_block_fn):
-    """Assemble a dense symmetric kernel from a row-block function.
-
-    row_block_fn(i0, i1, j0) must return dense rows [i0, i1) against columns
-    [j0, n); only these upper-triangular blocks are computed and mirrored.
-    Blocks take `_rows_per_block(n, PLANE_DEPTH)` rows, so that each
-    (rows, cols) plane holds about 2^16 floats.
-    """
-    K = _empty_mapped((n, n))
-    block = _rows_per_block(n, PLANE_DEPTH)
-    for i0 in range(0, n, block):
-        i1 = min(n, i0 + block)
-        B = row_block_fn(i0, i1, i0)
-        K[i0:i1, i0:] = B
-        K[i0:, i0:i1] = B.T
-    return K
-
-
 def gaussian_kernel(X, sigma: float | None = None) -> AffinityMatrix:
     """Gaussian affinities exp(-||x_i - x_j||^2 / (2 sigma^2)).
 
-    sigma defaults to the median nonzero pairwise distance.
+    sigma defaults to the median nonzero pairwise distance. It is the
+    weighted kernel at u = 1/2 and bandwidth sqrt(2) sigma, one weight group
+    with a = 1: the log determinant is exactly 0, the diagonal exactly 1,
+    and each exponent within the bound `metric.weighted_kernel` states.
     """
     values = as_values(X)
     if sigma is None:
         sigma = median_bandwidth(values)
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    n = values.shape[0]
-
-    def block(i0, i1, j0):
-        d2 = cdist(values[i0:i1], values[j0:], "sqeuclidean")
-        return np.exp(-d2 / (2.0 * sigma**2))
-
-    K = _assemble(n, block)
-    np.fill_diagonal(K, 1.0)
+    K = _grouped_kernel(values, np.full(values.shape, 0.5), np.sqrt(2.0) * sigma)
     return AffinityMatrix(K, float(sigma))
+
+
+def _weight_groups(u: np.ndarray) -> list[np.ndarray]:
+    """The rows of u, grouped by W diagonal row equal bit for bit; each
+    group's rows ascending."""
+    rows = np.ascontiguousarray(u).view(np.dtype((np.void, u.itemsize * u.shape[1]))).ravel()
+    _, group = np.unique(rows, return_inverse=True)
+    order = np.argsort(group, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(group))[:-1])
+
+
+def _expansion(xt: np.ndarray, a: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients of the exponent -q / sigma^2 - 1/2 sum_f log a_f,
+    q = sum_f (x_f - xt_f)^2 / a_f, and its value at q = 0 (the bound).
+
+    For centred columns xt and a = W_row + W_col, both (m, cols), and
+    w = 1 / (sigma^2 a), a row x's exponent is [x o x, x, 1] times
+    [-w; 2 xt o w; bound - sum_f xt_f^2 w_f], bound = -1/2 sum_f log a_f.
+    A sigma that is not finite and positive is a ValueError.
+    """
+    if not 0 < sigma < np.inf:  # NaN fails too
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
+    w = np.reciprocal(a * sigma**2)
+    bound = -0.5 * np.log(a).sum(axis=0)
+    xw = xt * w
+    return np.vstack([-w, 2.0 * xw, bound - (xt * xw).sum(axis=0)]), bound
+
+
+def _clamped_exp(B: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """exp of the exponents B in place, clamped at each column's bound (q >= 0)."""
+    np.minimum(B, bound, out=B)
+    return np.exp(B, out=B)
+
+
+def _grouped_kernel(values: np.ndarray, u: np.ndarray, sigma: float) -> np.ndarray:
+    """The kernel entries of `metric.weighted_kernel`, for W diagonals u. A
+    row of weight group g has a = u_g + u_j, which depends on the column
+    only, so the group's `_expansion` is built once, on x centred on its
+    mean, and each block of `_rows_per_block(n, PLANE_DEPTH)` of its rows is
+    one matrix product with it, over the columns from the block's first row
+    on. The upper triangle is mirrored and the diagonal set from its closed
+    form."""
+    n = values.shape[0]
+    xc = values - values.mean(axis=0)
+    lead = np.hstack([xc * xc, xc, np.ones((n, 1))])  # the row side of the exponent
+    xt, ut = xc.T.copy(), u.T.copy()  # (m, n): one contiguous row per feature
+    K = _empty_mapped((n, n))
+    block = _rows_per_block(n, PLANE_DEPTH)
+    buf = np.empty(block * n)
+    for rows in _weight_groups(u):
+        j0 = rows[0]  # the group's columns: from its first row on
+        coef, bound = _expansion(xt[:, j0:], ut[:, j0:] + ut[:, j0, None], sigma)
+        for k0 in range(0, rows.size, block):
+            chunk = rows[k0:k0 + block]
+            c0 = chunk[0] - j0  # the block's columns: from its first row on
+            B = buf[:chunk.size * (coef.shape[1] - c0)].reshape(chunk.size, -1)
+            np.matmul(lead[chunk], coef[:, c0:], out=B)
+            K[chunk, j0 + c0:] = _clamped_exp(B, bound[c0:])
+    _mirror_upper(K)
+    np.fill_diagonal(K, np.exp(-0.5 * np.log(2.0 * ut).sum(axis=0)))
+    return K
+
+
+def _mirror_upper(K: np.ndarray) -> None:
+    """K's strict lower triangle <- its strict upper, in place, one block of
+    `_rows_per_block(n, PLANE_DEPTH)` rows at a time."""
+    n = K.shape[0]
+    block = _rows_per_block(n, PLANE_DEPTH)
+    for i0 in range(0, n, block):
+        i1 = min(n, i0 + block)
+        K[i0:i1, :i0] = K[:i0, i0:i1].T
+        D = K[i0:i1, i0:i1]
+        D[...] = np.triu(D) + np.triu(D, 1).T
 
 
 def markov_normalize(K: AffinityMatrix) -> MarkovOperator:
@@ -285,6 +336,12 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
         if out[i, j] < 0:
             out[:, j] = -out[:, j]
     return out
+
+
+def _check_count(name: str, value) -> None:
+    """ValueError naming `name` unless value is an integer >= 1, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _top_eigenpairs(M, k: int, dense=None):
@@ -318,7 +375,8 @@ def spectral_embed(op: MarkovOperator, t: float = 1.0, d: int = 5) -> DiffusionE
     are fixed so each eigenvector's largest-magnitude entry is positive.
     """
     n = op.n
-    if not (0 < d < n):
+    _check_count("d", d)
+    if not d < n:
         raise ValueError(f"need 0 < d < n, got d={d}, n={n}")
     if t <= 0:
         raise ValueError(f"diffusion time must be positive, got {t}")

@@ -5,11 +5,9 @@ on both sides into A, only the top right singular pairs of A are computed,
 as eigenpairs of A'A reached through products with A, and new points embed
 through their normalized kernel rows. `extend_batch` is the one path from new
 points to coordinates, for one point or many. Test points never touch the
-weights or each other. Each row block of the kernel is one matrix product
-of the centred points' features against the reference's, clamped so that
-q >= 0, and a batch's rows are normalized in place. Entries agree with the
-kernel's formula to about 1e-14 relative, and a row's last bits may change
-with the number of rows in its batch.
+weights or each other. The kernel takes the package's one expansion with
+the row side's W at 0, one matrix product per row block, and a batch's rows
+are normalized in place.
 """
 
 from __future__ import annotations
@@ -22,7 +20,10 @@ from scipy.sparse.linalg import LinearOperator
 from .data import DataMatrix, as_values
 from .diffusion import (
     PLANE_DEPTH,
+    _check_count,
+    _clamped_exp,
     _empty_mapped,
+    _expansion,
     _fix_signs,
     _rows_per_block,
     _symmetrize,
@@ -54,8 +55,8 @@ class ReferenceEmbedding:
         s = np.asarray(self.singular_values, dtype=float)
         if np.any(s < 0) or np.any(np.diff(s) > 1e-12):
             raise ValueError("singular values must be nonnegative and descending")
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
         if not np.all(self.d2 > 0):
             raise ValueError("column normalizer must be positive")
 
@@ -75,17 +76,14 @@ def asymmetric_kernel(Z, x_ref, weights, sigma: float) -> np.ndarray:
 
     rows indexed by the stacked points Z, columns by the reference points.
     Only the reference point's weights enter; determinants go through logs.
-    With w = 1 / (sigma^2 u_x) the form separates,
-
-        q / sigma^2 = (z o z) . w - 2 z . (x o w) + sum_f x_f^2 w_f,
-
-    so each row block is one matrix product of [z o z, z, 1] with
-    [-w; 2 x o w; -sum_f x_f^2 w_f - log sqrt(det W_x)], the two products of
-    the expansion stacked along the inner axis and written into the output.
-    Both sides are first centred on the reference mean, which leaves q
-    unchanged and keeps the cancellation small; q is clamped at 0. Entries
-    agree with the formula to about 1e-14 relative on the fit's inputs, and
-    a row may differ in its last bits with the number of rows in the batch.
+    It is the package's one expansion (`diffusion._expansion`) with
+    a = u_x, the row side's W at 0: each row block is one matrix product of
+    [z o z, z, 1] with [-w; 2 x o w; -sum_f x_f^2 w_f - log sqrt(det W_x)],
+    w = 1 / (sigma^2 u_x), written into the output, after both sides are
+    centred on the reference mean; q is clamped at 0. Entries agree with the
+    formula to about 1e-14 relative on the fit's inputs, and a row may
+    differ in its last bits with the number of rows in the batch. A sigma
+    that is not finite and positive is a ValueError.
     """
     Zv = _as_rows(Z)
     Xr = as_values(x_ref)
@@ -97,24 +95,18 @@ def asymmetric_kernel(Z, x_ref, weights, sigma: float) -> np.ndarray:
                          f"{Xr.shape[1]}")
     if not (u > 0).all():  # NaN fails too
         raise ValueError("W_x diagonals must be positive")
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    xt, ut = Xr.T.copy(), u.T.copy()  # feature-major (m, n_ref)
+    xt = Xr.T.copy()  # feature-major (m, n_ref)
     mean = xt.mean(axis=1)
     xt -= mean[:, None]
-    w = 1.0 / (sigma**2 * ut)
-    half_logdet = 0.5 * np.log(ut).sum(axis=0)  # log sqrt(det W_x)
-    xw = xt * w
-    coef = np.vstack([-w, 2.0 * xw, -(xt * xw).sum(axis=0) - half_logdet])
+    coef, bound = _expansion(xt, u.T.copy(), sigma)  # a = u_x: the row side's W is 0
     zc = Zv - mean
     lead = np.hstack([zc * zc, zc, np.ones((zc.shape[0], 1))])
     out = _empty_mapped((Zv.shape[0], Xr.shape[0]))
     block = _rows_per_block(Xr.shape[0], PLANE_DEPTH)
     for i0 in range(0, Zv.shape[0], block):
         rows = out[i0:i0 + block]
-        np.matmul(lead[i0:i0 + block], coef, out=rows)  # -q / sigma^2 - half_logdet
-        np.minimum(rows, -half_logdet, out=rows)  # q >= 0
-        np.exp(rows, out=rows)
+        np.matmul(lead[i0:i0 + block], coef, out=rows)  # -q / sigma^2 - log sqrt(det W_x)
+        _clamped_exp(rows, bound)
     return out
 
 
@@ -128,12 +120,15 @@ def build_reference(x_ref, weights, sigma: float,
     ARPACK takes the pairs through the products v -> A'(A v), so A is the
     one n x n array; A'A is formed only on the dense paths (n_components of
     at least n - 1, or ARPACK not converging).
-    Singular values below 1e-10 of the maximum are discarded.
+    Singular values below 1e-10 of the maximum are discarded. An
+    n_components that is not an integer >= 1 (nor None) is a ValueError.
     """
     Xr = as_values(x_ref)
     n = Xr.shape[0]
     if n < 2:
         raise ValueError("need at least two reference points")
+    if n_components is not None:
+        _check_count("n_components", n_components)
     A = asymmetric_kernel(Xr, Xr, weights, sigma)  # K, normalized in place below
     d1 = A.sum(axis=1)
     d2 = A.sum(axis=0)

@@ -7,9 +7,9 @@ is evaluated only where a weight can be nonzero: a folder under 2c points,
 or a feature left with one valid bin of at least c points, weighs 0 with no
 F call. The fit runs a fixed number of steps of tree -> weights -> weighted
 kernel -> embedding, and returns the last step's tree, weights and the
-embedding of the kernel those weights build. The weighted kernel is one
-matrix product per block of a weight group's rows, the points whose W rows
-are equal bit for bit (`weighted_kernel`).
+embedding of the kernel those weights build. The weighted kernel is the
+package's one kernel assembly, one matrix product per block of a weight
+group's rows: the points whose W rows are equal bit for bit.
 
 A point's neighbourhood is its cohort: the k = max(c, ceil(0.05 n)) nearest
 of n reference points in the embedding (`cohort_neighborhood`).
@@ -37,7 +37,7 @@ from .diffusion import (
     PLANE_DEPTH,
     AffinityMatrix,
     DiffusionEmbedding,
-    _empty_mapped,
+    _grouped_kernel,
     _median_nonzero,
     _rows_per_block,
     gaussian_kernel,
@@ -312,7 +312,9 @@ def _median_quadratic_scale(values: np.ndarray, u: np.ndarray, subsample: int = 
     (rows, cols) planes in feature order, over the strict upper triangle of
     the at most 512 subsampled points only, so that a repeated point's form
     is exactly 0 and the median skips it. The full matrix holds each form
-    twice, which leaves the median the same float.
+    twice, which leaves the median the same float. It keeps these planes
+    rather than the kernels' matrix-product expansion, whose rounding would
+    leave a repeated point's form a little off 0 and change sigma's bits.
     """
     n = values.shape[0]
     idx = np.unique(np.linspace(0, n - 1, min(n, subsample)).astype(int))
@@ -336,62 +338,32 @@ def _median_quadratic_scale(values: np.ndarray, u: np.ndarray, subsample: int = 
     return _median_nonzero(q)
 
 
-def _weight_groups(u: np.ndarray) -> list[np.ndarray]:
-    """The rows of u, grouped by W diagonal row equal bit for bit; each
-    group's rows ascending."""
-    rows = np.ascontiguousarray(u).view(np.dtype((np.void, u.itemsize * u.shape[1]))).ravel()
-    _, group = np.unique(rows, return_inverse=True)
-    order = np.argsort(group, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(group))[:-1])
-
-
-def _mirror_upper(K: np.ndarray) -> None:
-    """K's strict lower triangle <- its strict upper, in place, one block of
-    `_rows_per_block(n, PLANE_DEPTH)` rows at a time."""
-    n = K.shape[0]
-    block = _rows_per_block(n, PLANE_DEPTH)
-    for i0 in range(0, n, block):
-        i1 = min(n, i0 + block)
-        K[i0:i1, :i0] = K[:i0, i0:i1].T
-        D = K[i0:i1, i0:i1]
-        D[...] = np.triu(D) + np.triu(D, 1).T
-
-
 def weighted_kernel(X, weights, sigma: float | None = None) -> AffinityMatrix:
     """Locally weighted PSD kernel
 
         exp(-(x_i-x_j)' (W_i + W_j)^{-1} (x_i-x_j) / sigma^2) / sqrt(det(W_i + W_j)),
 
     with diagonal W. `weights` is a WeightField or a raw (n, m) array of W
-    diagonals u; sigma defaults to the root of `_median_quadratic_scale`.
+    diagonals u; sigma defaults to the root of `_median_quadratic_scale`,
+    and one that is not finite and positive is a ValueError.
 
-    The rows are built one weight group at a time: the points whose u rows
-    are equal bit for bit. For a row i of group g, a_f = u_gf + u_jf depends
-    on the column j only, so with x centred on its mean and
-    w = 1 / (sigma^2 a) the exponent separates,
-
-        -q / sigma^2 - log sqrt(det a)
-            = [x_i o x_i, x_i, 1] . [-w; 2 x_j o w; -sum_f x_jf^2 w_f - 1/2 sum_f log a_f],
-
-    and each block of `_rows_per_block(n, PLANE_DEPTH)` of the group's rows
-    is one matrix product with that (2m + 1, cols) coefficient matrix, over
-    the columns from the block's first row on. The coefficients are built
-    for one group at a time, so the extra memory is O(n m). The exponent is
-    clamped so that q >= 0 and exponentiated. The log determinant is a sum
-    of per-element logs, which cannot overflow. The diagonal is set from its
-    closed form exp(-1/2 sum_f log 2 u_if), and the upper triangle is
-    mirrored into the lower, so K is symmetric bit for bit.
+    `diffusion._grouped_kernel` assembles it one weight group at a time
+    (the points whose u rows are equal bit for bit), one matrix product per
+    block of a group's rows, clamped so that q >= 0. The log determinant is
+    a sum of per-element logs, which cannot overflow, and K is symmetric bit
+    for bit, with the diagonal exp(-1/2 sum_f log 2 u_if).
 
     Each entry's exponent is within (3m + 10) 2^-53 S of the formula's, with
     S = sum_f [(|x_if - mu_f| + |x_jf - mu_f|)^2 / (sigma^2 a_f)
-    + 1/2 |log a_f| + 1] and mu the mean point: the expansion cancels terms
-    of that size, which centring keeps small. A fit has few groups: a
-    folder under 2c points weighs 0, so the points under the same smallest
-    folder of at least 2c points share a row (17-21 groups in fits at
-    n = 1440 and 2000). With every row distinct (generic u), each group is
-    one row and one matrix-vector product, at 2-3.5 times the cost of
-    summing per-feature planes: 92 against 41 ms at n=2000 and 21 against
-    6.3 ms at n=800 (m=9, one BLAS thread).
+    + 1/2 |log a_f| + 1], a = u_i + u_j and mu the mean point: the expansion
+    cancels terms of that size, which centring keeps small. An entry's last
+    bits may change with the row blocks. A fit has few groups: a folder
+    under 2c points weighs 0, so the points under the same smallest folder
+    of at least 2c points share a row (17-21 groups in fits at n = 1440 and
+    2000). With every row distinct (generic u), each group is one row and
+    one matrix-vector product, at 2-3.5 times the cost of summing
+    per-feature planes: 92 against 41 ms at n=2000 and 21 against 6.3 ms at
+    n=800 (m=9, one BLAS thread).
     """
     values = as_values(X)
     u = weights.inv_diag() if isinstance(weights, WeightField) else np.asarray(weights, dtype=float)
@@ -401,38 +373,8 @@ def weighted_kernel(X, weights, sigma: float | None = None) -> AffinityMatrix:
         raise ValueError("W_x diagonals must be positive")
     if sigma is None:
         sigma = float(np.sqrt(_median_quadratic_scale(values, u)))
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
     # the block temporaries are freed before the symmetry check
     return AffinityMatrix(_grouped_kernel(values, u, sigma), float(sigma))
-
-
-def _grouped_kernel(values: np.ndarray, u: np.ndarray, sigma: float) -> np.ndarray:
-    """The entries of `weighted_kernel`, one weight group at a time."""
-    n = values.shape[0]
-    xc = values - values.mean(axis=0)
-    lead = np.hstack([xc * xc, xc, np.ones((n, 1))])  # (n, 2m + 1)
-    xt, ut = xc.T.copy(), u.T.copy()  # (m, n): one contiguous row per feature
-    K = _empty_mapped((n, n))
-    block = _rows_per_block(n, PLANE_DEPTH)
-    buf = np.empty(block * n)
-    for rows in _weight_groups(u):
-        j0 = rows[0]  # the group's columns: from its first row on
-        a = ut[:, j0:] + ut[:, j0, None]  # W_g + W_j
-        w = np.reciprocal(a * sigma**2)
-        bound = -0.5 * np.log(a).sum(axis=0)  # the exponent at q = 0
-        xw = xt[:, j0:] * w
-        coef = np.vstack([-w, 2.0 * xw, bound - (xt[:, j0:] * xw).sum(axis=0)])
-        for k0 in range(0, rows.size, block):
-            chunk = rows[k0:k0 + block]
-            c0 = chunk[0] - j0  # the block's columns: from its first row on
-            B = buf[:chunk.size * (coef.shape[1] - c0)].reshape(chunk.size, -1)
-            np.matmul(lead[chunk], coef[:, c0:], out=B)
-            np.minimum(B, bound[c0:], out=B)  # q >= 0
-            K[chunk, j0 + c0:] = np.exp(B, out=B)
-    _mirror_upper(K)
-    np.fill_diagonal(K, np.exp(-0.5 * np.log(2.0 * ut).sum(axis=0)))
-    return K
 
 
 def compute_weight_field(X, F: CohortFunctional, tree: PartitionTree) -> WeightField:

@@ -85,17 +85,38 @@ class PartitionTree:
 
     @classmethod
     def from_lines(cls, lines) -> "PartitionTree":
-        """The tree of `to_lines` output; parents are found by containment."""
-        by_level: dict[int, list[tuple[int, np.ndarray]]] = {}
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            pts = np.sort(np.array([int(p) for p in parts[3:]], dtype=int))
-            by_level.setdefault(int(parts[0]), []).append((int(parts[1]), pts))
-        return cls([[pts for _, pts in sorted(by_level[level], key=lambda f: f[0])]
-                    for level in sorted(by_level)])
+        """The tree of `to_lines` output. Besides the tree's own checks, a
+        ValueError names the first (1-based) line that is not integers
+        level,folder_id,parent_id,point_ids..., whose level number follows
+        a gap, whose folder id is not the next of 0, 1, ... in its level (a
+        repeated id included), or whose parent id is not the folder above
+        that contains it (-1 at the root)."""
+        by_level: dict[int, list[tuple[int, int, int, np.ndarray]]] = {}
+        for at, line in enumerate(lines, start=1):
+            if line.strip():
+                try:
+                    level, fid, up, *pts = (int(p) for p in line.split(","))
+                except ValueError:
+                    raise ValueError(f"line {at}: not level,folder_id,parent_id,points") from None
+                pts = np.sort(np.array(pts, dtype=int))
+                by_level.setdefault(level, []).append((fid, up, at, pts))
+        levels = []
+        for want, level in enumerate(sorted(by_level), start=1):
+            if level != want:
+                raise ValueError(f"line {by_level[level][0][2]}: level {level} where level "
+                                 f"{want} belongs")
+            levels.append(sorted(by_level[level], key=lambda f: f[0]))
+            for k, (fid, _, at, _) in enumerate(levels[-1]):
+                if fid != k:
+                    raise ValueError(f"line {at}: folder id {fid} of level {level} "
+                                     + ("repeats" if fid < k else f"where id {k} belongs"))
+        tree = cls([[pts for *_, pts in folders] for folders in levels])
+        for level, folders in enumerate(levels, start=1):
+            for (fid, up, at, _), parent in zip(folders, tree.parents(level).tolist()):
+                if up != parent:
+                    raise ValueError(f"line {at}: parent id {up} of folder {fid} at level {level}, "
+                                     f"where {parent} belongs")
+        return tree
 
 
 def _owner(folders: list[np.ndarray], n: int, level: int) -> tuple[np.ndarray, np.ndarray]:

@@ -70,7 +70,7 @@ def test_gaussian_kernel_is_dense_and_exact_above_4000_points():
 
 
 def test_row_blocks_cap_temporaries_without_changing_entries(monkeypatch):
-    from cohortmetric import extension, metric
+    from cohortmetric import extension
     from cohortmetric.metric import weighted_kernel
 
     assert diffusion._rows_per_block(2000, 9) * 2000 * 9 <= 2**21
@@ -81,13 +81,69 @@ def test_row_blocks_cap_temporaries_without_changing_entries(monkeypatch):
     u = rng.uniform(0.1, 3.0, size=(800, 9))
     Z = rng.normal(size=(400, 9))
     # 800 columns take 81 rows per block: ten blocks, against one below
+    G = gaussian_kernel(X, sigma=1.2).entries
     K = weighted_kernel(X, u, sigma=1.2).entries
     A = extension.asymmetric_kernel(Z, X, u, sigma=1.2)
     monkeypatch.setattr(diffusion, "_rows_per_block", lambda n_cols, m: 10**6)
     monkeypatch.setattr(extension, "_rows_per_block", lambda n_cols, m: 10**6)
-    monkeypatch.setattr(metric, "_rows_per_block", lambda n_cols, m: 10**6)
+    # the Gaussian's one group spans many rows, and each block's product
+    # starts at the block's first column, so BLAS may give a column to its
+    # edge kernel in one partition and not the other: the same entries to
+    # rounding. Each row of this u is a group of its own, one
+    # matrix-vector product whatever the blocks.
+    np.testing.assert_allclose(gaussian_kernel(X, sigma=1.2).entries, G, rtol=1e-13, atol=0)
     assert np.array_equal(weighted_kernel(X, u, sigma=1.2).entries, K)
     assert np.array_equal(extension.asymmetric_kernel(Z, X, u, sigma=1.2), A)
+
+
+@pytest.mark.parametrize("rows", [None, 7])
+def test_gaussian_diagonal_is_one_and_symmetry_exact_over_row_blocks(rows, monkeypatch):
+    if rows is not None:  # 43 blocks of 7 rows
+        monkeypatch.setattr(diffusion, "_rows_per_block", lambda n_cols, m: rows)
+    X = np.random.default_rng(18).normal(size=(300, 9)) * 5.0 + 40.0
+    K = gaussian_kernel(X, sigma=2.5).entries
+    assert np.all(np.diagonal(K) == 1.0)
+    assert np.array_equal(K, K.T)
+    assert K.max() == 1.0
+
+
+def test_gaussian_exponent_within_the_stated_bound_for_two_distant_clusters():
+    # the clusters lie 50 sigma either side of the mean point, where the
+    # expansion cancels terms of about 5000 against exponents of order 1:
+    # each exponent is within (3m + 10) 2^-53 S of the cdist formula's,
+    # with S as the `weighted_kernel` docstring defines it at a = 1 and
+    # bandwidth sqrt(2) sigma
+    rng = np.random.default_rng(19)
+    m, sigma = 9, 0.4
+    X = rng.normal(scale=sigma, size=(160, m))
+    X[80:, 0] += 100.0 * sigma
+    K = gaussian_kernel(X, sigma=sigma).entries
+    exact = -cdist(X, X, "sqeuclidean") / (2.0 * sigma**2)
+    xc = np.abs(X - X.mean(axis=0))
+    S = ((xc[:, None, :] + xc[None, :, :]) ** 2 / (2.0 * sigma**2) + 1.0).sum(axis=2)
+    bound = (3 * m + 10) * 2.0**-53 * S
+    bound += (m + 4) * 2.0**-53 * np.abs(exact)  # the oracle's own rounding
+    tiny = np.finfo(float).tiny
+    normal = K >= tiny
+    assert normal[:80, :80].all() and normal[80:, 80:].all()
+    assert np.all(np.abs(np.log(K[normal]) - exact[normal]) <= bound[normal])
+    # across the clusters every entry underflows, as the formula's does
+    assert not normal[:80, 80:].any()
+    assert np.all(exact[~normal] - bound[~normal] < np.log(tiny))
+
+
+@pytest.mark.parametrize("sigma", [np.inf, np.nan, 0.0, -1.0])
+def test_gaussian_kernel_refuses_a_bandwidth_that_is_not_finite_and_positive(sigma):
+    X = np.random.default_rng(20).normal(size=(30, 4))
+    with pytest.raises(ValueError, match="sigma must be finite and positive"):
+        gaussian_kernel(X, sigma=sigma)
+
+
+@pytest.mark.parametrize("d", [2.5, np.float64(3.0), True, 0, -1])
+def test_spectral_embed_refuses_a_count_that_is_not_an_integer_of_at_least_one(d):
+    op = markov_normalize(gaussian_kernel(np.random.default_rng(21).normal(size=(30, 3))))
+    with pytest.raises(ValueError, match="d must be an integer >= 1"):
+        spectral_embed(op, t=1.0, d=d)
 
 
 @pytest.mark.parametrize("rows", [None, 37])

@@ -186,6 +186,23 @@ def test_a_nan_weight_diagonal_is_refused():
         build_reference(X, u, sigma=1.1, n_components=3)  # before the eigensolver
 
 
+@pytest.mark.parametrize("sigma", [np.inf, np.nan, 0.0, -1.0])
+def test_asymmetric_kernel_refuses_a_bandwidth_that_is_not_finite_and_positive(sigma):
+    rng = np.random.default_rng(10)
+    X = rng.normal(size=(30, 4))
+    u = rng.uniform(0.5, 2.0, size=(30, 4))
+    with pytest.raises(ValueError, match="sigma must be finite and positive"):
+        asymmetric_kernel(X[:5], X, u, sigma)
+
+
+@pytest.mark.parametrize("n_components", [2.5, np.float64(3.0), True, 0, -1])
+def test_reference_refuses_a_count_that_is_not_an_integer_of_at_least_one(n_components):
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(30, 4))
+    with pytest.raises(ValueError, match="n_components must be an integer >= 1"):
+        build_reference(X, uniform_weights(30, 4), sigma=1.1, n_components=n_components)
+
+
 # --- extend ---------------------------------------------------------------------------
 
 

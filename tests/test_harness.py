@@ -738,6 +738,17 @@ def test_nan_in_a_saved_config_is_a_value_error(tmp_path, small_model, key):
         io.load_model(model_dir)
 
 
+def test_an_infinite_saved_sigma_is_a_value_error(tmp_path, small_model):
+    # an infinite bandwidth would serve an all-ones kernel row per point
+    model_dir = tmp_path / "model"
+    io.save_model(model_dir, small_model)
+    meta = json.loads((model_dir / "config.json").read_text())
+    meta["sigma"] = float("inf")
+    (model_dir / "config.json").write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match="sigma must be finite and positive, got inf"):
+        io.load_model(model_dir)
+
+
 def test_saved_dim_that_disagrees_with_the_eigenpairs_is_a_value_error(tmp_path, small_model):
     model_dir = tmp_path / "model"
     io.save_model(model_dir, small_model)
@@ -758,6 +769,31 @@ def test_nan_in_saved_eigenvectors_is_a_value_error(tmp_path, small_model):
     lines[5] = ",".join(row)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="finite"):
+        io.load_model(model_dir)
+
+
+@pytest.mark.parametrize("case", ["level gap", "repeated folder id", "wrong parent id"])
+def test_a_corrupt_tree_file_is_refused_naming_its_line(tmp_path, small_model, case):
+    model_dir = tmp_path / "model"
+    io.save_model(model_dir, small_model)
+    path = model_dir / "tree.txt"
+    fields = [line.split(",") for line in path.read_text().splitlines()]
+    if case == "level gap":  # levels 1, ..., L - 1, L + 5
+        last = int(fields[-1][0])
+        at = next(i for i, f in enumerate(fields) if f[0] == str(last))
+        for f in fields[at:]:
+            f[0] = str(last + 5)
+        message = f"line {at + 1}: level {last + 5} where level {last} belongs"
+    elif case == "repeated folder id":
+        at = next(i for i, f in enumerate(fields) if f[:2] == ["2", "1"])
+        fields[at][1] = "0"
+        message = f"line {at + 1}: folder id 0 of level 2 repeats"
+    else:  # a folder of level 3 inside folder 0 of level 2, said to be in folder 1
+        at = next(i for i, f in enumerate(fields) if f[0] == "3" and f[2] == "0")
+        fields[at][2] = "1"
+        message = f"line {at + 1}: parent id 1 of folder {fields[at][1]} at level 3, where 0"
+    path.write_text("\n".join(",".join(f) for f in fields) + "\n")
+    with pytest.raises(ValueError, match=message):
         io.load_model(model_dir)
 
 

@@ -334,6 +334,15 @@ def test_weighted_kernel_refuses_a_nan_weight_diagonal(sigma):
         weighted_kernel(X, u, sigma=sigma)
 
 
+@pytest.mark.parametrize("sigma", [np.inf, np.nan, 0.0, -1.0])
+def test_weighted_kernel_refuses_a_bandwidth_that_is_not_finite_and_positive(sigma):
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(30, 4))
+    u = rng.uniform(0.2, 2.0, size=(30, 4))
+    with pytest.raises(ValueError, match="sigma must be finite and positive"):
+        weighted_kernel(X, u, sigma=sigma)
+
+
 def test_weighted_kernel_psd_with_extreme_spreads():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(50, 9))
@@ -375,9 +384,9 @@ def _weighted_kernel_oracle(X, u, sigma):
 
 def _patch_row_blocks(monkeypatch, rows):
     """Blocks of `rows` rows in the library's kernel and the frozen one."""
-    from cohortmetric import metric
+    from cohortmetric import diffusion
 
-    monkeypatch.setattr(metric, "_rows_per_block", lambda n_cols, m: rows)
+    monkeypatch.setattr(diffusion, "_rows_per_block", lambda n_cols, m: rows)
     monkeypatch.setattr(kernel_oracle, "_rows_per_block", lambda n_cols, m: rows)
 
 
@@ -480,7 +489,7 @@ def test_weighted_kernel_exact_symmetry():
 
 
 def test_weighted_kernel_groups_the_rows_bit_for_bit():
-    from cohortmetric.metric import _weight_groups
+    from cohortmetric.diffusion import _weight_groups
 
     u = np.array([[1.0, 2.0], [3.0, 4.0], [1.0, 2.0], [1.0, np.nextafter(2.0, 3.0)],
                   [3.0, 4.0], [1.0, 2.0]])
@@ -566,7 +575,7 @@ def test_weighted_kernel_exponent_within_the_stated_bound_at_six_decades():
 
 
 def test_fitted_weight_field_matches_the_frozen_kernel(loop_fit):
-    from cohortmetric.metric import _weight_groups
+    from cohortmetric.diffusion import _weight_groups
 
     X, _, _, metric = loop_fit
     u = metric.weights.inv_diag()

@@ -112,6 +112,8 @@ def _replace(edits):
     (_replace({"1,0,-1,0,1,2,3,4,5": ["1,0,-1,0,1,2", "1,1,-1,3,4,5"]}), "single root"),
     (lambda lines: [line for line in lines if not line.startswith("4,")], "singletons"),
     (_replace({"2,1,0,3,4,5": ["2,1,0,3,4,5", "2,2,0"]}), "level 2: a folder is empty"),
+    (_replace({"2,1,0,3,4,5": ["2,1,0,3,x,5"]}), "line 3: not level,folder_id,parent_id,points"),
+    (_replace({"2,1,0,3,4,5": ["2,1"]}), "line 3: not level,folder_id,parent_id,points"),
 ])
 def test_malformed_tree_lines_raise_value_error(edit, message):
     lines = _small_tree_lines()
