@@ -330,11 +330,13 @@ def markov_normalize(K: AffinityMatrix) -> MarkovOperator:
 
 
 def _fix_signs(vecs: np.ndarray) -> np.ndarray:
+    """A copy of vecs with each column negated where its largest-magnitude
+    entry, the first on ties, is negative. The copy is C-ordered whatever
+    the layout of vecs (eigensolvers return Fortran order): a saved model
+    loads C-ordered, and products on it keep their bits only in the layout
+    the fitted model had."""
     out = vecs.copy()
-    for j in range(out.shape[1]):
-        i = int(np.argmax(np.abs(out[:, j])))
-        if out[i, j] < 0:
-            out[:, j] = -out[:, j]
+    out *= np.where(out[np.abs(out).argmax(axis=0), np.arange(out.shape[1])] < 0, -1.0, 1.0)
     return out
 
 

@@ -399,14 +399,14 @@ def _weight_change(prev: WeightField | None, new: WeightField) -> float:
 def fit_weighted_metric(X, F: CohortFunctional, config: RunConfig = RunConfig()) -> RegularizedMetric:
     """Run `config.max_iters` steps of tree -> weights -> weighted kernel -> embedding.
 
-    Starts from the unweighted Gaussian diffusion embedding; step `it`
-    (0-based) builds its tree with seed `config.seed + it`. The result holds
-    the last step's tree, the weights computed on it, and the embedding and
-    bandwidth of the weighted kernel those weights build, so the reference
-    decomposition serves the same geometry as `embedding`. Each kernel is
-    freed once embedded. `history` has one record per step.
-    Of `config` it reads only `seed`, `dim` and `max_iters`: the cohort size
-    is taken from F's own minimum cohort.
+    Starts from the unweighted Gaussian diffusion embedding, and draws no
+    random numbers: each step's tree depends on its embedding alone. The
+    result holds the last step's tree, the weights computed on it, and the
+    embedding and bandwidth of the weighted kernel those weights build, so
+    the reference decomposition serves the same geometry as `embedding`.
+    Each kernel is freed once embedded. `history` has one record per step.
+    Of `config` it reads only `dim` and `max_iters`: the cohort size is
+    taken from F's own minimum cohort.
     """
     values = as_values(X)
     n = values.shape[0]
@@ -420,9 +420,9 @@ def fit_weighted_metric(X, F: CohortFunctional, config: RunConfig = RunConfig())
     )
     W = tree = None
     history: list[IterationDiagnostics] = []
-    for it in range(config.max_iters):
+    for _ in range(config.max_iters):
         del tree  # one tree at a time
-        tree = build_topdown(emb, BRANCHING, fit_min_folder(n), config.seed + it)
+        tree = build_topdown(emb, BRANCHING, fit_min_folder(n))
         W_prev, W = W, compute_weight_field(values, F, tree)
         K = weighted_kernel(values, W)
         sigma = K.sigma

@@ -7,7 +7,7 @@ import numpy as np
 # Fixed component indices; appending is fine, reordering breaks reproducibility.
 STREAMS = {
     "simulate": 0,
-    "kmeans": 1,
+    # 1 is unused: the partition tree draws no random numbers
     "split": 2,
     "oracle": 3,
     "bench": 4,

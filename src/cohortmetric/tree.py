@@ -8,9 +8,13 @@ coarse-to-fine lists with one sorted point array per folder. A folder's parent i
 folder of the previous level that contains it, found when it is needed.
 
 The top-down tree is level-synchronous: one `kmeans_split` call splits every
-splittable folder of a level, its Lloyd iterations running over all of the
-level's points with a segment id per (restart, folder). The result is that
-of running k-means on each folder alone, in folder order, bit for bit.
+splittable folder of a level. Each folder's k-means starts from the k
+quantile slabs along its top principal direction (Boley 1998, "Principal
+Direction Divisive Partitioning"; Ding and He 2004), and its Lloyd
+iterations run over all of the level's points with a segment id per folder.
+The result is that of running the same steps on each folder alone, bit for
+bit. Nothing is drawn at random, so the tree depends on the coordinates
+alone.
 """
 
 from __future__ import annotations
@@ -19,10 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import DiffusionEmbedding
-from .rng import substream
+from .diffusion import DiffusionEmbedding, _fix_signs
 
-KMEANS_RESTARTS = 25
 KMEANS_MAX_ITER = 100
 
 
@@ -134,90 +136,45 @@ def _owner(folders: list[np.ndarray], n: int, level: int) -> tuple[np.ndarray, n
     return owner, points[np.cumsum(sizes) - sizes]
 
 
-def _kmeans_plus_plus_init_batch(coords, k, restarts, rng):
-    """k-means++ seeding for all restarts at once; centers (R, k, d)."""
-    n, d = coords.shape
-    xt = coords.T.copy()  # (d, n): one contiguous row per coordinate
-    centers = np.empty((restarts, k, d))
+def kmeans_split(coords: np.ndarray, sizes: list[int], k: int) -> np.ndarray:
+    """k-means labels for every folder of one tree level at once.
 
-    def d2_to(c):  # (R, n) squared distances to the centers c (R, d)
-        d2 = None
-        for i in range(d):
-            t = np.subtract(xt[i][None, :], c[:, i][:, None])
-            np.square(t, out=t)
-            d2 = t if d2 is None else np.add(d2, t, out=d2)
-        return d2
-
-    first = rng.integers(n, size=restarts)
-    centers[:, 0] = coords[first]
-    d2 = d2_to(centers[:, 0])
-    for j in range(1, k):
-        total = d2.sum(axis=1)
-        u = rng.random(restarts)
-        cum = np.cumsum(d2, axis=1)
-        # inverse-CDF sample per restart; degenerate rows fall back to uniform
-        pick = (cum < (u * total)[:, None]).sum(axis=1)
-        pick = np.minimum(pick, n - 1)
-        fallback = total <= 0
-        if np.any(fallback):
-            pick[fallback] = rng.integers(n, size=int(fallback.sum()))
-        centers[:, j] = coords[pick]
-        if j < k - 1:  # nothing reads the distances after the last center
-            d2 = np.minimum(d2, d2_to(centers[:, j]))
-    return centers
-
-
-def kmeans_split(coords: np.ndarray, sizes: list[int], k: int, rng: np.random.Generator,
-                 restarts: int = KMEANS_RESTARTS) -> np.ndarray:
-    """Seeded k-means labels for every folder of one tree level at once.
-
-    `coords` holds the folders' points folder after folder, `sizes` the
-    number of points in each. Each folder is seeded by k-means++ in folder
-    order. Then each Lloyd iteration is one pass over the (restart, point)
-    pairs still in play, with the (restart, folder) segment of each pair:
-    distances are (k, pairs), summed over d in coordinate order. A
-    pair's label is the first of its nearest centers, found by a running
-    strict `<` over the k rows of distances, so ties go to the earliest
-    cluster; distances are finite (`DiffusionEmbedding` refuses non-finite
-    coordinates), and on finite distances this is argmin's choice. Counts
-    and center sums are bincounts keyed by restart, folder and cluster. An
-    empty cluster takes the farthest point of its restart and folder among
-    the clusters with at least two members, so that no cluster is left
-    empty (and no center is 0/0); the repaired counts divide the center
-    sums. A restart whose labels repeat has reached a fixed point (the same
-    labels give the same centers), so it leaves play, and a folder leaves
-    once none of its restarts change; the pairs in play are gathered again
-    only when a segment has left. Per folder, the restart of least inertia
-    wins, ties to the earliest. The labels are those of running k-means on
-    each folder alone, bit for bit.
+    `coords` holds the folders' points folder after folder, each folder's
+    points in point-id order, and `sizes` the number of points in each, at
+    least k. Each folder starts from its principal split (`_principal_slabs`),
+    the relaxed 2-means solution (Ding and He 2004), so one run stands in
+    for random restarts. Then each Lloyd iteration is
+    one pass over the points of the folders still in play, with the folder
+    of each point: distances are (k, points), summed over d in coordinate
+    order. A point's label is the first of its nearest centers, found by a
+    running strict `<` over the k rows of distances, so ties go to the
+    earliest cluster; distances are finite (`DiffusionEmbedding` refuses
+    non-finite coordinates), and on finite distances this is argmin's
+    choice. Counts and center sums are bincounts keyed by folder and
+    cluster, summed in point order. An empty cluster takes the farthest
+    point of its folder among the clusters with at least two members, so
+    that no cluster is left empty (and no center is 0/0). A folder whose
+    labels repeat has reached a fixed point (the same labels give the same
+    centers), so it leaves play; the points in play are gathered again only
+    when a folder has left. The labels are those of running the same steps
+    on each folder alone, bit for bit.
     """
-    n, d = coords.shape
+    d = coords.shape[1]
     sizes = np.asarray(sizes, dtype=int)
     n_folders = len(sizes)
-    starts = np.concatenate([[0], np.cumsum(sizes)])
     seg = np.repeat(np.arange(n_folders), sizes)
-    x_all = np.tile(coords.T, restarts)  # (d, restarts * n): one column per (restart, point)
-    n_segs = restarts * n_folders  # segment id: restart * n_folders + folder
-    centers = np.empty((d, k, n_segs))
-    for f in range(n_folders):
-        seeds = _kmeans_plus_plus_init_batch(coords[starts[f]:starts[f + 1]], k, restarts, rng)
-        centers[:, :, f::n_folders] = seeds.transpose(2, 1, 0)
-    seg_of = (np.arange(restarts)[:, None] * n_folders + seg).ravel()  # per (restart, point)
-    labels = np.zeros(restarts * n, dtype=int)
-    live = np.ones(n_segs, dtype=bool)
-    runs_all = np.tile(sizes, restarts)  # pairs per segment
-    n_live = n_segs
-    pairs, s, x, runs = slice(None), seg_of, x_all, runs_all  # every segment in play
-    for it in range(KMEANS_MAX_ITER):
-        now = np.count_nonzero(live)
-        if now < n_live:  # `live` only shrinks
-            if not now:
-                break
-            n_live = now
-            pairs = np.flatnonzero(live[seg_of])
-            s = seg_of[pairs]  # nondecreasing: each segment is one contiguous run
-            x = np.take(x_all, pairs, axis=1)
-            runs = np.where(live, runs_all, 0)
+    x_all = np.ascontiguousarray(coords.T)  # (d, n): one contiguous row per coordinate
+    labels = _principal_slabs(x_all, seg, sizes, k)
+    centers = np.empty((d, k, n_folders))
+    live = np.ones(n_folders, dtype=bool)
+    n_live = n_folders
+    pts, s, x, runs = slice(None), seg, x_all, sizes  # every folder in play
+    key = seg * k + labels
+    counts = np.bincount(key, minlength=n_folders * k).reshape(n_folders, k)
+    for _ in range(KMEANS_MAX_ITER):
+        for j in range(d):  # the centers of the current labels
+            sums = np.bincount(key, weights=x[j], minlength=n_folders * k).reshape(n_folders, k)
+            np.divide(sums.T, counts.T, out=centers[j], where=live)
         d2 = _own_center_d2(x, centers, runs)
         new = np.zeros(len(s), dtype=int)
         own = d2[0]
@@ -225,7 +182,7 @@ def kmeans_split(coords: np.ndarray, sizes: list[int], k: int, rng: np.random.Ge
             np.copyto(new, j, where=d2[j] < own)
             own = np.minimum(own, d2[j])
         key = s * k + new
-        counts = np.bincount(key, minlength=n_segs * k).reshape(n_segs, k)
+        counts = np.bincount(key, minlength=n_folders * k).reshape(n_folders, k)
         for g, j in zip(*np.nonzero((counts == 0) & live[:, None])):
             lo, hi = np.searchsorted(s, [g, g + 1])
             # the farthest point whose cluster keeps another member
@@ -235,21 +192,48 @@ def kmeans_split(coords: np.ndarray, sizes: list[int], k: int, rng: np.random.Ge
             counts[g, j] += 1
             new[far] = j
             key[far] = g * k + j
-        if it > 0:
-            live &= np.bincount(s[new != labels[pairs]], minlength=n_segs) > 0
-        labels[pairs] = new
-        for j in range(d):
-            sums = np.bincount(key, weights=x[j], minlength=n_segs * k).reshape(n_segs, k)
-            np.divide(sums.T, counts.T, out=centers[j], where=live)
-    d2 = _own_center_d2(x_all, centers, runs_all)
-    own = np.take_along_axis(d2, labels[None], axis=0).reshape(restarts, n)
-    labels = labels.reshape(restarts, n)
-    out = np.empty(n, dtype=int)
-    for f in range(n_folders):
-        lo, hi = starts[f], starts[f + 1]
-        best = int(np.argmin(own[:, lo:hi].sum(axis=1)))  # argmin keeps the earliest on ties
-        out[lo:hi] = labels[best, lo:hi]
-    return out
+        live &= np.bincount(s[new != labels[pts]], minlength=n_folders) > 0
+        labels[pts] = new
+        now = np.count_nonzero(live)
+        if now < n_live:  # `live` only shrinks
+            if not now:
+                break
+            n_live = now
+            pts = np.flatnonzero(live[seg])
+            s = seg[pts]  # nondecreasing: each folder is one contiguous run
+            x = np.take(x_all, pts, axis=1)
+            runs = np.where(live, sizes, 0)
+            key = s * k + labels[pts]
+    return labels
+
+
+def _principal_slabs(x: np.ndarray, seg: np.ndarray, sizes: np.ndarray, k: int) -> np.ndarray:
+    """Each point's slab, 0..k-1, among the k quantile slabs of its folder
+    along the folder's top principal direction.
+
+    x is (d, n), the folders' points folder after folder; seg is each
+    point's folder. Means and covariances are sums in point order
+    (bincounts), the directions come from one `eigh` of the (folders, d, d)
+    stack, each signed so that its largest-magnitude entry is positive
+    (`_fix_signs`), and a point's projection on its direction is summed in
+    coordinate order. A point of rank r by (projection, position) in a
+    folder of m points is in slab r * k // m.
+    """
+    d, n = x.shape
+    n_folders = len(sizes)
+    mean = np.stack([np.bincount(seg, weights=row, minlength=n_folders) for row in x]) / sizes
+    xc = x - mean[:, seg]
+    cov = np.zeros((n_folders, d, d))
+    for a in range(d):
+        for b in range(a + 1):  # eigh reads the lower triangle only
+            cov[:, a, b] = np.bincount(seg, weights=xc[a] * xc[b], minlength=n_folders) / sizes
+    top = _fix_signs(np.linalg.eigh(cov, UPLO="L")[1][:, :, -1].T)[:, seg]  # (d, n)
+    proj = xc[0] * top[0]
+    for a in range(1, d):
+        proj += xc[a] * top[a]
+    rank = np.empty(n, dtype=int)
+    rank[np.lexsort((np.arange(n), proj, seg))] = np.arange(n) - (np.cumsum(sizes) - sizes)[seg]
+    return rank * k // sizes[seg]
 
 
 def _own_center_d2(x: np.ndarray, centers: np.ndarray, runs: np.ndarray) -> np.ndarray:
@@ -271,9 +255,9 @@ def fit_min_folder(n: int) -> int:
     return max(10, int(np.ceil(n / 256)))
 
 
-def build_topdown(emb: DiffusionEmbedding, k: int = 2, min_folder: int = 1,
-                  seed: int = 0) -> PartitionTree:
-    """Top-down k-means on the embedded coordinates, one level at a time.
+def build_topdown(emb: DiffusionEmbedding, k: int = 2, min_folder: int = 1) -> PartitionTree:
+    """Top-down k-means on the embedded coordinates, one level at a time,
+    each folder's run started from its principal split.
 
     Every folder of a level larger than min_folder (and at least k) is split
     by one `kmeans_split` call for the whole level; smaller folders pass
@@ -286,7 +270,6 @@ def build_topdown(emb: DiffusionEmbedding, k: int = 2, min_folder: int = 1,
         raise ValueError(f"min_folder must be >= 1, got {min_folder}")
     coords = emb.coords
     n = coords.shape[0]
-    rng = substream(seed, "kmeans")
     levels: list[list[np.ndarray]] = [[np.arange(n)]]
     while True:
         current = levels[-1]
@@ -295,7 +278,7 @@ def build_topdown(emb: DiffusionEmbedding, k: int = 2, min_folder: int = 1,
             break
         members = [pts for pts, s in zip(current, split) if s]
         sizes = [len(pts) for pts in members]
-        labels = kmeans_split(coords[np.concatenate(members)], sizes, k, rng)
+        labels = kmeans_split(coords[np.concatenate(members)], sizes, k)
         per_folder = iter(np.split(labels, np.cumsum(sizes)[:-1]))
         nxt: list[np.ndarray] = []
         for pts, s in zip(current, split):

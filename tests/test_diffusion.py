@@ -9,6 +9,7 @@ from scipy.spatial.distance import cdist
 from cohortmetric import diffusion
 from cohortmetric.data import DataMatrix
 from cohortmetric.diffusion import (
+    _fix_signs,
     gaussian_kernel,
     markov_normalize,
     median_bandwidth,
@@ -350,6 +351,21 @@ def test_median_bandwidth_is_the_median_of_the_nonzero_distances_bit_for_bit():
         sub = X[np.unique(np.linspace(0, 2299, 2000).astype(int))]
         d = cdist(sub, sub)
         assert median_bandwidth(X) == float(np.median(d[d > 0]))
+
+
+def test_fix_signs_gives_a_c_ordered_copy_as_the_column_loop_does():
+    # a fitted model's arrays must have a loaded model's layout, or served
+    # products differ in their last bits
+    vecs = np.asfortranarray(np.random.default_rng(3).normal(size=(40, 5)))
+    vecs[7, 2], vecs[9, 2] = -10.0, 10.0  # tied magnitudes: the first decides
+    want = vecs.copy(order="C")
+    for j in range(want.shape[1]):
+        i = int(np.argmax(np.abs(want[:, j])))
+        if want[i, j] < 0:
+            want[:, j] = -want[:, j]
+    got = _fix_signs(vecs)
+    assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+    assert got[7, 2] == 10.0
 
 
 def test_embedding_deterministic():

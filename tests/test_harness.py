@@ -17,6 +17,7 @@ from cohortmetric.harness import (
     split_indices,
     validate_pipeline,
 )
+from cohortmetric.rng import substream
 from cohortmetric.simulate import (
     GroundTruth,
     TrialSpec,
@@ -193,6 +194,18 @@ def test_split_indices_deterministic_and_disjoint():
     assert np.array_equal(np.sort(np.concatenate([tr1, te1])), np.arange(100))
     tr3, _ = split_indices(100, 0.8, seed=5, fold=4)
     assert not np.array_equal(tr1, tr3)
+
+
+@pytest.mark.parametrize("name, index, extra", [
+    ("split", 2, (0,)), ("split", 2, (17,)), ("simulate", 0, ()), ("oracle", 3, ()),
+    ("bench", 4, (3,)),
+])
+def test_substreams_keep_their_indices(name, index, extra):
+    # fixed numbers: split_indices' folds and the acceptance oracles keep
+    # their draws when a stream is retired
+    want = np.random.default_rng(np.random.SeedSequence(904, spawn_key=(index, *extra)))
+    got = substream(904, name, *extra)
+    assert got.integers(2**62, size=4).tolist() == want.integers(2**62, size=4).tolist()
 
 
 def test_validate_truth_equal_estimator_gives_ones(small_trial, monkeypatch):

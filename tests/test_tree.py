@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import cohortmetric.tree as tree_mod
+from cohortmetric.config import RunConfig
 from cohortmetric.diffusion import DiffusionEmbedding, gaussian_kernel, markov_normalize, spectral_embed
-from cohortmetric.rng import substream
+from cohortmetric.metric import CohortFunctional, fit_weighted_metric
 from cohortmetric.tree import PartitionTree, build_topdown
 
 
@@ -16,7 +17,7 @@ def embed_coords(coords):
 
 
 def test_topdown_single_point():
-    tree = build_topdown(embed_coords([[0.0]]), k=2, min_folder=1, seed=0)
+    tree = build_topdown(embed_coords([[0.0]]), k=2, min_folder=1)
     assert tree.n_levels == 2
     assert len(tree.folders(1)) == 1
     assert len(tree.folders(2)) == 1
@@ -28,7 +29,7 @@ def test_topdown_recovers_separated_blobs():
     a = rng.normal(size=(20, 2)) * 0.1
     b = rng.normal(size=(20, 2)) * 0.1 + np.array([50.0, 0.0])
     coords = np.vstack([a, b])
-    tree = build_topdown(embed_coords(coords), k=2, min_folder=5, seed=1)
+    tree = build_topdown(embed_coords(coords), k=2, min_folder=5)
     level2 = {frozenset(f.tolist()) for f in tree.folders(2)}
     assert level2 == {frozenset(range(20)), frozenset(range(20, 40))}
 
@@ -36,23 +37,66 @@ def test_topdown_recovers_separated_blobs():
 def test_topdown_partition_invariants_hold():
     rng = np.random.default_rng(1)
     coords = rng.normal(size=(67, 3))
-    tree = build_topdown(embed_coords(coords), k=3, min_folder=4, seed=2)
+    tree = build_topdown(embed_coords(coords), k=3, min_folder=4)
     tree.validate()
     assert all(len(f) == 1 for f in tree.folders(tree.n_levels))
 
 
-def test_topdown_deterministic_under_seed():
+def test_topdown_is_deterministic():
     rng = np.random.default_rng(2)
     coords = rng.normal(size=(50, 2))
-    t1 = build_topdown(embed_coords(coords), k=2, min_folder=3, seed=7)
-    t2 = build_topdown(embed_coords(coords), k=2, min_folder=3, seed=7)
+    t1 = build_topdown(embed_coords(coords), k=2, min_folder=3)
+    t2 = build_topdown(embed_coords(coords.copy()), k=2, min_folder=3)
     assert t1.to_lines() == t2.to_lines()
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_the_tree_does_not_follow_the_signs_eigh_returns(k, monkeypatch):
+    coords = _diffusion_coords(11, 5).coords
+    want = build_topdown(embed_coords(coords), k=k, min_folder=4).to_lines()
+    eigh = np.linalg.eigh
+
+    def flipped(a, UPLO="L"):  # every other matrix's eigenvectors negated
+        vals, vecs = eigh(a, UPLO=UPLO)
+        vecs[::2] *= -1
+        return vals, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", flipped)
+    assert build_topdown(embed_coords(coords), k=k, min_folder=4).to_lines() == want
+
+
+@pytest.mark.parametrize("max_iter, lines", [
+    # the principal split alone: slabs by point id
+    (0, ["1,0,-1,0,1,2,3", "2,0,0,0,1", "2,1,0,2,3",
+         "3,0,0,0", "3,1,0,1", "3,2,1,2", "3,3,1,3"]),
+    # then Lloyd's ties leave a cluster empty, and its repair takes the
+    # first point
+    (100, ["1,0,-1,0,1,2,3", "2,0,0,1,2,3", "2,1,0,0",
+           "3,0,0,2,3", "3,1,0,1", "3,2,1,0",
+           "4,0,0,3", "4,1,0,2", "4,2,1,1", "4,3,2,0"]),
+])
+def test_a_folder_of_tied_projections_splits_by_point_id(max_iter, lines, monkeypatch):
+    monkeypatch.setattr(tree_mod, "KMEANS_MAX_ITER", max_iter)
+    # coinciding points all project to 0
+    tree = build_topdown(embed_coords(np.full((4, 2), 3.0)), k=2, min_folder=1)
+    assert tree.to_lines() == lines
+
+
+def test_fit_draws_nothing_from_its_seed():
+    rng = np.random.default_rng(13)
+    X = rng.uniform(size=(150, 4))
+    F = CohortFunctional.from_labels(np.sin(4 * X[:, 0]) + X[:, 1], 8)
+    a, b = (fit_weighted_metric(X, F, RunConfig(dim=3, seed=seed, max_iters=2)) for seed in (2, 9))
+    assert a.tree.to_lines() == b.tree.to_lines()
+    assert a.weights.point_weights.tobytes() == b.weights.point_weights.tobytes()
+    assert a.embedding.eigenvalues.tobytes() == b.embedding.eigenvalues.tobytes()
+    assert a.embedding.eigenvectors.tobytes() == b.embedding.eigenvectors.tobytes()
 
 
 def test_topdown_small_folder_passes_through():
     # k larger than some folders: they must pass through unsplit
     coords = np.array([[0.0], [0.1], [5.0], [5.1], [5.2]])
-    tree = build_topdown(embed_coords(coords), k=4, min_folder=1, seed=0)
+    tree = build_topdown(embed_coords(coords), k=4, min_folder=1)
     tree.validate()
 
 
@@ -69,13 +113,13 @@ def test_topdown_refuses_a_nonfinite_embedding(field, value):
     else:
         t = value
     with pytest.raises(ValueError, match="finite"):
-        build_topdown(DiffusionEmbedding(vals, vecs, t=t, d=3), k=2, min_folder=1, seed=0)
+        build_topdown(DiffusionEmbedding(vals, vecs, t=t, d=3), k=2, min_folder=1)
 
 
 def test_parent_child_links():
     rng = np.random.default_rng(5)
     coords = rng.normal(size=(30, 2))
-    tree = build_topdown(embed_coords(coords), k=2, min_folder=2, seed=6)
+    tree = build_topdown(embed_coords(coords), k=2, min_folder=2)
     for level in range(2, tree.n_levels + 1):
         parents = tree.parents(level)
         assert len(parents) == len(tree.folders(level))
@@ -86,7 +130,7 @@ def test_parent_child_links():
 def test_serialization_roundtrip():
     rng = np.random.default_rng(6)
     coords = rng.normal(size=(25, 2))
-    tree = build_topdown(embed_coords(coords), k=2, min_folder=3, seed=8)
+    tree = build_topdown(embed_coords(coords), k=2, min_folder=3)
     lines = tree.to_lines()
     back = PartitionTree.from_lines(lines)
     back.validate()
@@ -126,7 +170,7 @@ def test_tree_on_real_embedding():
     rng = np.random.default_rng(7)
     X = rng.normal(size=(80, 5))
     emb = spectral_embed(markov_normalize(gaussian_kernel(X, sigma=1.5)), t=1.0, d=4)
-    tree = build_topdown(emb, k=2, min_folder=8, seed=9)
+    tree = build_topdown(emb, k=2, min_folder=8)
     tree.validate()
 
 
@@ -150,67 +194,51 @@ def test_batched_distances_sum_over_d_as_numpy_does(d):
     assert got.tobytes() == want.tobytes()
 
 
-# --- per-folder oracle: k-means run folder by folder, one call each ---------
+# --- per-folder oracle: principal split, then Lloyd, one folder at a time --
 
 
-def _oracle_seeds(coords, k, restarts, rng):
-    n, d = coords.shape
-    centers = np.empty((restarts, k, d))
-    first = rng.integers(n, size=restarts)
-    centers[:, 0] = coords[first]
-    d2 = ((coords[None, :, :] - centers[:, 0][:, None, :]) ** 2).sum(axis=2)
-    for j in range(1, k):
-        total = d2.sum(axis=1)
-        u = rng.random(restarts)
-        cum = np.cumsum(d2, axis=1)
-        pick = (cum < (u * total)[:, None]).sum(axis=1)
-        pick = np.minimum(pick, n - 1)
-        fallback = total <= 0
-        if np.any(fallback):
-            pick[fallback] = rng.integers(n, size=int(fallback.sum()))
-        centers[:, j] = coords[pick]
-        d2 = np.minimum(d2, ((coords[None, :, :] - centers[:, j][:, None, :]) ** 2).sum(axis=2))
-    return centers
-
-
-def _oracle_kmeans(coords, k, rng, restarts=25):
-    n, d = coords.shape
-    centers = _oracle_seeds(coords, k, restarts, rng)
-    labels = np.zeros((restarts, n), dtype=int)
-    for it in range(tree_mod.KMEANS_MAX_ITER):
-        d2 = ((coords[None, :, None, :] - centers[:, None, :, :]) ** 2).sum(axis=3)
-        new_labels = np.argmin(d2, axis=2)
-        dist_to_own = np.take_along_axis(d2, new_labels[:, :, None], axis=2)[:, :, 0]
-        counts = np.stack([np.bincount(row, minlength=k) for row in new_labels])
-        for r, j in zip(*np.nonzero(counts == 0)):
+def _oracle_split(x, k):
+    """Labels of one folder's points x (m, d), in point-id order."""
+    m, d = x.shape
+    xc = x - np.cumsum(x, axis=0)[-1] / m  # sums run in point order
+    cov = np.cumsum(xc[:, :, None] * xc[:, None, :], axis=0)[-1] / m
+    direction = np.linalg.eigh(cov)[1][:, -1]
+    if direction[np.argmax(np.abs(direction))] < 0:
+        direction = -direction
+    proj = np.cumsum(xc * direction, axis=1)[:, -1]  # summed in d order
+    rank = np.empty(m, dtype=int)
+    rank[np.argsort(proj, kind="stable")] = np.arange(m)
+    labels = rank * k // m
+    for _ in range(tree_mod.KMEANS_MAX_ITER):
+        counts = np.bincount(labels, minlength=k)
+        centers = np.column_stack([np.bincount(labels, weights=x[:, a], minlength=k)
+                                   for a in range(d)]) / counts[:, None]
+        d2 = np.cumsum((x[:, None, :] - centers[None, :, :]) ** 2, axis=2)[:, :, -1]
+        new = np.argmin(d2, axis=1)
+        own = d2[np.arange(m), new]
+        counts = np.bincount(new, minlength=k)
+        for j in np.flatnonzero(counts == 0):
             # only a cluster with another member gives up its farthest point
-            movable = counts[r, new_labels[r]] > 1
-            far = int(np.argmax(np.where(movable, dist_to_own[r], -np.inf)))
-            counts[r, new_labels[r, far]] -= 1
-            counts[r, j] += 1
-            new_labels[r, far] = j
-        if it > 0 and np.array_equal(new_labels, labels):
+            far = int(np.argmax(np.where(counts[new] > 1, own, -np.inf)))
+            counts[new[far]] -= 1
+            counts[j] += 1
+            new[far] = j
+        if np.array_equal(new, labels):
             break
-        labels = new_labels
-        onehot = np.zeros((restarts, n, k))
-        np.put_along_axis(onehot, labels[:, :, None], 1.0, axis=2)
-        centers = np.einsum("rnk,nd->rkd", onehot, coords) / onehot.sum(axis=1)[:, :, None]
-    d2 = ((coords[None, :, None, :] - centers[:, None, :, :]) ** 2).sum(axis=3)
-    inertia = np.take_along_axis(d2, labels[:, :, None], axis=2)[:, :, 0].sum(axis=1)
-    return labels[int(np.argmin(inertia))]
+        labels = new
+    return labels
 
 
-def _oracle_topdown(coords, k, min_folder, seed):
+def _oracle_topdown(coords, k, min_folder):
     """Tree lines of the per-folder build, and the splittable folder sizes of
     each level that splits."""
     n = coords.shape[0]
-    rng = substream(seed, "kmeans")
     levels, parents, split_sizes = [[np.arange(n)]], [[-1]], []
     while True:
         nxt, nxt_parents, sizes = [], [], []
         for fid, pts in enumerate(levels[-1]):
             if len(pts) > min_folder and len(pts) >= k:
-                labels = _oracle_kmeans(coords[pts], k, rng)
+                labels = _oracle_split(coords[pts], k)
                 sizes.append(len(pts))
                 for j in range(k):
                     part = pts[labels == j]
@@ -255,30 +283,30 @@ def test_level_batched_tree_matches_per_folder_oracle(seed, d, k, min_folder, mo
         return batched(coords, sizes, *args, **kwargs)
 
     monkeypatch.setattr(tree_mod, "kmeans_split", counted)
-    got = build_topdown(emb, k=k, min_folder=min_folder, seed=seed)
-    lines, split_sizes = _oracle_topdown(emb.coords, k, min_folder, seed)
+    got = build_topdown(emb, k=k, min_folder=min_folder)
+    lines, split_sizes = _oracle_topdown(emb.coords, k, min_folder)
     assert got.to_lines() == lines
     assert calls == split_sizes  # one call per level that splits, its folders in order
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_level_batched_tree_matches_oracle_on_repeated_points(k):
-    # few distinct points: coinciding seeds leave clusters empty, and the
-    # farthest-point repair and the uniform seeding fallback both run
+    # few distinct points: slabs of coinciding points leave clusters empty,
+    # and the farthest-point repair runs
     rng = np.random.default_rng(k)
     coords = rng.integers(0, 3, size=(90, 2)).astype(float)
     coords[:30] = 0.0
-    got = build_topdown(embed_coords(coords), k=k, min_folder=1, seed=k)
-    assert got.to_lines() == _oracle_topdown(coords, k, 1, k)[0]
+    got = build_topdown(embed_coords(coords), k=k, min_folder=1)
+    assert got.to_lines() == _oracle_topdown(coords, k, 1)[0]
 
 
 @pytest.mark.parametrize("max_iter", [1, 2, 3])
 def test_level_batched_tree_matches_oracle_when_lloyd_is_cut_short(max_iter, monkeypatch):
-    # restarts stopped before convergence keep labels that are not the
+    # runs stopped before convergence keep labels that are not the
     # nearest centers of their final centers
     monkeypatch.setattr(tree_mod, "KMEANS_MAX_ITER", max_iter)
     emb = _diffusion_coords(5, 5)
     for k in (2, 3):
-        got = build_topdown(emb, k=k, min_folder=10, seed=max_iter)
-        assert got.to_lines() == _oracle_topdown(emb.coords, k, 10, max_iter)[0]
+        got = build_topdown(emb, k=k, min_folder=10)
+        assert got.to_lines() == _oracle_topdown(emb.coords, k, 10)[0]
 
