@@ -94,8 +94,8 @@ class DiffusionEmbedding:
         if vals.shape != (self.d + 1,) or vecs.ndim != 2 or vecs.shape[1] != self.d + 1:
             raise ValueError(f"d={self.d} needs {self.d + 1} eigenpairs, got eigenvalues of "
                              f"shape {vals.shape} and eigenvectors of shape {vecs.shape}")
-        # the tree's k-means labels are argmin's only on finite distances,
-        # so the coordinates must be finite
+        # the tree sorts points by their projections, and a NaN would sort
+        # into a folder of its own, so the coordinates must be finite
         if not (np.isfinite(vals).all() and np.isfinite(vecs).all()):
             raise ValueError("eigenvalues and eigenvectors must be finite")
         if not 0 < self.t < np.inf:

@@ -259,6 +259,14 @@ def _model_column(path, n_rows=None) -> np.ndarray:
     return matrix[:, 0]
 
 
+def _require_keys(path, mapping: dict, keys, where: str = "") -> None:
+    """ValueError naming the file, the place (`where`) and the first of
+    `keys` that `mapping` lacks."""
+    for key in keys:
+        if key not in mapping:
+            raise ValueError(f"{path}: {where}no {key!r} key")
+
+
 def load_model(model_dir):
     """Rebuild a FittedModel (reference side) from a saved artifact.
 
@@ -267,7 +275,9 @@ def load_model(model_dir):
     Files that disagree are a ValueError naming the file: the per-point
     files must carry xref.csv's ids in xref.csv's order, psi.csv and d2.csv
     one row per reference point, d2.csv and singular_values.csv one value
-    column, and psi.csv and ref_coords.csv one column per singular value."""
+    column, and psi.csv and ref_coords.csv one column per singular value.
+    A key missing from config.json, or from one of its history entries, is
+    a ValueError naming the file and the key."""
     from .config import RunConfig
     from .diffusion import DiffusionEmbedding
     from .extension import ReferenceEmbedding
@@ -282,7 +292,12 @@ def load_model(model_dir):
     from .tree import PartitionTree
 
     d = Path(model_dir)
-    meta = read_json(d / "config.json")
+    meta_path = d / "config.json"
+    meta = read_json(meta_path)
+    _require_keys(meta_path, meta, ("config", "sigma", "lam", "eigenvalues", "history"))
+    for i, h in enumerate(meta["history"], start=1):
+        _require_keys(meta_path, h, ("weight_change", "sigma", "lam", "top_eigenvalues"),
+                      f"history entry {i} has ")
     config = RunConfig.from_dict(meta["config"])
     train_ids, x_ref, feature_names = read_matrix_csv(d / "xref.csv")
     record_ids, records = read_records_csv(d / "train_records.csv")

@@ -51,8 +51,14 @@ class TrialSpec:
     def __post_init__(self):
         if self.kind not in ("sphere", "propensity", "random"):
             raise ValueError(f"unknown trial kind {self.kind!r}")
+        for name in ("n", "seed", "dim"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         # each test is written so that NaN fails it
         if not (0 < self.weibull_lam < np.inf and 0 < self.weibull_k < np.inf):
             raise ValueError("Weibull parameters must be positive and finite")

@@ -8,13 +8,13 @@ coarse-to-fine lists with one sorted point array per folder. A folder's parent i
 folder of the previous level that contains it, found when it is needed.
 
 The top-down tree is level-synchronous: one `kmeans_split` call splits every
-splittable folder of a level. Each folder's k-means starts from the k
-quantile slabs along its top principal direction (Boley 1998, "Principal
-Direction Divisive Partitioning"; Ding and He 2004), and its Lloyd
-iterations run over all of the level's points with a segment id per folder.
-The result is that of running the same steps on each folder alone, bit for
-bit. Nothing is drawn at random, so the tree depends on the coordinates
-alone.
+splittable folder of a level. Each folder is cut into k quantile slabs along
+its top principal direction, the relaxed 2-means solution (Boley 1998,
+"Principal Direction Divisive Partitioning"; Ding and He 2004, "K-means
+clustering via principal component analysis"); the paper's folder weights
+need a multiscale partition (Coifman and Gavish 2011), not k-means in
+particular. The result is that of splitting each folder alone, bit for bit.
+Nothing is drawn at random, so the tree depends on the coordinates alone.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffusion import DiffusionEmbedding, _fix_signs
-
-KMEANS_MAX_ITER = 100
 
 
 @dataclass
@@ -137,90 +135,26 @@ def _owner(folders: list[np.ndarray], n: int, level: int) -> tuple[np.ndarray, n
 
 
 def kmeans_split(coords: np.ndarray, sizes: list[int], k: int) -> np.ndarray:
-    """k-means labels for every folder of one tree level at once.
+    """The relaxed (spectral) k-means labels of every folder of one tree
+    level at once: each point's slab, 0..k-1, among the k quantile slabs of
+    its folder along the folder's top principal direction (Boley 1998; Ding
+    and He 2004). The name stays until the benchmark's spans are renamed.
 
     `coords` holds the folders' points folder after folder, each folder's
     points in point-id order, and `sizes` the number of points in each, at
-    least k. Each folder starts from its principal split (`_principal_slabs`),
-    the relaxed 2-means solution (Ding and He 2004), so one run stands in
-    for random restarts. Then each Lloyd iteration is
-    one pass over the points of the folders still in play, with the folder
-    of each point: distances are (k, points), summed over d in coordinate
-    order. A point's label is the first of its nearest centers, found by a
-    running strict `<` over the k rows of distances, so ties go to the
-    earliest cluster; distances are finite (`DiffusionEmbedding` refuses
-    non-finite coordinates), and on finite distances this is argmin's
-    choice. Counts and center sums are bincounts keyed by folder and
-    cluster, summed in point order. An empty cluster takes the farthest
-    point of its folder among the clusters with at least two members, so
-    that no cluster is left empty (and no center is 0/0). A folder whose
-    labels repeat has reached a fixed point (the same labels give the same
-    centers), so it leaves play; the points in play are gathered again only
-    when a folder has left. The labels are those of running the same steps
-    on each folder alone, bit for bit.
+    least k, so that no slab is empty. Means and covariances are sums in
+    point order (bincounts), the directions come from one `eigh` of the
+    (folders, d, d) stack, each signed so that its largest-magnitude entry
+    is positive (`_fix_signs`), and a point's projection on its direction is
+    summed in coordinate order. A point of rank r by (projection, point id)
+    in a folder of m points is in slab r * k // m. The labels are those of
+    the same steps on each folder alone, bit for bit.
     """
-    d = coords.shape[1]
+    x = np.ascontiguousarray(coords.T)  # (d, n): one contiguous row per coordinate
+    d, n = x.shape
     sizes = np.asarray(sizes, dtype=int)
     n_folders = len(sizes)
     seg = np.repeat(np.arange(n_folders), sizes)
-    x_all = np.ascontiguousarray(coords.T)  # (d, n): one contiguous row per coordinate
-    labels = _principal_slabs(x_all, seg, sizes, k)
-    centers = np.empty((d, k, n_folders))
-    live = np.ones(n_folders, dtype=bool)
-    n_live = n_folders
-    pts, s, x, runs = slice(None), seg, x_all, sizes  # every folder in play
-    key = seg * k + labels
-    counts = np.bincount(key, minlength=n_folders * k).reshape(n_folders, k)
-    for _ in range(KMEANS_MAX_ITER):
-        for j in range(d):  # the centers of the current labels
-            sums = np.bincount(key, weights=x[j], minlength=n_folders * k).reshape(n_folders, k)
-            np.divide(sums.T, counts.T, out=centers[j], where=live)
-        d2 = _own_center_d2(x, centers, runs)
-        new = np.zeros(len(s), dtype=int)
-        own = d2[0]
-        for j in range(1, k):
-            np.copyto(new, j, where=d2[j] < own)
-            own = np.minimum(own, d2[j])
-        key = s * k + new
-        counts = np.bincount(key, minlength=n_folders * k).reshape(n_folders, k)
-        for g, j in zip(*np.nonzero((counts == 0) & live[:, None])):
-            lo, hi = np.searchsorted(s, [g, g + 1])
-            # the farthest point whose cluster keeps another member
-            movable = counts[g, new[lo:hi]] > 1
-            far = lo + int(np.argmax(np.where(movable, own[lo:hi], -np.inf)))
-            counts[g, new[far]] -= 1
-            counts[g, j] += 1
-            new[far] = j
-            key[far] = g * k + j
-        live &= np.bincount(s[new != labels[pts]], minlength=n_folders) > 0
-        labels[pts] = new
-        now = np.count_nonzero(live)
-        if now < n_live:  # `live` only shrinks
-            if not now:
-                break
-            n_live = now
-            pts = np.flatnonzero(live[seg])
-            s = seg[pts]  # nondecreasing: each folder is one contiguous run
-            x = np.take(x_all, pts, axis=1)
-            runs = np.where(live, sizes, 0)
-            key = s * k + labels[pts]
-    return labels
-
-
-def _principal_slabs(x: np.ndarray, seg: np.ndarray, sizes: np.ndarray, k: int) -> np.ndarray:
-    """Each point's slab, 0..k-1, among the k quantile slabs of its folder
-    along the folder's top principal direction.
-
-    x is (d, n), the folders' points folder after folder; seg is each
-    point's folder. Means and covariances are sums in point order
-    (bincounts), the directions come from one `eigh` of the (folders, d, d)
-    stack, each signed so that its largest-magnitude entry is positive
-    (`_fix_signs`), and a point's projection on its direction is summed in
-    coordinate order. A point of rank r by (projection, position) in a
-    folder of m points is in slab r * k // m.
-    """
-    d, n = x.shape
-    n_folders = len(sizes)
     mean = np.stack([np.bincount(seg, weights=row, minlength=n_folders) for row in x]) / sizes
     xc = x - mean[:, seg]
     cov = np.zeros((n_folders, d, d))
@@ -236,19 +170,6 @@ def _principal_slabs(x: np.ndarray, seg: np.ndarray, sizes: np.ndarray, k: int) 
     return rank * k // sizes[seg]
 
 
-def _own_center_d2(x: np.ndarray, centers: np.ndarray, runs: np.ndarray) -> np.ndarray:
-    """Squared distances (k, P) from each of P points, x (d, P), to the k
-    centers of its segment; centers are (d, k, segments), and the points
-    are runs[g] for segment g, segment after segment."""
-    d2 = None
-    for j in range(x.shape[0]):
-        t = np.repeat(centers[j], runs, axis=1)
-        np.subtract(x[j], t, out=t)
-        np.square(t, out=t)
-        d2 = t if d2 is None else np.add(d2, t, out=d2)
-    return d2
-
-
 def fit_min_folder(n: int) -> int:
     """The fit's tree splits only folders of more than max(10, ceil(n/256))
     points."""
@@ -256,13 +177,13 @@ def fit_min_folder(n: int) -> int:
 
 
 def build_topdown(emb: DiffusionEmbedding, k: int = 2, min_folder: int = 1) -> PartitionTree:
-    """Top-down k-means on the embedded coordinates, one level at a time,
-    each folder's run started from its principal split.
+    """Top-down principal splits of the embedded coordinates, one level at a
+    time.
 
     Every folder of a level larger than min_folder (and at least k) is split
-    by one `kmeans_split` call for the whole level; smaller folders pass
-    through unsplit. Once nothing splits, a singleton level is appended,
-    folder by folder.
+    into its k principal slabs by one `kmeans_split` call for the whole
+    level; smaller folders pass through unsplit. Once nothing splits, a
+    singleton level is appended, folder by folder.
     """
     if k < 2:
         raise ValueError(f"branching factor must be >= 2, got {k}")
@@ -285,8 +206,7 @@ def build_topdown(emb: DiffusionEmbedding, k: int = 2, min_folder: int = 1) -> P
             if s:
                 lab = next(per_folder)
                 # points are sorted within a folder, and a mask keeps that order
-                parts = [pts[lab == j] for j in range(k)]
-                nxt.extend(part for part in parts if len(part))
+                nxt.extend(pts[lab == j] for j in range(k))
             else:
                 nxt.append(pts)
         levels.append(nxt)

@@ -515,6 +515,15 @@ def test_model_roundtrip_predictions_match(tmp_path, small_trial, small_model):
         assert got.top_eigenvalues == fitted.top_eigenvalues
 
 
+def test_model_arrays_that_predict_reads_are_c_contiguous(tmp_path, small_model):
+    # a Fortran-ordered array rounds differently in predict's products, so a
+    # fitted model would not predict the bits of its loaded copy
+    io.save_model(tmp_path / "model", small_model)
+    for model in (small_model, io.load_model(tmp_path / "model")):
+        for name in ("x_ref", "inv_diag", "psi", "d2", "coords"):
+            assert getattr(model.ref, name).flags.c_contiguous, name
+
+
 def test_model_report_holds_plain_numbers(tmp_path, small_model):
     import ast
 
@@ -696,10 +705,10 @@ def test_predict_balance_flag_is_the_cohort_estimate_flag(monkeypatch):
         return seen[-1]
 
     monkeypatch.setattr(LocalAlphaFunctional, "detail", spy)
-    preds = predict(model, trial.data.values[:150])
+    preds = predict(model, trial.data.values)
     # every point here gets a cohort estimate, in order
     assert preds.in_support.all() and (preds.n_neighbors >= cfg.min_cohort).all()
-    assert len(seen) == 150
+    assert len(seen) == 400
     defined = np.isfinite(preds.estimates)
     assert defined.sum() > 100
     flags = np.array([est.balanced for est in seen])
@@ -738,6 +747,32 @@ def test_stale_config_key_in_a_saved_model_is_a_config_error(tmp_path, small_tri
     io.write_dataset_csv(data, small_trial.data, small_trial.records)
     assert main(["recommend", "--model", str(model_dir), "--data", str(data),
                  "--out", str(tmp_path / "rec")]) == 2
+
+
+@pytest.mark.parametrize("path", [
+    ("config",), ("lam",), ("sigma",), ("eigenvalues",), ("history",),
+    ("history", 0, "weight_change"), ("history", 0, "sigma"), ("history", 0, "lam"),
+    ("history", 1, "top_eigenvalues"),
+], ids=lambda path: "-".join(map(str, path)))
+def test_cli_on_a_saved_config_without_a_key_exits_1(tmp_path, small_trial, small_model, capsys,
+                                                     path):
+    model_dir = tmp_path / "model"
+    io.save_model(model_dir, small_model)
+    meta = json.loads((model_dir / "config.json").read_text())
+    *within, key = path
+    entry = meta
+    for step in within:
+        entry = entry[step]
+    del entry[key]
+    (model_dir / "config.json").write_text(json.dumps(meta))
+    data = tmp_path / "data.csv"
+    io.write_dataset_csv(data, small_trial.data, small_trial.records)
+    where = f"history entry {within[1] + 1} has " if within else ""
+    for command in ("extend", "recommend"):
+        assert main([command, "--model", str(model_dir), "--data", str(data),
+                     "--out", str(tmp_path / command)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {model_dir / 'config.json'}: {where}no '{key}' key" in err, err
 
 
 @pytest.mark.parametrize("key", ["lam", "sigma"])
@@ -970,6 +1005,11 @@ def test_cli_propensity_trial_of_one_feature_exits_2(tmp_path, capsys):
     {"kind": "sphere", "sup_effect": 0.0},
     {"kind": "propensity", "dim": 4, "gamma": [1.0, 1.0]},
     {"kind": "sphere", "gamma": [1.0] * 9},
+    {"kind": "sphere", "n": 50.5},
+    {"kind": "sphere", "n": True},
+    {"kind": "sphere", "dim": 9.0},
+    {"kind": "sphere", "seed": 1.5},
+    {"kind": "sphere", "seed": -1},
 ])
 def test_cli_simulate_refuses_a_bad_trial_value_with_exit_2(tmp_path, capsys, trial):
     p = tmp_path / "bad.json"

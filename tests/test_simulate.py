@@ -230,6 +230,16 @@ def test_spec_validation():
         TrialSpec.from_dict({"kind": "sphere", "n": 10, "bogus_key": 1})
 
 
+@pytest.mark.parametrize("field, value", [("n", 50.5), ("n", True), ("dim", 9.0),
+                                          ("seed", 1.5), ("seed", False)])
+def test_spec_refuses_a_count_or_seed_that_is_not_an_integer(field, value):
+    spec = {"kind": "sphere", "n": 50, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+        TrialSpec(**spec)
+    with pytest.raises(ValueError, match="must be an integer"):
+        TrialSpec.from_dict(spec)
+
+
 # Values that construction let through and generation then failed on
 # (a NaN passes `<= 0`), or that the trial ignored.
 BAD_SPECS = [

@@ -65,21 +65,11 @@ def test_the_tree_does_not_follow_the_signs_eigh_returns(k, monkeypatch):
     assert build_topdown(embed_coords(coords), k=k, min_folder=4).to_lines() == want
 
 
-@pytest.mark.parametrize("max_iter, lines", [
-    # the principal split alone: slabs by point id
-    (0, ["1,0,-1,0,1,2,3", "2,0,0,0,1", "2,1,0,2,3",
-         "3,0,0,0", "3,1,0,1", "3,2,1,2", "3,3,1,3"]),
-    # then Lloyd's ties leave a cluster empty, and its repair takes the
-    # first point
-    (100, ["1,0,-1,0,1,2,3", "2,0,0,1,2,3", "2,1,0,0",
-           "3,0,0,2,3", "3,1,0,1", "3,2,1,0",
-           "4,0,0,3", "4,1,0,2", "4,2,1,1", "4,3,2,0"]),
-])
-def test_a_folder_of_tied_projections_splits_by_point_id(max_iter, lines, monkeypatch):
-    monkeypatch.setattr(tree_mod, "KMEANS_MAX_ITER", max_iter)
+def test_a_folder_of_tied_projections_splits_by_point_id():
     # coinciding points all project to 0
     tree = build_topdown(embed_coords(np.full((4, 2), 3.0)), k=2, min_folder=1)
-    assert tree.to_lines() == lines
+    assert tree.to_lines() == ["1,0,-1,0,1,2,3", "2,0,0,0,1", "2,1,0,2,3",
+                               "3,0,0,0", "3,1,0,1", "3,2,1,2", "3,3,1,3"]
 
 
 def test_fit_draws_nothing_from_its_seed():
@@ -181,25 +171,12 @@ def test_invalid_parameters():
         build_topdown(embed_coords([[0.0], [1.0]]), k=2, min_folder=0)
 
 
-@pytest.mark.parametrize("d", [1, 7, 8, 9, 17, 130, 300])
-def test_batched_distances_sum_over_d_as_numpy_does(d):
-    rng = np.random.default_rng(d)
-    x = rng.normal(size=(d, 50))
-    centers = rng.normal(size=(d, 3, 4))
-    runs = np.array([20, 0, 13, 17])  # points per segment; one segment out of play
-    s = np.repeat(np.arange(4), runs)
-    got = tree_mod._own_center_d2(x, centers, runs)
-    diff = x[:, None, :] - centers[:, :, s]  # (d, k, points)
-    want = np.ascontiguousarray(diff**2).sum(axis=0)  # in d's order
-    assert got.tobytes() == want.tobytes()
-
-
-# --- per-folder oracle: principal split, then Lloyd, one folder at a time --
+# --- per-folder oracle: the principal split, one folder at a time ----------
 
 
 def _oracle_split(x, k):
-    """Labels of one folder's points x (m, d), in point-id order."""
-    m, d = x.shape
+    """Slabs of one folder's points x (m, d), in point-id order."""
+    m = x.shape[0]
     xc = x - np.cumsum(x, axis=0)[-1] / m  # sums run in point order
     cov = np.cumsum(xc[:, :, None] * xc[:, None, :], axis=0)[-1] / m
     direction = np.linalg.eigh(cov)[1][:, -1]
@@ -207,26 +184,8 @@ def _oracle_split(x, k):
         direction = -direction
     proj = np.cumsum(xc * direction, axis=1)[:, -1]  # summed in d order
     rank = np.empty(m, dtype=int)
-    rank[np.argsort(proj, kind="stable")] = np.arange(m)
-    labels = rank * k // m
-    for _ in range(tree_mod.KMEANS_MAX_ITER):
-        counts = np.bincount(labels, minlength=k)
-        centers = np.column_stack([np.bincount(labels, weights=x[:, a], minlength=k)
-                                   for a in range(d)]) / counts[:, None]
-        d2 = np.cumsum((x[:, None, :] - centers[None, :, :]) ** 2, axis=2)[:, :, -1]
-        new = np.argmin(d2, axis=1)
-        own = d2[np.arange(m), new]
-        counts = np.bincount(new, minlength=k)
-        for j in np.flatnonzero(counts == 0):
-            # only a cluster with another member gives up its farthest point
-            far = int(np.argmax(np.where(counts[new] > 1, own, -np.inf)))
-            counts[new[far]] -= 1
-            counts[j] += 1
-            new[far] = j
-        if np.array_equal(new, labels):
-            break
-        labels = new
-    return labels
+    rank[np.argsort(proj, kind="stable")] = np.arange(m)  # ties by point id
+    return rank * k // m
 
 
 def _oracle_topdown(coords, k, min_folder):
@@ -291,22 +250,9 @@ def test_level_batched_tree_matches_per_folder_oracle(seed, d, k, min_folder, mo
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_level_batched_tree_matches_oracle_on_repeated_points(k):
-    # few distinct points: slabs of coinciding points leave clusters empty,
-    # and the farthest-point repair runs
+    # few distinct points: many tied projections, split by point id
     rng = np.random.default_rng(k)
     coords = rng.integers(0, 3, size=(90, 2)).astype(float)
     coords[:30] = 0.0
     got = build_topdown(embed_coords(coords), k=k, min_folder=1)
     assert got.to_lines() == _oracle_topdown(coords, k, 1)[0]
-
-
-@pytest.mark.parametrize("max_iter", [1, 2, 3])
-def test_level_batched_tree_matches_oracle_when_lloyd_is_cut_short(max_iter, monkeypatch):
-    # runs stopped before convergence keep labels that are not the
-    # nearest centers of their final centers
-    monkeypatch.setattr(tree_mod, "KMEANS_MAX_ITER", max_iter)
-    emb = _diffusion_coords(5, 5)
-    for k in (2, 3):
-        got = build_topdown(emb, k=k, min_folder=10)
-        assert got.to_lines() == _oracle_topdown(emb.coords, k, 10)[0]
-
