@@ -65,8 +65,10 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        """The one dict-to-config routine; unknown keys and values of the
-        wrong type raise ConfigError."""
+        """The one dict-to-config routine; anything but a dict, unknown keys
+        and values of the wrong type raise ConfigError."""
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be a JSON object, got {raw!r}")
         unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")

@@ -152,10 +152,12 @@ def _rows_per_block(n_cols: int, m: int) -> int:
     return max(1, (1 << 21) // max(n_cols * m, 1))
 
 
-# `_max_asymmetry` and `_symmetrize` keep blocks of 2^21 floats, though their
-# 16 MB temporaries add to the fit's peak: a sphere fit at n=2000 (m=9, one
-# BLAS thread) peaks at 159 MiB with them and at 142 MiB with blocks of 2^16
-# floats. Freeing a temporary that large is what raises glibc's dynamic mmap
+# `_max_asymmetry` keeps blocks of 2^21 floats, though its 16 MB
+# temporaries add to the fit's peak, and they are the only temporaries that
+# large that a fit frees (S is symmetric by construction). When it and a
+# since-deleted symmetrization of S took blocks of 2^16 floats, a sphere fit
+# at n=2000 (m=9, one BLAS thread) peaked at 142 MiB instead of 159 MiB.
+# Freeing a temporary that large is what raises glibc's dynamic mmap
 # and trim thresholds; without it every 0.3-0.5 MB temporary of the tree and
 # the kernels page-faults afresh: in a traced serve-sphere run (seed 911,
 # 10 s) the smaller blocks made `build_topdown` 18% and `weighted_kernel` 20%
@@ -209,18 +211,6 @@ def _max_asymmetry(K: np.ndarray) -> float:
         D = K[i0:i0 + block, i0:] - K[i0:, i0:i0 + block].T
         maxima.append(np.abs(D, out=D).max())
     return np.max(maxima) if maxima else 0.0
-
-
-def _symmetrize(S: np.ndarray) -> None:
-    """S <- 0.5 * (S + S^T) in place, one upper row block at a time."""
-    n = S.shape[0]
-    block = _rows_per_block(n, 1)
-    for i0 in range(0, n, block):
-        i1 = min(n, i0 + block)
-        B = S[i0:i1, i0:] + S[i0:, i0:i1].T
-        B *= 0.5
-        S[i0:i1, i0:] = B
-        S[i1:, i0:i1] = B[:, i1 - i0:].T
 
 
 def gaussian_kernel(X, sigma: float | None = None) -> AffinityMatrix:
@@ -314,6 +304,9 @@ def _mirror_upper(K: np.ndarray) -> None:
 def markov_normalize(K: AffinityMatrix) -> MarkovOperator:
     """Build S = D^{-1/2} K D^{-1/2}; P = D^{-1} K is never formed.
 
+    Each entry is scaled once, by s_i s_j with s = D^{-1/2}, one block of
+    `_rows_per_block(n, PLANE_DEPTH)` rows at a time; s_i s_j and s_j s_i
+    are the same float, so S is exactly symmetric when K is.
     K is consumed: S is built in K's own buffer, so that the fit holds one
     n x n array here, and `K.entries` holds S afterwards.
     """
@@ -322,10 +315,10 @@ def markov_normalize(K: AffinityMatrix) -> MarkovOperator:
     if np.any(d <= 0):
         bad = np.where(d <= 0)[0]
         raise ValueError(f"isolated points with zero affinity row sums: {bad[:10].tolist()}")
-    inv_sqrt = 1.0 / np.sqrt(d)
-    A *= inv_sqrt[:, None]
-    A *= inv_sqrt[None, :]
-    _symmetrize(A)
+    s = 1.0 / np.sqrt(d)
+    block = _rows_per_block(len(s), PLANE_DEPTH)
+    for i0 in range(0, len(s), block):
+        A[i0:i0 + block] *= np.multiply.outer(s[i0:i0 + block], s)
     return MarkovOperator(A, d)
 
 

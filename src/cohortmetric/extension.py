@@ -26,7 +26,6 @@ from .diffusion import (
     _expansion,
     _fix_signs,
     _rows_per_block,
-    _symmetrize,
     _top_eigenpairs,
 )
 from .metric import RegularizedMetric, WeightField
@@ -141,10 +140,8 @@ def build_reference(x_ref, weights, sigma: float,
     A /= np.sqrt(d1)[:, None]
     A /= np.sqrt(d2)[None, :]
 
-    def gram():
-        G = np.matmul(A.T, A, out=_empty_mapped((n, n)))
-        _symmetrize(G)
-        return G
+    def gram():  # numpy forms A'A with syrk: exactly symmetric
+        return np.matmul(A.T, A, out=_empty_mapped((n, n)))
 
     gram_op = LinearOperator((n, n), matvec=lambda v: A.T @ (A @ v), dtype=float)
     k = n if n_components is None else min(n_components, n)

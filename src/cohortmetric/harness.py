@@ -70,7 +70,7 @@ def estimate_fit_bytes(n: int, m: int) -> int:
     The peak holds one n x n array (a kernel, normalized into S in its own
     buffer, or the reference kernel A, whose eigenpairs ARPACK takes without
     forming A'A) with its slack, one 2^21-float row block of the symmetry
-    check or the symmetrization, and a few n x m arrays. Measured sphere fits
+    check, and a few n x m arrays. Measured sphere fits
     (m=9, 2-vCPU AMD EPYC host, one BLAS thread, seeds 0-2) peak at 79,
     133-135 and 273-276 MB (1 MB = 10^6 bytes) for n=400, 2000 and 4500,
     against estimates of 111, 147 and 298 MB. The partition tree is left

@@ -267,6 +267,24 @@ def _require_keys(path, mapping: dict, keys, where: str = "") -> None:
             raise ValueError(f"{path}: {where}no {key!r} key")
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _require_numbers(path, mapping: dict, scalars, lists=(), where: str = "") -> None:
+    """ValueError naming the file, the place (`where`) and the first key of
+    `scalars` whose value is not a number, or of `lists` whose value is not
+    a list of numbers."""
+    for key in scalars:
+        if not _is_number(mapping[key]):
+            raise ValueError(f"{path}: {where}{key!r} is not a number: {mapping[key]!r}")
+    for key in lists:
+        value = mapping[key]
+        if not (isinstance(value, list) and all(map(_is_number, value))):
+            raise ValueError(f"{path}: {where}{key!r} is not a list of numbers: {value!r}")
+
+
 def load_model(model_dir):
     """Rebuild a FittedModel (reference side) from a saved artifact.
 
@@ -277,7 +295,10 @@ def load_model(model_dir):
     one row per reference point, d2.csv and singular_values.csv one value
     column, and psi.csv and ref_coords.csv one column per singular value.
     A key missing from config.json, or from one of its history entries, is
-    a ValueError naming the file and the key."""
+    a ValueError naming the file and the key; so is a `history` that is not
+    a list of objects, or a `sigma`, `lam`, `eigenvalues` or history field
+    that is not a number (a list of them for the eigenvalues; a bool is not
+    a number), except a null `weight_change`."""
     from .config import RunConfig
     from .diffusion import DiffusionEmbedding
     from .extension import ReferenceEmbedding
@@ -295,9 +316,15 @@ def load_model(model_dir):
     meta_path = d / "config.json"
     meta = read_json(meta_path)
     _require_keys(meta_path, meta, ("config", "sigma", "lam", "eigenvalues", "history"))
-    for i, h in enumerate(meta["history"], start=1):
+    _require_numbers(meta_path, meta, ("sigma", "lam"), ("eigenvalues",))
+    entries = meta["history"]
+    if not (isinstance(entries, list) and all(isinstance(h, dict) for h in entries)):
+        raise ValueError(f"{meta_path}: 'history' is not a list of objects: {entries!r}")
+    for i, h in enumerate(entries, start=1):
         _require_keys(meta_path, h, ("weight_change", "sigma", "lam", "top_eigenvalues"),
                       f"history entry {i} has ")
+        scalars = ("sigma", "lam") + (() if h["weight_change"] is None else ("weight_change",))
+        _require_numbers(meta_path, h, scalars, ("top_eigenvalues",), f"history entry {i}: ")
     config = RunConfig.from_dict(meta["config"])
     train_ids, x_ref, feature_names = read_matrix_csv(d / "xref.csv")
     record_ids, records = read_records_csv(d / "train_records.csv")
@@ -333,7 +360,7 @@ def load_model(model_dir):
             lam=h["lam"],
             top_eigenvalues=tuple(h["top_eigenvalues"]),
         )
-        for h in meta["history"]
+        for h in entries
     )
     metric = RegularizedMetric(
         embedding=embedding,

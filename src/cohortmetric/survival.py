@@ -146,6 +146,13 @@ def _arm_stats(events: np.ndarray, treatments: np.ndarray):
     return treatments.size - n1, n1, int(events.sum()) - d1, d1
 
 
+def _check_balance_threshold(threshold: float) -> None:
+    """ValueError unless the largest arm share of a balanced cohort is in
+    [0.5, 1]: below 1/2 no cohort is balanced, above 1 every one is."""
+    if not 0.5 <= threshold <= 1.0:  # NaN fails too
+        raise ValueError(f"balance_threshold must be in [0.5, 1], got {threshold!r}")
+
+
 def _balanced(n0: int, n1: int, threshold: float) -> bool:
     size = n0 + n1
     return size > 0 and max(n0, n1) <= threshold * size
@@ -179,6 +186,7 @@ def moments_alpha(records: SurvivalRecords,
     relative risk log((d1+1/2)/(n1+1/2)) - log((d0+1/2)/(n0+1/2)), which is
     the log-scale analogue matching the hazard-ratio interpretation.
     """
+    _check_balance_threshold(balance_threshold)
     return _moments_estimate(*_arm_stats(records.events, records.treatments), balance_threshold)
 
 
@@ -316,6 +324,7 @@ def partial_likelihood_alpha(records: SurvivalRecords,
     Events confined to one arm give a monotone likelihood, reported as a
     flagged infinite estimate.
     """
+    _check_balance_threshold(balance_threshold)
     n0, n1, _, _ = _arm_stats(records.events, records.treatments)
     return _partial_estimate(n0, n1, _risk_set_counts(records), balance_threshold)
 
@@ -535,8 +544,11 @@ class LocalAlphaFunctional:
                  min_cohort: int = 25, balance_threshold: float = BALANCE_THRESHOLD):
         if kind not in ("moments", "partial"):
             raise ValueError(f"unknown estimator kind {kind!r}")
+        if isinstance(min_cohort, bool) or not isinstance(min_cohort, (int, np.integer)):
+            raise ValueError(f"min_cohort must be an integer, got {min_cohort!r}")
         if min_cohort < 2:
             raise ValueError("min_cohort must be at least 2")
+        _check_balance_threshold(balance_threshold)
         self.records = records
         self.kind = kind
         self.min_cohort = int(min_cohort)

@@ -182,8 +182,10 @@ def build_topdown(emb: DiffusionEmbedding, k: int = 2, min_folder: int = 1) -> P
 
     Every folder of a level larger than min_folder (and at least k) is split
     into its k principal slabs by one `kmeans_split` call for the whole
-    level; smaller folders pass through unsplit. Once nothing splits, a
-    singleton level is appended, folder by folder.
+    level; smaller folders pass through unsplit. The next level is one
+    stable sort of the level's points by (folder, slab), cut by one
+    `np.split`. Once nothing splits, a singleton level is appended, folder
+    by folder.
     """
     if k < 2:
         raise ValueError(f"branching factor must be >= 2, got {k}")
@@ -194,23 +196,21 @@ def build_topdown(emb: DiffusionEmbedding, k: int = 2, min_folder: int = 1) -> P
     levels: list[list[np.ndarray]] = [[np.arange(n)]]
     while True:
         current = levels[-1]
-        split = [len(pts) > min_folder and len(pts) >= k for pts in current]
-        if not any(split):
+        sizes = np.array([len(pts) for pts in current])
+        split = (sizes > min_folder) & (sizes >= k)
+        if not split.any():
             break
-        members = [pts for pts, s in zip(current, split) if s]
-        sizes = [len(pts) for pts in members]
-        labels = kmeans_split(coords[np.concatenate(members)], sizes, k)
-        per_folder = iter(np.split(labels, np.cumsum(sizes)[:-1]))
-        nxt: list[np.ndarray] = []
-        for pts, s in zip(current, split):
-            if s:
-                lab = next(per_folder)
-                # points are sorted within a folder, and a mask keeps that order
-                nxt.extend(pts[lab == j] for j in range(k))
-            else:
-                nxt.append(pts)
-        levels.append(nxt)
+        points = np.concatenate(current)
+        folder = np.repeat(np.arange(len(current)), sizes)
+        inside = split[folder]
+        label = np.zeros(points.size, dtype=int)  # an unsplit folder is its part 0
+        label[inside] = kmeans_split(coords[points[inside]], sizes[split], k)
+        # a stable sort keeps each part's points sorted, as a folder's are
+        part = folder * k + label
+        counts = np.bincount(part, minlength=len(current) * k)
+        bounds = np.cumsum(counts[counts > 0])[:-1]  # unsplit folders' empty parts dropped
+        levels.append(np.split(points[np.argsort(part, kind="stable")], bounds))
     if len(levels) == 1 or any(len(pts) > 1 for pts in levels[-1]):
-        levels.append([np.array([p]) for pts in levels[-1] for p in pts])
+        levels.append(list(np.concatenate(levels[-1])[:, None]))  # one (1,) row per point
     return PartitionTree(levels)
 

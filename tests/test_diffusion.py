@@ -160,9 +160,9 @@ def test_markov_normalize_matches_the_unblocked_formula_bit_for_bit(rows, monkey
     K0 = K.entries.copy()  # markov_normalize consumes K
     op = markov_normalize(K)
     inv_sqrt = 1.0 / np.sqrt(K0.sum(axis=1))
-    S = K0 * inv_sqrt[:, None] * inv_sqrt[None, :]
-    S = 0.5 * (S + S.T)
+    S = K0 * np.multiply.outer(inv_sqrt, inv_sqrt)
     assert op.S.tobytes() == S.tobytes()
+    assert np.array_equal(op.S, op.S.T)  # s_i s_j is s_j s_i: symmetric by construction
     emb = spectral_embed(op, t=1.0, d=6)
     ref = spectral_embed(diffusion.MarkovOperator(S, op.row_sums), t=1.0, d=6)
     assert emb.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
@@ -184,6 +184,20 @@ def test_asymmetry_check_reports_the_full_maximum(rows, monkeypatch):
         diffusion.AffinityMatrix(K, sigma=1.0)
     K[250, 3] -= 3e-9
     diffusion.AffinityMatrix(K, sigma=1.0)  # 1e-13 is within the tolerance
+
+
+def test_a_kernel_asymmetric_within_the_tolerance_normalizes_and_embeds():
+    rng = np.random.default_rng(13)
+    G = rng.uniform(0.1, 1.0, size=(300, 300))
+    K = 0.5 * (G + G.T)
+    exact = spectral_embed(markov_normalize(diffusion.AffinityMatrix(K.copy(), sigma=1.0)), d=5)
+    K[40, 41] += 1e-13
+    op = markov_normalize(diffusion.AffinityMatrix(K, sigma=1.0))
+    assert 0 < np.max(np.abs(op.S - op.S.T)) < 1e-12
+    emb = spectral_embed(op, t=1.0, d=5)
+    assert emb.eigenvalues[0] == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(emb.eigenvalues, exact.eigenvalues, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(emb.coords, exact.coords, rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("at", [(0, 1), (2, 2)])

@@ -147,6 +147,27 @@ def test_reference_columns_match_full_svd_oracle():
             assert min(np.abs(a - b).max(), np.abs(a + b).max()) < 1e-8
 
 
+def test_dense_reference_matches_a_symmetrized_gram_bit_for_bit():
+    # numpy forms A'A with syrk, so symmetrizing it changes no bit
+    from cohortmetric.diffusion import _fix_signs, _top_eigenpairs
+
+    rng = np.random.default_rng(23)
+    X = rng.normal(size=(300, 5))
+    u = rng.uniform(0.2, 2.0, size=X.shape)
+    ref = build_reference(X, u, sigma=1.5, n_components=None)
+    A = asymmetric_kernel(X, X, u, sigma=1.5)
+    A /= np.sqrt(A.sum(axis=1))[:, None]
+    A /= np.sqrt(ref.d2)[None, :]
+    G = A.T @ A
+    vals, vecs = _top_eigenpairs(0.5 * (G + G.T), len(X))
+    s = np.sqrt(np.clip(vals, 0.0, None))
+    keep = s >= 1e-10 * s[0]
+    psi = _fix_signs(vecs[:, keep])
+    assert ref.singular_values.tobytes() == s[keep].tobytes()
+    assert ref.psi.tobytes() == psi.tobytes()
+    assert ref.coords.tobytes() == (A @ psi).tobytes()
+
+
 def test_singular_values_invariant_to_reference_order():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(25, 3))

@@ -749,6 +749,23 @@ def test_stale_config_key_in_a_saved_model_is_a_config_error(tmp_path, small_tri
                  "--out", str(tmp_path / "rec")]) == 2
 
 
+@pytest.mark.parametrize("value", [5, None, ["dim"], "dim"],
+                         ids=["number", "null", "list", "string"])
+def test_a_saved_config_that_is_not_an_object_is_a_config_error(tmp_path, small_trial,
+                                                               small_model, value):
+    model_dir = tmp_path / "model"
+    io.save_model(model_dir, small_model)
+    meta = json.loads((model_dir / "config.json").read_text())
+    meta["config"] = value
+    (model_dir / "config.json").write_text(json.dumps(meta))
+    with pytest.raises(ConfigError, match="config must be a JSON object"):
+        io.load_model(model_dir)
+    data = tmp_path / "data.csv"
+    io.write_dataset_csv(data, small_trial.data, small_trial.records)
+    assert main(["extend", "--model", str(model_dir), "--data", str(data),
+                 "--out", str(tmp_path / "ext")]) == 2
+
+
 @pytest.mark.parametrize("path", [
     ("config",), ("lam",), ("sigma",), ("eigenvalues",), ("history",),
     ("history", 0, "weight_change"), ("history", 0, "sigma"), ("history", 0, "lam"),
@@ -773,6 +790,56 @@ def test_cli_on_a_saved_config_without_a_key_exits_1(tmp_path, small_trial, smal
                      "--out", str(tmp_path / command)]) == 1
         err = capsys.readouterr().err
         assert f"error: {model_dir / 'config.json'}: {where}no '{key}' key" in err, err
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("sigma",), None, "'sigma' is not a number: None"),
+    (("sigma",), "1.5", "'sigma' is not a number: '1.5'"),
+    (("lam",), [1.0], "'lam' is not a number: [1.0]"),
+    (("lam",), True, "'lam' is not a number: True"),
+    (("eigenvalues",), 1.0, "'eigenvalues' is not a list of numbers: 1.0"),
+    (("eigenvalues",), [1.0, "x"], "'eigenvalues' is not a list of numbers: [1.0, 'x']"),
+    (("history",), 5, "'history' is not a list of objects: 5"),
+    (("history",), [[]], "'history' is not a list of objects: [[]]"),
+    (("history", 0, "sigma"), "abc", "history entry 1: 'sigma' is not a number: 'abc'"),
+    (("history", 1, "lam"), False, "history entry 2: 'lam' is not a number: False"),
+    (("history", 1, "weight_change"), "0.1",
+     "history entry 2: 'weight_change' is not a number: '0.1'"),
+    (("history", 0, "top_eigenvalues"), [None],
+     "history entry 1: 'top_eigenvalues' is not a list of numbers: [None]"),
+], ids=["sigma-null", "sigma-str", "lam-list", "lam-bool", "eigenvalues-number",
+        "eigenvalues-str", "history-number", "history-of-lists", "history-0-sigma-str",
+        "history-1-lam-bool", "history-1-weight_change-str", "history-0-top_eigenvalues-null"])
+def test_cli_on_a_saved_config_value_of_the_wrong_type_exits_1(tmp_path, small_trial,
+                                                                small_model, capsys, path,
+                                                                value, message):
+    model_dir = tmp_path / "model"
+    io.save_model(model_dir, small_model)
+    meta = json.loads((model_dir / "config.json").read_text())
+    *within, key = path
+    entry = meta
+    for step in within:
+        entry = entry[step]
+    entry[key] = value
+    (model_dir / "config.json").write_text(json.dumps(meta))
+    data = tmp_path / "data.csv"
+    io.write_dataset_csv(data, small_trial.data, small_trial.records)
+    for command in ("extend", "recommend"):
+        assert main([command, "--model", str(model_dir), "--data", str(data),
+                     "--out", str(tmp_path / command)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {model_dir / 'config.json'}: {message}" in err, err
+
+
+def test_a_saved_history_of_null_weight_changes_loads(tmp_path, small_model):
+    model_dir = tmp_path / "model"
+    io.save_model(model_dir, small_model)
+    meta = json.loads((model_dir / "config.json").read_text())
+    assert meta["history"][0]["weight_change"] is None  # the first step's change is undefined
+    meta["history"][1]["weight_change"] = None
+    (model_dir / "config.json").write_text(json.dumps(meta))
+    history = io.load_model(model_dir).metric.history
+    assert np.isnan(history[0].weight_change) and np.isnan(history[1].weight_change)
 
 
 @pytest.mark.parametrize("key", ["lam", "sigma"])

@@ -234,6 +234,38 @@ def test_risk_set_counts_match_definition():
     assert min(kinds.values()) >= 50
 
 
+@pytest.mark.parametrize("threshold", [np.nan, 0.2, 0.4999, 1.0001, 1.5, -np.inf])
+def test_a_balance_threshold_outside_one_half_to_one_is_refused(threshold):
+    rng = np.random.default_rng(22)
+    rec = SurvivalRecords(rng.exponential(1.0, 40), (rng.random(40) < 0.5).astype(int),
+                          np.arange(40) % 2)
+    for estimate in (moments_alpha, partial_likelihood_alpha):
+        with pytest.raises(ValueError, match="balance_threshold must be in \\[0.5, 1\\]"):
+            estimate(rec, threshold)
+    for kind in ("moments", "partial"):
+        with pytest.raises(ValueError, match="balance_threshold must be in \\[0.5, 1\\]"):
+            LocalAlphaFunctional(rec, kind, min_cohort=2, balance_threshold=threshold)
+
+
+@pytest.mark.parametrize("threshold", [0.5, 1.0])
+def test_the_ends_of_the_balance_threshold_range_are_kept(threshold):
+    arms = np.array([0] * 10 + [1] * 10 + [1] * 5)
+    rec = SurvivalRecords(np.linspace(0.1, 2.0, 25), np.arange(25) % 2, arms)
+    functional = LocalAlphaFunctional(rec, "moments", min_cohort=2, balance_threshold=threshold)
+    assert functional.detail(np.arange(20)).balanced  # 10 against 10
+    assert functional.detail(np.arange(25)).balanced == (threshold == 1.0)  # 10 against 15
+    assert moments_alpha(rec, threshold).balanced == (threshold == 1.0)
+
+
+@pytest.mark.parametrize("min_cohort", [2.7, 25.0, True, "25", np.float64(3.0)],
+                         ids=["2.7", "25.0", "True", "str", "float64"])
+def test_a_min_cohort_that_is_not_an_integer_is_refused(min_cohort):
+    rec = SurvivalRecords(np.ones(4), np.ones(4, dtype=int), np.array([0, 1, 0, 1]))
+    with pytest.raises(ValueError, match="min_cohort must be an integer"):
+        LocalAlphaFunctional(rec, "moments", min_cohort=min_cohort)
+    assert LocalAlphaFunctional(rec, "moments", min_cohort=np.int64(3)).min_cohort == 3
+
+
 def test_detail_balance_flag_matches_moments_alpha():
     rng = np.random.default_rng(21)
     arms = np.concatenate([np.zeros(30, dtype=int), np.ones(30, dtype=int)])
