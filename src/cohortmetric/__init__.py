@@ -32,8 +32,6 @@ from .metric import (
     CohortFunctional,
     RegularizedMetric,
     WeightField,
-    aggregate_point_weights,
-    bin_feature,
     folder_weight,
     fit_weighted_metric,
     multiscale_estimate,

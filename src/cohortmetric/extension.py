@@ -28,7 +28,7 @@ from .diffusion import (
     _rows_per_block,
     _top_eigenpairs,
 )
-from .metric import RegularizedMetric, WeightField
+from .metric import RegularizedMetric
 
 SINGULAR_CUTOFF = 1e-10
 
@@ -68,13 +68,15 @@ class ReferenceEmbedding:
         return self.singular_values.shape[0]
 
 
-def asymmetric_kernel(Z, x_ref, weights, sigma: float) -> np.ndarray:
+def asymmetric_kernel(Z, x_ref, u, sigma: float) -> np.ndarray:
     """One-sided weighted kernel rows:
 
         k(z, x) = exp(-(z-x)' W_x^{-1} (z-x) / sigma^2) / sqrt(det(W_x)),
 
-    rows indexed by the stacked points Z, columns by the reference points.
-    Only the reference point's weights enter; determinants go through logs.
+    rows indexed by the stacked points Z, columns by the reference points,
+    with u the (n_ref, m) W diagonals of the references (a `WeightField`'s
+    `inv_diag()`). Only the reference point's weights enter; determinants
+    go through logs.
     It is the package's one expansion (`diffusion._expansion`) with
     a = u_x, the row side's W at 0: each row block is one matrix product of
     [z o z, z, 1] with [-w; 2 x o w; -sum_f x_f^2 w_f - log sqrt(det W_x)],
@@ -86,7 +88,7 @@ def asymmetric_kernel(Z, x_ref, weights, sigma: float) -> np.ndarray:
     """
     Zv = _as_rows(Z)
     Xr = as_values(x_ref)
-    u = weights.inv_diag() if isinstance(weights, WeightField) else np.asarray(weights, dtype=float)
+    u = np.asarray(u, dtype=float)
     if u.shape != Xr.shape:
         raise ValueError(f"weights {u.shape} do not match reference {Xr.shape}")
     if Zv.shape[1] != Xr.shape[1]:
@@ -109,9 +111,10 @@ def asymmetric_kernel(Z, x_ref, weights, sigma: float) -> np.ndarray:
     return out
 
 
-def build_reference(x_ref, weights, sigma: float,
+def build_reference(x_ref, u, sigma: float,
                     n_components: int | None = None) -> ReferenceEmbedding:
-    """Decompose the normalized asymmetric kernel of the reference set.
+    """Decompose the normalized asymmetric kernel of the reference set, whose
+    W diagonals are the (n_ref, m) array u.
 
     A = D1^{-1/2} K D2^{-1/2}, normalized in K's buffer; the top n_components
     (all when None) eigenpairs of A'A = Psi Sigma^2 Psi' give the right
@@ -128,7 +131,8 @@ def build_reference(x_ref, weights, sigma: float,
         raise ValueError("need at least two reference points")
     if n_components is not None:
         _check_count("n_components", n_components)
-    A = asymmetric_kernel(Xr, Xr, weights, sigma)  # K, normalized in place below
+    u = np.asarray(u, dtype=float)
+    A = asymmetric_kernel(Xr, Xr, u, sigma)  # K, normalized in place below
     d1 = A.sum(axis=1)
     d2 = A.sum(axis=0)
     if np.any(d1 <= 0):
@@ -150,7 +154,6 @@ def build_reference(x_ref, weights, sigma: float,
     keep = s >= SINGULAR_CUTOFF * s[0]
     s, vecs = s[keep], vecs[:, keep]
     psi = _fix_signs(vecs)
-    u = weights.inv_diag() if isinstance(weights, WeightField) else np.asarray(weights, dtype=float)
     return ReferenceEmbedding(
         x_ref=Xr,
         inv_diag=u,
@@ -184,4 +187,5 @@ def extend_batch(ref: ReferenceEmbedding, Z):
 def build_reference_from_metric(X, metric: RegularizedMetric) -> ReferenceEmbedding:
     """Reference decomposition using the trained metric's weights and
     bandwidth, with the embedding's d + 1 components."""
-    return build_reference(X, metric.weights, metric.sigma, metric.embedding.d + 1)
+    return build_reference(X, metric.weights.inv_diag(), metric.sigma,
+                           metric.embedding.d + 1)

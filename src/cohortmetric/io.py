@@ -298,7 +298,8 @@ def load_model(model_dir):
     a ValueError naming the file and the key; so is a `history` that is not
     a list of objects, or a `sigma`, `lam`, `eigenvalues` or history field
     that is not a number (a list of them for the eigenvalues; a bool is not
-    a number), except a null `weight_change`."""
+    a number), except a null `weight_change`; so is a `feature_names` that
+    is not a list of strings or differs from xref.csv's header."""
     from .config import RunConfig
     from .diffusion import DiffusionEmbedding
     from .extension import ReferenceEmbedding
@@ -315,7 +316,8 @@ def load_model(model_dir):
     d = Path(model_dir)
     meta_path = d / "config.json"
     meta = read_json(meta_path)
-    _require_keys(meta_path, meta, ("config", "sigma", "lam", "eigenvalues", "history"))
+    _require_keys(meta_path, meta,
+                  ("config", "sigma", "lam", "eigenvalues", "feature_names", "history"))
     _require_numbers(meta_path, meta, ("sigma", "lam"), ("eigenvalues",))
     entries = meta["history"]
     if not (isinstance(entries, list) and all(isinstance(h, dict) for h in entries)):
@@ -327,6 +329,12 @@ def load_model(model_dir):
         _require_numbers(meta_path, h, scalars, ("top_eigenvalues",), f"history entry {i}: ")
     config = RunConfig.from_dict(meta["config"])
     train_ids, x_ref, feature_names = read_matrix_csv(d / "xref.csv")
+    names = meta["feature_names"]
+    if not (isinstance(names, list) and all(isinstance(f, str) for f in names)):
+        raise ValueError(f"{meta_path}: 'feature_names' is not a list of strings: {names!r}")
+    if names != feature_names:
+        raise ValueError(f"{meta_path}: 'feature_names' {names!r} differ from xref.csv's "
+                         f"header {feature_names!r}")
     record_ids, records = read_records_csv(d / "train_records.csv")
     _same_rows(d / "train_records.csv", record_ids, train_ids)
     point_weights = _model_matrix(d / "weights.csv", train_ids)

@@ -1,13 +1,15 @@
 """Function-driven feature weights and the regularized diffusion metric.
 
-Folder-level feature weights score each feature's power to discriminate a
-cohort functional F (size-weighted variance of F over value bins), decay-sum
-to per-point diagonal metrics, and feed the locally weighted PSD kernel. F
-is evaluated only where a weight can be nonzero: a folder under 2c points,
-or a feature left with one valid bin of at least c points, weighs 0 with no
-F call. The fit runs a fixed number of steps of tree -> weights -> weighted
-kernel -> embedding, and returns the last step's tree, weights and the
-embedding of the kernel those weights build. The weighted kernel is the
+`compute_weight_field` walks the tree's folders once, levels top down. A
+folder's feature weights score each feature's power to discriminate a
+cohort functional F (size-weighted variance of F over its quantile bins) and
+are added, decayed by 2^{-l}, straight into its points' weights; the
+locally weighted PSD kernel takes the field's W diagonals u, an (n, m)
+array. F is evaluated only where a weight can be nonzero: a folder under 2c
+points, or a feature left with one valid bin of at least c points, weighs 0
+with no F call. The fit runs a fixed number of steps of tree -> weights ->
+weighted kernel -> embedding, and returns the last step's tree, weights and
+the embedding of the kernel those weights build. The weighted kernel is the
 package's one kernel assembly, one matrix product per block of a weight
 group's rows: the points whose W rows are equal bit for bit.
 
@@ -144,21 +146,6 @@ class RegularizedMetric:
         return len(self.history)
 
 
-def bin_feature(folder_points, X, feature: int, k_bins: int) -> list[Bin]:
-    """Quantile-edge bins of one feature over a folder; empty bins dropped.
-
-    Every folder point lands in exactly one bin; a constant feature gives a
-    single bin.
-    """
-    pts = np.sort(np.asarray(folder_points, dtype=int))
-    if pts.size == 0:
-        raise ValueError("folder is empty")
-    if k_bins < 1:
-        raise ValueError(f"k_bins must be >= 1, got {k_bins}")
-    values = as_values(X)[pts, feature]
-    return _bins(pts, values, np.quantile(values, _bin_probs(k_bins)))
-
-
 def _bin_probs(k_bins: int) -> np.ndarray:
     """The quantile levels of the inner bin edges."""
     return np.arange(1, k_bins) / k_bins
@@ -248,42 +235,6 @@ def folder_weight(bins: list[Bin], F: CohortFunctional) -> float:
     return float(p @ (values - fbar) ** 2)
 
 
-def compute_folder_weights(tree: PartitionTree, X, F: CohortFunctional,
-                           k_bins: int) -> dict:
-    """Weights for every (level, folder, feature) with folder size >= c.
-
-    F is evaluated only where a weight can be nonzero. A folder of
-    c <= size < 2c points holds at most one bin of c points, so its row is
-    all zeros, with no quantile, binning or F call. Each larger folder takes
-    one `np.quantile` pass over all of its features, each feature's bins are
-    those `bin_feature` makes, and `folder_weight` merges them and calls F
-    on the merged bins of each feature with at least two of them, folder by
-    folder (levels top down) and feature by feature. A tree over a different
-    number of points than X has rows is a ValueError.
-    """
-    if k_bins < 1:
-        raise ValueError(f"k_bins must be >= 1, got {k_bins}")
-    values = as_values(X)
-    if tree.n_points != values.shape[0]:
-        raise ValueError(
-            f"the tree holds {tree.n_points} points but X has {values.shape[0]} rows")
-    probs = _bin_probs(k_bins)
-    c = F.min_cohort
-    out: dict = {}
-    for level in range(1, tree.n_levels + 1):
-        for fid, pts in enumerate(tree.folders(level)):
-            if len(pts) < c:
-                continue
-            if len(pts) < 2 * c:
-                out[(level, fid)] = np.zeros(values.shape[1])
-                continue
-            vals = values[pts].T  # (m, folder): a feature per row
-            edges = np.quantile(vals, probs, axis=1).T
-            out[(level, fid)] = np.array(
-                [folder_weight(_bins(pts, v, e), F) for v, e in zip(vals, edges)])
-    return out
-
-
 def resolve_lam(point_weights: np.ndarray) -> float:
     """1e-3 times the median nonzero weight, or 1e-6 when every weight is 0."""
     nz = point_weights[point_weights > 0]
@@ -292,17 +243,37 @@ def resolve_lam(point_weights: np.ndarray) -> float:
     return 1e-3 * float(np.median(nz))
 
 
-def aggregate_point_weights(tree: PartitionTree, folder_weights: dict, alpha: float,
-                            lam: float | None = None) -> WeightField:
-    """Per-point weights as the 2^{-alpha l} decayed sum over ancestor folders."""
-    n = tree.n_points
-    m = next(iter(folder_weights.values())).shape[0] if folder_weights else 0
-    if m == 0:
-        raise ValueError("no folder weights to aggregate")
-    w = np.zeros((n, m))
-    for (level, fid), farr in folder_weights.items():
-        w[tree.folders(level)[fid]] += 2.0 ** (-alpha * level) * farr[None, :]
-    return WeightField(w, resolve_lam(w) if lam is None else lam)
+def compute_weight_field(X, F: CohortFunctional, tree: PartitionTree) -> WeightField:
+    """The point weights of F over `tree`, with lam from `resolve_lam`:
+
+        point_weights[i] = sum_l 2^{-alpha l} w^l_{folder(i, l)},
+
+    a folder's row w holding each feature's `folder_weight` over its
+    quantile bins. F is evaluated only where a weight can be nonzero. A
+    folder under 2c points holds at most one bin of c points, so it weighs 0
+    with no quantile, binning or F call. Each larger folder takes one
+    `np.quantile` pass over all of its features, and `folder_weight` merges
+    each feature's bins and calls F on the merged bins of each feature with
+    at least two of them, folder by folder (levels top down) and feature by
+    feature; each row is added into its points' weights in that order. A
+    tree over a different number of points than X has rows is a ValueError.
+    """
+    values = as_values(X)
+    if tree.n_points != values.shape[0]:
+        raise ValueError(
+            f"the tree holds {tree.n_points} points but X has {values.shape[0]} rows")
+    probs = _bin_probs(K_BINS)
+    w = np.zeros_like(values)
+    for level in range(1, tree.n_levels + 1):
+        decay = 2.0 ** (-WEIGHT_ALPHA * level)
+        for pts in tree.folders(level):
+            if len(pts) < 2 * F.min_cohort:
+                continue
+            vals = values[pts].T  # (m, folder): a feature per row
+            edges = np.quantile(vals, probs, axis=1).T
+            row = np.array([folder_weight(_bins(pts, v, e), F) for v, e in zip(vals, edges)])
+            w[pts] += decay * row
+    return WeightField(w, resolve_lam(w))
 
 
 def _median_quadratic_scale(values: np.ndarray, u: np.ndarray, subsample: int = 512) -> float:
@@ -338,14 +309,15 @@ def _median_quadratic_scale(values: np.ndarray, u: np.ndarray, subsample: int = 
     return _median_nonzero(q)
 
 
-def weighted_kernel(X, weights, sigma: float | None = None) -> AffinityMatrix:
+def weighted_kernel(X, u, sigma: float | None = None) -> AffinityMatrix:
     """Locally weighted PSD kernel
 
         exp(-(x_i-x_j)' (W_i + W_j)^{-1} (x_i-x_j) / sigma^2) / sqrt(det(W_i + W_j)),
 
-    with diagonal W. `weights` is a WeightField or a raw (n, m) array of W
-    diagonals u; sigma defaults to the root of `_median_quadratic_scale`,
-    and one that is not finite and positive is a ValueError.
+    with diagonal W given as the (n, m) array u of its diagonals (a
+    `WeightField`'s `inv_diag()`); sigma defaults to the root of
+    `_median_quadratic_scale`, and one that is not finite and positive is a
+    ValueError.
 
     `diffusion._grouped_kernel` assembles it one weight group at a time
     (the points whose u rows are equal bit for bit), one matrix product per
@@ -366,7 +338,7 @@ def weighted_kernel(X, weights, sigma: float | None = None) -> AffinityMatrix:
     n=800 (m=9, one BLAS thread).
     """
     values = as_values(X)
-    u = weights.inv_diag() if isinstance(weights, WeightField) else np.asarray(weights, dtype=float)
+    u = np.asarray(u, dtype=float)
     if u.shape != values.shape:
         raise ValueError(f"weight diagonals {u.shape} do not match data {values.shape}")
     if not (u > 0).all():  # NaN fails too
@@ -375,16 +347,6 @@ def weighted_kernel(X, weights, sigma: float | None = None) -> AffinityMatrix:
         sigma = float(np.sqrt(_median_quadratic_scale(values, u)))
     # the block temporaries are freed before the symmetry check
     return AffinityMatrix(_grouped_kernel(values, u, sigma), float(sigma))
-
-
-def compute_weight_field(X, F: CohortFunctional, tree: PartitionTree) -> WeightField:
-    folder_w = compute_folder_weights(tree, X, F, K_BINS)
-    if not folder_w:
-        # no folder reached the cohort minimum; all-zero field
-        values = as_values(X)
-        w = np.zeros_like(values)
-        return WeightField(w, resolve_lam(w))
-    return aggregate_point_weights(tree, folder_w, WEIGHT_ALPHA)
 
 
 def _weight_change(prev: WeightField | None, new: WeightField) -> float:
@@ -424,7 +386,7 @@ def fit_weighted_metric(X, F: CohortFunctional, config: RunConfig = RunConfig())
         del tree  # one tree at a time
         tree = build_topdown(emb, BRANCHING, fit_min_folder(n))
         W_prev, W = W, compute_weight_field(values, F, tree)
-        K = weighted_kernel(values, W)
+        K = weighted_kernel(values, W.inv_diag())
         sigma = K.sigma
         emb = spectral_embed(markov_normalize(K), t=DIFFUSION_TIME, d=config.dim)
         del K  # one n x n kernel at a time

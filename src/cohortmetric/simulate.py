@@ -68,8 +68,15 @@ class TrialSpec:
             raise ValueError("outcome_target must be in (0, 1]")
         if not 0 < self.p_treated < 1:
             raise ValueError("p_treated must be in (0, 1)")
-        if not self.condition_bound >= 1:
-            raise ValueError("condition bound must be >= 1")
+        if not 1 <= self.condition_bound < np.inf:
+            raise ValueError(f"condition bound must be finite and >= 1, "
+                             f"got {self.condition_bound}")
+        if not 0 < self.pocket_width < np.inf:
+            raise ValueError(f"pocket_width must be positive and finite, got {self.pocket_width}")
+        if not np.isfinite(self.gamma0):
+            raise ValueError(f"gamma0 must be finite, got {self.gamma0}")
+        if self.gamma and not np.isfinite(np.asarray(self.gamma, dtype=float)).all():
+            raise ValueError(f"gamma must be finite, got {list(self.gamma)}")
         if self.kind == "sphere" and (self.dim < 3 or self.dim % 3 != 0):
             raise ValueError(f"sphere trial dimension must be a positive multiple of 3, "
                              f"got {self.dim}")
@@ -123,7 +130,7 @@ class GroundTruth:
         p = np.asarray(self.propensity, dtype=float)
         if e.shape != p.shape or e.ndim != 1:
             raise ValueError("effect and propensity must be aligned 1-d arrays")
-        if not np.all(np.isfinite(e)) or np.any((p <= 0) | (p >= 1)):
+        if not (np.isfinite(e).all() and ((p > 0) & (p < 1)).all()):  # NaN fails too
             raise ValueError("effect must be finite and propensity in (0, 1)")
 
 

@@ -183,8 +183,8 @@ def build_topdown(emb: DiffusionEmbedding, k: int = 2, min_folder: int = 1) -> P
     Every folder of a level larger than min_folder (and at least k) is split
     into its k principal slabs by one `kmeans_split` call for the whole
     level; smaller folders pass through unsplit. The next level is one
-    stable sort of the level's points by (folder, slab), cut by one
-    `np.split`. Once nothing splits, a singleton level is appended, folder
+    stable sort of the level's points by (folder, slab), sliced at the
+    parts' bounds. Once nothing splits, a singleton level is appended, folder
     by folder.
     """
     if k < 2:
@@ -208,8 +208,9 @@ def build_topdown(emb: DiffusionEmbedding, k: int = 2, min_folder: int = 1) -> P
         # a stable sort keeps each part's points sorted, as a folder's are
         part = folder * k + label
         counts = np.bincount(part, minlength=len(current) * k)
-        bounds = np.cumsum(counts[counts > 0])[:-1]  # unsplit folders' empty parts dropped
-        levels.append(np.split(points[np.argsort(part, kind="stable")], bounds))
+        ordered = points[np.argsort(part, kind="stable")]
+        ends = np.cumsum(counts[counts > 0]).tolist()  # unsplit folders' empty parts dropped
+        levels.append([ordered[a:b] for a, b in zip([0] + ends[:-1], ends)])
     if len(levels) == 1 or any(len(pts) > 1 for pts in levels[-1]):
         levels.append(list(np.concatenate(levels[-1])[:, None]))  # one (1,) row per point
     return PartitionTree(levels)

@@ -425,7 +425,7 @@ def test_fit_sphere_top_weights_are_effect_features():
 
 @pytest.mark.parametrize("kind, seed", [("sphere", 21), ("random", 31)])
 def test_fit_and_predict_equal_those_of_the_frozen_folder_weights(kind, seed, monkeypatch):
-    import weights_oracle
+    import field_oracle
 
     import cohortmetric.metric as metric
 
@@ -438,7 +438,7 @@ def test_fit_and_predict_equal_those_of_the_frozen_folder_weights(kind, seed, mo
         return model, predict(model, trial.data.values[test_idx])
 
     model, preds = fit_and_predict()
-    monkeypatch.setattr(metric, "compute_folder_weights", weights_oracle.compute_folder_weights)
+    monkeypatch.setattr(metric, "compute_weight_field", field_oracle.weight_field)
     frozen, frozen_preds = fit_and_predict()
     c = cfg.min_cohort
     tree = model.metric.tree
@@ -767,7 +767,7 @@ def test_a_saved_config_that_is_not_an_object_is_a_config_error(tmp_path, small_
 
 
 @pytest.mark.parametrize("path", [
-    ("config",), ("lam",), ("sigma",), ("eigenvalues",), ("history",),
+    ("config",), ("lam",), ("sigma",), ("eigenvalues",), ("feature_names",), ("history",),
     ("history", 0, "weight_change"), ("history", 0, "sigma"), ("history", 0, "lam"),
     ("history", 1, "top_eigenvalues"),
 ], ids=lambda path: "-".join(map(str, path)))
@@ -807,9 +807,16 @@ def test_cli_on_a_saved_config_without_a_key_exits_1(tmp_path, small_trial, smal
      "history entry 2: 'weight_change' is not a number: '0.1'"),
     (("history", 0, "top_eigenvalues"), [None],
      "history entry 1: 'top_eigenvalues' is not a list of numbers: [None]"),
+    (("feature_names",), 5, "'feature_names' is not a list of strings: 5"),
+    (("feature_names",), ["x_1", 2], "'feature_names' is not a list of strings: ['x_1', 2]"),
+    (("feature_names",), ["x_1"], "'feature_names' ['x_1'] differ from xref.csv's header"),
+    (("feature_names",), [f"x_{i}" for i in (2, 1, 3, 4, 5, 6, 7, 8, 9)],
+     "'feature_names' ['x_2', 'x_1', 'x_3', 'x_4', 'x_5', 'x_6', 'x_7', 'x_8', 'x_9'] differ"),
 ], ids=["sigma-null", "sigma-str", "lam-list", "lam-bool", "eigenvalues-number",
         "eigenvalues-str", "history-number", "history-of-lists", "history-0-sigma-str",
-        "history-1-lam-bool", "history-1-weight_change-str", "history-0-top_eigenvalues-null"])
+        "history-1-lam-bool", "history-1-weight_change-str", "history-0-top_eigenvalues-null",
+        "feature_names-number", "feature_names-with-a-number", "feature_names-one-short",
+        "feature_names-reordered"])
 def test_cli_on_a_saved_config_value_of_the_wrong_type_exits_1(tmp_path, small_trial,
                                                                 small_model, capsys, path,
                                                                 value, message):
@@ -1077,6 +1084,11 @@ def test_cli_propensity_trial_of_one_feature_exits_2(tmp_path, capsys):
     {"kind": "sphere", "dim": 9.0},
     {"kind": "sphere", "seed": 1.5},
     {"kind": "sphere", "seed": -1},
+    {"kind": "propensity", "gamma0": float("nan")},
+    {"kind": "propensity", "dim": 2, "gamma": [1.0, float("nan")]},
+    {"kind": "random", "condition_bound": float("inf")},  # written as Infinity
+    {"kind": "sphere", "pocket_width": 0.0},
+    {"kind": "sphere", "pocket_width": -0.3},
 ])
 def test_cli_simulate_refuses_a_bad_trial_value_with_exit_2(tmp_path, capsys, trial):
     p = tmp_path / "bad.json"

@@ -3,13 +3,13 @@ import pytest
 
 from cohortmetric.config import RunConfig
 from cohortmetric.diffusion import markov_normalize, spectral_embed
+import cohortmetric.metric as metric_mod
 from cohortmetric.metric import (
     DIFFUSION_TIME,
     Bin,
     CohortFunctional,
-    aggregate_point_weights,
-    bin_feature,
-    compute_folder_weights,
+    _bin_probs,
+    _bins,
     compute_weight_field,
     folder_weight,
     fit_weighted_metric,
@@ -19,6 +19,7 @@ from cohortmetric.metric import (
 from cohortmetric.survival import CohortTooSmallError, UndefinedCohortValue
 from cohortmetric.tree import PartitionTree
 
+import field_oracle
 import kernel_oracle
 import weights_oracle
 from weights_oracle import folder_weight as frozen_folder_weight
@@ -39,25 +40,28 @@ def test_functional_enforces_min_cohort():
         F([0, 1])
 
 
-# --- bin_feature -----------------------------------------------------------------
+# --- _bins ------------------------------------------------------------------------
+
+
+def bins_of(values, k_bins=3):
+    """The quantile bins of one feature's values over the folder 0..len-1."""
+    values = np.asarray(values, dtype=float)
+    return _bins(np.arange(values.size), values, np.quantile(values, _bin_probs(k_bins)))
 
 
 def test_bins_constant_feature_single_bin():
-    X = np.ones((8, 2))
-    bins = bin_feature(np.arange(8), X, feature=0, k_bins=3)
+    bins = bins_of(np.ones(8))
     assert len(bins) == 1
     assert bins[0].indices.tolist() == list(range(8))
 
 
 def test_bins_hand_quantiles():
-    X = np.arange(1.0, 10.0)[:, None]  # values 1..9
-    bins = bin_feature(np.arange(9), X, feature=0, k_bins=3)
+    bins = bins_of(np.arange(1.0, 10.0))  # values 1..9
     assert [b.indices.tolist() for b in bins] == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
 
 
 def test_bins_partition_with_duplicate_boundaries():
-    X = np.array([1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0])[:, None]
-    bins = bin_feature(np.arange(8), X, feature=0, k_bins=3)
+    bins = bins_of([1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0])
     got = np.sort(np.concatenate([b.indices for b in bins]))
     assert got.tolist() == list(range(8))
     sizes = sum(b.indices.size for b in bins)
@@ -152,12 +156,12 @@ def test_weight_drops_undefined_bins():
     np.testing.assert_allclose(w, 1.0)
 
 
-# --- compute_folder_weights -------------------------------------------------------
+# --- compute_weight_field ---------------------------------------------------------
 
 
 def _frozen_folder_weights(monkeypatch, tree, X, F, k_bins, calls):
-    """The frozen weights, and the part of F's `calls` made on features left
-    with at least two valid merged bins, in call order."""
+    """The frozen folder weights, and the part of F's `calls` made on features
+    left with at least two valid merged bins, in call order."""
     kept = []
 
     def per_feature(bins, F):
@@ -203,21 +207,23 @@ def test_folder_weights_match_the_per_feature_oracle_bit_for_bit(k_bins, monkeyp
             raise UndefinedCohortValue("undefined on this bin")
         return float(labels[idx].mean())
 
+    monkeypatch.setattr(metric_mod, "K_BINS", k_bins)
     F, calls = _spy(fn, c)
-    got = compute_folder_weights(tree, X, F, k_bins)
+    got = compute_weight_field(X, F, tree)
     F_frozen, frozen_calls = _spy(fn, c)
     want, kept_calls = _frozen_folder_weights(monkeypatch, tree, X, F_frozen, k_bins,
                                               frozen_calls)
-    assert list(got) == list(want)
-    assert (1, 0) in got and (2, 0) in got  # the folder of exactly c points is weighted
-    assert all(got[key].tobytes() == want[key].tobytes() for key in want)
+    assert (2, 0) in want  # the frozen rows weigh the folder of exactly c points
+    w = field_oracle.summed_weights(tree, X, want)
+    assert got.point_weights.tobytes() == w.tobytes()
+    assert got.lam == metric_mod.resolve_lam(w)
     # the same bins, in the same order, on every feature with two valid bins
     assert calls == kept_calls
     assert len(calls) < len(frozen_calls)  # and none on the others
     assert (calls == []) == (k_bins == 1)
     if k_bins > 1:
         assert any(sum(idx) % 4 == 0 for idx in calls)  # F was undefined on some bins
-    assert any(w.any() for w in got.values()) == (k_bins > 1)  # one bin has no variance
+    assert got.point_weights.any() == (k_bins > 1)  # one bin has no variance
 
 
 @pytest.mark.parametrize("n", [6, 11])
@@ -227,12 +233,12 @@ def test_a_folder_under_2c_points_weighs_zero_with_no_F_call(n):
     labels = np.arange(n, dtype=float)
     tree = make_tree([[range(n)], [range(3), range(3, n)], [[p] for p in range(n)]])
     F, calls = _spy(lambda idx: float(labels[idx].mean()), c)
-    got = compute_folder_weights(tree, X, F, 3)
+    got = compute_weight_field(X, F, tree)
     F_frozen, frozen_calls = _spy(lambda idx: float(labels[idx].mean()), c)
     want = weights_oracle.compute_folder_weights(tree, X, F_frozen, 3)
-    assert list(got) == list(want) == [(1, 0)] + [(2, 1)] * (n - 3 >= c)
-    assert all(got[key].tobytes() == np.zeros(3).tobytes() == want[key].tobytes()
-               for key in got)
+    assert list(want) == [(1, 0)] + [(2, 1)] * (n - 3 >= c)
+    assert all(row.tobytes() == np.zeros(3).tobytes() for row in want.values())
+    assert got.point_weights.tobytes() == np.zeros((n, 3)).tobytes()
     assert calls == [] and frozen_calls
 
 
@@ -243,15 +249,16 @@ def test_weight_of_one_valid_bin_is_zero_with_no_F_call():
     assert (w, np.signbit(w), calls) == (0.0, False, [])
 
 
-def test_a_folder_of_exactly_2c_points_in_two_valid_bins_calls_F_twice():
+def test_a_folder_of_exactly_2c_points_in_two_valid_bins_calls_F_twice(monkeypatch):
     c = 5
     X = np.arange(2.0 * c)[:, None]
     labels = np.array([0.0] * c + [1.0] * c)
     F, calls = _spy(lambda idx: float(labels[idx].mean()), c)
     tree = make_tree([[range(2 * c)], [[p] for p in range(2 * c)]])
-    got = compute_folder_weights(tree, X, F, 2)
+    monkeypatch.setattr(metric_mod, "K_BINS", 2)
+    got = compute_weight_field(X, F, tree)
     assert calls == [list(range(c)), list(range(c, 2 * c))]
-    assert got[(1, 0)].tolist() == [0.25]
+    assert got.point_weights.tolist() == [[0.25 / 2]] * (2 * c)  # the root's 2^-1
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -268,38 +275,41 @@ def test_folder_weights_refuse_a_tree_over_other_points(n_tree):
     tree = make_tree([[range(n_tree)], [[p] for p in range(n_tree)]])
     F = CohortFunctional(lambda idx: 1.0, 5)
     with pytest.raises(ValueError, match=f"{n_tree} points but X has 100 rows"):
-        compute_folder_weights(tree, X, F, 3)
-    with pytest.raises(ValueError, match=f"{n_tree} points but X has 100 rows"):
         compute_weight_field(X, F, tree)
 
 
-# --- aggregate_point_weights --------------------------------------------------------
+# --- the point weights: folder rows summed by 2^{-l} -------------------------------------
 
 
-def test_aggregate_single_level():
-    tree = make_tree([[range(4)], [[0], [1], [2], [3]]])
-    fw = {(1, 0): np.array([2.0, 4.0])}
-    field = aggregate_point_weights(tree, fw, alpha=1.7, lam=0.1)
-    np.testing.assert_allclose(field.point_weights, 2.0 ** (-1.7) * np.array([[2.0, 4.0]] * 4))
+def test_aggregate_single_level(monkeypatch):
+    # the root's two bins of each feature: F 0 and 1 along feature 0, one
+    # value along the constant feature 1
+    X = np.column_stack([np.arange(10.0), np.full(10, 3.0)])
+    F = CohortFunctional.from_labels([0.0] * 5 + [1.0] * 5, 5)
+    monkeypatch.setattr(metric_mod, "K_BINS", 2)
+    field = compute_weight_field(X, F, make_tree([[range(10)], [[p] for p in range(10)]]))
+    assert field.point_weights.tolist() == [[0.25 / 2, 0.0]] * 10
+    assert field.lam == 1e-3 * (0.25 / 2)  # 1e-3 times the median nonzero weight
 
 
-def test_aggregate_two_levels_hand_sum():
-    tree = make_tree([[range(4)], [[0, 1], [2, 3]], [[0], [1], [2], [3]]])
-    fw = {
-        (1, 0): np.array([1.0, 0.0]),
-        (2, 0): np.array([4.0, 2.0]),
-        (2, 1): np.array([0.0, 8.0]),
-    }
-    field = aggregate_point_weights(tree, fw, alpha=1.0, lam=0.5)
+def test_aggregate_two_levels_hand_sum(monkeypatch):
+    # root bins [0..9], [10..19] with F 1 and 6: weight 6.25; level 2 folders
+    # of 2c points, bins of five points: F 0, 2 (weight 1) and 4, 8 (weight 4)
+    X = np.arange(20.0)[:, None]
+    F = CohortFunctional.from_labels(np.repeat([0.0, 2.0, 4.0, 8.0], 5), 5)
+    tree = make_tree([[range(20)], [range(10), range(10, 20)], [[p] for p in range(20)]])
+    monkeypatch.setattr(metric_mod, "K_BINS", 2)
+    field = compute_weight_field(X, F, tree)
     # w = w1/2 + w2/4 per point
-    np.testing.assert_allclose(field.point_weights[0], [1 / 2 + 1.0, 0.5])
-    np.testing.assert_allclose(field.point_weights[3], [1 / 2, 2.0])
+    assert field.point_weights[:, 0].tolist() == [6.25 / 2 + 1 / 4] * 10 + [6.25 / 2 + 4 / 4] * 10
+    assert field.lam == 1e-3 * ((6.25 / 2 + 1 / 4) + (6.25 / 2 + 4 / 4)) / 2
 
 
 def test_aggregate_zero_weights_give_isotropic_field():
-    tree = make_tree([[range(3)], [[0], [1], [2]]])
-    fw = {(1, 0): np.zeros(2)}
-    field = aggregate_point_weights(tree, fw, alpha=1.0, lam=None)
+    X = np.random.default_rng(3).normal(size=(30, 2))
+    tree = make_tree([[range(30)], [range(15), range(15, 30)], [[p] for p in range(30)]])
+    field = compute_weight_field(X, constant_functional(2.0, c=5), tree)
+    assert field.point_weights.tobytes() == np.zeros((30, 2)).tobytes()
     np.testing.assert_allclose(field.inv_diag(), 1e6)  # lam falls back to 1e-6
 
 
@@ -582,7 +592,7 @@ def test_fitted_weight_field_matches_the_frozen_kernel(loop_fit):
     assert len(_weight_groups(u)) < len(X) // 4
     _assert_matches_the_frozen_kernel(X, u, metric.sigma)
     # the field's own bandwidth: the median form, as the fit took it
-    assert weighted_kernel(X, metric.weights).sigma == metric.sigma
+    assert weighted_kernel(X, u).sigma == metric.sigma
 
 
 # --- fit_weighted_metric -----------------------------------------------------------------
@@ -610,7 +620,7 @@ def loop_fit():
 
 def test_fit_embedding_is_built_from_the_returned_weights(loop_fit):
     X, _, cfg, metric = loop_fit
-    K = weighted_kernel(X, metric.weights, sigma=metric.sigma)
+    K = weighted_kernel(X, metric.weights.inv_diag(), sigma=metric.sigma)
     emb = spectral_embed(markov_normalize(K), t=DIFFUSION_TIME, d=cfg.dim)
     assert np.array_equal(emb.eigenvalues, metric.embedding.eigenvalues)
     assert np.array_equal(emb.eigenvectors, metric.embedding.eigenvectors)

@@ -3,6 +3,7 @@ import pytest
 from scipy.stats import norm
 
 from cohortmetric.simulate import (
+    GroundTruth,
     TrialSpec,
     calibrate_horizon,
     gen_propensity_trial,
@@ -253,6 +254,15 @@ BAD_SPECS = [
     (dict(kind="sphere", gamma=(1.0,) * 9), "sphere trial has no treatment propensity"),
     (dict(kind="sphere", horizon=float("nan")), "horizon"),
     (dict(kind="random", condition_bound=float("nan")), "condition bound"),
+    (dict(kind="random", condition_bound=float("inf")), "condition bound must be finite"),
+    (dict(kind="propensity", gamma0=float("nan")), "gamma0 must be finite"),
+    (dict(kind="random", gamma0=float("-inf")), "gamma0 must be finite"),
+    (dict(kind="propensity", gamma=(1.0,) * 8 + (float("nan"),)), "gamma must be finite"),
+    (dict(kind="random", dim=3, gamma=(0.0, float("inf"), 1.0)), "gamma must be finite"),
+    (dict(kind="sphere", pocket_width=0.0), "pocket_width"),
+    (dict(kind="sphere", pocket_width=-0.3), "pocket_width"),
+    (dict(kind="sphere", pocket_width=float("nan")), "pocket_width"),
+    (dict(kind="sphere", pocket_width=float("inf")), "pocket_width"),
 ]
 
 
@@ -260,3 +270,9 @@ BAD_SPECS = [
 def test_spec_refuses_what_generation_would_trip_on(fields, message):
     with pytest.raises(ValueError, match=message):
         TrialSpec(n=50, **fields)
+
+
+@pytest.mark.parametrize("propensity", [[0.5, np.nan, 0.5], [0.0, 0.5, 0.5], [0.5, 0.5, 1.0]])
+def test_ground_truth_refuses_a_propensity_outside_the_open_unit_interval(propensity):
+    with pytest.raises(ValueError, match="propensity in"):
+        GroundTruth(np.zeros(3), np.array(propensity), "log_hazard")
