@@ -20,9 +20,9 @@ class RunConfig:
 
     The kernel bandwidths, the regularizer lam, the cohort size and the
     tree's stopping size are not knobs: each stage derives them from the
-    data. The diffusion time, the folder decay, the bins per feature, the
-    tree's branching, the weights' estimator and the balance threshold are
-    constants of `metric`, `harness` and `survival`.
+    data. The folder decay and the bins per feature (`metric`), the tree's
+    branching (`tree`), the weights' estimator (`harness`) and the balance
+    threshold (`survival`) are constants, and the diffusion time is 1.
     """
 
     seed: int = 0

@@ -2,7 +2,7 @@
 
 Pipeline: kernel -> row-stochastic operator P (with its symmetric conjugate
 S = D^{-1/2} K D^{-1/2}) -> top eigenpairs of S, back-transformed to the right
-eigenvectors of P -> embedding coordinates lambda_k^t * phi_k.
+eigenvectors of P -> embedding coordinates lambda_k * phi_k.
 
 Also the package's one kernel assembly and its shared kernel plumbing. A
 kernel's exponent is the row side [x o x, x, 1] times the column side that
@@ -77,15 +77,14 @@ class MarkovOperator:
 
 @dataclass(frozen=True)
 class DiffusionEmbedding:
-    """Top eigenpairs of the diffusion operator plus the diffusion time.
+    """Top eigenpairs of the diffusion operator.
 
     eigenvalues[0] is the trivial eigenvalue 1; coordinates use components
-    1..d scaled by eigenvalue^t.
+    1..d scaled by their eigenvalues (diffusion time t = 1).
     """
 
     eigenvalues: np.ndarray  # (d+1,) descending
     eigenvectors: np.ndarray  # (n, d+1) right eigenvectors of P
-    t: float
     d: int
 
     def __post_init__(self):
@@ -98,8 +97,6 @@ class DiffusionEmbedding:
         # into a folder of its own, so the coordinates must be finite
         if not (np.isfinite(vals).all() and np.isfinite(vecs).all()):
             raise ValueError("eigenvalues and eigenvectors must be finite")
-        if not 0 < self.t < np.inf:
-            raise ValueError(f"diffusion time must be finite and positive, got {self.t}")
         if abs(vals[0] - 1.0) > 1e-8:
             raise ValueError(f"top eigenvalue {vals[0]} is not 1")
         if np.any(np.abs(vals) > 1 + 1e-8):
@@ -113,10 +110,8 @@ class DiffusionEmbedding:
 
     @property
     def coords(self) -> np.ndarray:
-        """Embedding coordinates lambda_k^t phi_k, k = 1..d, shape (n, d)."""
-        lam = self.eigenvalues[1:]
-        scale = np.sign(lam) * np.abs(lam) ** self.t  # real-valued power for any sign
-        return self.eigenvectors[:, 1:] * scale[None, :]
+        """Embedding coordinates lambda_k phi_k, k = 1..d, shape (n, d)."""
+        return self.eigenvectors[:, 1:] * self.eigenvalues[None, 1:]
 
 
 def median_bandwidth(X, subsample: int = 2000) -> float:
@@ -363,7 +358,7 @@ def _top_eigenpairs(M, k: int, dense=None):
     return vals[order], vecs[:, order]
 
 
-def spectral_embed(op: MarkovOperator, t: float = 1.0, d: int = 5) -> DiffusionEmbedding:
+def spectral_embed(op: MarkovOperator, d: int = 5) -> DiffusionEmbedding:
     """Top d+1 eigenpairs of the symmetric conjugate, back-transformed to P.
 
     Only the top d+1 pairs of S are computed, then phi = D^{-1/2} psi. Signs
@@ -373,8 +368,6 @@ def spectral_embed(op: MarkovOperator, t: float = 1.0, d: int = 5) -> DiffusionE
     _check_count("d", d)
     if not d < n:
         raise ValueError(f"need 0 < d < n, got d={d}, n={n}")
-    if t <= 0:
-        raise ValueError(f"diffusion time must be positive, got {t}")
     vals, vecs = _top_eigenpairs(op.S, d + 1)
     gaps = np.diff(vals)
     if np.any(np.abs(gaps) < 1e-12):
@@ -383,5 +376,5 @@ def spectral_embed(op: MarkovOperator, t: float = 1.0, d: int = 5) -> DiffusionE
         raise EigensolverError(f"spectrum violates Markov bounds: top values {vals[:3]}")
     vals = np.clip(vals, -1.0, 1.0)
     phi = _fix_signs(vecs / np.sqrt(op.row_sums)[:, None])
-    return DiffusionEmbedding(vals, phi, float(t), int(d))
+    return DiffusionEmbedding(vals, phi, int(d))
 

@@ -288,8 +288,8 @@ def _require_numbers(path, mapping: dict, scalars, lists=(), where: str = "") ->
 def load_model(model_dir):
     """Rebuild a FittedModel (reference side) from a saved artifact.
 
-    The dimension comes from the saved config, the diffusion time from
-    `metric.DIFFUSION_TIME`, the iteration count from the saved history.
+    The dimension comes from the saved config, the iteration count from the
+    saved history.
     Files that disagree are a ValueError naming the file: the per-point
     files must carry xref.csv's ids in xref.csv's order, psi.csv and d2.csv
     one row per reference point, d2.csv and singular_values.csv one value
@@ -304,13 +304,7 @@ def load_model(model_dir):
     from .diffusion import DiffusionEmbedding
     from .extension import ReferenceEmbedding
     from .harness import FittedModel
-    from .metric import (
-        DIFFUSION_TIME,
-        IterationDiagnostics,
-        RegularizedMetric,
-        WeightField,
-        cohort_neighborhood,
-    )
+    from .metric import IterationDiagnostics, RegularizedMetric, WeightField, cohort_neighborhood
     from .tree import PartitionTree
 
     d = Path(model_dir)
@@ -357,9 +351,7 @@ def load_model(model_dir):
         d2=d2,
         coords=ref_coords,
     )
-    embedding = DiffusionEmbedding(
-        np.array(meta["eigenvalues"]), eigenvectors, DIFFUSION_TIME, config.dim
-    )
+    embedding = DiffusionEmbedding(np.array(meta["eigenvalues"]), eigenvectors, config.dim)
     tree = PartitionTree.from_lines((d / "tree.txt").read_text().splitlines())
     history = tuple(
         IterationDiagnostics(

@@ -39,6 +39,7 @@ from .diffusion import (
     PLANE_DEPTH,
     AffinityMatrix,
     DiffusionEmbedding,
+    _check_count,
     _grouped_kernel,
     _median_nonzero,
     _rows_per_block,
@@ -51,25 +52,23 @@ from .tree import PartitionTree, build_topdown, fit_min_folder
 
 logger = logging.getLogger(__name__)
 
-# the fit's fixed choices: the diffusion time t of every embedding, the
-# 2^{-alpha l} decay of folder weights with level, the quantile bins per
-# feature in a folder, and the tree's branching
-DIFFUSION_TIME = 1.0
+# the fit's fixed choices: the 2^{-alpha l} decay of folder weights with
+# level and the quantile bins per feature in a folder; the diffusion time
+# is 1 (`DiffusionEmbedding.coords`) and the branching is `tree.BRANCHING`
 WEIGHT_ALPHA = 1.0
 K_BINS = 3
-BRANCHING = 2
 
 
 class CohortFunctional:
     """A functional F(E) defined only on index sets with at least c points.
 
     The wrapped callable receives a sorted integer index array and must be
-    deterministic for a fixed subset.
+    deterministic for a fixed subset. A min_cohort that is not an integer
+    >= 1 is a ValueError.
     """
 
     def __init__(self, fn: Callable[[np.ndarray], float], min_cohort: int):
-        if min_cohort < 1:
-            raise ValueError(f"min_cohort must be >= 1, got {min_cohort}")
+        _check_count("min_cohort", min_cohort)
         self._fn = fn
         self.min_cohort = int(min_cohort)
 
@@ -376,19 +375,16 @@ def fit_weighted_metric(X, F: CohortFunctional, config: RunConfig = RunConfig())
         raise ValueError(
             f"need at least two valid cohorts: n={n} < 2c={2 * F.min_cohort}"
         )
-    emb = spectral_embed(
-        markov_normalize(gaussian_kernel(values)),
-        t=DIFFUSION_TIME, d=config.dim,
-    )
+    emb = spectral_embed(markov_normalize(gaussian_kernel(values)), d=config.dim)
     W = tree = None
     history: list[IterationDiagnostics] = []
     for _ in range(config.max_iters):
         del tree  # one tree at a time
-        tree = build_topdown(emb, BRANCHING, fit_min_folder(n))
+        tree = build_topdown(emb, fit_min_folder(n))
         W_prev, W = W, compute_weight_field(values, F, tree)
         K = weighted_kernel(values, W.inv_diag())
         sigma = K.sigma
-        emb = spectral_embed(markov_normalize(K), t=DIFFUSION_TIME, d=config.dim)
+        emb = spectral_embed(markov_normalize(K), d=config.dim)
         del K  # one n x n kernel at a time
         history.append(
             IterationDiagnostics(
@@ -428,8 +424,7 @@ def neighborhood_indices(coords: np.ndarray, centers: np.ndarray, k: int) -> lis
     a tie may a center's cohort differ with the number of rows in its batch
     (a one-row batch runs a matrix-vector product).
     """
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"a cohort needs an integer k >= 1, got {k!r}")
+    _check_count("k", k)
     coords = np.asarray(coords, dtype=float)
     centers = np.asarray(centers, dtype=float)
     n, d = coords.shape

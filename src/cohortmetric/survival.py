@@ -146,22 +146,14 @@ def _arm_stats(events: np.ndarray, treatments: np.ndarray):
     return treatments.size - n1, n1, int(events.sum()) - d1, d1
 
 
-def _check_balance_threshold(threshold: float) -> None:
-    """ValueError unless the largest arm share of a balanced cohort is in
-    [0.5, 1]: below 1/2 no cohort is balanced, above 1 every one is."""
-    if not 0.5 <= threshold <= 1.0:  # NaN fails too
-        raise ValueError(f"balance_threshold must be in [0.5, 1], got {threshold!r}")
-
-
-def _balanced(n0: int, n1: int, threshold: float) -> bool:
+def _balanced(n0: int, n1: int) -> bool:
     size = n0 + n1
-    return size > 0 and max(n0, n1) <= threshold * size
+    return size > 0 and max(n0, n1) <= BALANCE_THRESHOLD * size
 
 
-def _moments_estimate(n0: int, n1: int, d0: int, d1: int,
-                      balance_threshold: float) -> LocalEffectEstimate:
+def _moments_estimate(n0: int, n1: int, d0: int, d1: int) -> LocalEffectEstimate:
     """`moments_alpha` from the arm sizes and the events in each arm."""
-    balanced = _balanced(n0, n1, balance_threshold)
+    balanced = _balanced(n0, n1)
     if n0 == 0 or n1 == 0:
         return LocalEffectEstimate(np.nan, n0, n1, "moments", balanced=balanced, defined=False)
     delta = d1 / n1 - d0 / n0
@@ -178,16 +170,14 @@ def _moments_estimate(n0: int, n1: int, d0: int, d1: int,
     return LocalEffectEstimate(alpha, n0, n1, "moments", delta=float(delta), se=se, balanced=balanced)
 
 
-def moments_alpha(records: SurvivalRecords,
-                  balance_threshold: float = BALANCE_THRESHOLD) -> LocalEffectEstimate:
+def moments_alpha(records: SurvivalRecords) -> LocalEffectEstimate:
     """Arm-contrast estimate from outcome proportions.
 
     delta is the plain difference of outcome rates; alpha is the smoothed log
     relative risk log((d1+1/2)/(n1+1/2)) - log((d0+1/2)/(n0+1/2)), which is
     the log-scale analogue matching the hazard-ratio interpretation.
     """
-    _check_balance_threshold(balance_threshold)
-    return _moments_estimate(*_arm_stats(records.events, records.treatments), balance_threshold)
+    return _moments_estimate(*_arm_stats(records.events, records.treatments))
 
 
 def _breslow_table(t: np.ndarray, events: np.ndarray, treatments: np.ndarray):
@@ -265,9 +255,9 @@ def _partial_loglik_terms(alpha, d, d1, r, r1, r0=None):
     return l, lp, -minus_lpp
 
 
-def _partial_estimate(n0: int, n1: int, counts, balance_threshold: float) -> LocalEffectEstimate:
+def _partial_estimate(n0: int, n1: int, counts) -> LocalEffectEstimate:
     """`partial_likelihood_alpha` from the arm sizes and the Breslow table."""
-    balanced = _balanced(n0, n1, balance_threshold)
+    balanced = _balanced(n0, n1)
     if counts is None or n0 == 0 or n1 == 0:
         return LocalEffectEstimate(np.nan, n0, n1, "partial", balanced=balanced, defined=False)
     d, d1, r, r1 = counts["d"], counts["d1"], counts["r"], counts["r1"]
@@ -316,17 +306,15 @@ def _partial_estimate(n0: int, n1: int, counts, balance_threshold: float) -> Loc
     return LocalEffectEstimate(float(alpha), n0, n1, "partial", se=se, balanced=balanced)
 
 
-def partial_likelihood_alpha(records: SurvivalRecords,
-                             balance_threshold: float = BALANCE_THRESHOLD) -> LocalEffectEstimate:
+def partial_likelihood_alpha(records: SurvivalRecords) -> LocalEffectEstimate:
     """One-parameter Cox partial-likelihood estimate of the arm effect.
 
     Newton iteration with analytic derivatives and step halving; Breslow ties.
     Events confined to one arm give a monotone likelihood, reported as a
     flagged infinite estimate.
     """
-    _check_balance_threshold(balance_threshold)
     n0, n1, _, _ = _arm_stats(records.events, records.treatments)
-    return _partial_estimate(n0, n1, _risk_set_counts(records), balance_threshold)
+    return _partial_estimate(n0, n1, _risk_set_counts(records))
 
 
 def partial_loglik(records: SurvivalRecords, alphas) -> np.ndarray:
@@ -541,18 +529,16 @@ class LocalAlphaFunctional:
     """
 
     def __init__(self, records: SurvivalRecords, kind: str = "moments",
-                 min_cohort: int = 25, balance_threshold: float = BALANCE_THRESHOLD):
+                 min_cohort: int = 25):
         if kind not in ("moments", "partial"):
             raise ValueError(f"unknown estimator kind {kind!r}")
         if isinstance(min_cohort, bool) or not isinstance(min_cohort, (int, np.integer)):
             raise ValueError(f"min_cohort must be an integer, got {min_cohort!r}")
         if min_cohort < 2:
             raise ValueError("min_cohort must be at least 2")
-        _check_balance_threshold(balance_threshold)
         self.records = records
         self.kind = kind
         self.min_cohort = int(min_cohort)
-        self.balance_threshold = balance_threshold
         if kind == "partial":
             # the records' stable time order, once: a cohort's records in
             # time order are those at its sorted ranks
@@ -570,10 +556,9 @@ class LocalAlphaFunctional:
             pos = np.sort(self._rank[idx])
             t, events, treatments = (col[pos] for col in self._by_time)
             n1 = np.count_nonzero(treatments)
-            return _partial_estimate(idx.size - n1, n1, _breslow_table(t, events, treatments),
-                                     self.balance_threshold)
+            return _partial_estimate(idx.size - n1, n1, _breslow_table(t, events, treatments))
         counts = _arm_stats(self.records.events[idx], self.records.treatments[idx])
-        return _moments_estimate(*counts, self.balance_threshold)
+        return _moments_estimate(*counts)
 
     def __call__(self, indices) -> float:
         est = self.detail(indices)

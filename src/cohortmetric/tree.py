@@ -8,12 +8,12 @@ coarse-to-fine lists with one sorted point array per folder. A folder's parent i
 folder of the previous level that contains it, found when it is needed.
 
 The top-down tree is level-synchronous: one `kmeans_split` call splits every
-splittable folder of a level. Each folder is cut into k quantile slabs along
-its top principal direction, the relaxed 2-means solution (Boley 1998,
-"Principal Direction Divisive Partitioning"; Ding and He 2004, "K-means
-clustering via principal component analysis"); the paper's folder weights
-need a multiscale partition (Coifman and Gavish 2011), not k-means in
-particular. The result is that of splitting each folder alone, bit for bit.
+splittable folder of a level. Each folder is cut into BRANCHING quantile
+slabs along its top principal direction, the relaxed 2-means solution
+(Boley 1998, "Principal Direction Divisive Partitioning"; Ding and He 2004,
+"K-means clustering via principal component analysis"); the paper's folder
+weights need a multiscale partition (Coifman and Gavish 2011), not k-means
+in particular. The result is that of splitting each folder alone, bit for bit.
 Nothing is drawn at random, so the tree depends on the coordinates alone.
 """
 
@@ -23,7 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import DiffusionEmbedding, _fix_signs
+from .diffusion import DiffusionEmbedding, _check_count, _fix_signs
+
+# the tree's branching: principal slabs per split folder
+BRANCHING = 2
 
 
 @dataclass
@@ -134,11 +137,12 @@ def _owner(folders: list[np.ndarray], n: int, level: int) -> tuple[np.ndarray, n
     return owner, points[np.cumsum(sizes) - sizes]
 
 
-def kmeans_split(coords: np.ndarray, sizes: list[int], k: int) -> np.ndarray:
-    """The relaxed (spectral) k-means labels of every folder of one tree
-    level at once: each point's slab, 0..k-1, among the k quantile slabs of
-    its folder along the folder's top principal direction (Boley 1998; Ding
-    and He 2004). The name stays until the benchmark's spans are renamed.
+def kmeans_split(coords: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """The relaxed (spectral) k-means labels, k = BRANCHING, of every folder
+    of one tree level at once: each point's slab, 0..k-1, among the k
+    quantile slabs of its folder along the folder's top principal direction
+    (Boley 1998; Ding and He 2004). The name stays until the benchmark's
+    spans are renamed.
 
     `coords` holds the folders' points folder after folder, each folder's
     points in point-id order, and `sizes` the number of points in each, at
@@ -167,7 +171,7 @@ def kmeans_split(coords: np.ndarray, sizes: list[int], k: int) -> np.ndarray:
         proj += xc[a] * top[a]
     rank = np.empty(n, dtype=int)
     rank[np.lexsort((np.arange(n), proj, seg))] = np.arange(n) - (np.cumsum(sizes) - sizes)[seg]
-    return rank * k // sizes[seg]
+    return rank * BRANCHING // sizes[seg]
 
 
 def fit_min_folder(n: int) -> int:
@@ -176,38 +180,36 @@ def fit_min_folder(n: int) -> int:
     return max(10, int(np.ceil(n / 256)))
 
 
-def build_topdown(emb: DiffusionEmbedding, k: int = 2, min_folder: int = 1) -> PartitionTree:
+def build_topdown(emb: DiffusionEmbedding, min_folder: int = 1) -> PartitionTree:
     """Top-down principal splits of the embedded coordinates, one level at a
     time.
 
-    Every folder of a level larger than min_folder (and at least k) is split
-    into its k principal slabs by one `kmeans_split` call for the whole
-    level; smaller folders pass through unsplit. The next level is one
+    Every folder of a level larger than min_folder (and at least BRANCHING)
+    is split into its BRANCHING principal slabs by one `kmeans_split` call
+    for the whole level; smaller folders pass through unsplit. A min_folder
+    that is not an integer >= 1 is a ValueError. The next level is one
     stable sort of the level's points by (folder, slab), sliced at the
     parts' bounds. Once nothing splits, a singleton level is appended, folder
     by folder.
     """
-    if k < 2:
-        raise ValueError(f"branching factor must be >= 2, got {k}")
-    if min_folder < 1:
-        raise ValueError(f"min_folder must be >= 1, got {min_folder}")
+    _check_count("min_folder", min_folder)
     coords = emb.coords
     n = coords.shape[0]
     levels: list[list[np.ndarray]] = [[np.arange(n)]]
     while True:
         current = levels[-1]
         sizes = np.array([len(pts) for pts in current])
-        split = (sizes > min_folder) & (sizes >= k)
+        split = (sizes > min_folder) & (sizes >= BRANCHING)
         if not split.any():
             break
         points = np.concatenate(current)
         folder = np.repeat(np.arange(len(current)), sizes)
         inside = split[folder]
         label = np.zeros(points.size, dtype=int)  # an unsplit folder is its part 0
-        label[inside] = kmeans_split(coords[points[inside]], sizes[split], k)
+        label[inside] = kmeans_split(coords[points[inside]], sizes[split])
         # a stable sort keeps each part's points sorted, as a folder's are
-        part = folder * k + label
-        counts = np.bincount(part, minlength=len(current) * k)
+        part = folder * BRANCHING + label
+        counts = np.bincount(part, minlength=len(current) * BRANCHING)
         ordered = points[np.argsort(part, kind="stable")]
         ends = np.cumsum(counts[counts > 0]).tolist()  # unsplit folders' empty parts dropped
         levels.append([ordered[a:b] for a, b in zip([0] + ends[:-1], ends)])

@@ -144,7 +144,7 @@ def test_gaussian_kernel_refuses_a_bandwidth_that_is_not_finite_and_positive(sig
 def test_spectral_embed_refuses_a_count_that_is_not_an_integer_of_at_least_one(d):
     op = markov_normalize(gaussian_kernel(np.random.default_rng(21).normal(size=(30, 3))))
     with pytest.raises(ValueError, match="d must be an integer >= 1"):
-        spectral_embed(op, t=1.0, d=d)
+        spectral_embed(op, d=d)
 
 
 @pytest.mark.parametrize("rows", [None, 37])
@@ -163,8 +163,8 @@ def test_markov_normalize_matches_the_unblocked_formula_bit_for_bit(rows, monkey
     S = K0 * np.multiply.outer(inv_sqrt, inv_sqrt)
     assert op.S.tobytes() == S.tobytes()
     assert np.array_equal(op.S, op.S.T)  # s_i s_j is s_j s_i: symmetric by construction
-    emb = spectral_embed(op, t=1.0, d=6)
-    ref = spectral_embed(diffusion.MarkovOperator(S, op.row_sums), t=1.0, d=6)
+    emb = spectral_embed(op, d=6)
+    ref = spectral_embed(diffusion.MarkovOperator(S, op.row_sums), d=6)
     assert emb.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
     assert emb.eigenvectors.tobytes() == ref.eigenvectors.tobytes()
 
@@ -194,7 +194,7 @@ def test_a_kernel_asymmetric_within_the_tolerance_normalizes_and_embeds():
     K[40, 41] += 1e-13
     op = markov_normalize(diffusion.AffinityMatrix(K, sigma=1.0))
     assert 0 < np.max(np.abs(op.S - op.S.T)) < 1e-12
-    emb = spectral_embed(op, t=1.0, d=5)
+    emb = spectral_embed(op, d=5)
     assert emb.eigenvalues[0] == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(emb.eigenvalues, exact.eigenvalues, rtol=0, atol=1e-12)
     np.testing.assert_allclose(emb.coords, exact.coords, rtol=0, atol=1e-9)
@@ -272,24 +272,14 @@ def test_markov_rows_sum_to_one_and_spectra_match():
     np.testing.assert_allclose(vals_p, vals_s, atol=1e-10)
 
 
-def test_embedding_time_scaling():
-    rng = np.random.default_rng(4)
-    X = rng.normal(size=(30, 3))
-    op = markov_normalize(gaussian_kernel(X, sigma=1.0))
-    e1 = spectral_embed(op, t=1.0, d=4)
-    e2 = spectral_embed(op, t=2.0, d=4)
-    lam = e1.eigenvalues[1:]
-    np.testing.assert_allclose(e2.coords, e1.coords * lam[None, :], rtol=1e-9, atol=1e-12)
-
-
 @pytest.mark.parametrize("vals_size, vecs_shape", [(3, (10, 4)), (4, (10, 3)), (4, (40,)),
                                                    (5, (10, 5))])
 def test_embedding_refuses_eigenpairs_that_do_not_match_d(vals_size, vecs_shape):
     vals = np.linspace(1.0, 0.1, vals_size)
     vecs = np.ones(vecs_shape)
     with pytest.raises(ValueError, match="d=3 needs 4 eigenpairs"):
-        diffusion.DiffusionEmbedding(vals, vecs, t=1.0, d=3)
-    diffusion.DiffusionEmbedding(np.linspace(1.0, 0.1, 4), np.ones((10, 4)), t=1.0, d=3)
+        diffusion.DiffusionEmbedding(vals, vecs, d=3)
+    diffusion.DiffusionEmbedding(np.linspace(1.0, 0.1, 4), np.ones((10, 4)), d=3)
 
 
 def test_embedding_separates_two_blocks():
@@ -302,7 +292,7 @@ def test_embedding_separates_two_blocks():
 
     A = AffinityMatrix(K.copy(), sigma=1.0)  # markov_normalize consumes A
     op = markov_normalize(A)
-    emb = spectral_embed(op, t=1.0, d=3)
+    emb = spectral_embed(op, d=3)
     phi1 = emb.eigenvectors[:, 1]
     assert len(set(np.sign(phi1[:10]))) == 1
     assert len(set(np.sign(phi1[10:]))) == 1
@@ -319,17 +309,16 @@ def test_embedding_separates_two_blocks():
 
 def test_full_spectrum_distance_matches_transition_rows():
     # d = n-1: embedding distances equal the degree-weighted L2 distance
-    # between rows of P^t (the direct diffusion distance)
+    # between rows of P (the direct diffusion distance at t = 1)
     rng = np.random.default_rng(5)
     X = rng.normal(size=(15, 3))
     K = gaussian_kernel(X, sigma=1.2)
     K0 = K.entries.copy()
     op = markov_normalize(K)
-    t = 3
-    emb = spectral_embed(op, t=float(t), d=14)
-    Pt = np.linalg.matrix_power(K0 / op.row_sums[:, None], t)
+    emb = spectral_embed(op, d=14)
+    P = K0 / op.row_sums[:, None]
     for i, j in [(0, 5), (3, 9), (1, 14), (7, 7)]:
-        direct = np.sqrt(np.sum((Pt[i] - Pt[j]) ** 2 / op.row_sums))
+        direct = np.sqrt(np.sum((P[i] - P[j]) ** 2 / op.row_sums))
         embedded = np.linalg.norm(emb.coords[i] - emb.coords[j])
         np.testing.assert_allclose(embedded, direct, atol=1e-8)
 
@@ -337,7 +326,7 @@ def test_full_spectrum_distance_matches_transition_rows():
 def test_spectrum_bounds_and_constant_top_vector():
     rng = np.random.default_rng(7)
     X = rng.normal(size=(40, 5))
-    emb = spectral_embed(markov_normalize(gaussian_kernel(X, sigma=2.0)), t=1.0, d=6)
+    emb = spectral_embed(markov_normalize(gaussian_kernel(X, sigma=2.0)), d=6)
     assert abs(emb.eigenvalues[0] - 1.0) <= 1e-8
     assert np.all(np.abs(emb.eigenvalues) <= 1 + 1e-8)
     phi0 = emb.eigenvectors[:, 0]
@@ -386,8 +375,8 @@ def test_embedding_deterministic():
     rng = np.random.default_rng(8)
     X = rng.normal(size=(60, 4))
     op = markov_normalize(gaussian_kernel(X, sigma=1.0))
-    a = spectral_embed(op, t=1.0, d=5)
-    b = spectral_embed(op, t=1.0, d=5)
+    a = spectral_embed(op, d=5)
+    b = spectral_embed(op, d=5)
     assert np.array_equal(a.coords, b.coords)
 
 
@@ -416,14 +405,14 @@ def test_top_k_problems_run_arpack(monkeypatch):
 
     monkeypatch.setattr(diffusion, "eigsh", spy)
     op, X, u = _solver_inputs()
-    spectral_embed(op, t=1.0, d=5)
+    spectral_embed(op, d=5)
     build_reference(X, u, sigma=1.0, n_components=6)
     assert calls == [(60, 6), (60, 6)]
 
 
 def test_arpack_failure_falls_back_to_dense_eigh(monkeypatch, caplog):
     op, X, u = _solver_inputs()
-    emb = spectral_embed(op, t=1.0, d=5)
+    emb = spectral_embed(op, d=5)
     ref = build_reference(X, u, sigma=1.0, n_components=6)
 
     def no_convergence(M, k, **kwargs):
@@ -431,7 +420,7 @@ def test_arpack_failure_falls_back_to_dense_eigh(monkeypatch, caplog):
 
     monkeypatch.setattr(diffusion, "eigsh", no_convergence)
     with caplog.at_level("WARNING", logger="cohortmetric.diffusion"):
-        emb_dense = spectral_embed(op, t=1.0, d=5)
+        emb_dense = spectral_embed(op, d=5)
         ref_dense = build_reference(X, u, sigma=1.0, n_components=6)
     fallbacks = [r for r in caplog.records if "ARPACK converged 2/6" in r.getMessage()]
     assert len(fallbacks) == 2

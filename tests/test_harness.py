@@ -81,6 +81,24 @@ def test_readme_names_every_config_knob():
     assert re.findall(r"`(\w+)`", knobs) == names and int(count) == len(names)
 
 
+def test_readme_names_resolve():
+    # each backticked <module>.<name> of a package module names what the module has
+    import importlib
+    import pkgutil
+    import re
+
+    import cohortmetric
+
+    modules = {m.name for m in pkgutil.iter_modules(cohortmetric.__path__)}
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    named = re.findall(r"`(\w+)\.(?!(?:csv|json|toml|txt)`)(\w+)", readme)  # not file names
+    checked = sorted({(mod, name) for mod, name in named if mod in modules})
+    assert ("metric", "K_BINS") in checked  # the pattern finds the constants
+    missing = [f"{mod}.{name}" for mod, name in checked
+               if not hasattr(importlib.import_module(f"cohortmetric.{mod}"), name)]
+    assert not missing
+
+
 def test_config_with_trial_section(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"seed": 3, "trial": {"kind": "sphere", "n": 50}}))
@@ -513,6 +531,16 @@ def test_model_roundtrip_predictions_match(tmp_path, small_trial, small_model):
         np.testing.assert_equal(got.weight_change, fitted.weight_change)  # NaN first
         assert (got.sigma, got.lam) == (fitted.sigma, fitted.lam)
         assert got.top_eigenvalues == fitted.top_eigenvalues
+
+
+def test_coords_are_the_eigenvectors_scaled_by_their_eigenvalues(tmp_path, small_model):
+    # the diffusion time is 1: coords are lambda_k phi_k, fitted and reloaded alike
+    io.save_model(tmp_path / "model", small_model)
+    fitted = small_model.metric.embedding
+    loaded = io.load_model(tmp_path / "model").metric.embedding
+    for emb in (fitted, loaded):
+        assert emb.coords.tobytes() == (emb.eigenvectors[:, 1:] * emb.eigenvalues[1:]).tobytes()
+    assert loaded.coords.tobytes() == fitted.coords.tobytes()
 
 
 def test_model_arrays_that_predict_reads_are_c_contiguous(tmp_path, small_model):

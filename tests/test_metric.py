@@ -5,7 +5,6 @@ from cohortmetric.config import RunConfig
 from cohortmetric.diffusion import markov_normalize, spectral_embed
 import cohortmetric.metric as metric_mod
 from cohortmetric.metric import (
-    DIFFUSION_TIME,
     Bin,
     CohortFunctional,
     _bin_probs,
@@ -38,6 +37,12 @@ def test_functional_enforces_min_cohort():
     assert F([0, 1, 2]) == 1.0
     with pytest.raises(CohortTooSmallError):
         F([0, 1])
+
+
+@pytest.mark.parametrize("min_cohort", [0, 2.7, True, np.nan, np.inf])
+def test_functional_refuses_a_min_cohort_that_is_not_a_count(min_cohort):
+    with pytest.raises(ValueError, match="min_cohort must be an integer >= 1"):
+        CohortFunctional(lambda idx: 0.0, min_cohort)
 
 
 # --- _bins ------------------------------------------------------------------------
@@ -621,7 +626,7 @@ def loop_fit():
 def test_fit_embedding_is_built_from_the_returned_weights(loop_fit):
     X, _, cfg, metric = loop_fit
     K = weighted_kernel(X, metric.weights.inv_diag(), sigma=metric.sigma)
-    emb = spectral_embed(markov_normalize(K), t=DIFFUSION_TIME, d=cfg.dim)
+    emb = spectral_embed(markov_normalize(K), d=cfg.dim)
     assert np.array_equal(emb.eigenvalues, metric.embedding.eigenvalues)
     assert np.array_equal(emb.eigenvectors, metric.embedding.eigenvectors)
 
@@ -801,7 +806,7 @@ def test_neighborhood_rule_rejects_invalid_size(kind, kw):
     from cohortmetric.metric import neighborhood_indices
 
     coords = np.arange(12.0).reshape(6, 2)
-    with pytest.raises(ValueError, match="k >= 1"):
+    with pytest.raises(ValueError, match="k must be an integer >= 1"):
         neighborhood_indices(coords, coords[:1], **kw)
 
 

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import cohortmetric.survival as survival
 from cohortmetric.survival import (
     AdministrativeCensoring,
     ExponentialCensoring,
@@ -234,27 +235,15 @@ def test_risk_set_counts_match_definition():
     assert min(kinds.values()) >= 50
 
 
-@pytest.mark.parametrize("threshold", [np.nan, 0.2, 0.4999, 1.0001, 1.5, -np.inf])
-def test_a_balance_threshold_outside_one_half_to_one_is_refused(threshold):
-    rng = np.random.default_rng(22)
-    rec = SurvivalRecords(rng.exponential(1.0, 40), (rng.random(40) < 0.5).astype(int),
-                          np.arange(40) % 2)
-    for estimate in (moments_alpha, partial_likelihood_alpha):
-        with pytest.raises(ValueError, match="balance_threshold must be in \\[0.5, 1\\]"):
-            estimate(rec, threshold)
-    for kind in ("moments", "partial"):
-        with pytest.raises(ValueError, match="balance_threshold must be in \\[0.5, 1\\]"):
-            LocalAlphaFunctional(rec, kind, min_cohort=2, balance_threshold=threshold)
-
-
 @pytest.mark.parametrize("threshold", [0.5, 1.0])
-def test_the_ends_of_the_balance_threshold_range_are_kept(threshold):
+def test_the_ends_of_the_balance_threshold_range_are_kept(threshold, monkeypatch):
+    monkeypatch.setattr(survival, "BALANCE_THRESHOLD", threshold)
     arms = np.array([0] * 10 + [1] * 10 + [1] * 5)
     rec = SurvivalRecords(np.linspace(0.1, 2.0, 25), np.arange(25) % 2, arms)
-    functional = LocalAlphaFunctional(rec, "moments", min_cohort=2, balance_threshold=threshold)
+    functional = LocalAlphaFunctional(rec, "moments", min_cohort=2)
     assert functional.detail(np.arange(20)).balanced  # 10 against 10
     assert functional.detail(np.arange(25)).balanced == (threshold == 1.0)  # 10 against 15
-    assert moments_alpha(rec, threshold).balanced == (threshold == 1.0)
+    assert moments_alpha(rec).balanced == (threshold == 1.0)
 
 
 @pytest.mark.parametrize("min_cohort", [2.7, 25.0, True, "25", np.float64(3.0)],
@@ -266,7 +255,7 @@ def test_a_min_cohort_that_is_not_an_integer_is_refused(min_cohort):
     assert LocalAlphaFunctional(rec, "moments", min_cohort=np.int64(3)).min_cohort == 3
 
 
-def test_detail_balance_flag_matches_moments_alpha():
+def test_detail_balance_flag_matches_moments_alpha(monkeypatch):
     rng = np.random.default_rng(21)
     arms = np.concatenate([np.zeros(30, dtype=int), np.ones(30, dtype=int)])
     rec = SurvivalRecords(rng.exponential(1.0, 60), (rng.random(60) < 0.5).astype(int), arms)
@@ -278,10 +267,10 @@ def test_detail_balance_flag_matches_moments_alpha():
         "mixed 70/30": np.arange(9, 39),
     }
     for threshold in (0.8, 0.6):
-        functional = LocalAlphaFunctional(rec, "moments", min_cohort=10,
-                                          balance_threshold=threshold)
+        monkeypatch.setattr(survival, "BALANCE_THRESHOLD", threshold)
+        functional = LocalAlphaFunctional(rec, "moments", min_cohort=10)
         for name, idx in cohorts.items():
-            want = moments_alpha(rec.subset(idx), threshold)
+            want = moments_alpha(rec.subset(idx))
             got = functional.detail(idx)
             assert got.balanced == want.balanced, (threshold, name)
             for field in ("alpha", "delta", "se"):
@@ -347,7 +336,9 @@ def _oracle_cohorts(rng, records):
 
 @pytest.mark.parametrize("decimals", [None, 1, 0])  # distinct times, ties, heavy ties
 @pytest.mark.parametrize("threshold", [0.8, 0.6])
-def test_detail_equals_the_frozen_partial_estimator_bit_for_bit(decimals, threshold):
+def test_detail_equals_the_frozen_partial_estimator_bit_for_bit(decimals, threshold,
+                                                                  monkeypatch):
+    monkeypatch.setattr(survival, "BALANCE_THRESHOLD", threshold)
     rng = np.random.default_rng(41 if decimals is None else 42 + decimals)
     n = 900
     times = rng.exponential(1.0, n)
@@ -356,7 +347,7 @@ def test_detail_equals_the_frozen_partial_estimator_bit_for_bit(decimals, thresh
     events = (rng.random(n) < 0.5).astype(int)
     arms = (rng.random(n) < 0.5).astype(int)
     records = SurvivalRecords(times, events, arms)
-    F = LocalAlphaFunctional(records, "partial", min_cohort=2, balance_threshold=threshold)
+    F = LocalAlphaFunctional(records, "partial", min_cohort=2)
     seen = set()
     for idx in _oracle_cohorts(rng, records):
         got = F.detail(idx)

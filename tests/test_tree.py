@@ -13,11 +13,11 @@ def embed_coords(coords):
     coords = np.asarray(coords, dtype=float)
     n, d = coords.shape
     vecs = np.column_stack([np.ones(n), coords])
-    return DiffusionEmbedding(np.ones(d + 1), vecs, t=1.0, d=d)
+    return DiffusionEmbedding(np.ones(d + 1), vecs, d=d)
 
 
 def test_topdown_single_point():
-    tree = build_topdown(embed_coords([[0.0]]), k=2, min_folder=1)
+    tree = build_topdown(embed_coords([[0.0]]), min_folder=1)
     assert tree.n_levels == 2
     assert len(tree.folders(1)) == 1
     assert len(tree.folders(2)) == 1
@@ -29,15 +29,16 @@ def test_topdown_recovers_separated_blobs():
     a = rng.normal(size=(20, 2)) * 0.1
     b = rng.normal(size=(20, 2)) * 0.1 + np.array([50.0, 0.0])
     coords = np.vstack([a, b])
-    tree = build_topdown(embed_coords(coords), k=2, min_folder=5)
+    tree = build_topdown(embed_coords(coords), min_folder=5)
     level2 = {frozenset(f.tolist()) for f in tree.folders(2)}
     assert level2 == {frozenset(range(20)), frozenset(range(20, 40))}
 
 
-def test_topdown_partition_invariants_hold():
+def test_topdown_partition_invariants_hold(monkeypatch):
+    monkeypatch.setattr(tree_mod, "BRANCHING", 3)
     rng = np.random.default_rng(1)
     coords = rng.normal(size=(67, 3))
-    tree = build_topdown(embed_coords(coords), k=3, min_folder=4)
+    tree = build_topdown(embed_coords(coords), min_folder=4)
     tree.validate()
     assert all(len(f) == 1 for f in tree.folders(tree.n_levels))
 
@@ -45,15 +46,16 @@ def test_topdown_partition_invariants_hold():
 def test_topdown_is_deterministic():
     rng = np.random.default_rng(2)
     coords = rng.normal(size=(50, 2))
-    t1 = build_topdown(embed_coords(coords), k=2, min_folder=3)
-    t2 = build_topdown(embed_coords(coords.copy()), k=2, min_folder=3)
+    t1 = build_topdown(embed_coords(coords), min_folder=3)
+    t2 = build_topdown(embed_coords(coords.copy()), min_folder=3)
     assert t1.to_lines() == t2.to_lines()
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_the_tree_does_not_follow_the_signs_eigh_returns(k, monkeypatch):
+    monkeypatch.setattr(tree_mod, "BRANCHING", k)
     coords = _diffusion_coords(11, 5).coords
-    want = build_topdown(embed_coords(coords), k=k, min_folder=4).to_lines()
+    want = build_topdown(embed_coords(coords), min_folder=4).to_lines()
     eigh = np.linalg.eigh
 
     def flipped(a, UPLO="L"):  # every other matrix's eigenvectors negated
@@ -62,12 +64,12 @@ def test_the_tree_does_not_follow_the_signs_eigh_returns(k, monkeypatch):
         return vals, vecs
 
     monkeypatch.setattr(np.linalg, "eigh", flipped)
-    assert build_topdown(embed_coords(coords), k=k, min_folder=4).to_lines() == want
+    assert build_topdown(embed_coords(coords), min_folder=4).to_lines() == want
 
 
 def test_a_folder_of_tied_projections_splits_by_point_id():
     # coinciding points all project to 0
-    tree = build_topdown(embed_coords(np.full((4, 2), 3.0)), k=2, min_folder=1)
+    tree = build_topdown(embed_coords(np.full((4, 2), 3.0)), min_folder=1)
     assert tree.to_lines() == ["1,0,-1,0,1,2,3", "2,0,0,0,1", "2,1,0,2,3",
                                "3,0,0,0", "3,1,0,1", "3,2,1,2", "3,3,1,3"]
 
@@ -83,33 +85,31 @@ def test_fit_draws_nothing_from_its_seed():
     assert a.embedding.eigenvectors.tobytes() == b.embedding.eigenvectors.tobytes()
 
 
-def test_topdown_small_folder_passes_through():
-    # k larger than some folders: they must pass through unsplit
+def test_topdown_small_folder_passes_through(monkeypatch):
+    # a branching larger than some folders: they must pass through unsplit
+    monkeypatch.setattr(tree_mod, "BRANCHING", 4)
     coords = np.array([[0.0], [0.1], [5.0], [5.1], [5.2]])
-    tree = build_topdown(embed_coords(coords), k=4, min_folder=1)
+    tree = build_topdown(embed_coords(coords), min_folder=1)
     tree.validate()
 
 
-@pytest.mark.parametrize("field, value", [("eigenvalues", np.nan), ("eigenvectors", np.nan),
-                                          ("t", np.nan), ("t", -1.0), ("t", np.inf)])
+@pytest.mark.parametrize("field, value", [("eigenvalues", np.nan), ("eigenvectors", np.nan)])
 def test_topdown_refuses_a_nonfinite_embedding(field, value):
     # a NaN coordinate would otherwise become a folder of its own
     coords = np.random.default_rng(4).normal(size=(60, 3))
-    vals, vecs, t = np.array([1.0, 0.5, 0.0, -0.2]), np.column_stack([np.ones(60), coords]), 1.0
+    vals, vecs = np.array([1.0, 0.5, 0.0, -0.2]), np.column_stack([np.ones(60), coords])
     if field == "eigenvalues":
         vals[2] = value
-    elif field == "eigenvectors":
-        vecs[17, 1] = value
     else:
-        t = value
+        vecs[17, 1] = value
     with pytest.raises(ValueError, match="finite"):
-        build_topdown(DiffusionEmbedding(vals, vecs, t=t, d=3), k=2, min_folder=1)
+        build_topdown(DiffusionEmbedding(vals, vecs, d=3), min_folder=1)
 
 
 def test_parent_child_links():
     rng = np.random.default_rng(5)
     coords = rng.normal(size=(30, 2))
-    tree = build_topdown(embed_coords(coords), k=2, min_folder=2)
+    tree = build_topdown(embed_coords(coords), min_folder=2)
     for level in range(2, tree.n_levels + 1):
         parents = tree.parents(level)
         assert len(parents) == len(tree.folders(level))
@@ -120,7 +120,7 @@ def test_parent_child_links():
 def test_serialization_roundtrip():
     rng = np.random.default_rng(6)
     coords = rng.normal(size=(25, 2))
-    tree = build_topdown(embed_coords(coords), k=2, min_folder=3)
+    tree = build_topdown(embed_coords(coords), min_folder=3)
     lines = tree.to_lines()
     back = PartitionTree.from_lines(lines)
     back.validate()
@@ -159,16 +159,21 @@ def test_malformed_tree_lines_raise_value_error(edit, message):
 def test_tree_on_real_embedding():
     rng = np.random.default_rng(7)
     X = rng.normal(size=(80, 5))
-    emb = spectral_embed(markov_normalize(gaussian_kernel(X, sigma=1.5)), t=1.0, d=4)
-    tree = build_topdown(emb, k=2, min_folder=8)
+    emb = spectral_embed(markov_normalize(gaussian_kernel(X, sigma=1.5)), d=4)
+    tree = build_topdown(emb, min_folder=8)
     tree.validate()
 
 
 def test_invalid_parameters():
-    with pytest.raises(ValueError, match="branching"):
-        build_topdown(embed_coords([[0.0], [1.0]]), k=1, min_folder=1)
     with pytest.raises(ValueError, match="min_folder"):
-        build_topdown(embed_coords([[0.0], [1.0]]), k=2, min_folder=0)
+        build_topdown(embed_coords([[0.0], [1.0]]), min_folder=0)
+
+
+@pytest.mark.parametrize("min_folder", [np.nan, np.inf, True, 2.5])
+def test_a_min_folder_that_is_not_a_count_is_refused(min_folder):
+    # at a NaN or infinite min_folder no folder splits: a root-plus-singletons tree
+    with pytest.raises(ValueError, match="min_folder must be an integer >= 1"):
+        build_topdown(embed_coords(np.arange(40.0)[:, None]), min_folder=min_folder)
 
 
 # --- per-folder oracle: the principal split, one folder at a time ----------
@@ -225,7 +230,7 @@ def _diffusion_coords(seed, d, n=140):
     X = rng.normal(size=(n, 6))
     if seed % 2:  # points on a sphere instead of a Gaussian cloud
         X /= np.linalg.norm(X, axis=1, keepdims=True)
-    return spectral_embed(markov_normalize(gaussian_kernel(X, sigma=1.2)), t=1.0, d=d)
+    return spectral_embed(markov_normalize(gaussian_kernel(X, sigma=1.2)), d=d)
 
 
 @pytest.mark.parametrize("seed", [11, 12])
@@ -237,22 +242,24 @@ def test_level_batched_tree_matches_per_folder_oracle(seed, d, k, min_folder, mo
     calls = []
     batched = tree_mod.kmeans_split
 
-    def counted(coords, sizes, *args, **kwargs):
+    def counted(coords, sizes):
         calls.append([int(s) for s in sizes])
-        return batched(coords, sizes, *args, **kwargs)
+        return batched(coords, sizes)
 
     monkeypatch.setattr(tree_mod, "kmeans_split", counted)
-    got = build_topdown(emb, k=k, min_folder=min_folder)
+    monkeypatch.setattr(tree_mod, "BRANCHING", k)
+    got = build_topdown(emb, min_folder=min_folder)
     lines, split_sizes = _oracle_topdown(emb.coords, k, min_folder)
     assert got.to_lines() == lines
     assert calls == split_sizes  # one call per level that splits, its folders in order
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
-def test_level_batched_tree_matches_oracle_on_repeated_points(k):
+def test_level_batched_tree_matches_oracle_on_repeated_points(k, monkeypatch):
     # few distinct points: many tied projections, split by point id
+    monkeypatch.setattr(tree_mod, "BRANCHING", k)
     rng = np.random.default_rng(k)
     coords = rng.integers(0, 3, size=(90, 2)).astype(float)
     coords[:30] = 0.0
-    got = build_topdown(embed_coords(coords), k=k, min_folder=1)
+    got = build_topdown(embed_coords(coords), min_folder=1)
     assert got.to_lines() == _oracle_topdown(coords, k, 1)[0]

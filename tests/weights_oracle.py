@@ -3,8 +3,9 @@ where a weight is zero by construction: the quantile bins, the merging of
 small bins, and F evaluated on every valid merged bin of every feature of
 every folder of at least c points.
 
-The library's `compute_folder_weights` and `folder_weight` must reproduce
-its weights bit for bit; do not edit this copy to follow the library.
+The library's `compute_weight_field`, through `folder_weight`, must
+reproduce its weights bit for bit once `field_oracle.py` sums them into a
+weight field; do not edit this copy to follow the library.
 """
 
 import numpy as np
