@@ -18,11 +18,12 @@ class ConfigError(ValueError):
 class RunConfig:
     """Every knob of the fit, predict, validate and recommend pipelines.
 
-    The kernel bandwidths, the regularizer lam, the cohort size and the
-    tree's stopping size are not knobs: each stage derives them from the
-    data. The folder decay and the bins per feature (`metric`), the tree's
-    branching (`tree`), the weights' estimator (`harness`) and the balance
-    threshold (`survival`) are constants, and the diffusion time is 1.
+    The kernel bandwidths, the regularizer lam and the cohort size are not
+    knobs: each stage derives them from the data, and the tree splits every
+    folder of at least 2c points, c = `min_cohort`. The folder decay and the
+    bins per feature (`metric`), the tree's branching (`tree`), the weights'
+    estimator (`harness`) and the balance threshold (`survival`) are
+    constants, and the diffusion time is 1.
     """
 
     seed: int = 0

@@ -48,7 +48,7 @@ from .diffusion import (
     spectral_embed,
 )
 from .survival import CohortError, CohortTooSmallError
-from .tree import PartitionTree, build_topdown, fit_min_folder
+from .tree import PartitionTree, build_topdown
 
 logger = logging.getLogger(__name__)
 
@@ -380,7 +380,8 @@ def fit_weighted_metric(X, F: CohortFunctional, config: RunConfig = RunConfig())
     history: list[IterationDiagnostics] = []
     for _ in range(config.max_iters):
         del tree  # one tree at a time
-        tree = build_topdown(emb, fit_min_folder(n))
+        # split every folder of at least 2c points: the weight field reads no smaller one
+        tree = build_topdown(emb, 2 * F.min_cohort - 1)
         W_prev, W = W, compute_weight_field(values, F, tree)
         K = weighted_kernel(values, W.inv_diag())
         sigma = K.sigma

@@ -66,6 +66,8 @@ class TrialSpec:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
         if self.outcome_target is not None and not 0 < self.outcome_target <= 1:
             raise ValueError("outcome_target must be in (0, 1]")
+        if self.kind != "random" and self.horizon is None and self.outcome_target is None:
+            raise ValueError(f"a {self.kind} trial needs a horizon or an outcome_target")
         if not 0 < self.p_treated < 1:
             raise ValueError("p_treated must be in (0, 1)")
         if not 1 <= self.condition_bound < np.inf:
@@ -175,8 +177,6 @@ def _spec_horizon(times: np.ndarray, spec: TrialSpec) -> float:
     """The spec's horizon, or the one calibrated to its outcome target."""
     if spec.outcome_target is not None:
         return calibrate_horizon(times, spec.outcome_target)
-    if spec.horizon is None:
-        raise ValueError("spec needs a horizon or an outcome_target")
     return float(spec.horizon)
 
 

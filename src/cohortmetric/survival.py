@@ -19,11 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtrc
 
+from .diffusion import _check_count
+
 logger = logging.getLogger(__name__)
 
 BALANCE_THRESHOLD = 0.8  # largest arm share of a balanced cohort
 ALPHA_CAP = 50.0
 SMOOTHING = 0.5  # Haldane-Anscombe constant for the log relative risk
+COX_MAX_ITER = 60  # Newton steps before `cox_fit` gives up
 
 
 class CohortError(Exception):
@@ -329,8 +332,9 @@ def partial_loglik(records: SurvivalRecords, alphas) -> np.ndarray:
     return np.sum(alphas[:, None] * d1[None, :] - d[None, :] * np.log(denom), axis=1)
 
 
-def cox_fit(X, records: SurvivalRecords, names=None, max_iter: int = 60) -> CoxFit:
-    """Multivariate Cox regression (Newton-Raphson, Breslow ties).
+def cox_fit(X, records: SurvivalRecords, names=None) -> CoxFit:
+    """Multivariate Cox regression (Newton-Raphson, Breslow ties): a
+    CoxFitError when COX_MAX_ITER steps do not converge.
 
     Standard errors come from the inverse observed information; p-values are
     two-sided Wald.
@@ -345,8 +349,6 @@ def cox_fit(X, records: SurvivalRecords, names=None, max_iter: int = 60) -> CoxF
         names = tuple(f"x_{j + 1}" for j in range(p))
     if len(names) != p:
         raise ValueError(f"{len(names)} names for {p} covariates")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     center = Xv.mean(axis=0)
     Xc = Xv - center[None, :]
 
@@ -376,7 +378,7 @@ def cox_fit(X, records: SurvivalRecords, names=None, max_iter: int = 60) -> CoxF
     loglik = -np.inf
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, COX_MAX_ITER + 1):
         eta = Z @ beta
         shift = eta.max()
         w = np.exp(eta - shift)
@@ -416,7 +418,7 @@ def cox_fit(X, records: SurvivalRecords, names=None, max_iter: int = 60) -> CoxF
             break
     if not converged:
         raise CoxFitError(
-            f"Newton did not converge in {max_iter} iterations "
+            f"Newton did not converge in {COX_MAX_ITER} iterations "
             f"(last gradient norm {np.linalg.norm(grad, ord=np.inf):.3g})"
         )
     cov = np.linalg.inv(info)
@@ -532,8 +534,7 @@ class LocalAlphaFunctional:
                  min_cohort: int = 25):
         if kind not in ("moments", "partial"):
             raise ValueError(f"unknown estimator kind {kind!r}")
-        if isinstance(min_cohort, bool) or not isinstance(min_cohort, (int, np.integer)):
-            raise ValueError(f"min_cohort must be an integer, got {min_cohort!r}")
+        _check_count("min_cohort", min_cohort)
         if min_cohort < 2:
             raise ValueError("min_cohort must be at least 2")
         self.records = records

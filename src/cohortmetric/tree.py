@@ -1,11 +1,11 @@
 """Hierarchical partition trees over embedded points.
 
-A tree is a list of levels; level 1 is the whole point set, the last level is
-all singletons, and every level partitions the points exactly. Folders that
-reach the stopping size are carried through unchanged until the singleton
-level is appended. A tree is exactly what `build_topdown` makes:
-coarse-to-fine lists with one sorted point array per folder. A folder's parent is the
-folder of the previous level that contains it, found when it is needed.
+A tree is a list of levels; level 1 is the whole point set, and every level
+partitions the points exactly. A folder at or under the stopping size is
+carried through unchanged, and the tree ends at the last level that split.
+A tree is exactly what `build_topdown` makes: coarse-to-fine lists with one
+sorted point array per folder. A folder's parent is the folder of the
+previous level that contains it, found when it is needed.
 
 The top-down tree is level-synchronous: one `kmeans_split` call splits every
 splittable folder of a level. Each folder is cut into BRANCHING quantile
@@ -62,8 +62,8 @@ class PartitionTree:
     def validate(self):
         """Raise ValueError unless the levels form a partition tree: a single
         root folder, every level a partition of the points into nonempty
-        folders, each folder inside one folder of the level above, and a
-        last level of singletons. O(n) per level."""
+        folders, and each folder inside one folder of the level above. O(n)
+        per level."""
         if not self.levels or len(self.levels[0]) != 1:
             raise ValueError("level 1 must be the single root folder")
         n = self.n_points
@@ -75,8 +75,6 @@ class PartitionTree:
                 raise ValueError(f"level {level}: a folder straddles two folders "
                                  f"of level {level - 1}")
             prev = owner
-        if len(self.levels[-1]) != n:
-            raise ValueError("last level must be singletons")
 
     def to_lines(self) -> list[str]:
         """One line per folder: level,folder_id,parent_id,point_ids..."""
@@ -174,12 +172,6 @@ def kmeans_split(coords: np.ndarray, sizes: list[int]) -> np.ndarray:
     return rank * BRANCHING // sizes[seg]
 
 
-def fit_min_folder(n: int) -> int:
-    """The fit's tree splits only folders of more than max(10, ceil(n/256))
-    points."""
-    return max(10, int(np.ceil(n / 256)))
-
-
 def build_topdown(emb: DiffusionEmbedding, min_folder: int = 1) -> PartitionTree:
     """Top-down principal splits of the embedded coordinates, one level at a
     time.
@@ -189,8 +181,8 @@ def build_topdown(emb: DiffusionEmbedding, min_folder: int = 1) -> PartitionTree
     for the whole level; smaller folders pass through unsplit. A min_folder
     that is not an integer >= 1 is a ValueError. The next level is one
     stable sort of the level's points by (folder, slab), sliced at the
-    parts' bounds. Once nothing splits, a singleton level is appended, folder
-    by folder.
+    parts' bounds. The tree ends at the last level that split; at the
+    default min_folder=1 its leaves are singletons.
     """
     _check_count("min_folder", min_folder)
     coords = emb.coords
@@ -213,7 +205,5 @@ def build_topdown(emb: DiffusionEmbedding, min_folder: int = 1) -> PartitionTree
         ordered = points[np.argsort(part, kind="stable")]
         ends = np.cumsum(counts[counts > 0]).tolist()  # unsplit folders' empty parts dropped
         levels.append([ordered[a:b] for a, b in zip([0] + ends[:-1], ends)])
-    if len(levels) == 1 or any(len(pts) > 1 for pts in levels[-1]):
-        levels.append(list(np.concatenate(levels[-1])[:, None]))  # one (1,) row per point
     return PartitionTree(levels)
 

@@ -533,6 +533,26 @@ def test_model_roundtrip_predictions_match(tmp_path, small_trial, small_model):
         assert got.top_eigenvalues == fitted.top_eigenvalues
 
 
+def test_a_model_saved_with_a_singleton_tree_level_serves_the_same_predictions(
+    tmp_path, small_trial, small_model
+):
+    # earlier versions appended a level of singletons below the fit's tree
+    from cohortmetric.tree import PartitionTree
+
+    io.save_model(tmp_path / "model", small_model)
+    levels = small_model.metric.tree.levels
+    assert any(len(pts) > 1 for pts in levels[-1])
+    old = PartitionTree(levels + [[np.array([p]) for p in np.concatenate(levels[-1])]])
+    io.save_model(tmp_path / "old", small_model)
+    (tmp_path / "old" / "tree.txt").write_text("\n".join(old.to_lines()) + "\n")
+    loaded = io.load_model(tmp_path / "old")
+    assert loaded.metric.tree.to_lines() == old.to_lines()
+    x = small_trial.data.values[:40]
+    p1, p2 = predict(io.load_model(tmp_path / "model"), x), predict(loaded, x)
+    for name in ("estimates", "n_neighbors", "balanced", "in_support", "coords"):
+        assert getattr(p1, name).tobytes() == getattr(p2, name).tobytes(), name
+
+
 def test_coords_are_the_eigenvectors_scaled_by_their_eigenvalues(tmp_path, small_model):
     # the diffusion time is 1: coords are lambda_k phi_k, fitted and reloaded alike
     io.save_model(tmp_path / "model", small_model)
@@ -1124,6 +1144,18 @@ def test_cli_simulate_refuses_a_bad_trial_value_with_exit_2(tmp_path, capsys, tr
     out = tmp_path / "o"
     assert main(["simulate", "--config", str(p), "--out", str(out)]) == 2
     assert "invalid trial spec" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+@pytest.mark.parametrize("kind", ["sphere", "propensity"])
+def test_cli_trial_with_neither_horizon_nor_outcome_target_exits_2(tmp_path, capsys, command, kind):
+    # a random trial draws its outcome target; the other kinds cannot be generated
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"trial": {"kind": kind, "n": 50, "horizon": None}}))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(p), "--out", str(out)]) == 2
+    assert f"a {kind} trial needs a horizon or an outcome_target" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -801,8 +801,8 @@ def test_neighborhoods_refuse_nonfinite_points(where, bad):
         neighborhood_indices(coords, centers, 3)
 
 
-@pytest.mark.parametrize("kind,kw", [("knn", {"k": 7.5}), ("knn", {"k": True}), ("knn", {"k": 0})])
-def test_neighborhood_rule_rejects_invalid_size(kind, kw):
+@pytest.mark.parametrize("kw", [{"k": 7.5}, {"k": True}, {"k": 0}])
+def test_neighborhood_rule_rejects_invalid_size(kw):
     from cohortmetric.metric import neighborhood_indices
 
     coords = np.arange(12.0).reshape(6, 2)

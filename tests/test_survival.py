@@ -6,6 +6,7 @@ import pytest
 import cohortmetric.survival as survival
 from cohortmetric.survival import (
     AdministrativeCensoring,
+    CoxFitError,
     ExponentialCensoring,
     HazardModel,
     LinearRisk,
@@ -255,6 +256,17 @@ def test_a_min_cohort_that_is_not_an_integer_is_refused(min_cohort):
     assert LocalAlphaFunctional(rec, "moments", min_cohort=np.int64(3)).min_cohort == 3
 
 
+@pytest.mark.parametrize("min_cohort, message", [
+    (0, "min_cohort must be an integer >= 1"),
+    (1, "min_cohort must be at least 2"),
+])
+def test_a_min_cohort_under_two_is_refused(min_cohort, message):
+    rec = SurvivalRecords(np.ones(4), np.ones(4, dtype=int), np.array([0, 1, 0, 1]))
+    with pytest.raises(ValueError, match=message):
+        LocalAlphaFunctional(rec, "moments", min_cohort=min_cohort)
+    assert LocalAlphaFunctional(rec, "moments", min_cohort=2).min_cohort == 2
+
+
 def test_detail_balance_flag_matches_moments_alpha(monkeypatch):
     rng = np.random.default_rng(21)
     arms = np.concatenate([np.zeros(30, dtype=int), np.ones(30, dtype=int)])
@@ -420,8 +432,6 @@ def test_cox_recovers_planted_effects():
 
 
 def test_cox_rank_deficiency_reported():
-    from cohortmetric.survival import CoxFitError
-
     rng = np.random.default_rng(10)
     n = 50
     x = rng.normal(size=n)
@@ -432,15 +442,23 @@ def test_cox_rank_deficiency_reported():
         cox_fit(X, rec)
 
 
-def test_cox_refuses_a_zero_iteration_budget_and_names_of_the_wrong_length():
+def test_cox_refuses_names_of_the_wrong_length():
     rng = np.random.default_rng(12)
     rec = random_cohort(rng, n=60)
     X = rng.normal(size=(60, 2))
-    with pytest.raises(ValueError, match="max_iter must be >= 1"):
-        cox_fit(X, rec, max_iter=0)
     with pytest.raises(ValueError, match="1 names for 2 covariates"):
         cox_fit(X, rec, names=("a",))
     assert cox_fit(X, rec, names=("a", "b")).names == ("a", "b")
+
+
+def test_cox_that_does_not_converge_in_its_step_budget_raises(monkeypatch):
+    rng = np.random.default_rng(12)
+    rec = random_cohort(rng, n=60)
+    X = rng.normal(size=(60, 2))
+    assert cox_fit(X, rec).iterations > 1
+    monkeypatch.setattr(survival, "COX_MAX_ITER", 1)
+    with pytest.raises(CoxFitError, match="Newton did not converge in 1 iterations"):
+        cox_fit(X, rec)
 
 
 def test_cox_p_values_equal_scipy_stats_chi2_bit_for_bit():

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+import cohortmetric.metric as metric_mod
 import cohortmetric.tree as tree_mod
 from cohortmetric.config import RunConfig
 from cohortmetric.diffusion import DiffusionEmbedding, gaussian_kernel, markov_normalize, spectral_embed
-from cohortmetric.metric import CohortFunctional, fit_weighted_metric
+from cohortmetric.metric import CohortFunctional, compute_weight_field, fit_weighted_metric
+from cohortmetric.simulate import TrialSpec, generate
+from cohortmetric.survival import LocalAlphaFunctional
 from cohortmetric.tree import PartitionTree, build_topdown
 
 
@@ -18,10 +21,8 @@ def embed_coords(coords):
 
 def test_topdown_single_point():
     tree = build_topdown(embed_coords([[0.0]]), min_folder=1)
-    assert tree.n_levels == 2
-    assert len(tree.folders(1)) == 1
-    assert len(tree.folders(2)) == 1
-    assert tree.folders(2)[0].tolist() == [0]
+    assert tree.n_levels == 1
+    assert tree.to_lines() == ["1,0,-1,0"]
 
 
 def test_topdown_recovers_separated_blobs():
@@ -40,7 +41,9 @@ def test_topdown_partition_invariants_hold(monkeypatch):
     coords = rng.normal(size=(67, 3))
     tree = build_topdown(embed_coords(coords), min_folder=4)
     tree.validate()
-    assert all(len(f) == 1 for f in tree.folders(tree.n_levels))
+    # the leaves are the folders that cannot split: at most min_folder points
+    assert all(len(f) <= 4 for f in tree.folders(tree.n_levels))
+    assert any(len(f) > 4 for f in tree.folders(tree.n_levels - 1))
 
 
 def test_topdown_is_deterministic():
@@ -83,6 +86,67 @@ def test_fit_draws_nothing_from_its_seed():
     assert a.weights.point_weights.tobytes() == b.weights.point_weights.tobytes()
     assert a.embedding.eigenvalues.tobytes() == b.embedding.eigenvalues.tobytes()
     assert a.embedding.eigenvectors.tobytes() == b.embedding.eigenvectors.tobytes()
+
+
+def _fit_trees(X, F, monkeypatch):
+    """The trees of a two-step fit, each with the embedding it was built from."""
+    built = []
+
+    def recorded(emb, min_folder):
+        built.append((emb, tree_mod.build_topdown(emb, min_folder)))
+        return built[-1][1]
+
+    monkeypatch.setattr(metric_mod, "build_topdown", recorded)
+    fit_weighted_metric(X, F, RunConfig(dim=4, max_iters=2))
+    return built
+
+
+def _frozen_fit_tree(emb):
+    """The fit's tree before it stopped at 2c points: folders of more than
+    max(10, ceil(n/256)) points split, then a level of singletons."""
+    n = emb.coords.shape[0]
+    levels = build_topdown(emb, max(10, int(np.ceil(n / 256)))).levels
+    return PartitionTree(levels + [[np.array([p]) for p in np.concatenate(levels[-1])]])
+
+
+def _trial_functional(kind, n, c):
+    ds = generate(TrialSpec(kind, n=n, seed=31, dim=9, horizon=None, outcome_target=0.5))
+    return ds.data.values, LocalAlphaFunctional(ds.records, "moments", c)
+
+
+def _labels_functional(n, c):
+    X = np.random.default_rng(13).uniform(size=(n, 4))
+    return X, CohortFunctional.from_labels(np.sin(4 * X[:, 0]) + X[:, 1], c)
+
+
+@pytest.mark.parametrize("X, F", [
+    _trial_functional("random", 800, 25),
+    _trial_functional("sphere", 800, 25),
+    _labels_functional(150, 8),
+], ids=["random-c25", "sphere-c25", "labels-c8-n150"])
+def test_fit_tree_weighs_as_the_frozen_tree_bit_for_bit(X, F, monkeypatch):
+    # max(10, ceil(n/256)) < 2c here: both rules split every folder of at least
+    # 2c points alike, and the weight field reads no smaller folder
+    for emb, tree in _fit_trees(X, F, monkeypatch):
+        frozen = _frozen_fit_tree(emb)
+        assert tree.n_levels < frozen.n_levels
+        got, want = (compute_weight_field(X, F, t) for t in (tree, frozen))
+        assert got.point_weights.tobytes() == want.point_weights.tobytes()
+        assert got.lam == want.lam
+
+
+@pytest.mark.parametrize("n, c", [(150, 8), (300, 3), (400, 25)])
+def test_fit_tree_splits_every_folder_of_at_least_2c_points_and_no_other(n, c, monkeypatch):
+    X, F = _labels_functional(n, c)
+    for _, tree in _fit_trees(X, F, monkeypatch):
+        for level in range(1, tree.n_levels):
+            below = tree.folders(level + 1)
+            parents = tree.parents(level + 1)
+            for fid, pts in enumerate(tree.folders(level)):
+                children = [child for child, up in zip(below, parents) if up == fid]
+                # a folder of 2c points or more is never carried through
+                assert (len(children) > 1) == (len(pts) >= 2 * c)
+        assert all(len(pts) < 2 * c for pts in tree.folders(tree.n_levels))
 
 
 def test_topdown_small_folder_passes_through(monkeypatch):
@@ -144,7 +208,6 @@ def _replace(edits):
     (_replace({"3,1,0,2": ["3,1,0,2,3"], "3,2,1,3,4": ["3,2,1,4"]}),
      "level 3: a folder straddles two folders of level 2"),
     (_replace({"1,0,-1,0,1,2,3,4,5": ["1,0,-1,0,1,2", "1,1,-1,3,4,5"]}), "single root"),
-    (lambda lines: [line for line in lines if not line.startswith("4,")], "singletons"),
     (_replace({"2,1,0,3,4,5": ["2,1,0,3,4,5", "2,2,0"]}), "level 2: a folder is empty"),
     (_replace({"2,1,0,3,4,5": ["2,1,0,3,x,5"]}), "line 3: not level,folder_id,parent_id,points"),
     (_replace({"2,1,0,3,4,5": ["2,1"]}), "line 3: not level,folder_id,parent_id,points"),
@@ -217,9 +280,6 @@ def _oracle_topdown(coords, k, min_folder):
         levels.append(nxt)
         parents.append(nxt_parents)
         split_sizes.append(sizes)
-    if len(levels) == 1 or any(len(pts) > 1 for pts in levels[-1]):
-        parents.append([fid for fid, pts in enumerate(levels[-1]) for _ in pts])
-        levels.append([np.array([p]) for pts in levels[-1] for p in pts])
     lines = [",".join([str(li + 1), str(fid), str(parents[li][fid])] + [str(p) for p in pts])
              for li, folders in enumerate(levels) for fid, pts in enumerate(folders)]
     return lines, split_sizes
