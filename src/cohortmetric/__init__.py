@@ -15,7 +15,6 @@ from .extension import (
     ReferenceEmbedding,
     asymmetric_kernel,
     build_reference,
-    build_reference_from_metric,
     extend_batch,
 )
 from .harness import (

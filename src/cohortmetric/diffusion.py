@@ -114,15 +114,19 @@ class DiffusionEmbedding:
         return self.eigenvectors[:, 1:] * self.eigenvalues[None, 1:]
 
 
-def median_bandwidth(X, subsample: int = 2000) -> float:
+# the most points whose pairwise distances give the Gaussian bandwidth's median
+BANDWIDTH_SUBSAMPLE = 2000
+
+
+def median_bandwidth(X) -> float:
     """Median of the nonzero pairwise distances, on a subsample for large n.
 
     Each pair is counted once: the full distance matrix holds every nonzero
     distance twice, which leaves the median the same float."""
     values = as_values(X)
     n = values.shape[0]
-    if n > subsample:
-        idx = np.unique(np.linspace(0, n - 1, subsample).astype(int))
+    if n > BANDWIDTH_SUBSAMPLE:
+        idx = np.unique(np.linspace(0, n - 1, BANDWIDTH_SUBSAMPLE).astype(int))
         values = values[idx]
     n = len(values)
     return _median_nonzero(pdist(values, out=_empty_mapped((n * (n - 1) // 2,))))
@@ -328,10 +332,10 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_count(name: str, value) -> None:
-    """ValueError naming `name` unless value is an integer >= 1, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+def _check_count(name: str, value, least: int = 1) -> None:
+    """ValueError naming `name` unless value is an integer >= least, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _top_eigenpairs(M, k: int, dense=None):

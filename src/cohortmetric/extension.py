@@ -1,10 +1,13 @@
-"""Reference-set extension of the weighted embedding to unseen points.
+"""The served geometry of the fitted metric, and its extension to unseen points.
 
+The fit returns the weights and bandwidth of K_F but no embedding; the
+reference decomposition built from them is the geometry `predict` serves.
 The asymmetric kernel against the training (reference) points is normalized
 on both sides into A, only the top right singular pairs of A are computed,
 as eigenpairs of A'A reached through products with A, and new points embed
-through their normalized kernel rows. `extend_batch` is the one path from new
-points to coordinates, for one point or many. Test points never touch the
+through their normalized kernel rows: the out-of-sample extension of Coifman
+and Lafon 2006 ("Geometric harmonics"). `extend_batch` is the one path from
+new points to coordinates, for one point or many. Test points never touch the
 weights or each other. The kernel takes the package's one expansion with
 the row side's W at 0, one matrix product per row block, and a batch's rows
 are normalized in place.
@@ -28,7 +31,6 @@ from .diffusion import (
     _rows_per_block,
     _top_eigenpairs,
 )
-from .metric import RegularizedMetric
 
 SINGULAR_CUTOFF = 1e-10
 
@@ -182,10 +184,3 @@ def extend_batch(ref: ReferenceEmbedding, Z):
     coords = np.full((Zv.shape[0], ref.rank), np.nan)
     coords[in_support] = rows @ ref.psi
     return coords, in_support
-
-
-def build_reference_from_metric(X, metric: RegularizedMetric) -> ReferenceEmbedding:
-    """Reference decomposition using the trained metric's weights and
-    bandwidth, with the embedding's d + 1 components."""
-    return build_reference(X, metric.weights.inv_diag(), metric.sigma,
-                           metric.embedding.d + 1)

@@ -11,7 +11,8 @@ import numpy as np
 
 from .config import RunConfig
 from .data import DataMatrix
-from .extension import ReferenceEmbedding, build_reference_from_metric, extend_batch
+from . import extension
+from .extension import ReferenceEmbedding, extend_batch
 from .metric import RegularizedMetric, fit_weighted_metric, neighborhood_indices
 from .rng import substream
 from .simulate import GroundTruth, TrialDataset, score_against_truth
@@ -85,7 +86,7 @@ def _physical_memory_bytes() -> int:
 
 def fit_pipeline(data, records: SurvivalRecords, config: RunConfig) -> FittedModel:
     """Fit the function-weighted metric on training data and freeze the
-    reference decomposition for out-of-sample use.
+    reference decomposition of its weights for out-of-sample use.
 
     Raises FitTooLargeError, before any kernel is built, when the estimated
     peak memory exceeds physical memory."""
@@ -101,7 +102,8 @@ def fit_pipeline(data, records: SurvivalRecords, config: RunConfig) -> FittedMod
         )
     functional = LocalAlphaFunctional(records, WEIGHT_ESTIMATOR, config.min_cohort)
     metric = fit_weighted_metric(dm.values, functional, config)
-    ref = build_reference_from_metric(dm.values, metric)
+    ref = extension.build_reference(dm.values, metric.weights.inv_diag(), metric.sigma,
+                                    config.dim + 1)
     return FittedModel(
         metric=metric,
         ref=ref,

@@ -203,16 +203,10 @@ def save_model(model_dir, model) -> None:
         id_col="index",
     )
     (d / "tree.txt").write_text("\n".join(model.metric.tree.to_lines()) + "\n")
-    eigen = model.metric.embedding
-    write_matrix_csv(
-        d / "eigenvectors.csv", eigen.eigenvectors, model.train_ids,
-        [f"phi_{j}" for j in range(eigen.eigenvalues.size)],
-    )
     meta = {
         "config": model.config.to_dict(),
         "sigma": ref.sigma,
         "lam": model.metric.weights.lam,
-        "eigenvalues": [float(v) for v in eigen.eigenvalues],
         "history": [
             {
                 # JSON has no NaN: the first step's undefined change is null
@@ -288,20 +282,21 @@ def _require_numbers(path, mapping: dict, scalars, lists=(), where: str = "") ->
 def load_model(model_dir):
     """Rebuild a FittedModel (reference side) from a saved artifact.
 
-    The dimension comes from the saved config, the iteration count from the
-    saved history.
+    The iteration count comes from the saved history. eigenvectors.csv and
+    the top-level `eigenvalues` key, which earlier versions saved, are not
+    read, nor is any other unknown top-level key of config.json.
     Files that disagree are a ValueError naming the file: the per-point
     files must carry xref.csv's ids in xref.csv's order, psi.csv and d2.csv
     one row per reference point, d2.csv and singular_values.csv one value
-    column, and psi.csv and ref_coords.csv one column per singular value.
+    column, psi.csv and ref_coords.csv one column per singular value, and
+    singular_values.csv at most the saved config's dim + 1 values.
     A key missing from config.json, or from one of its history entries, is
     a ValueError naming the file and the key; so is a `history` that is not
-    a list of objects, or a `sigma`, `lam`, `eigenvalues` or history field
-    that is not a number (a list of them for the eigenvalues; a bool is not
-    a number), except a null `weight_change`; so is a `feature_names` that
-    is not a list of strings or differs from xref.csv's header."""
+    a list of objects, or a `sigma`, `lam` or history field that is not a
+    number (a list of them for `top_eigenvalues`; a bool is not a number),
+    except a null `weight_change`; so is a `feature_names` that is not a
+    list of strings or differs from xref.csv's header."""
     from .config import RunConfig
-    from .diffusion import DiffusionEmbedding
     from .extension import ReferenceEmbedding
     from .harness import FittedModel
     from .metric import IterationDiagnostics, RegularizedMetric, WeightField, cohort_neighborhood
@@ -310,9 +305,8 @@ def load_model(model_dir):
     d = Path(model_dir)
     meta_path = d / "config.json"
     meta = read_json(meta_path)
-    _require_keys(meta_path, meta,
-                  ("config", "sigma", "lam", "eigenvalues", "feature_names", "history"))
-    _require_numbers(meta_path, meta, ("sigma", "lam"), ("eigenvalues",))
+    _require_keys(meta_path, meta, ("config", "sigma", "lam", "feature_names", "history"))
+    _require_numbers(meta_path, meta, ("sigma", "lam"))
     entries = meta["history"]
     if not (isinstance(entries, list) and all(isinstance(h, dict) for h in entries)):
         raise ValueError(f"{meta_path}: 'history' is not a list of objects: {entries!r}")
@@ -333,10 +327,12 @@ def load_model(model_dir):
     _same_rows(d / "train_records.csv", record_ids, train_ids)
     point_weights = _model_matrix(d / "weights.csv", train_ids)
     ref_coords = _model_matrix(d / "ref_coords.csv", train_ids)
-    eigenvectors = _model_matrix(d / "eigenvectors.csv", train_ids)
     psi = _model_matrix(d / "psi.csv", n_rows=len(train_ids))
     d2 = _model_column(d / "d2.csv", n_rows=len(train_ids))
     svals = _model_column(d / "singular_values.csv")
+    if len(svals) > config.dim + 1:
+        raise ValueError(f"{d / 'singular_values.csv'}: {len(svals)} values, more than the "
+                         f"dim + 1 = {config.dim + 1} of config.json")
     for name, matrix in (("psi.csv", psi), ("ref_coords.csv", ref_coords)):
         if matrix.shape[1] != len(svals):
             raise ValueError(f"{d / name}: rank {matrix.shape[1]}, but singular_values.csv "
@@ -351,7 +347,6 @@ def load_model(model_dir):
         d2=d2,
         coords=ref_coords,
     )
-    embedding = DiffusionEmbedding(np.array(meta["eigenvalues"]), eigenvectors, config.dim)
     tree = PartitionTree.from_lines((d / "tree.txt").read_text().splitlines())
     history = tuple(
         IterationDiagnostics(
@@ -363,7 +358,6 @@ def load_model(model_dir):
         for h in entries
     )
     metric = RegularizedMetric(
-        embedding=embedding,
         weights=weights,
         tree=tree,
         cohort_size=cohort_neighborhood(x_ref.shape[0], config.min_cohort),

@@ -8,13 +8,13 @@ locally weighted PSD kernel takes the field's W diagonals u, an (n, m)
 array. F is evaluated only where a weight can be nonzero: a folder under 2c
 points, or a feature left with one valid bin of at least c points, weighs 0
 with no F call. The fit runs a fixed number of steps of tree -> weights ->
-weighted kernel -> embedding, and returns the last step's tree, weights and
-the embedding of the kernel those weights build. The weighted kernel is the
-package's one kernel assembly, one matrix product per block of a weight
-group's rows: the points whose W rows are equal bit for bit.
+bandwidth, and returns the last step's tree, weights and bandwidth, which
+the reference decomposition serves; no kernel follows the last weights. The
+weighted kernel is the package's one kernel assembly, one matrix product per
+block of a weight group's rows: the points whose W rows are equal bit for bit.
 
 A point's neighbourhood is its cohort: the k = max(c, ceil(0.05 n)) nearest
-of n reference points in the embedding (`cohort_neighborhood`).
+of n reference points in the reference coordinates (`cohort_neighborhood`).
 `neighborhood_indices` answers a whole batch of centers in one pass: it
 ranks by the squared distance less the center's own term, one matrix
 product per row block, so points within rounding of a tie may swap places
@@ -38,7 +38,6 @@ from .data import as_values
 from .diffusion import (
     PLANE_DEPTH,
     AffinityMatrix,
-    DiffusionEmbedding,
     _check_count,
     _grouped_kernel,
     _median_nonzero,
@@ -53,10 +52,12 @@ from .tree import PartitionTree, build_topdown
 logger = logging.getLogger(__name__)
 
 # the fit's fixed choices: the 2^{-alpha l} decay of folder weights with
-# level and the quantile bins per feature in a folder; the diffusion time
-# is 1 (`DiffusionEmbedding.coords`) and the branching is `tree.BRANCHING`
+# level, the quantile bins per feature in a folder and the most points of
+# the bandwidth's subsample; the diffusion time is 1
+# (`DiffusionEmbedding.coords`) and the branching is `tree.BRANCHING`
 WEIGHT_ALPHA = 1.0
 K_BINS = 3
+SCALE_SUBSAMPLE = 512
 
 
 class CohortFunctional:
@@ -117,6 +118,9 @@ class WeightField:
 
 @dataclass(frozen=True)
 class IterationDiagnostics:
+    """One fit step. `top_eigenvalues` belong to the embedding its tree split:
+    the Gaussian kernel's at step 1, the previous step's kernel's after."""
+
     weight_change: float
     sigma: float
     lam: float
@@ -131,9 +135,8 @@ def cohort_neighborhood(n: int, min_cohort: int) -> int:
 
 @dataclass(frozen=True)
 class RegularizedMetric:
-    """Stable function-weighted embedding with its weight field and tree."""
+    """A fit's last tree, with the weight field computed on it and their sigma."""
 
-    embedding: DiffusionEmbedding
     weights: WeightField
     tree: PartitionTree
     cohort_size: int  # k nearest references per estimate
@@ -275,19 +278,19 @@ def compute_weight_field(X, F: CohortFunctional, tree: PartitionTree) -> WeightF
     return WeightField(w, resolve_lam(w))
 
 
-def _median_quadratic_scale(values: np.ndarray, u: np.ndarray, subsample: int = 512) -> float:
+def _median_quadratic_scale(values: np.ndarray, u: np.ndarray) -> float:
     """Median nonzero weighted quadratic form on a subsample; bandwidth^2.
 
     q = sum_f (x_if - x_jf)^2 / (u_if + u_jf) is summed from per-feature
     (rows, cols) planes in feature order, over the strict upper triangle of
-    the at most 512 subsampled points only, so that a repeated point's form
-    is exactly 0 and the median skips it. The full matrix holds each form
+    the at most SCALE_SUBSAMPLE subsampled points only, so that a repeated
+    point's form is exactly 0 and the median skips it. The full matrix holds each form
     twice, which leaves the median the same float. It keeps these planes
     rather than the kernels' matrix-product expansion, whose rounding would
     leave a repeated point's form a little off 0 and change sigma's bits.
     """
     n = values.shape[0]
-    idx = np.unique(np.linspace(0, n - 1, min(n, subsample)).astype(int))
+    idx = np.unique(np.linspace(0, n - 1, min(n, SCALE_SUBSAMPLE)).astype(int))
     s = len(idx)
     vt, ut = values[idx].T.copy(), u[idx].T.copy()  # (m, s): feature-major
     q = np.empty(s * (s - 1) // 2)
@@ -358,13 +361,13 @@ def _weight_change(prev: WeightField | None, new: WeightField) -> float:
 
 
 def fit_weighted_metric(X, F: CohortFunctional, config: RunConfig = RunConfig()) -> RegularizedMetric:
-    """Run `config.max_iters` steps of tree -> weights -> weighted kernel -> embedding.
+    """Run `config.max_iters` steps of tree -> weights -> bandwidth.
 
     Starts from the unweighted Gaussian diffusion embedding, and draws no
-    random numbers: each step's tree depends on its embedding alone. The
-    result holds the last step's tree, the weights computed on it, and the
-    embedding and bandwidth of the weighted kernel those weights build, so
-    the reference decomposition serves the same geometry as `embedding`.
+    random numbers: each step's tree depends on its embedding alone. Only a
+    step that another follows embeds the weighted kernel of its weights, for
+    the next tree. The result holds the last step's tree, the weights
+    computed on it and their bandwidth (`weighted_kernel`'s default sigma).
     Each kernel is freed once embedded. `history` has one record per step.
     Of `config` it reads only `dim` and `max_iters`: the cohort size is
     taken from F's own minimum cohort.
@@ -378,15 +381,13 @@ def fit_weighted_metric(X, F: CohortFunctional, config: RunConfig = RunConfig())
     emb = spectral_embed(markov_normalize(gaussian_kernel(values)), d=config.dim)
     W = tree = None
     history: list[IterationDiagnostics] = []
-    for _ in range(config.max_iters):
+    for step in range(1, config.max_iters + 1):
         del tree  # one tree at a time
         # split every folder of at least 2c points: the weight field reads no smaller one
         tree = build_topdown(emb, 2 * F.min_cohort - 1)
         W_prev, W = W, compute_weight_field(values, F, tree)
-        K = weighted_kernel(values, W.inv_diag())
-        sigma = K.sigma
-        emb = spectral_embed(markov_normalize(K), d=config.dim)
-        del K  # one n x n kernel at a time
+        u = W.inv_diag()
+        sigma = float(np.sqrt(_median_quadratic_scale(values, u)))
         history.append(
             IterationDiagnostics(
                 weight_change=_weight_change(W_prev, W),
@@ -395,8 +396,11 @@ def fit_weighted_metric(X, F: CohortFunctional, config: RunConfig = RunConfig())
                 top_eigenvalues=tuple(np.round(emb.eigenvalues[:4], 6)),
             )
         )
+        if step < config.max_iters:  # the next step's tree splits this embedding
+            K = weighted_kernel(values, u, sigma)
+            emb = spectral_embed(markov_normalize(K), d=config.dim)
+            del K  # one n x n kernel at a time
     return RegularizedMetric(
-        embedding=emb,
         weights=W,
         tree=tree,
         cohort_size=cohort_neighborhood(n, F.min_cohort),

@@ -534,9 +534,7 @@ class LocalAlphaFunctional:
                  min_cohort: int = 25):
         if kind not in ("moments", "partial"):
             raise ValueError(f"unknown estimator kind {kind!r}")
-        _check_count("min_cohort", min_cohort)
-        if min_cohort < 2:
-            raise ValueError("min_cohort must be at least 2")
+        _check_count("min_cohort", min_cohort, least=2)
         self.records = records
         self.kind = kind
         self.min_cohort = int(min_cohort)

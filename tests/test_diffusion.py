@@ -378,6 +378,8 @@ def test_embedding_deterministic():
     a = spectral_embed(op, d=5)
     b = spectral_embed(op, d=5)
     assert np.array_equal(a.coords, b.coords)
+    # the diffusion time is 1: the coordinates are lambda_k phi_k
+    assert a.coords.tobytes() == (a.eigenvectors[:, 1:] * a.eigenvalues[1:]).tobytes()
 
 
 # --- the one top-k eigensolver ------------------------------------------------

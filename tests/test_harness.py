@@ -510,9 +510,8 @@ def test_fit_ignores_test_rows_and_is_byte_deterministic(tmp_path, small_trial):
 def test_model_roundtrip_predictions_match(tmp_path, small_trial, small_model):
     io.save_model(tmp_path / "model", small_model)
     assert sorted(p.name for p in (tmp_path / "model").iterdir()) == [
-        "config.json", "d2.csv", "eigenvectors.csv", "psi.csv", "ref_coords.csv",
-        "report.txt", "singular_values.csv", "train_records.csv", "tree.txt",
-        "weights.csv", "xref.csv",
+        "config.json", "d2.csv", "psi.csv", "ref_coords.csv", "report.txt",
+        "singular_values.csv", "train_records.csv", "tree.txt", "weights.csv", "xref.csv",
     ]
     back = io.load_model(tmp_path / "model")
     # inv_diag is rebuilt from weights.csv and lam, not read from a file
@@ -553,14 +552,26 @@ def test_a_model_saved_with_a_singleton_tree_level_serves_the_same_predictions(
         assert getattr(p1, name).tobytes() == getattr(p2, name).tobytes(), name
 
 
-def test_coords_are_the_eigenvectors_scaled_by_their_eigenvalues(tmp_path, small_model):
-    # the diffusion time is 1: coords are lambda_k phi_k, fitted and reloaded alike
+def test_a_model_saved_with_eigenvectors_serves_the_same_predictions(
+    tmp_path, small_trial, small_model
+):
+    # earlier versions also saved the fit's last diffusion embedding: its
+    # eigenvectors in eigenvectors.csv and its eigenvalues under config.json's
+    # top-level `eigenvalues` key; neither is read
     io.save_model(tmp_path / "model", small_model)
-    fitted = small_model.metric.embedding
-    loaded = io.load_model(tmp_path / "model").metric.embedding
-    for emb in (fitted, loaded):
-        assert emb.coords.tobytes() == (emb.eigenvectors[:, 1:] * emb.eigenvalues[1:]).tobytes()
-    assert loaded.coords.tobytes() == fitted.coords.tobytes()
+    io.save_model(tmp_path / "old", small_model)
+    n, d = small_model.ref.n_ref, small_model.config.dim
+    phi = np.random.default_rng(0).normal(size=(n, d + 1))
+    io.write_matrix_csv(tmp_path / "old" / "eigenvectors.csv", phi, small_model.train_ids,
+                        [f"phi_{j}" for j in range(d + 1)])
+    meta = json.loads((tmp_path / "old" / "config.json").read_text())
+    meta["eigenvalues"] = [1.0] + [0.5] * d
+    (tmp_path / "old" / "config.json").write_text(json.dumps(meta))
+    loaded = io.load_model(tmp_path / "old")
+    x = small_trial.data.values[:40]
+    p1, p2 = predict(io.load_model(tmp_path / "model"), x), predict(loaded, x)
+    for name in ("estimates", "n_neighbors", "balanced", "in_support", "coords"):
+        assert getattr(p1, name).tobytes() == getattr(p2, name).tobytes(), name
 
 
 def test_model_arrays_that_predict_reads_are_c_contiguous(tmp_path, small_model):
@@ -815,7 +826,7 @@ def test_a_saved_config_that_is_not_an_object_is_a_config_error(tmp_path, small_
 
 
 @pytest.mark.parametrize("path", [
-    ("config",), ("lam",), ("sigma",), ("eigenvalues",), ("feature_names",), ("history",),
+    ("config",), ("lam",), ("sigma",), ("feature_names",), ("history",),
     ("history", 0, "weight_change"), ("history", 0, "sigma"), ("history", 0, "lam"),
     ("history", 1, "top_eigenvalues"),
 ], ids=lambda path: "-".join(map(str, path)))
@@ -845,8 +856,6 @@ def test_cli_on_a_saved_config_without_a_key_exits_1(tmp_path, small_trial, smal
     (("sigma",), "1.5", "'sigma' is not a number: '1.5'"),
     (("lam",), [1.0], "'lam' is not a number: [1.0]"),
     (("lam",), True, "'lam' is not a number: True"),
-    (("eigenvalues",), 1.0, "'eigenvalues' is not a list of numbers: 1.0"),
-    (("eigenvalues",), [1.0, "x"], "'eigenvalues' is not a list of numbers: [1.0, 'x']"),
     (("history",), 5, "'history' is not a list of objects: 5"),
     (("history",), [[]], "'history' is not a list of objects: [[]]"),
     (("history", 0, "sigma"), "abc", "history entry 1: 'sigma' is not a number: 'abc'"),
@@ -860,9 +869,9 @@ def test_cli_on_a_saved_config_without_a_key_exits_1(tmp_path, small_trial, smal
     (("feature_names",), ["x_1"], "'feature_names' ['x_1'] differ from xref.csv's header"),
     (("feature_names",), [f"x_{i}" for i in (2, 1, 3, 4, 5, 6, 7, 8, 9)],
      "'feature_names' ['x_2', 'x_1', 'x_3', 'x_4', 'x_5', 'x_6', 'x_7', 'x_8', 'x_9'] differ"),
-], ids=["sigma-null", "sigma-str", "lam-list", "lam-bool", "eigenvalues-number",
-        "eigenvalues-str", "history-number", "history-of-lists", "history-0-sigma-str",
-        "history-1-lam-bool", "history-1-weight_change-str", "history-0-top_eigenvalues-null",
+], ids=["sigma-null", "sigma-str", "lam-list", "lam-bool", "history-number",
+        "history-of-lists", "history-0-sigma-str", "history-1-lam-bool",
+        "history-1-weight_change-str", "history-0-top_eigenvalues-null",
         "feature_names-number", "feature_names-with-a-number", "feature_names-one-short",
         "feature_names-reordered"])
 def test_cli_on_a_saved_config_value_of_the_wrong_type_exits_1(tmp_path, small_trial,
@@ -925,20 +934,8 @@ def test_saved_dim_that_disagrees_with_the_eigenpairs_is_a_value_error(tmp_path,
     meta = json.loads((model_dir / "config.json").read_text())
     meta["config"]["dim"] = 1
     (model_dir / "config.json").write_text(json.dumps(meta))
-    with pytest.raises(ValueError, match="d=1 needs 2 eigenpairs"):
-        io.load_model(model_dir)
-
-
-def test_nan_in_saved_eigenvectors_is_a_value_error(tmp_path, small_model):
-    model_dir = tmp_path / "model"
-    io.save_model(model_dir, small_model)
-    path = model_dir / "eigenvectors.csv"
-    lines = path.read_text().splitlines()
-    row = lines[5].split(",")
-    row[2] = "nan"
-    lines[5] = ",".join(row)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match=r"singular_values.csv: 4 values, more than the "
+                                         r"dim \+ 1 = 2 of config.json"):
         io.load_model(model_dir)
 
 
@@ -1002,7 +999,6 @@ def _reverse_rows(lines):
 @pytest.mark.parametrize("name, edit, message", [
     ("train_records.csv", _reverse_rows, "row ids differ from those of xref.csv"),
     ("train_records.csv", lambda lines: lines[:-40], "row ids differ from those of xref.csv"),
-    ("eigenvectors.csv", _reverse_rows, "row ids differ from those of xref.csv"),
     ("psi.csv", lambda lines: lines[:-40], "360 rows, but xref.csv has 400"),
     ("ref_coords.csv", lambda lines: [line.rsplit(",", 1)[0] for line in lines],
      "rank 3, but singular_values.csv holds 4"),
@@ -1012,7 +1008,7 @@ def _reverse_rows(lines):
      "0 value columns, expected one"),
     ("d2.csv", lambda lines: [line + "," + line.split(",")[1] for line in lines],
      "2 value columns, expected one"),
-], ids=["records_reversed", "records_cut", "eigenvectors_reversed", "psi_cut", "rank",
+], ids=["records_reversed", "records_cut", "psi_cut", "rank",
         "d2_ids_only", "singular_values_ids_only", "d2_two_columns"])
 def test_model_files_that_disagree_are_refused(tmp_path, small_trial, small_model, capsys,
                                                name, edit, message):

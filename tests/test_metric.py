@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cohortmetric.config import RunConfig
-from cohortmetric.diffusion import markov_normalize, spectral_embed
+from cohortmetric.extension import build_reference
 import cohortmetric.metric as metric_mod
 from cohortmetric.metric import (
     Bin,
@@ -623,12 +623,18 @@ def loop_fit():
     return X, F, cfg, fit_weighted_metric(X, F, cfg)
 
 
-def test_fit_embedding_is_built_from_the_returned_weights(loop_fit):
-    X, _, cfg, metric = loop_fit
-    K = weighted_kernel(X, metric.weights.inv_diag(), sigma=metric.sigma)
-    emb = spectral_embed(markov_normalize(K), d=cfg.dim)
-    assert np.array_equal(emb.eigenvalues, metric.embedding.eigenvalues)
-    assert np.array_equal(emb.eigenvectors, metric.embedding.eigenvectors)
+def test_fit_reference_is_built_from_the_returned_weights():
+    from cohortmetric.harness import fit_pipeline
+    from cohortmetric.simulate import TrialSpec, gen_sphere_trial
+
+    ds = gen_sphere_trial(TrialSpec("sphere", n=300, seed=21))
+    cfg = RunConfig(dim=3, max_iters=2, min_cohort=15)
+    model = fit_pipeline(ds.data, ds.records, cfg)
+    metric = model.metric
+    want = build_reference(ds.data.values, metric.weights.inv_diag(), metric.sigma, cfg.dim + 1)
+    for name in ("x_ref", "inv_diag", "psi", "singular_values", "d2", "coords"):
+        assert getattr(model.ref, name).tobytes() == getattr(want, name).tobytes(), name
+    assert model.ref.sigma == want.sigma == metric.sigma
 
 
 def test_fit_weights_are_computed_on_the_returned_tree(loop_fit):
@@ -642,22 +648,25 @@ def test_fit_builds_one_tree_and_one_weight_field_per_step(loop_fit, monkeypatch
     import cohortmetric.metric as metric_mod
 
     X, F, cfg, _ = loop_fit
-    calls = {"tree": 0, "weights": 0}
-    build, weigh = metric_mod.build_topdown, metric_mod.compute_weight_field
+    calls = {}
 
-    def tree_spy(*args):
-        calls["tree"] += 1
-        return build(*args)
+    def spy(name):
+        wrapped = getattr(metric_mod, name)
+        calls[name] = 0
 
-    def weight_spy(*args):
-        calls["weights"] += 1
-        return weigh(*args)
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return wrapped(*args, **kwargs)
 
-    monkeypatch.setattr(metric_mod, "build_topdown", tree_spy)
-    monkeypatch.setattr(metric_mod, "compute_weight_field", weight_spy)
+        monkeypatch.setattr(metric_mod, name, counted)
+
+    for name in ("build_topdown", "compute_weight_field", "weighted_kernel", "spectral_embed"):
+        spy(name)
     metric = fit_weighted_metric(X, F, cfg)
-    assert calls["tree"] == cfg.max_iters
-    assert calls["weights"] == cfg.max_iters
+    assert calls["build_topdown"] == calls["compute_weight_field"] == cfg.max_iters
+    # no kernel follows the last weights: the Gaussian embedding, then one per later step
+    assert calls["weighted_kernel"] == cfg.max_iters - 1
+    assert calls["spectral_embed"] == cfg.max_iters
     assert len(metric.history) == metric.iterations == cfg.max_iters
     # no field precedes the first step's
     assert np.isnan(metric.history[0].weight_change)
@@ -685,7 +694,9 @@ def test_algorithm_deterministic():
     # the cohort size follows F's c = 8, not cfg.min_cohort = 25
     assert m1.cohort_size == 8
     assert np.array_equal(m1.weights.point_weights, m2.weights.point_weights)
-    assert np.array_equal(m1.embedding.coords, m2.embedding.coords)
+    assert m1.sigma == m2.sigma
+    r1, r2 = (build_reference(X, m.weights.inv_diag(), m.sigma, cfg.dim + 1) for m in (m1, m2))
+    assert np.array_equal(r1.coords, r2.coords)
 
 
 def test_algorithm_requires_two_cohorts():
@@ -699,7 +710,7 @@ def test_metric_distance_axioms_on_samples():
     X = rng.normal(size=(100, 4))
     F = CohortFunctional.from_labels(X[:, 0], 8)
     metric = fit_weighted_metric(X, F, RunConfig(dim=4, seed=4, max_iters=2))
-    coords = metric.embedding.coords
+    coords = build_reference(X, metric.weights.inv_diag(), metric.sigma, 5).coords
     d = lambda i, j: np.linalg.norm(coords[i] - coords[j])
     for i in range(0, 100, 17):
         assert d(i, i) == 0.0
@@ -719,12 +730,13 @@ def fitted_metric():
     labels = np.sin(3 * X[:, 0])
     F = CohortFunctional.from_labels(labels, 6)
     metric = fit_weighted_metric(X, F, RunConfig(dim=3, seed=5, max_iters=2))
-    return metric, F, labels, X
+    # the served geometry: the reference coordinates of the fit's weights and bandwidth
+    coords = build_reference(X, metric.weights.inv_diag(), metric.sigma, 4).coords
+    return metric, F, labels, coords
 
 
 def test_estimate_knn_matches_bruteforce(fitted_metric):
-    metric, F, labels, _ = fitted_metric
-    coords = metric.embedding.coords
+    metric, F, labels, coords = fitted_metric
     k = F.min_cohort
     # max(c, ceil(5% of 200))
     assert metric.cohort_size == 10
@@ -811,17 +823,17 @@ def test_neighborhood_rule_rejects_invalid_size(kw):
 
 
 def test_estimate_propagates_too_small(fitted_metric):
-    metric, _, labels, _ = fitted_metric
+    metric, _, labels, coords = fitted_metric
     F = CohortFunctional.from_labels(labels, metric.cohort_size + 1)
     with pytest.raises(CohortTooSmallError):
-        multiscale_estimate(metric.embedding.coords, metric.cohort_size, F, 0)
+        multiscale_estimate(coords, metric.cohort_size, F, 0)
 
 
 @pytest.mark.parametrize("i", [-1, 200, 2.0, np.float64(3), True, None])
 def test_multiscale_refuses_a_point_that_is_not_a_row(fitted_metric, i):
-    metric, F, _, _ = fitted_metric
+    metric, F, _, coords = fitted_metric
     with pytest.raises(ValueError, match="integer row of the 200 coords"):
-        multiscale_estimate(metric.embedding.coords, metric.cohort_size, F, i)
+        multiscale_estimate(coords, metric.cohort_size, F, i)
 
 
 def test_duplicate_points_share_estimates():
@@ -831,26 +843,26 @@ def test_duplicate_points_share_estimates():
     labels = X[:, 0]
     F = CohortFunctional.from_labels(labels, 5)
     metric = fit_weighted_metric(X, F, RunConfig(dim=3, seed=6, max_iters=1))
-    coords, k = metric.embedding.coords, metric.cohort_size
+    coords = build_reference(X, metric.weights.inv_diag(), metric.sigma, 4).coords
+    k = metric.cohort_size
     e0 = multiscale_estimate(coords, k, F, 0).coarse_value
     e60 = multiscale_estimate(coords, k, F, 60).coarse_value
     np.testing.assert_allclose(e0, e60, rtol=1e-9)
 
 
 def test_multiscale_constant_functional_zero(fitted_metric):
-    metric, _, _, _ = fitted_metric
+    metric, _, _, coords = fitted_metric
     F = constant_functional(5.0, c=3)
-    dec = multiscale_estimate(metric.embedding.coords, metric.cohort_size, F, 10)
+    dec = multiscale_estimate(coords, metric.cohort_size, F, 10)
     assert dec.sizes == (10, 5, 3)
     assert dec.coarse_value == 5.0
     assert all(c == 0.0 for c in dec.coefficients)
 
 
 def test_multiscale_single_scale_definition(fitted_metric):
-    metric, _, labels, _ = fitted_metric
+    metric, _, labels, coords = fitted_metric
     from cohortmetric.metric import neighborhood_indices
 
-    coords = metric.embedding.coords
     F = CohortFunctional.from_labels(labels, 5)
     dec = multiscale_estimate(coords, metric.cohort_size, F, 5)
     cohort = neighborhood_indices(coords, coords[5:6], metric.cohort_size)[0]
@@ -862,8 +874,7 @@ def test_multiscale_single_scale_definition(fitted_metric):
 def test_multiscale_telescoping(fitted_metric):
     from cohortmetric.metric import neighborhood_indices
 
-    metric, F, _, _ = fitted_metric
-    coords = metric.embedding.coords
+    metric, F, _, coords = fitted_metric
     for i in (1, 42, 99):
         dec = multiscale_estimate(coords, 100, F, i)
         assert dec.sizes == (100, 50, 25, 13, 7)

@@ -256,13 +256,10 @@ def test_a_min_cohort_that_is_not_an_integer_is_refused(min_cohort):
     assert LocalAlphaFunctional(rec, "moments", min_cohort=np.int64(3)).min_cohort == 3
 
 
-@pytest.mark.parametrize("min_cohort, message", [
-    (0, "min_cohort must be an integer >= 1"),
-    (1, "min_cohort must be at least 2"),
-])
-def test_a_min_cohort_under_two_is_refused(min_cohort, message):
+@pytest.mark.parametrize("min_cohort", [0, 1])
+def test_a_min_cohort_under_two_is_refused(min_cohort):
     rec = SurvivalRecords(np.ones(4), np.ones(4, dtype=int), np.array([0, 1, 0, 1]))
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=f"min_cohort must be an integer >= 2, got {min_cohort}"):
         LocalAlphaFunctional(rec, "moments", min_cohort=min_cohort)
     assert LocalAlphaFunctional(rec, "moments", min_cohort=2).min_cohort == 2
 

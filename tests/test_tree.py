@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -84,8 +86,9 @@ def test_fit_draws_nothing_from_its_seed():
     a, b = (fit_weighted_metric(X, F, RunConfig(dim=3, seed=seed, max_iters=2)) for seed in (2, 9))
     assert a.tree.to_lines() == b.tree.to_lines()
     assert a.weights.point_weights.tobytes() == b.weights.point_weights.tobytes()
-    assert a.embedding.eigenvalues.tobytes() == b.embedding.eigenvalues.tobytes()
-    assert a.embedding.eigenvectors.tobytes() == b.embedding.eigenvectors.tobytes()
+    assert len(a.history) == len(b.history) == 2
+    for h, g in zip(a.history, b.history):  # NaN first: assert_equal takes it as equal
+        np.testing.assert_equal(astuple(h), astuple(g))
 
 
 def _fit_trees(X, F, monkeypatch):
