@@ -234,14 +234,17 @@ def _same_rows(path, ids, train_ids) -> None:
         raise ValueError(f"{path}: row ids differ from those of xref.csv")
 
 
-def _model_matrix(path, train_ids=None, n_rows=None) -> np.ndarray:
+def _model_matrix(path, train_ids=None, n_rows=None, header=None) -> np.ndarray:
     """A matrix file of a saved model. Its row ids must be `train_ids` in
-    order, or it must have `n_rows` rows, where either is given."""
-    ids, matrix, _ = read_matrix_csv(path)
+    order, or it must have `n_rows` rows, and its header after the id
+    column must be `header`, where each is given."""
+    ids, matrix, names = read_matrix_csv(path)
     if train_ids is not None:
         _same_rows(path, ids, train_ids)
     if n_rows is not None and len(ids) != n_rows:
         raise ValueError(f"{path}: {len(ids)} rows, but xref.csv has {n_rows}")
+    if header is not None and names != header:
+        raise ValueError(f"{path}: header {names!r} differs from xref.csv's {header!r}")
     return matrix
 
 
@@ -286,10 +289,12 @@ def load_model(model_dir):
     the top-level `eigenvalues` key, which earlier versions saved, are not
     read, nor is any other unknown top-level key of config.json.
     Files that disagree are a ValueError naming the file: the per-point
-    files must carry xref.csv's ids in xref.csv's order, psi.csv and d2.csv
-    one row per reference point, d2.csv and singular_values.csv one value
-    column, psi.csv and ref_coords.csv one column per singular value, and
-    singular_values.csv at most the saved config's dim + 1 values.
+    files must carry xref.csv's ids in xref.csv's order, weights.csv
+    xref.csv's header, tree.txt a tree of as many points as xref.csv has
+    rows, psi.csv and d2.csv one row per reference point, d2.csv and
+    singular_values.csv one value column, psi.csv and ref_coords.csv one
+    column per singular value, and singular_values.csv at most the saved
+    config's dim + 1 values.
     A key missing from config.json, or from one of its history entries, is
     a ValueError naming the file and the key; so is a `history` that is not
     a list of objects, or a `sigma`, `lam` or history field that is not a
@@ -325,7 +330,7 @@ def load_model(model_dir):
                          f"header {feature_names!r}")
     record_ids, records = read_records_csv(d / "train_records.csv")
     _same_rows(d / "train_records.csv", record_ids, train_ids)
-    point_weights = _model_matrix(d / "weights.csv", train_ids)
+    point_weights = _model_matrix(d / "weights.csv", train_ids, header=feature_names)
     ref_coords = _model_matrix(d / "ref_coords.csv", train_ids)
     psi = _model_matrix(d / "psi.csv", n_rows=len(train_ids))
     d2 = _model_column(d / "d2.csv", n_rows=len(train_ids))
@@ -348,6 +353,9 @@ def load_model(model_dir):
         coords=ref_coords,
     )
     tree = PartitionTree.from_lines((d / "tree.txt").read_text().splitlines())
+    if tree.n_points != len(train_ids):
+        raise ValueError(f"{d / 'tree.txt'}: the tree holds {tree.n_points} points, but "
+                         f"xref.csv has {len(train_ids)} rows")
     history = tuple(
         IterationDiagnostics(
             weight_change=float("nan") if h["weight_change"] is None else h["weight_change"],

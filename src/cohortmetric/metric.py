@@ -2,16 +2,18 @@
 
 `compute_weight_field` walks the tree's folders once, levels top down. A
 folder's feature weights score each feature's power to discriminate a
-cohort functional F (size-weighted variance of F over its quantile bins) and
-are added, decayed by 2^{-l}, straight into its points' weights; the
-locally weighted PSD kernel takes the field's W diagonals u, an (n, m)
-array. F is evaluated only where a weight can be nonzero: a folder under 2c
-points, or a feature left with one valid bin of at least c points, weighs 0
-with no F call. The fit runs a fixed number of steps of tree -> weights ->
-bandwidth, and returns the last step's tree, weights and bandwidth, which
-the reference decomposition serves; no kernel follows the last weights. The
-weighted kernel is the package's one kernel assembly, one matrix product per
-block of a weight group's rows: the points whose W rows are equal bit for bit.
+cohort functional F (size-weighted variance of F over its quantile bins,
+each bin a run of the feature's stable sort over the folder, cut at the
+edges, with a small bin merged by deleting one cut) and are added, decayed
+by 2^{-l}, straight into its points' weights; the locally weighted PSD
+kernel takes the field's W diagonals u, an (n, m) array. F is evaluated
+only where a weight can be nonzero: a folder under 2c points, or a feature
+left with one valid bin of at least c points, weighs 0 with no F call. The
+fit runs a fixed number of steps of tree -> weights -> bandwidth, and
+returns the last step's tree, weights and bandwidth, which the reference
+decomposition serves; no kernel follows the last weights. The weighted
+kernel is the package's one kernel assembly, one matrix product per block
+of a weight group's rows: the points whose W rows are equal bit for bit.
 
 A point's neighbourhood is its cohort: the k = max(c, ceil(0.05 n)) nearest
 of n reference points in the reference coordinates (`cohort_neighborhood`).
@@ -29,7 +31,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -84,12 +86,6 @@ class CohortFunctional:
         """Cohort mean of a stored per-point label."""
         arr = np.asarray(labels, dtype=float)
         return cls(lambda idx: float(arr[idx].mean()), min_cohort)
-
-
-class Bin(NamedTuple):
-    indices: np.ndarray
-    lo: float
-    hi: float
 
 
 @dataclass(frozen=True)
@@ -148,93 +144,71 @@ class RegularizedMetric:
         return len(self.history)
 
 
-def _bin_probs(k_bins: int) -> np.ndarray:
-    """The quantile levels of the inner bin edges."""
-    return np.arange(1, k_bins) / k_bins
+def _bin_cuts(values: np.ndarray, edges: np.ndarray, c: int) -> tuple[np.ndarray, list[int]]:
+    """One feature's quantile bins, with bins under c points merged: bin j is
+    order[cuts[j]:cuts[j + 1]] of the values' stable argsort `order`.
 
-
-def _bins(pts: np.ndarray, values: np.ndarray, quantiles: np.ndarray) -> list[Bin]:
-    """The bins of the sorted folder points `pts`, whose feature values are
-    `values`, at the distinct `quantiles`: a point goes to the number of
-    edges at or below its value, and empty bins are dropped. Each bin's
-    indices stay sorted."""
-    assignment = np.searchsorted(np.unique(quantiles), values, side="right")
-    order = np.argsort(assignment, kind="stable")
-    bins, lo = [], 0
-    for hi in np.cumsum(np.bincount(assignment)).tolist():
-        if hi > lo:
-            run = order[lo:hi]
-            vals = values[run]
-            bins.append(Bin(pts[run], float(vals.min()), float(vals.max())))
-        lo = hi
-    return bins
-
-
-def _merge_small_bins(bins: list[Bin], c: int) -> list[Bin]:
-    """Merge bins below the cohort minimum into the adjacent bin whose edge is
-    closer, until all bins are valid or one remains."""
-    bins = list(bins)
-    while len(bins) > 1:
-        small = [j for j, b in enumerate(bins) if b.indices.size < c]
+    A bin starts at the first value at or above its lower edge (a value on
+    an edge goes to the bin above), and an empty bin, a repeated cut, is
+    dropped. While two or more bins remain, the first under c points merges
+    into its neighbour across the smaller gap between values (left on a tie,
+    its only one at an end) by deleting one cut.
+    """
+    order = np.argsort(values, kind="stable")
+    v = values[order]
+    cuts = np.unique(np.r_[0, np.searchsorted(v, edges, side="left"), v.size]).tolist()
+    while len(cuts) > 2:
+        small = [j for j, (a, b) in enumerate(zip(cuts, cuts[1:])) if b - a < c]
         if not small:
             break
         j = small[0]
-        if j == 0:
-            target = 1
-        elif j == len(bins) - 1:
-            target = j - 1
-        else:
-            gap_left = bins[j].lo - bins[j - 1].hi
-            gap_right = bins[j + 1].lo - bins[j].hi
-            target = j - 1 if gap_left <= gap_right else j + 1
-        a, b = sorted((j, target))
-        merged = Bin(
-            np.sort(np.concatenate([bins[a].indices, bins[b].indices])),
-            min(bins[a].lo, bins[b].lo),
-            max(bins[a].hi, bins[b].hi),
-        )
-        bins[a:b + 1] = [merged]
-    return bins
+        if 0 < j < len(cuts) - 2:  # the gap at cut p is v[p] - v[p - 1]
+            j += int(v[cuts[j]] - v[cuts[j] - 1] > v[cuts[j + 1]] - v[cuts[j + 1] - 1])
+        del cuts[max(j, 1)]
+    return order, cuts
 
 
-def folder_weight(bins: list[Bin], F: CohortFunctional) -> float:
-    """Size-weighted variance of F across the folder's bins.
+def folder_weight(pts: np.ndarray, values: np.ndarray, edges: np.ndarray,
+                  F: CohortFunctional) -> float:
+    """Size-weighted variance of F across the bins at `edges` of one feature's
+    `values` over the sorted folder points `pts`.
 
-    Bins below F's minimum cohort are merged first, which reads only their
-    sizes and value ranges. F is evaluated only where the weight can be
+    Bins below F's minimum cohort are merged first (`_bin_cuts`), which reads
+    only the sorted values. F is evaluated only where the weight can be
     nonzero: fewer than two merged bins of at least c points weigh 0 with no
-    F call. Otherwise F is called once per merged bin, bins where it is
-    undefined (a `CohortError`) are dropped, and no defined bin left means
-    weight 0. A non-finite F value is a ValueError naming the bin's size.
-    So a functional that breaks the `CohortFunctional` contract on a feature
-    left with one valid bin, by returning NaN or raising an error other than
-    `CohortError` there, is not called there and passes unnoticed.
+    F call. Otherwise F is called once per merged bin, on its sorted points,
+    bins where it is undefined (a `CohortError`) are dropped, and no defined
+    bin left means weight 0. A non-finite F value is a ValueError naming the
+    bin's size. So a functional that breaks the `CohortFunctional` contract
+    on a feature left with one valid bin, by returning NaN or raising an
+    error other than `CohortError` there, is not called there and passes
+    unnoticed.
     """
-    merged = _merge_small_bins(bins, F.min_cohort)
-    if len(merged) < 2:
+    order, cuts = _bin_cuts(values, edges, F.min_cohort)
+    if len(cuts) < 3:
         # at most one value of F: its variance is 0
         return 0.0
     # merging stopped with every bin at least c points
-    sizes, values = [], []
-    for b in merged:
+    sizes, f_values = [], []
+    for a, b in zip(cuts, cuts[1:]):
         try:
-            value = F(b.indices)
+            value = F(pts[np.sort(order[a:b])])
         except CohortError:
             continue
         if not math.isfinite(value):
-            raise ValueError(f"F is {value} on a bin of {b.indices.size} points")
-        values.append(value)
-        sizes.append(b.indices.size)
+            raise ValueError(f"F is {value} on a bin of {b - a} points")
+        f_values.append(value)
+        sizes.append(b - a)
     if not sizes:
         logger.info("F undefined on every bin after merging; folder weight set to 0")
         return 0.0
     sizes = np.asarray(sizes, dtype=float)
     # shifting by the first value keeps the (translation-invariant) weight
     # exactly zero for a constant functional
-    values = np.asarray(values, dtype=float) - values[0]
+    f_values = np.asarray(f_values, dtype=float) - f_values[0]
     p = sizes / sizes.sum()
-    fbar = float(p @ values)
-    return float(p @ (values - fbar) ** 2)
+    fbar = float(p @ f_values)
+    return float(p @ (f_values - fbar) ** 2)
 
 
 def resolve_lam(point_weights: np.ndarray) -> float:
@@ -254,17 +228,18 @@ def compute_weight_field(X, F: CohortFunctional, tree: PartitionTree) -> WeightF
     quantile bins. F is evaluated only where a weight can be nonzero. A
     folder under 2c points holds at most one bin of c points, so it weighs 0
     with no quantile, binning or F call. Each larger folder takes one
-    `np.quantile` pass over all of its features, and `folder_weight` merges
-    each feature's bins and calls F on the merged bins of each feature with
-    at least two of them, folder by folder (levels top down) and feature by
-    feature; each row is added into its points' weights in that order. A
+    `np.quantile` pass over all of its features, and `folder_weight` cuts
+    each feature's stable sort at its edges, merges small bins by deleting
+    cuts, and calls F on the merged bins of each feature with at least two
+    of them, folder by folder (levels top down) and feature by feature;
+    each row is added into its points' weights in that order. A
     tree over a different number of points than X has rows is a ValueError.
     """
     values = as_values(X)
     if tree.n_points != values.shape[0]:
         raise ValueError(
             f"the tree holds {tree.n_points} points but X has {values.shape[0]} rows")
-    probs = _bin_probs(K_BINS)
+    probs = np.arange(1, K_BINS) / K_BINS  # the inner edges' quantile levels
     w = np.zeros_like(values)
     for level in range(1, tree.n_levels + 1):
         decay = 2.0 ** (-WEIGHT_ALPHA * level)
@@ -273,7 +248,7 @@ def compute_weight_field(X, F: CohortFunctional, tree: PartitionTree) -> WeightF
                 continue
             vals = values[pts].T  # (m, folder): a feature per row
             edges = np.quantile(vals, probs, axis=1).T
-            row = np.array([folder_weight(_bins(pts, v, e), F) for v, e in zip(vals, edges)])
+            row = np.array([folder_weight(pts, v, e, F) for v, e in zip(vals, edges)])
             w[pts] += decay * row
     return WeightField(w, resolve_lam(w))
 

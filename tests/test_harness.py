@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from cohortmetric.simulate import (
     generate,
 )
 from cohortmetric.survival import BALANCE_THRESHOLD, LocalAlphaFunctional, SurvivalRecords
+from cohortmetric.tree import PartitionTree
 
 
 FAST = dict(dim=3, max_iters=2, min_cohort=15)
@@ -73,7 +75,6 @@ def test_invalid_metric_knob_reaches_the_fit_only_as_config_error(knob, value):
 
 def test_readme_names_every_config_knob():
     import dataclasses
-    import re
 
     readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
     count, knobs = re.search(r"The config has (\d+) knobs: (.*?)\.", readme).groups()
@@ -85,7 +86,6 @@ def test_readme_names_resolve():
     # each backticked <module>.<name> of a package module names what the module has
     import importlib
     import pkgutil
-    import re
 
     import cohortmetric
 
@@ -536,8 +536,6 @@ def test_a_model_saved_with_a_singleton_tree_level_serves_the_same_predictions(
     tmp_path, small_trial, small_model
 ):
     # earlier versions appended a level of singletons below the fit's tree
-    from cohortmetric.tree import PartitionTree
-
     io.save_model(tmp_path / "model", small_model)
     levels = small_model.metric.tree.levels
     assert any(len(pts) > 1 for pts in levels[-1])
@@ -996,6 +994,11 @@ def _reverse_rows(lines):
     return lines[:1] + lines[:0:-1]
 
 
+def _swap_first_columns(lines):
+    """x_1 and x_2 swap places, with their names."""
+    return [",".join([f[0], f[2], f[1], *f[3:]]) for f in (line.split(",") for line in lines)]
+
+
 @pytest.mark.parametrize("name, edit, message", [
     ("train_records.csv", _reverse_rows, "row ids differ from those of xref.csv"),
     ("train_records.csv", lambda lines: lines[:-40], "row ids differ from those of xref.csv"),
@@ -1008,8 +1011,15 @@ def _reverse_rows(lines):
      "0 value columns, expected one"),
     ("d2.csv", lambda lines: [line + "," + line.split(",")[1] for line in lines],
      "2 value columns, expected one"),
+    ("weights.csv", lambda lines: [line.rsplit(",", 1)[0] for line in lines],
+     "header ['x_1', 'x_2', 'x_3', 'x_4', 'x_5', 'x_6', 'x_7', 'x_8'] differs from "
+     "xref.csv's ['x_1', 'x_2', 'x_3', 'x_4', 'x_5', 'x_6', 'x_7', 'x_8', 'x_9']"),
+    ("weights.csv", _swap_first_columns, "header ['x_2', 'x_1', 'x_3', "),
+    ("tree.txt", lambda lines: PartitionTree([[np.arange(200)]]).to_lines(),
+     "the tree holds 200 points, but xref.csv has 400 rows"),
 ], ids=["records_reversed", "records_cut", "psi_cut", "rank",
-        "d2_ids_only", "singular_values_ids_only", "d2_two_columns"])
+        "d2_ids_only", "singular_values_ids_only", "d2_two_columns",
+        "weights_last_column_cut", "weights_columns_swapped", "tree_of_200_points"])
 def test_model_files_that_disagree_are_refused(tmp_path, small_trial, small_model, capsys,
                                                name, edit, message):
     model_dir = tmp_path / "model"
@@ -1017,7 +1027,7 @@ def test_model_files_that_disagree_are_refused(tmp_path, small_trial, small_mode
     assert small_model.ref.n_ref == 400 and small_model.ref.rank == 4
     path = model_dir / name
     path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
-    with pytest.raises(ValueError, match=f"{name}: {message}"):
+    with pytest.raises(ValueError, match=re.escape(f"{name}: {message}")):
         io.load_model(model_dir)
     data = tmp_path / "data.csv"
     io.write_dataset_csv(data, small_trial.data, small_trial.records)

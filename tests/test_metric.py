@@ -5,10 +5,8 @@ from cohortmetric.config import RunConfig
 from cohortmetric.extension import build_reference
 import cohortmetric.metric as metric_mod
 from cohortmetric.metric import (
-    Bin,
     CohortFunctional,
-    _bin_probs,
-    _bins,
+    _bin_cuts,
     compute_weight_field,
     folder_weight,
     fit_weighted_metric,
@@ -45,32 +43,53 @@ def test_functional_refuses_a_min_cohort_that_is_not_a_count(min_cohort):
         CohortFunctional(lambda idx: 0.0, min_cohort)
 
 
-# --- _bins ------------------------------------------------------------------------
+# --- _bin_cuts ---------------------------------------------------------------------
 
 
-def bins_of(values, k_bins=3):
-    """The quantile bins of one feature's values over the folder 0..len-1."""
+def bins_of(values, edges=None, c=1):
+    """The bins of one feature's values, as sorted position lists: at
+    `edges`, by default those of the K_BINS quantile levels, merged at c."""
     values = np.asarray(values, dtype=float)
-    return _bins(np.arange(values.size), values, np.quantile(values, _bin_probs(k_bins)))
+    if edges is None:
+        edges = np.quantile(values, np.arange(1, metric_mod.K_BINS) / metric_mod.K_BINS)
+    order, cuts = _bin_cuts(values, np.asarray(edges, dtype=float), c)
+    assert order.tolist() == np.argsort(values, kind="stable").tolist()
+    return [np.sort(order[a:b]).tolist() for a, b in zip(cuts, cuts[1:])]
 
 
 def test_bins_constant_feature_single_bin():
-    bins = bins_of(np.ones(8))
-    assert len(bins) == 1
-    assert bins[0].indices.tolist() == list(range(8))
+    assert bins_of(np.ones(8)) == [list(range(8))]
 
 
 def test_bins_hand_quantiles():
-    bins = bins_of(np.arange(1.0, 10.0))  # values 1..9
-    assert [b.indices.tolist() for b in bins] == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
+    assert bins_of(np.arange(1.0, 10.0)) == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]  # values 1..9
+
+
+def test_bins_a_value_on_an_edge_starts_the_bin_above():
+    values = np.arange(10.0)  # values 0..9: the edges are exactly 3.0 and 6.0
+    assert np.quantile(values, [1 / 3, 2 / 3]).tolist() == [3.0, 6.0]
+    assert bins_of(values) == [[0, 1, 2], [3, 4, 5], [6, 7, 8, 9]]
+    # the bins are runs of the stable sort: unsorted values keep the rule
+    perm = np.random.default_rng(0).permutation(10)
+    assert bins_of(values[perm]) == [np.flatnonzero(np.isin(values[perm], run)).tolist()
+                                     for run in ([0, 1, 2], [3, 4, 5], [6, 7, 8, 9])]
 
 
 def test_bins_partition_with_duplicate_boundaries():
     bins = bins_of([1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0])
-    got = np.sort(np.concatenate([b.indices for b in bins]))
-    assert got.tolist() == list(range(8))
-    sizes = sum(b.indices.size for b in bins)
-    assert sizes == 8
+    assert sorted(sum(bins, [])) == list(range(8))
+    assert bins == [[0, 1, 2, 3], [4, 5, 6, 7]]  # the edge 1.0 at the minimum leaves no empty bin
+
+
+@pytest.mark.parametrize("values, want", [
+    ([0, 1, 2, 4, 6, 7, 8], [[0, 1, 2, 3], [4, 5, 6]]),  # equal gaps: merged left
+    ([0, 1, 2, 4.5, 6, 7, 8], [[0, 1, 2], [3, 4, 5, 6]]),  # the smaller gap is right
+    ([0, 4, 4.5, 4.6, 6, 7, 8], [[0, 1, 2, 3], [4, 5, 6]]),  # the first bin: right
+    ([0, 1, 2, 3.5, 4, 4.5, 8], [[0, 1, 2], [3, 4, 5, 6]]),  # the last bin: left
+    ([0, 1, 4, 4.2, 4.4, 6, 8], [[0, 1, 2, 3, 4, 5, 6]]),  # merged until one bin
+])
+def test_bins_under_c_merge_into_a_neighbour(values, want):
+    assert bins_of(values, edges=[3.0, 5.0], c=3) == want
 
 
 # --- folder_weight ----------------------------------------------------------------
@@ -80,29 +99,39 @@ def constant_functional(value, c=1):
     return CohortFunctional(lambda idx: value, c)
 
 
+def weight_of(values, edges, F, pts=None):
+    """`folder_weight` of one feature's values at `edges`, over the folder
+    `pts` (by default 0..len-1)."""
+    values = np.asarray(values, dtype=float)
+    pts = np.arange(values.size) if pts is None else np.asarray(pts)
+    return folder_weight(pts, values, np.asarray(edges, dtype=float), F)
+
+
 def test_weight_zero_for_constant_functional():
-    bins = [Bin(np.arange(5), 0.0, 1.0), Bin(np.arange(5, 10), 1.0, 2.0)]
-    assert folder_weight(bins, constant_functional(3.3)) == 0.0
+    # bins 0..4 and 5..9
+    assert weight_of(np.arange(10), [5.0], constant_functional(3.3)) == 0.0
 
 
 def test_weight_two_equal_bins():
     labels = np.array([0.0] * 5 + [1.0] * 5)
     F = CohortFunctional.from_labels(labels, min_cohort=2)
-    bins = [Bin(np.arange(5), 0.0, 0.4), Bin(np.arange(5, 10), 0.6, 1.0)]
     # F values 0 and 1 on equal bins: mean 0.5, weight 0.25
-    np.testing.assert_allclose(folder_weight(bins, F), 0.25)
+    np.testing.assert_allclose(weight_of(np.linspace(0.0, 1.0, 10), [0.5], F), 0.25)
 
 
 def test_weight_three_bins_hand_value():
     # sizes (2,1,1) with F values (0,1,1): Fbar = 0.5, weight = 0.25
     vals = {(0, 1): 0.0, (2,): 1.0, (3,): 1.0}
     F = CohortFunctional(lambda idx: vals[tuple(idx)], 1)
-    bins = [
-        Bin(np.array([0, 1]), 0.0, 0.1),
-        Bin(np.array([2]), 0.2, 0.3),
-        Bin(np.array([3]), 0.4, 0.5),
-    ]
-    np.testing.assert_allclose(folder_weight(bins, F), 0.25)
+    np.testing.assert_allclose(weight_of([0.0, 0.1, 0.2, 0.4], [0.2, 0.4], F), 0.25)
+
+
+def test_weight_calls_F_on_the_sorted_folder_points_of_each_bin():
+    # unsorted values over the folder points 10, 20, ..., 60; bins of values
+    # (1, 2), (3, 4) and (5, 6)
+    F, calls = _spy(lambda idx: float(idx.mean()), 2)
+    weight_of([6.0, 1.0, 4.0, 2.0, 5.0, 3.0], [3.0, 5.0], F, pts=np.arange(10, 70, 10))
+    assert calls == [[20, 40], [30, 60], [10, 50]]
 
 
 def test_weight_matches_two_pass_variance():
@@ -110,8 +139,7 @@ def test_weight_matches_two_pass_variance():
     labels = rng.normal(size=40)
     F = CohortFunctional.from_labels(labels, min_cohort=3)
     edges = [0, 7, 15, 26, 40]
-    bins = [Bin(np.arange(a, b), float(a), float(b)) for a, b in zip(edges, edges[1:])]
-    w = folder_weight(bins, F)
+    w = weight_of(np.arange(40), edges[1:-1], F)
     sizes = np.diff(edges)
     fv = np.array([labels[a:b].mean() for a, b in zip(edges, edges[1:])])
     p = sizes / sizes.sum()
@@ -123,10 +151,10 @@ def test_weight_matches_two_pass_variance():
 def test_weight_translation_and_scaling_of_functional():
     rng = np.random.default_rng(1)
     labels = rng.normal(size=30)
-    bins = [Bin(np.arange(0, 10), 0, 1), Bin(np.arange(10, 20), 1, 2), Bin(np.arange(20, 30), 2, 3)]
-    w0 = folder_weight(bins, CohortFunctional.from_labels(labels, 3))
-    w_shift = folder_weight(bins, CohortFunctional.from_labels(labels + 7.5, 3))
-    w_scale = folder_weight(bins, CohortFunctional.from_labels(labels * 3.0, 3))
+    values, edges = np.arange(30), [10.0, 20.0]  # bins of ten points
+    w0 = weight_of(values, edges, CohortFunctional.from_labels(labels, 3))
+    w_shift = weight_of(values, edges, CohortFunctional.from_labels(labels + 7.5, 3))
+    w_scale = weight_of(values, edges, CohortFunctional.from_labels(labels * 3.0, 3))
     np.testing.assert_allclose(w_shift, w0, atol=1e-12)
     np.testing.assert_allclose(w_scale, 9.0 * w0, rtol=1e-12)
 
@@ -134,18 +162,15 @@ def test_weight_translation_and_scaling_of_functional():
 def test_weight_merges_small_bins_first():
     labels = np.array([0.0] * 6 + [1.0] * 2)
     F = CohortFunctional.from_labels(labels, min_cohort=3)
-    bins = [
-        Bin(np.arange(0, 6), 0.0, 0.5),
-        Bin(np.array([6, 7]), 0.9, 1.0),  # below c=3: merged into the left bin
-    ]
+    # bins 0..5 and 6, 7, which is below c=3: merged into the left bin
+    values = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.9, 1.0]
     # single merged bin -> one F value -> zero variance
-    assert folder_weight(bins, F) == 0.0
+    assert weight_of(values, [0.7], F) == 0.0
 
 
 def test_weight_zero_when_nothing_valid():
     F = constant_functional(1.0, c=100)
-    bins = [Bin(np.arange(5), 0, 1)]
-    assert folder_weight(bins, F) == 0.0
+    assert weight_of(np.arange(5), [], F) == 0.0  # one bin
 
 
 def test_weight_drops_undefined_bins():
@@ -155,8 +180,7 @@ def test_weight_drops_undefined_bins():
         return float(idx.mean())
 
     F = CohortFunctional(fn, 2)
-    bins = [Bin(np.array([0, 1]), 0, 1), Bin(np.array([2, 3]), 1, 2), Bin(np.array([4, 5]), 2, 3)]
-    w = folder_weight(bins, F)
+    w = weight_of(np.arange(6), [2.0, 4.0], F)  # bins 0, 1 and 2, 3 and 4, 5
     # only the last two bins count: values 2.5, 4.5 equal sizes -> var 1.0
     np.testing.assert_allclose(w, 1.0)
 
@@ -249,8 +273,7 @@ def test_a_folder_under_2c_points_weighs_zero_with_no_F_call(n):
 
 def test_weight_of_one_valid_bin_is_zero_with_no_F_call():
     F, calls = _spy(lambda idx: float(idx.mean()), 3)
-    bins = [Bin(np.arange(0, 6), 0.0, 0.5), Bin(np.array([6, 7]), 0.9, 1.0)]
-    w = folder_weight(bins, F)
+    w = weight_of([0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.9, 1.0], [0.7], F)  # bins 0..5 and 6, 7
     assert (w, np.signbit(w), calls) == (0.0, False, [])
 
 
@@ -269,9 +292,8 @@ def test_a_folder_of_exactly_2c_points_in_two_valid_bins_calls_F_twice(monkeypat
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_weight_refuses_a_non_finite_F_value_naming_the_bin(value):
     F = CohortFunctional(lambda idx: value if idx[0] == 4 else 1.0, 3)
-    bins = [Bin(np.arange(4), 0.0, 0.3), Bin(np.arange(4, 11), 0.5, 1.0)]
     with pytest.raises(ValueError, match="on a bin of 7 points"):
-        folder_weight(bins, F)
+        weight_of(np.arange(11), [4.0], F)  # bins 0..3 and 4..10
 
 
 @pytest.mark.parametrize("n_tree", [60, 120])

@@ -237,7 +237,7 @@ def test_invalid_parameters():
 
 @pytest.mark.parametrize("min_folder", [np.nan, np.inf, True, 2.5])
 def test_a_min_folder_that_is_not_a_count_is_refused(min_folder):
-    # at a NaN or infinite min_folder no folder splits: a root-plus-singletons tree
+    # at a NaN or infinite min_folder no folder would split: a tree of the root alone
     with pytest.raises(ValueError, match="min_folder must be an integer >= 1"):
         build_topdown(embed_coords(np.arange(40.0)[:, None]), min_folder=min_folder)
 

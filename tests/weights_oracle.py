@@ -8,11 +8,14 @@ reproduce its weights bit for bit once `field_oracle.py` sums them into a
 weight field; do not edit this copy to follow the library.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from cohortmetric.data import as_values
-from cohortmetric.metric import Bin
 from cohortmetric.survival import CohortError
+
+Bin = NamedTuple("Bin", [("indices", np.ndarray), ("lo", float), ("hi", float)])
 
 
 def bin_probs(k_bins):
